@@ -39,22 +39,10 @@
 
 namespace dyc {
 
-/// Which execution backend the run-time compiles specialized regions
-/// through (the pluggable seam of src/backend/Backend.h). Backends change
-/// how the host executes a region, never what the cost model observes:
-/// simulated counters are bit-identical across backends by contract.
-enum class ExecBackend {
-  Default,  ///< resolve from the DYC_BACKEND environment variable
-            ///< ("bytecode" / "template"); Bytecode when unset
-  Bytecode, ///< residual bytecode only; each VM translates lazily
-  Template, ///< macro-op template backend: superblocks pre-fused at emit
-            ///< time, shared across every attached VM
-};
-
 /// Whether specialization runs execute through staged emit plans
 /// (cogen/EmitPlan.h): per-region compilation of the generating
 /// extension into a linear emit program with block-copy templates.
-/// Like Backend and Tier this is not an optimization toggle — the plan
+/// Like Tier this is not an optimization toggle — the plan
 /// path is contractually bit-identical to the legacy template walk in
 /// every simulated counter and every emitted chain; it only changes
 /// host wall-clock per emitted instruction.
@@ -109,15 +97,11 @@ struct OptFlags {
   /// sizes the simulated address reservation per code chain.
   size_t MaxRegionInstrs = 1u << 20;
 
-  /// Execution backend the front end's RegionExecutionCore compiles
-  /// through. Not a toggle: it cannot change observable behavior.
-  ExecBackend Backend = ExecBackend::Default;
-
-  /// Tiered-execution policy (see TieringPolicy). Like Backend, not a
-  /// toggle: steady-state behavior is invariant.
+  /// Tiered-execution policy (see TieringPolicy). Not a toggle:
+  /// steady-state behavior is invariant.
   TieringPolicy Tier;
 
-  /// Staged-emit-plan selection (see EmitPlanMode). Like Backend, not a
+  /// Staged-emit-plan selection (see EmitPlanMode). Like Tier, not a
   /// toggle: it cannot change observable behavior, so it is excluded
   /// from fingerprint() below.
   EmitPlanMode EmitPlan = EmitPlanMode::Default;
@@ -129,7 +113,7 @@ struct OptFlags {
 
   /// Content fingerprint of everything that can change *what code a
   /// specialization run emits*: the nine optimization toggles and the
-  /// region code cap. Backend and Tier are deliberately excluded — both
+  /// region code cap. Tier and EmitPlan are deliberately excluded — both
   /// are contractually unable to change emitted chains. The multi-tenant
   /// chain store folds this into its dedup key, and the warm-start file
   /// records it so a cache serialized under one configuration is never

@@ -96,7 +96,7 @@ DycContext::buildSpeculative(const speculate::SpeculationPolicy &Policy,
   E->AnnotatedOrdinal.assign(M.numFunctions(), -1);
   E->Machine = std::make_unique<vm::VM>(E->Prog, CM, IC);
   E->Machine->Hook = E->Spec.get();
-  E->Spec->arm(*E->Machine); // also attaches the machine to the backend
+  E->Spec->arm(*E->Machine); // also attaches the machine to the core
   return E;
 }
 

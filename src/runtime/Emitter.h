@@ -21,12 +21,10 @@
 /// alias its neighbor in the I-cache model — a modeling inaccuracy, not a
 /// correctness hazard.
 ///
-/// The bytecode the emitter writes is the backend-agnostic transfer
-/// format of the execution-backend seam (backend/Backend.h): the buffer
-/// it encodes into was opened by ExecutionBackend::beginRegion, and the
-/// finished emission is handed to ExecutionBackend::compileRegion, which
-/// may lower it further (the template backend pre-fuses it into
-/// superblocks). The emitter itself is backend-independent.
+/// The buffer the emitter encodes into was opened by the core (marked
+/// dynamic code, given its simulated address range); the finished chain is
+/// executed as bytecode, each attached VM translating it or adopting the
+/// translation another VM published (vm/Decoded.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -33,13 +33,16 @@ void ChainRegistry::releaseExecutor(const vm::CodeObject *CO) const {
     It->second->ActiveRefs.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-size_t ChainRegistry::collect() {
+size_t ChainRegistry::collect(vm::SharedTranslations &Shared) {
   std::unique_lock<std::shared_mutex> Lock(Mutex);
   size_t Freed = 0;
   for (auto It = Map.begin(); It != Map.end();) {
     CodeChain &C = *It->second;
     if (C.Evicted.load(std::memory_order_acquire) &&
         C.ActiveRefs.load(std::memory_order_acquire) == 0) {
+      // A VM still inside the chain when it was retired may have
+      // published its translation since; nothing can enter it now.
+      Shared.release(C.CO.BaseAddr);
       It = Map.erase(It);
       ++Freed;
     } else {
@@ -77,7 +80,6 @@ void RegionExecutionCore::addRegion(cogen::GenExtFunction GX) {
   auto R = std::make_unique<RegionState>();
   R->CtxPlacements.assign(GX.Region.Contexts.size(), 0);
   R->GX = std::move(GX);
-  R->Stats.Backend = BK->name();
   R->Stats.PlanEnabled = PlanOn;
   Regions.push_back(std::move(R));
   Books.emplace_back();
@@ -188,19 +190,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   for (size_t I = 0; I != P.KeyRegs.size(); ++I)
     Vals[P.KeyRegs[I]] = KeyVals[I];
 
-  auto Chain =
-      std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
-  Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-  Chain->Region = static_cast<uint32_t>(Ordinal);
-  Chain->CO.NumRegs = R.GX.NumRegs;
-  // The backend opens the chain's code buffer: dynamic-code marking plus
-  // the simulated address reservation (the region code cap, so distinct
-  // chains' I-cache footprints never alias).
-  BK->beginRegion(Chain->CO, Prog,
-                  static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
-  if (R.ChainNamePrefix.empty())
-    R.ChainNamePrefix = M.function(R.GX.FuncIdx).Name + ".chain";
-  Chain->CO.Name = R.ChainNamePrefix + std::to_string(Chain->Ordinal);
+  std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
 
   // Staged emit plan: built once per region on first specialization (the
   // caller serializes specializeInto, and nested re-entrant runs happen on
@@ -235,15 +225,6 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
     Entry = Driver.run(P.TargetCtx, std::move(Vals));
   }
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());
-  // Hand the finished emission — the bytecode stream plus every PC where
-  // control can enter from outside — to the backend. The bytecode backend
-  // returns no artifact (VMs translate lazily); the template backend
-  // pre-fuses the chain into superblocks and installs the shared
-  // translation before publication.
-  Chain->Artifact = BK->compileRegion(
-      backend::RegionEmission{Chain->CO, Entry, Chain->ExitStubs,
-                              Chain->DispatchStubs},
-      VMRef);
   Chains.add(Chain);
 
   auto E = std::allocate_shared<SpecEntry>(PoolAllocator<SpecEntry>(R.Pool));
@@ -266,33 +247,34 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
 }
 
 std::shared_ptr<CodeChain> RegionExecutionCore::restoreChain(
-    size_t Ordinal, vm::VM &VMRef, std::vector<vm::Instr> Code,
-    uint32_t EntryPC, std::map<ir::BlockId, uint32_t> ExitStubs,
+    size_t Ordinal, std::vector<vm::Instr> Code,
+    std::map<ir::BlockId, uint32_t> ExitStubs,
     std::map<uint32_t, uint32_t> DispatchStubs,
     std::map<ir::BlockId, uint32_t> OsrEntries) {
-  assert(Ordinal < Regions.size() && "bad region ordinal");
-  RegionState &R = *Regions[Ordinal];
-
-  auto Chain =
-      std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
-  Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-  Chain->Region = static_cast<uint32_t>(Ordinal);
-  Chain->CO.NumRegs = R.GX.NumRegs;
-  BK->beginRegion(Chain->CO, Prog,
-                  static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
-  if (R.ChainNamePrefix.empty())
-    R.ChainNamePrefix = M.function(R.GX.FuncIdx).Name + ".chain";
-  Chain->CO.Name = R.ChainNamePrefix + std::to_string(Chain->Ordinal);
+  std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
   Chain->CO.Code = std::move(Code);
   Chain->ExitStubs = std::move(ExitStubs);
   Chain->DispatchStubs = std::move(DispatchStubs);
   Chain->OsrEntries = std::move(OsrEntries);
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());
-  Chain->Artifact = BK->compileRegion(
-      backend::RegionEmission{Chain->CO, EntryPC, Chain->ExitStubs,
-                              Chain->DispatchStubs},
-      VMRef);
   Chains.add(Chain);
+  return Chain;
+}
+
+std::shared_ptr<CodeChain> RegionExecutionCore::newChain(size_t Ordinal) {
+  assert(Ordinal < Regions.size() && "bad region ordinal");
+  RegionState &R = *Regions[Ordinal];
+  auto Chain =
+      std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
+  Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
+  Chain->Region = static_cast<uint32_t>(Ordinal);
+  Chain->CO.NumRegs = R.GX.NumRegs;
+  Chain->CO.IsDynamicCode = true;
+  Chain->CO.BaseAddr =
+      Prog.allocCodeAddr(static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
+  if (R.ChainNamePrefix.empty())
+    R.ChainNamePrefix = M.function(R.GX.FuncIdx).Name + ".chain";
+  Chain->CO.Name = R.ChainNamePrefix + std::to_string(Chain->Ordinal);
   return Chain;
 }
 
@@ -328,13 +310,8 @@ void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
     if (Unpublish)
       Unpublish(*Cand);
     if (Cand->Chain) {
-      Cand->Chain->Evicted.store(true, std::memory_order_release);
       B.Instrs -= Cand->Chain->Instrs;
-      // Eagerly retire the backend artifact: adopters keep executing off
-      // their own shared references, but the registry must not pin an
-      // evicted chain's translation.
-      BK->releaseArtifact(Cand->Chain->CO);
-      Cand->Chain->Artifact.reset();
+      retireChain(*Cand->Chain);
     }
     ++Regions[Cand->Region]->Stats.Evictions;
     B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
@@ -345,11 +322,8 @@ void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
 void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
                                     ir::CachePolicy Policy) {
   assert(E->Region < Books.size() && "bad region ordinal");
-  if (E->Chain) {
-    E->Chain->Evicted.store(true, std::memory_order_release);
-    BK->releaseArtifact(E->Chain->CO);
-    E->Chain->Artifact.reset();
-  }
+  if (E->Chain)
+    retireChain(*E->Chain);
   // One-slot mismatch replacement is the inline runtime's historical
   // eviction event; hashed/indexed displacement (same key or same index
   // word) replaces rather than evicts.
@@ -368,6 +342,13 @@ void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
   B.Records.erase(It);
   if (B.Hand > Idx)
     --B.Hand;
+}
+
+void RegionExecutionCore::retireChain(CodeChain &Chain) {
+  Chain.Evicted.store(true, std::memory_order_release);
+  // VMs that adopted the translation keep executing off their own
+  // references, but the table must not pin a retired chain's translation.
+  Shared->release(Chain.CO.BaseAddr);
 }
 
 size_t RegionExecutionCore::residentEntries(size_t Ordinal) const {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single backend both front ends (the inline runtime::DycRuntime and
+/// The single core both front ends (the inline runtime::DycRuntime and
 /// the concurrent server::SpecServer) build on. There is ONE
 /// representation of generated code everywhere: the immutable, per-run
 /// code chain. Every specialization run emits into a fresh CodeObject with
@@ -35,29 +35,25 @@
 /// Interaction with the VM's predecoded translation cache: translations
 /// are keyed by CodeObject::BaseAddr, and Program::allocCodeAddr never
 /// reuses an address, so a freed chain's stale translation can never be
-/// reached through a newly published chain. A front end that unpublishes
-/// a chain (admit's eviction callback, one-slot displacement) should also
-/// call backend().invalidate(VM, CO) — VM::invalidateDecoded plus
-/// backend-artifact release — so neither the translation cache nor the
-/// backend's registry pins memory for code the registry is about to free;
-/// the VM additionally revalidates every translation against
-/// (Code.size(), Version) when it enters a code object, which is what
-/// makes Emitter rewrites (branch patching, hole filling — they bump
-/// Version) safe even without eager invalidation.
-///
-/// Execution backends: the core owns one backend::ExecutionBackend,
-/// selected from OptFlags::Backend at construction, and brackets every
-/// specialization run with it (beginRegion / compileRegion). The core
-/// itself releases backend artifacts when it evicts or displaces a chain,
-/// so eager reclamation holds for all front ends — including the server,
-/// whose client VMs the core cannot reach.
+/// reached through a newly published chain. The core owns the front end's
+/// SharedTranslations table: every VM it attaches publishes the
+/// translations it builds of chains and adopts those of other VMs, and
+/// the core itself releases a chain's entry when it evicts or displaces
+/// the chain — eager reclamation for all front ends, including the
+/// server, whose client VMs the core cannot reach. A front end that
+/// unpublishes a chain (admit's eviction callback, one-slot displacement)
+/// should also call VM::invalidateDecoded on its own VM, so the VM's
+/// cache does not pin memory for code the registry is about to free; the
+/// VM additionally revalidates every translation against (Code.size(),
+/// Version) when it enters a code object, which is what makes Emitter
+/// rewrites (branch patching, hole filling — they bump Version) safe even
+/// without eager invalidation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYC_RUNTIME_REGIONEXEC_H
 #define DYC_RUNTIME_REGIONEXEC_H
 
-#include "backend/Backend.h"
 #include "bta/OptFlags.h"
 #include "cogen/CompilerGenerator.h"
 #include "cogen/EmitPlan.h"
@@ -106,12 +102,6 @@ struct CodeChain {
   uint64_t Ordinal = 0; ///< creation order across all regions
   uint32_t Region = 0;  ///< owning region ordinal
   uint32_t Instrs = 0;  ///< CO.Code.size() at publication
-  /// The backend's installed artifact for this chain (null for the
-  /// bytecode backend). Written at publication and reset at
-  /// eviction/displacement, both under the owner's serialization; clients
-  /// never read it — they reach prebuilt state through the backend's
-  /// registry.
-  std::shared_ptr<backend::CompiledRegion> Artifact;
 };
 
 /// Maps a CodeObject back to its owning chain so onDynamicCodeExit — which
@@ -129,11 +119,12 @@ public:
   /// shared_ptr. No-op for unknown CodeObjects.
   void releaseExecutor(const vm::CodeObject *CO) const;
 
-  /// Frees evicted chains whose executor count has drained. Returns how
-  /// many were collected. Safe to call at any time: a chain with
-  /// ActiveRefs == 0 and Evicted set can no longer be entered (its cache
-  /// entry is gone, and entry only happens through a cache).
-  size_t collect();
+  /// Frees evicted chains whose executor count has drained, releasing
+  /// their entries in \p Shared. Returns how many were collected. Safe to
+  /// call at any time: a chain with ActiveRefs == 0 and Evicted set can no
+  /// longer be entered (its cache entry is gone, and entry only happens
+  /// through a cache).
+  size_t collect(vm::SharedTranslations &Shared);
 
   size_t size() const;
 
@@ -220,22 +211,22 @@ public:
   RegionExecutionCore(const ir::Module &M, vm::Program &Prog,
                       const OptFlags &Flags, ChainBudget Budget = {})
       : M(M), Prog(Prog), Flags(Flags), Budget(Budget),
-        BK(backend::createBackend(
-            backend::resolveBackendKind(Flags.Backend))),
         PlanOn(cogen::resolveEmitPlanEnabled(Flags.EmitPlan)) {}
 
-  // --- Execution backend ------------------------------------------------------
+  // --- Shared translations ----------------------------------------------------
 
-  /// The backend every specialization run compiles through. attach /
-  /// releaseArtifact / invalidate are internally thread-safe;
-  /// compileRegion runs under the caller's specialization serialization.
-  backend::ExecutionBackend &backend() const { return *BK; }
-  const char *backendName() const { return BK->name(); }
+  /// Connects \p M to the shared translation table when its cost model
+  /// and I-cache geometry equal those of the first attached VM (a VM
+  /// configured differently keeps translating for itself). Front ends
+  /// call this for every VM that will execute chains — clients and the
+  /// specialization VM itself. Thread-safe.
+  void attachVM(vm::VM &M) {
+    if (Shared->admits(M.costModel(), M.icache().config()))
+      M.setSharedTranslations(Shared);
+  }
 
-  /// Connects \p M to the backend's execution substrate. Front ends call
-  /// this for every VM that will execute chains — clients and the
-  /// specialization VM itself.
-  void attachVM(vm::VM &M) const { BK->attach(M); }
+  /// Entries in the shared translation table (thread-safe).
+  size_t sharedTranslations() const { return Shared->size(); }
 
   /// Registers the generating extension for the next annotated function.
   /// Must be called in annotated-ordinal order (the order lowerModule
@@ -301,12 +292,11 @@ public:
   /// serialized by a prior process, skipping the generating-extension run.
   /// The core allocates a fresh simulated address range (restoring chains
   /// in their original creation-ordinal order therefore reproduces the
-  /// original BaseAddrs), hands the code to the backend exactly as
-  /// specializeInto would, and registers the chain. The caller owns cache
+  /// original BaseAddrs) and registers the chain. The caller owns cache
   /// publication, as with specializeInto. Caller-serialized.
   std::shared_ptr<CodeChain>
-  restoreChain(size_t Ordinal, vm::VM &M, std::vector<vm::Instr> Code,
-               uint32_t EntryPC, std::map<ir::BlockId, uint32_t> ExitStubs,
+  restoreChain(size_t Ordinal, std::vector<vm::Instr> Code,
+               std::map<ir::BlockId, uint32_t> ExitStubs,
                std::map<uint32_t, uint32_t> DispatchStubs,
                std::map<ir::BlockId, uint32_t> OsrEntries);
 
@@ -343,8 +333,15 @@ public:
   }
   /// Frees drained evicted chains; the caller must guarantee no client can
   /// be entering them (inline: between VM runs; server: dispatch gate).
-  size_t collectChains() { return Chains.collect(); }
+  size_t collectChains() { return Chains.collect(*Shared); }
   size_t liveChains() const { return Chains.size(); }
+
+  /// Retires an unpublished chain: marks it evicted so collection can free
+  /// it once drained, and releases its shared translation. Front ends with
+  /// their own publication books (the multi-tenant chain store) call this
+  /// when the last reference drops; admit and displaced call it for the
+  /// core's books. Caller-serialized.
+  void retireChain(CodeChain &Chain);
 
   // --- Reporting --------------------------------------------------------------
 
@@ -362,6 +359,12 @@ private:
     uint64_t Instrs = 0;
   };
 
+  /// A fresh, not yet registered chain of region \p Ordinal with its code
+  /// buffer opened: marked dynamic code, then given its simulated address
+  /// range (the region code cap, so distinct chains' I-cache footprints
+  /// never alias).
+  std::shared_ptr<CodeChain> newChain(size_t Ordinal);
+
   bool overBudget(const RegionBook &B) const {
     return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
            (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
@@ -371,7 +374,9 @@ private:
   vm::Program &Prog;
   OptFlags Flags;
   ChainBudget Budget;
-  std::unique_ptr<backend::ExecutionBackend> BK;
+  /// Translations of this core's chains, shared by every attached VM.
+  std::shared_ptr<vm::SharedTranslations> Shared =
+      std::make_shared<vm::SharedTranslations>();
   /// Resolved once at construction (OptFlags::EmitPlan / DYC_EMIT_PLAN):
   /// whether specialization runs execute through staged emit plans.
   bool PlanOn;

@@ -41,8 +41,6 @@ std::string RegionStats::toString() const {
                       (unsigned long long)PlanBuilds,
                       (unsigned long long)PlanHits,
                       (unsigned long long)PlanBytes);
-  if (!Backend.empty())
-    S += " backend=" + Backend;
   return S;
 }
 

@@ -71,11 +71,6 @@ struct RegionStats {
   uint64_t PlanHits = 0;   ///< specialization runs served by a cached plan
   uint64_t PlanBytes = 0;  ///< total footprint of built plans
 
-  /// Name of the execution backend the owning core compiles through
-  /// ("bytecode" / "template"); set once at region registration. Rendered
-  /// by toString when present so stats output is backend-attributed.
-  std::string Backend;
-
   std::string toString() const;
 };
 

@@ -19,7 +19,7 @@ void DycRuntime::retireSlot(vm::VM &VMRef, Front &F, uint32_t Slot,
   if (Slot >= F.Slots.size() || !F.Slots[Slot])
     return;
   if (F.Slots[Slot]->Chain)
-    Core.backend().invalidate(VMRef, F.Slots[Slot]->Chain->CO);
+    VMRef.invalidateDecoded(F.Slots[Slot]->Chain->CO);
   Core.displaced(F.Slots[Slot], Policy);
   F.Slots[Slot].reset();
 }
@@ -35,7 +35,7 @@ void DycRuntime::releaseRegion(vm::VM &VMRef, size_t Ordinal) {
     CodeCache &Cache = F.PromoCaches[E->PromoId];
     Cache.erase(E->Key); // bumps the epoch: inline-cache memos die here
     if (E->Chain)
-      Core.backend().invalidate(VMRef, E->Chain->CO);
+      VMRef.invalidateDecoded(E->Chain->CO);
     Core.displaced(E, Cache.policy());
     E.reset();
   }
@@ -216,7 +216,7 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
     if (VS < VF.Slots.size() && VF.Slots[VS].get() == &Victim)
       VF.Slots[VS].reset();
     if (Victim.Chain)
-      Core.backend().invalidate(VMRef, Victim.Chain->CO);
+      VMRef.invalidateDecoded(Victim.Chain->CO);
   });
 
   E->Use->LastUse.store(Tick, std::memory_order_relaxed);

@@ -72,13 +72,14 @@ public:
   /// demotion path uses this; a later dispatch simply respecializes.
   void releaseRegion(vm::VM &VMRef, size_t Ordinal);
 
-  /// The shared backend (tests and embedders reach chain lifecycle and
+  /// The shared core (tests and embedders reach chain lifecycle and
   /// capacity accounting through it).
   RegionExecutionCore &core() { return Core; }
   const RegionExecutionCore &core() const { return Core; }
 
-  /// Name of the execution backend the core compiles through.
-  const char *backendName() const { return Core.backendName(); }
+  /// Always "bytecode"; kept for the end-to-end benchmark, which records
+  /// it in its report (perfbench/src/Workloads.cpp).
+  const char *backendName() const { return "bytecode"; }
 
   size_t numRegions() const { return Core.numRegions(); }
   const RegionStats &stats(size_t Ordinal) const { return Core.stats(Ordinal); }

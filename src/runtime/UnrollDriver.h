@@ -21,11 +21,9 @@
 ///
 /// One driver emits one code chain. It holds no state that outlives the
 /// run; everything shared across runs lives in RegionState / the core.
-/// The chain buffer the driver fills was opened by the core's execution
-/// backend (ExecutionBackend::beginRegion), and the finished emission —
-/// code plus the stub maps, i.e. every outside entry PC — goes back
-/// through ExecutionBackend::compileRegion; the driver itself is
-/// backend-independent.
+/// The chain buffer the driver fills was opened by the core, which
+/// registers the finished emission — code plus the stub maps — once the
+/// run returns.
 ///
 //===----------------------------------------------------------------------===//
 

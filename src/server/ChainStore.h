@@ -16,8 +16,8 @@
 /// references a stored chain holds one publish reference, dropped when
 /// the tenant's CLOCK book evicts (or its one-slot cache displaces) the
 /// entry. The last release removes the entry from the store and returns
-/// the chain so the server can retire it (mark it evicted, release the
-/// backend artifact) through the existing eviction safe point —
+/// the chain so the server can retire it (mark it evicted, release its
+/// shared translation) through the existing eviction safe point —
 /// collection still waits for active executors to drain, exactly as for
 /// single-tenant chains.
 ///

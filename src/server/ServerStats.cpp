@@ -70,8 +70,6 @@ std::string ServerStatsSnapshot::toString() const {
         (unsigned long long)Tenants, (unsigned long long)DedupHits,
         (unsigned long long)QuotaRejections, (unsigned long long)WarmHits,
         (unsigned long long)StoreChains);
-  if (!Backend.empty())
-    S += " backend=" + Backend;
   return S;
 }
 

@@ -73,9 +73,6 @@ struct ServerStatsSnapshot {
   uint64_t QuotaRejections = 0; ///< misses refused by per-tenant admission
   uint64_t WarmHits = 0;       ///< adoptions of warm-start-loaded chains
   uint64_t StoreChains = 0;    ///< gauge: chains resident in the store
-  /// Execution backend the server's core compiles through ("bytecode" /
-  /// "template"); filled by SpecServer::stats, not by ServerStats itself.
-  std::string Backend;
 
   std::string toString() const;
 };

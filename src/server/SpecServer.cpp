@@ -7,7 +7,9 @@
 #include "cogen/CompilerGenerator.h"
 
 #include <chrono>
-#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 
 namespace dyc {
 namespace server {
@@ -48,60 +50,103 @@ uint64_t hashCode(const std::vector<vm::Instr> &Code) {
   return H;
 }
 
-// Warm-start file primitives: fixed-width little-endian fields through
-// stdio. The format is process-local (a cache is reloaded on the machine
-// that wrote it), so host byte order is fine; the header's sizeof(Instr)
-// check rejects files from a differently-packed build.
+// Warm-start file layout: fixed-width host-order fields, then an FNV-1a
+// checksum of every preceding byte. The format is process-local (a cache
+// is reloaded on the machine that wrote it), so host byte order is fine;
+// the header's sizeof(Instr) check rejects files from a differently-packed
+// build, and the checksum rejects truncated or corrupted files.
 constexpr uint64_t WarmMagic = 0x314d524157435944ull; // "DYCWARM1"
-constexpr uint32_t WarmFormatVersion = 1;
+constexpr uint32_t WarmFormatVersion = 2;
 
-bool writeU32(FILE *F, uint32_t V) { return std::fwrite(&V, 4, 1, F) == 1; }
-bool writeU64(FILE *F, uint64_t V) { return std::fwrite(&V, 8, 1, F) == 1; }
-bool readU32(FILE *F, uint32_t &V) { return std::fread(&V, 4, 1, F) == 1; }
-bool readU64(FILE *F, uint64_t &V) { return std::fread(&V, 8, 1, F) == 1; }
-
-bool writeWords(FILE *F, const std::vector<Word> &Ws) {
-  if (!writeU32(F, static_cast<uint32_t>(Ws.size())))
-    return false;
-  for (const Word &W : Ws)
-    if (!writeU64(F, W.Bits))
-      return false;
-  return true;
-}
-
-bool readWords(FILE *F, std::vector<Word> &Ws) {
-  uint32_t N;
-  if (!readU32(F, N) || N > (1u << 20))
-    return false;
-  Ws.resize(N);
-  for (Word &W : Ws)
-    if (!readU64(F, W.Bits))
-      return false;
-  return true;
-}
-
-template <typename K, typename V>
-bool writePairMap(FILE *F, const std::map<K, V> &M) {
-  if (!writeU32(F, static_cast<uint32_t>(M.size())))
-    return false;
-  for (const auto &KV : M)
-    if (!writeU32(F, static_cast<uint32_t>(KV.first)) ||
-        !writeU32(F, static_cast<uint32_t>(KV.second)))
-      return false;
-  return true;
-}
-
-template <typename K, typename V>
-bool readPairMap(FILE *F, std::map<K, V> &M) {
-  uint32_t N;
-  if (!readU32(F, N) || N > (1u << 24))
-    return false;
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t A, B;
-    if (!readU32(F, A) || !readU32(F, B))
-      return false;
-    M.emplace(static_cast<K>(A), static_cast<V>(B));
+uint64_t fnv1a(const char *P, size_t N) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I != N; ++I) {
+    H ^= static_cast<unsigned char>(P[I]);
+    H *= 1099511628211ull;
   }
+  return H;
+}
+
+/// The module half of the warm-start identity: every region's content
+/// hash, FNV-chained.
+uint64_t moduleFingerprint(const std::vector<uint64_t> &RegionHashes) {
+  uint64_t FP = 0xcbf29ce484222325ull;
+  for (uint64_t H : RegionHashes) {
+    FP ^= H;
+    FP *= 1099511628211ull;
+  }
+  return FP;
+}
+
+/// Appends warm-start fields to an in-memory image of the file.
+struct WarmWriter {
+  std::string Buf;
+
+  void bytes(const void *P, size_t N) {
+    Buf.append(static_cast<const char *>(P), N);
+  }
+  void u32(uint32_t V) { bytes(&V, 4); }
+  void u64(uint64_t V) { bytes(&V, 8); }
+  void words(const std::vector<Word> &Ws) {
+    u32(static_cast<uint32_t>(Ws.size()));
+    for (const Word &W : Ws)
+      u64(W.Bits);
+  }
+  template <typename K, typename V> void pairMap(const std::map<K, V> &M) {
+    u32(static_cast<uint32_t>(M.size()));
+    for (const auto &KV : M) {
+      u32(static_cast<uint32_t>(KV.first));
+      u32(static_cast<uint32_t>(KV.second));
+    }
+  }
+};
+
+/// Bounds-checked cursor over a loaded warm-start file: every read fails,
+/// rather than overruns, past the end.
+struct WarmReader {
+  const char *P;
+  const char *End;
+
+  bool bytes(void *Out, size_t N) {
+    if (static_cast<size_t>(End - P) < N)
+      return false;
+    std::memcpy(Out, P, N);
+    P += N;
+    return true;
+  }
+  bool u32(uint32_t &V) { return bytes(&V, 4); }
+  bool u64(uint64_t &V) { return bytes(&V, 8); }
+  bool words(std::vector<Word> &Ws) {
+    uint32_t N;
+    if (!u32(N) || N > static_cast<size_t>(End - P) / 8)
+      return false;
+    Ws.resize(N);
+    for (Word &W : Ws)
+      if (!u64(W.Bits))
+        return false;
+    return true;
+  }
+  template <typename K, typename V> bool pairMap(std::map<K, V> &M) {
+    uint32_t N;
+    if (!u32(N) || N > static_cast<size_t>(End - P) / 8)
+      return false;
+    for (uint32_t I = 0; I != N; ++I) {
+      uint32_t A, B;
+      if (!u32(A) || !u32(B))
+        return false;
+      M.emplace(static_cast<K>(A), static_cast<V>(B));
+    }
+    return true;
+  }
+};
+
+/// Whether every PC \p M maps to lies inside a chain of \p CodeN
+/// instructions.
+template <typename K>
+bool pcsInRange(const std::map<K, uint32_t> &M, uint32_t CodeN) {
+  for (const auto &KV : M)
+    if (KV.second >= CodeN)
+      return false;
   return true;
 }
 
@@ -205,8 +250,8 @@ SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
   SpecVM = std::make_unique<vm::VM>(Prog, this->Cfg.CM, this->Cfg.IC);
   SpecVM->Hook = this;
   // The specialization VM executes chains too (static calls at specialize
-  // time dispatch again on the worker), so it joins the backend's
-  // substrate like any client.
+  // time dispatch again on the worker), so it shares translations like any
+  // client.
   Core.attachVM(*SpecVM);
   if (this->Cfg.MemoryImage)
     this->Cfg.MemoryImage(*SpecVM);
@@ -842,9 +887,7 @@ void SpecServer::releaseStoreRef(const CodeChain *Chain) {
     // Last tenant let go: retire the chain exactly as the single-tenant
     // eviction paths do. Collection still waits for active executors to
     // drain at the trimQuiescent safe point.
-    Last->Evicted.store(true, std::memory_order_release);
-    Core.backend().releaseArtifact(Last->CO);
-    Last->Artifact.reset();
+    Core.retireChain(*Last);
   }
 }
 
@@ -853,7 +896,6 @@ ServerStatsSnapshot SpecServer::tenantStats(uint32_t TenantId) const {
   if (!TS)
     return ServerStatsSnapshot();
   ServerStatsSnapshot S = TS->St.snapshot();
-  S.Backend = Core.backendName();
   S.SnapshotsRetired = TS->Cache.retiredSnapshots();
   S.MultiTenant = true;
   S.Tenants = 1;
@@ -981,125 +1023,136 @@ bool SpecServer::saveCacheTo(const std::string &Path) const {
   if (!Cfg.MultiTenant)
     return false;
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  uint64_t ModuleFP = 0xcbf29ce484222325ull;
-  for (uint64_t H : RegionContentHash) {
-    ModuleFP ^= H;
-    ModuleFP *= 1099511628211ull;
-  }
-  bool Ok = writeU64(F, WarmMagic) && writeU32(F, WarmFormatVersion) &&
-            writeU32(F, static_cast<uint32_t>(sizeof(vm::Instr))) &&
-            writeU64(F, FlagsFingerprint) && writeU64(F, ModuleFP);
+  WarmWriter W;
+  W.u64(WarmMagic);
+  W.u32(WarmFormatVersion);
+  W.u32(static_cast<uint32_t>(sizeof(vm::Instr)));
+  W.u64(FlagsFingerprint);
+  W.u64(moduleFingerprint(RegionContentHash));
 
   // Site table in index order: chain code embeds dispatch-site indices
   // (a Dispatch's PointId is -(site+1)), so a reload must reproduce every
   // site at its original index before any chain code runs.
   size_t NumSites = Core.numSites();
-  Ok = Ok && writeU32(F, static_cast<uint32_t>(NumSites));
-  for (size_t I = 0; Ok && I != NumSites; ++I) {
-    runtime::DispatchSite S = Core.siteInfo(I);
-    Ok = writeU32(F, S.RegionOrd) && writeU32(F, S.PromoId) &&
-         writeWords(F, S.BakedVals);
+  W.u32(static_cast<uint32_t>(NumSites));
+  for (size_t I = 0; I != NumSites; ++I) {
+    const runtime::DispatchSite &S = Core.siteRef(I);
+    W.u32(S.RegionOrd);
+    W.u32(S.PromoId);
+    W.words(S.BakedVals);
   }
 
   // Chains in creation-ordinal order: restoring in this order reallocates
   // the same simulated BaseAddr for every chain, keeping post-restart
   // I-cache behavior bit-identical to the original compile order.
   std::vector<const StoredChain *> Chains = Store.byOrdinal();
-  Ok = Ok && writeU32(F, static_cast<uint32_t>(Chains.size()));
+  W.u32(static_cast<uint32_t>(Chains.size()));
   for (const StoredChain *SC : Chains) {
-    if (!Ok)
-      break;
     const CodeChain &C = *SC->Chain;
-    Ok = writeU32(F, SC->Ord) && writeU32(F, SC->PromoId) &&
-         writeU32(F, SC->EntryPC) && writeWords(F, SC->Key) &&
-         writeU32(F, static_cast<uint32_t>(C.CO.Code.size()));
-    Ok = Ok && (C.CO.Code.empty() ||
-                std::fwrite(C.CO.Code.data(), sizeof(vm::Instr),
-                            C.CO.Code.size(), F) == C.CO.Code.size());
-    Ok = Ok && writePairMap(F, C.ExitStubs) &&
-         writePairMap(F, C.DispatchStubs) && writePairMap(F, C.OsrEntries);
+    W.u32(SC->Ord);
+    W.u32(SC->PromoId);
+    W.u32(SC->EntryPC);
+    W.words(SC->Key);
+    W.u32(static_cast<uint32_t>(C.CO.Code.size()));
+    W.bytes(C.CO.Code.data(), C.CO.Code.size() * sizeof(vm::Instr));
+    W.pairMap(C.ExitStubs);
+    W.pairMap(C.DispatchStubs);
+    W.pairMap(C.OsrEntries);
   }
-  std::fclose(F);
-  return Ok;
+  W.u64(fnv1a(W.Buf.data(), W.Buf.size()));
+
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(W.Buf.data(), static_cast<std::streamsize>(W.Buf.size()));
+  return static_cast<bool>(Out.flush());
 }
 
 bool SpecServer::loadCacheFrom(const std::string &Path) {
   if (!Cfg.MultiTenant)
     return false;
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
     return false;
-  uint64_t WantModuleFP = 0xcbf29ce484222325ull;
-  for (uint64_t H : RegionContentHash) {
-    WantModuleFP ^= H;
-    WantModuleFP *= 1099511628211ull;
-  }
-  // Header validation happens before any server state mutates, so a
-  // mismatched file loads nothing.
+  const std::string Buf((std::istreambuf_iterator<char>(In)),
+                        std::istreambuf_iterator<char>());
+  uint64_t Sum = 0;
+  if (Buf.size() < sizeof(Sum))
+    return false;
+  const size_t PayloadN = Buf.size() - sizeof(Sum);
+  std::memcpy(&Sum, Buf.data() + PayloadN, sizeof(Sum));
+  if (Sum != fnv1a(Buf.data(), PayloadN))
+    return false;
+
+  // Parse and validate the whole file into locals first: server state
+  // changes only once every check has passed, so a rejected file loads
+  // nothing — no sites, no chains.
+  WarmReader R{Buf.data(), Buf.data() + PayloadN};
+  auto ValidPoint = [&](uint32_t Ord, uint32_t PromoId) {
+    return Ord < Core.numRegions() && PromoId < Core.numPromos(Ord);
+  };
   uint64_t Magic = 0, FlagsFP = 0, ModuleFP = 0;
   uint32_t Version = 0, InstrSize = 0, NumSites = 0;
-  if (!readU64(F, Magic) || Magic != WarmMagic || !readU32(F, Version) ||
-      Version != WarmFormatVersion || !readU32(F, InstrSize) ||
-      InstrSize != sizeof(vm::Instr) || !readU64(F, FlagsFP) ||
-      FlagsFP != FlagsFingerprint || !readU64(F, ModuleFP) ||
-      ModuleFP != WantModuleFP || !readU32(F, NumSites) ||
-      (NumSites != 0 && Core.numSites() != 0)) {
-    std::fclose(F);
+  if (!R.u64(Magic) || Magic != WarmMagic || !R.u32(Version) ||
+      Version != WarmFormatVersion || !R.u32(InstrSize) ||
+      InstrSize != sizeof(vm::Instr) || !R.u64(FlagsFP) ||
+      FlagsFP != FlagsFingerprint || !R.u64(ModuleFP) ||
+      ModuleFP != moduleFingerprint(RegionContentHash) ||
+      !R.u32(NumSites) || (NumSites != 0 && Core.numSites() != 0))
     return false;
-  }
+  std::vector<runtime::DispatchSite> Sites;
   for (uint32_t I = 0; I != NumSites; ++I) {
     runtime::DispatchSite S;
-    if (!readU32(F, S.RegionOrd) || !readU32(F, S.PromoId) ||
-        !readWords(F, S.BakedVals)) {
-      std::fclose(F);
+    if (!R.u32(S.RegionOrd) || !R.u32(S.PromoId) || !R.words(S.BakedVals) ||
+        !ValidPoint(S.RegionOrd, S.PromoId))
       return false;
-    }
-    Core.internSite(std::move(S));
+    Sites.push_back(std::move(S));
   }
-  uint32_t NumChains = 0;
-  if (!readU32(F, NumChains) || NumChains > (1u << 24)) {
-    std::fclose(F);
-    return false;
-  }
-  for (uint32_t I = 0; I != NumChains; ++I) {
+
+  struct LoadedChain {
     StoredChain SC;
-    uint32_t CodeN = 0;
     std::vector<vm::Instr> Code;
     std::map<ir::BlockId, uint32_t> ExitStubs;
     std::map<uint32_t, uint32_t> DispatchStubs;
     std::map<ir::BlockId, uint32_t> OsrEntries;
-    if (!readU32(F, SC.Ord) || !readU32(F, SC.PromoId) ||
-        !readU32(F, SC.EntryPC) || !readWords(F, SC.Key) ||
-        !readU32(F, CodeN) || CodeN > (1u << 24) ||
-        SC.Ord >= Core.numRegions()) {
-      std::fclose(F);
+  };
+  std::vector<LoadedChain> Chains;
+  uint32_t NumChains = 0;
+  if (!R.u32(NumChains))
+    return false;
+  for (uint32_t I = 0; I != NumChains; ++I) {
+    LoadedChain L;
+    uint32_t CodeN = 0;
+    if (!R.u32(L.SC.Ord) || !R.u32(L.SC.PromoId) || !R.u32(L.SC.EntryPC) ||
+        !R.words(L.SC.Key) || !R.u32(CodeN) ||
+        !ValidPoint(L.SC.Ord, L.SC.PromoId) || L.SC.EntryPC >= CodeN ||
+        CodeN > (R.End - R.P) / sizeof(vm::Instr))
       return false;
-    }
-    Code.resize(CodeN);
-    if (CodeN != 0 &&
-        std::fread(Code.data(), sizeof(vm::Instr), CodeN, F) != CodeN) {
-      std::fclose(F);
+    L.Code.resize(CodeN);
+    if (!R.bytes(L.Code.data(), CodeN * sizeof(vm::Instr)) ||
+        !R.pairMap(L.ExitStubs) || !R.pairMap(L.DispatchStubs) ||
+        !R.pairMap(L.OsrEntries) || !pcsInRange(L.ExitStubs, CodeN) ||
+        !pcsInRange(L.DispatchStubs, CodeN) ||
+        !pcsInRange(L.OsrEntries, CodeN))
       return false;
-    }
-    if (!readPairMap(F, ExitStubs) || !readPairMap(F, DispatchStubs) ||
-        !readPairMap(F, OsrEntries)) {
-      std::fclose(F);
-      return false;
-    }
+    Chains.push_back(std::move(L));
+  }
+  if (R.P != R.End)
+    return false;
+
+  for (runtime::DispatchSite &S : Sites)
+    Core.internSite(std::move(S));
+  for (LoadedChain &L : Chains) {
+    StoredChain &SC = L.SC;
     SC.DedupKey = ChainStore::dedupKey(RegionContentHash[SC.Ord], SC.PromoId,
                                        SC.Key, FlagsFingerprint);
-    SC.Chain = Core.restoreChain(SC.Ord, *SpecVM, std::move(Code), SC.EntryPC,
-                                 std::move(ExitStubs), std::move(DispatchStubs),
-                                 std::move(OsrEntries));
+    SC.Chain = Core.restoreChain(SC.Ord, std::move(L.Code),
+                                 std::move(L.ExitStubs),
+                                 std::move(L.DispatchStubs),
+                                 std::move(L.OsrEntries));
     SC.WarmLoaded = true;
     // Unreferenced until a tenant's first miss adopts it (a WarmHit).
     Store.insert(std::move(SC));
   }
-  std::fclose(F);
   return true;
 }
 

@@ -154,7 +154,6 @@ public:
   ServerStatsSnapshot stats() const {
     ServerStatsSnapshot S = St.snapshot();
     S.SnapshotsRetired = Cache.retiredSnapshots(); // currently in graveyard
-    S.Backend = Core.backendName();
     S.CompileQueueDepth = Queue.pending();
     if (Tier) {
       S.TierEnabled = true;
@@ -216,6 +215,10 @@ public:
   }
   /// Chains resident in the cross-tenant store (multi-tenant only).
   size_t storeChains() const { return Store.size(); }
+  /// Interned dispatch sites (thread-safe).
+  size_t numSites() const { return Core.numSites(); }
+  /// Entries in the core's shared translation table (thread-safe).
+  size_t sharedTranslations() const { return Core.sharedTranslations(); }
 
   /// Serializes the chain store to \p Path (multi-tenant only; call at
   /// quiescence — after drain(), with no client mid-run). Returns false
@@ -224,9 +227,10 @@ public:
   /// Loads a chain store serialized by saveCacheTo into this server.
   /// Multi-tenant only, and only before any specialization has happened
   /// (the site table must be empty so the file's interned dispatch sites
-  /// replay at their original indices). Validates the format version,
-  /// instruction encoding, module fingerprint, and OptFlags fingerprint;
-  /// returns false — loading nothing — on any mismatch. Loaded chains
+  /// replay at their original indices). Validates the checksum, format
+  /// version, instruction encoding, module fingerprint, OptFlags
+  /// fingerprint, every region/promotion reference, and every entry and
+  /// stub PC; returns false — loading nothing — on any failure. Loaded chains
   /// enter the store unreferenced; tenants adopt them on first miss
   /// (counted as WarmHits).
   bool loadCacheFrom(const std::string &Path);
@@ -234,10 +238,6 @@ public:
   /// The tiering controller, or null when tiering is off.
   const tier::TierController *tierController() const { return Tier.get(); }
 
-  /// Name of the execution backend the server's core compiles through.
-  const char *backendName() const { return Core.backendName(); }
-  /// The backend itself (stats are atomic; safe to read concurrently).
-  backend::ExecutionBackend &backend() const { return Core.backend(); }
   /// Copy of the core's per-region specializer counters.
   runtime::RegionStats regionStats(size_t Ordinal) const;
   size_t residentEntries(size_t Ordinal) const;
@@ -297,7 +297,7 @@ private:
   void tenantDisplaced(TenantState &TS,
                        const std::shared_ptr<CacheRecord> &E);
   /// Drops one store reference from \p Chain; retires the chain (marks it
-  /// evicted, releases the backend artifact) when the last tenant lets
+  /// evicted, releases its shared translation) when the last tenant lets
   /// go. Collection still waits for active executors at the safe point.
   void releaseStoreRef(const CodeChain *Chain);
 
@@ -330,7 +330,7 @@ private:
   vm::Program FallbackProg;
   std::vector<cogen::LoweredFunction> FallbackLowered;
 
-  /// The shared backend: code chains, the generating-extension walk,
+  /// The shared core: code chains, the generating-extension walk,
   /// region stats, dispatch sites, capacity books. Constructed over Prog
   /// before lowering runs; regions are registered in the ctor body.
   runtime::RegionExecutionCore Core;

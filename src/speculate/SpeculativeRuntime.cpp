@@ -44,9 +44,9 @@ SpeculativeRuntime::SpeculativeRuntime(const ir::Module &M, vm::Program &Prog,
 }
 
 void SpeculativeRuntime::arm(vm::VM &Machine) {
-  // Synthesized twins go through the inner runtime's backend seam like any
-  // region, so the armed machine joins the backend's execution substrate
-  // even when speculation itself is disabled.
+  // Synthesized twins specialize through the inner runtime's core like any
+  // region, so the armed machine joins the core's shared translations even
+  // when speculation itself is disabled.
   Inner->core().attachVM(Machine);
   if (!Policy.Enabled)
     return;

@@ -106,6 +106,8 @@ struct CostModel {
     return DispatchHashBase + DispatchHashPerKeyWord * KeyWords +
            DispatchHashPerProbe * Probes;
   }
+
+  bool operator==(const CostModel &) const = default;
 };
 
 } // namespace vm

@@ -238,34 +238,31 @@ const DecodedCode *DecodedCache::get(const CodeObject &CO, const CostModel &CM,
       LastDC = It->second.Owned.get();
       return LastDC;
     }
-    // Stale adoption: the backend reinstalled after a rewrite. Drop the
-    // shared reference and fall through to the miss path, which consults
-    // the registry again.
+    // Stale shared translation (the runtime rewrote the object): drop this
+    // VM's reference and fall through to the miss path, which adopts a
+    // current published translation or builds and publishes one.
     if (LastDC == DC)
       LastDC = nullptr;
     Map.erase(It);
   }
-  // Miss: adopt a backend-prebuilt translation when one is installed and
-  // current, skipping translate-on-first-touch entirely.
-  if (Registry) {
-    if (auto Pre = Registry->find(CO.BaseAddr)) {
-      if (Pre->CodeSize == CO.Code.size() && Pre->Version == CO.Version) {
-        ++Adopts;
-        Slot S;
-        S.Adopted = std::move(Pre);
-        auto Res = Map.emplace(CO.BaseAddr, std::move(S));
-        LastAddr = CO.BaseAddr;
-        LastDC = Res.first->second.Adopted.get();
-        return LastDC;
-      }
-    }
-  }
-  ++Builds;
   Slot S;
-  S.Owned = buildDecoded(CO, CM, IC, {}, takeSpare());
+  if (Table && CO.IsDynamicCode) {
+    std::shared_ptr<const DecodedCode> Pub = Table->find(CO.BaseAddr);
+    if (Pub && Pub->CodeSize == CO.Code.size() && Pub->Version == CO.Version) {
+      ++Adopts;
+    } else {
+      ++Builds;
+      Pub = buildDecoded(CO, CM, IC, {}, takeSpare());
+      Table->publish(CO.BaseAddr, Pub);
+    }
+    S.Shared = std::move(Pub);
+  } else {
+    ++Builds;
+    S.Owned = buildDecoded(CO, CM, IC, {}, takeSpare());
+  }
   auto Res = Map.emplace(CO.BaseAddr, std::move(S));
   LastAddr = CO.BaseAddr;
-  LastDC = Res.first->second.Owned.get();
+  LastDC = dcOf(Res.first->second);
   return LastDC;
 }
 
@@ -277,15 +274,14 @@ const DecodedCode *DecodedCache::promoteLeader(const CodeObject &CO,
   std::unique_ptr<DecodedCode> Recycle;
   auto It = Map.find(CO.BaseAddr);
   if (It != Map.end()) {
-    // Copied, not moved: an adopted translation is shared and immutable,
-    // and an owned donor is rebuilt below. A prebuilt translation's entry
-    // and stub leaders thus survive into the VM-local replacement.
+    // Copied, not moved: a shared translation is immutable, and an owned
+    // donor is rebuilt below. The promoted leader stays local to this VM.
     Extra = dcOf(It->second)->ExtraLeaders;
     if (Extra.size() >= MaxExtraLeaders)
       return nullptr;
     if (LastDC == dcOf(It->second))
       LastDC = nullptr;
-    Recycle = std::move(It->second.Owned); // null for adopted slots
+    Recycle = std::move(It->second.Owned); // null for shared slots
     Map.erase(It);
   }
   Extra.push_back(PC);

@@ -33,13 +33,12 @@
 /// promotes that PC to a block leader and re-translates, so steady-state
 /// execution is always on the superblock fast path.
 ///
-/// Translations need not be built by the executing VM: an execution
-/// backend (backend/TemplateBackend.h) can build a region's translation
-/// once at emit time and install it in a PrebuiltTranslations registry;
-/// every VM connected to that registry adopts the shared, immutable
-/// translation on first touch instead of translating. Adopted
-/// translations are validated by exactly the same (BaseAddr, CodeSize,
-/// Version) rules, so the invalidation contract is unchanged.
+/// Translations of generated code are shared: every VM of one front end
+/// connects to its core's SharedTranslations table, the first VM to
+/// translate a chain publishes that translation, and every other VM adopts
+/// it on first touch instead of translating again. Shared translations are
+/// validated by exactly the same (BaseAddr, CodeSize, Version) rules, so
+/// the invalidation contract is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +51,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -145,37 +145,46 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
              const ICacheConfig &IC, std::vector<uint32_t> ExtraLeaders,
              std::unique_ptr<DecodedCode> Recycle = nullptr);
 
-/// Backend-installed translations shared across VMs, keyed by the owning
-/// CodeObject's simulated BaseAddr. The template execution backend builds
-/// a chain's translation once at emit time and installs it here; every VM
-/// connected to the registry (VM::setPrebuiltTranslations) adopts it on
-/// first touch instead of running translate-on-first-touch. Thread safe:
-/// the specializing thread installs/releases while client VMs adopt
-/// concurrently. All connected VMs must share the installing VM's
-/// CostModel and I-cache geometry — the front ends construct every VM
-/// over one configuration, which is also what keeps simulated counters
-/// identical across clients.
-class PrebuiltTranslations {
+/// Translations of dynamic-code objects shared by every VM of one front
+/// end, keyed by the owning CodeObject's simulated BaseAddr. A VM that
+/// builds the first translation of a chain publishes it here; every other
+/// connected VM (VM::setSharedTranslations) adopts the immutable
+/// translation on first touch instead of building its own. Thread safe:
+/// client VMs publish and adopt concurrently while the front end releases
+/// the entries of chains it unpublishes.
+class SharedTranslations {
 public:
-  /// Installs (or replaces) the translation for \p BaseAddr.
-  void install(uint64_t BaseAddr, std::shared_ptr<const DecodedCode> DC) {
+  /// Whether a VM configured with \p CM and \p IC may connect. The first
+  /// caller fixes the table's configuration and later callers must match
+  /// it: a translation carries precomputed costs and I-cache line
+  /// segments, so a differently configured VM keeps translating for
+  /// itself.
+  bool admits(const CostModel &CM, const ICacheConfig &IC) {
+    std::unique_lock<std::shared_mutex> L(Mu);
+    if (!Config)
+      Config.emplace(CM, IC);
+    return Config->first == CM && Config->second == IC;
+  }
+
+  /// Publishes (or replaces) the translation for \p BaseAddr.
+  void publish(uint64_t BaseAddr, std::shared_ptr<const DecodedCode> DC) {
     std::unique_lock<std::shared_mutex> L(Mu);
     Map.insert_or_assign(BaseAddr, std::move(DC));
   }
 
-  /// The installed translation for \p BaseAddr, or null.
+  /// The published translation for \p BaseAddr, or null.
   std::shared_ptr<const DecodedCode> find(uint64_t BaseAddr) const {
     std::shared_lock<std::shared_mutex> L(Mu);
     auto It = Map.find(BaseAddr);
     return It == Map.end() ? nullptr : It->second;
   }
 
-  /// Uninstalls \p BaseAddr; returns whether it was present (idempotent).
-  /// VMs that already adopted the translation keep their shared reference
-  /// until their own caches drop it.
-  bool release(uint64_t BaseAddr) {
+  /// Drops the entry for \p BaseAddr, if any. VMs that already adopted the
+  /// translation keep their shared reference until their own caches drop
+  /// it.
+  void release(uint64_t BaseAddr) {
     std::unique_lock<std::shared_mutex> L(Mu);
-    return Map.erase(BaseAddr) != 0;
+    Map.erase(BaseAddr);
   }
 
   size_t size() const {
@@ -186,16 +195,19 @@ public:
 private:
   mutable std::shared_mutex Mu;
   std::unordered_map<uint64_t, std::shared_ptr<const DecodedCode>> Map;
+  std::optional<std::pair<CostModel, ICacheConfig>> Config;
 };
 
 /// The per-VM translation cache. Not thread-safe: each VM owns one. A
-/// cache entry either owns a translation this VM built or holds a shared
-/// reference to a backend-prebuilt one adopted from a
-/// PrebuiltTranslations registry.
+/// cache entry either owns a translation private to this VM (static code,
+/// promoted leaders, or no shared table) or holds a reference to a
+/// translation in the SharedTranslations table.
 class DecodedCache {
 public:
   /// Returns the (valid) translation of \p CO, building or rebuilding it
-  /// if absent or stale.
+  /// if absent or stale. With a shared table connected, a miss on a
+  /// dynamic-code object adopts the published translation, or builds one
+  /// and publishes it.
   const DecodedCode *get(const CodeObject &CO, const CostModel &CM,
                          const ICacheConfig &IC);
 
@@ -208,8 +220,8 @@ public:
 
   /// Drops the translation of \p CO (the runtime unpublished its chain).
   /// An owned translation's buffers are kept on a small spare list and
-  /// donated to the next build; an adopted translation's shared reference
-  /// is simply released (the registry or other adopters may still hold it).
+  /// donated to the next build; a shared translation's reference is simply
+  /// released (the table or other VMs may still hold it).
   void invalidate(const CodeObject &CO) {
     auto It = Map.find(CO.BaseAddr);
     if (It == Map.end())
@@ -229,20 +241,20 @@ public:
   uint64_t builds() const { return Builds; }
   uint64_t adopts() const { return Adopts; }
 
-  /// Connects this cache to a backend's shared translation registry (null
-  /// disconnects). The registry must outlive the cache or be detached
-  /// first; VM::setPrebuiltTranslations keeps it alive.
-  void setRegistry(const PrebuiltTranslations *R) { Registry = R; }
+  /// Connects this cache to a shared translation table (null
+  /// disconnects). The table must outlive the cache or be detached first;
+  /// VM::setSharedTranslations keeps it alive.
+  void setTable(SharedTranslations *T) { Table = T; }
 
 private:
   /// One cache entry: exactly one of the two pointers is set.
   struct Slot {
     std::unique_ptr<DecodedCode> Owned;
-    std::shared_ptr<const DecodedCode> Adopted;
+    std::shared_ptr<const DecodedCode> Shared;
   };
 
   static const DecodedCode *dcOf(const Slot &S) {
-    return S.Owned ? S.Owned.get() : S.Adopted.get();
+    return S.Owned ? S.Owned.get() : S.Shared.get();
   }
 
   /// Promotion budget per code object; beyond it, unpredicted entry PCs
@@ -270,7 +282,7 @@ private:
   const DecodedCode *LastDC = nullptr;
   uint64_t Builds = 0;
   uint64_t Adopts = 0;
-  const PrebuiltTranslations *Registry = nullptr;
+  SharedTranslations *Table = nullptr;
 };
 
 } // namespace vm

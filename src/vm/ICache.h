@@ -29,6 +29,8 @@ struct ICacheConfig {
   uint32_t BlockBytes = 32;
   uint32_t Assoc = 1;
   bool Enabled = true;
+
+  bool operator==(const ICacheConfig &) const = default;
 };
 
 /// LRU set-associative instruction cache.

@@ -27,9 +27,6 @@
 
 #include "vm/VM.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace dyc {
 namespace vm {
 
@@ -126,12 +123,6 @@ VM::VM(Program &P, const CostModel &CMIn, const ICacheConfig &ICIn)
     : Prog(P), CM(CMIn), IC(ICIn) {
   Mem.resize(1 << 20);
   FuncStats.resize(P.numFunctions());
-  if (const char *E = std::getenv("DYC_VM_ENGINE")) {
-    if (std::strcmp(E, "legacy") == 0)
-      Engine = EngineKind::Legacy;
-    else if (std::strcmp(E, "predecoded") == 0)
-      Engine = EngineKind::Predecoded;
-  }
 }
 
 const FunctionStats &VM::functionStats(uint32_t FuncIdx) const {

@@ -209,19 +209,17 @@ public:
   uint64_t decodeBuilds() const { return Decoded.builds(); }
   uint64_t decodeAdopts() const { return Decoded.adopts(); }
 
-  /// Connects this VM to an execution backend's shared prebuilt-translation
-  /// registry (null disconnects). Adopted translations bypass
-  /// translate-on-first-touch; see PrebuiltTranslations for the contract.
-  /// Front ends call backend::ExecutionBackend::attach rather than this
-  /// directly.
-  void setPrebuiltTranslations(std::shared_ptr<const PrebuiltTranslations> R) {
-    Prebuilt = std::move(R);
-    Decoded.setRegistry(Prebuilt.get());
+  /// Connects this VM to a front end's shared translation table (null
+  /// disconnects): the VM publishes the translations it builds of
+  /// generated code and adopts those other VMs published; see
+  /// SharedTranslations for the contract. Front ends call
+  /// runtime::RegionExecutionCore::attachVM rather than this directly.
+  void setSharedTranslations(std::shared_ptr<SharedTranslations> T) {
+    Shared = std::move(T);
+    Decoded.setTable(Shared.get());
   }
 
-  /// Engine selection; Predecoded by default. The DYC_VM_ENGINE
-  /// environment variable ("legacy" / "predecoded") overrides it at
-  /// construction, which lets any existing binary A/B the engines.
+  /// Engine selection; Predecoded by default.
   EngineKind Engine = EngineKind::Predecoded;
 
   /// How the predecoded engine's inner dispatch was compiled: "threaded"
@@ -336,9 +334,9 @@ private:
   /// Per-function guarded-call flags (see setCallGuard).
   std::vector<uint8_t> CallGuards;
   DecodedCache Decoded;
-  /// Keeps the connected backend's translation registry alive for as long
-  /// as the DecodedCache holds a raw pointer to it.
-  std::shared_ptr<const PrebuiltTranslations> Prebuilt;
+  /// Keeps the connected shared translation table alive for as long as
+  /// the DecodedCache holds a raw pointer to it.
+  std::shared_ptr<SharedTranslations> Shared;
   /// OnCall presence, latched at run() entry so the per-call path tests a
   /// bool instead of a std::function.
   bool HasOnCall = false;

@@ -2,8 +2,8 @@
 //
 // The staged emit plan's hard invariant: plans change how the host walks a
 // generating extension, never what the simulated machine observes. These
-// tests run every Table 3 workload through both VM engines and both
-// execution backends with the plan path on and off and compare the
+// tests run every Table 3 workload through both VM engines with the plan
+// path on and off and compare the
 // complete observable state — simulated counters (DynCompCycles included),
 // results, output memory, and the golden disassembly of every region —
 // plus the speculation path, plan-cache counter semantics under eviction
@@ -28,10 +28,9 @@ using workloads::WorkloadSetup;
 
 namespace {
 
-OptFlags withPlan(bool PlanOn, ExecBackend Backend = ExecBackend::Default) {
+OptFlags withPlan(bool PlanOn) {
   OptFlags Fl;
   Fl.EmitPlan = PlanOn ? EmitPlanMode::On : EmitPlanMode::Off;
-  Fl.Backend = Backend;
   return Fl;
 }
 
@@ -93,10 +92,10 @@ void captureRegions(runtime::DycRuntime &RT, PlanTrace &T) {
 }
 
 PlanTrace traceWorkload(const Workload &W, vm::VM::EngineKind Engine,
-                        ExecBackend Backend, bool PlanOn, uint64_t Invokes) {
+                        bool PlanOn, uint64_t Invokes) {
   core::DycContext Ctx;
   core::compileWorkload(W, Ctx);
-  auto E = Ctx.buildDynamic(withPlan(PlanOn, Backend));
+  auto E = Ctx.buildDynamic(withPlan(PlanOn));
   E->Machine->Engine = Engine;
   WorkloadSetup S = W.Setup(*E->Machine);
   int FI = E->findFunction(W.RegionFunc);
@@ -135,27 +134,23 @@ void expectIdentical(const PlanTrace &On, const PlanTrace &Off,
 
 class EmitPlanParity : public ::testing::TestWithParam<std::string> {};
 
-// All 5 Table 3 workloads × both VM engines × both execution backends: the
-// plan path must replay bit-identical counters and emit byte-identical
-// chains, and it must actually engage (builds > 0) when on.
+// All 5 Table 3 workloads × both VM engines: the plan path must replay
+// bit-identical counters and emit byte-identical chains, and it must
+// actually engage (builds > 0) when on.
 TEST_P(EmitPlanParity, CountersAndDisassemblyIdenticalOnWorkload) {
   const Workload &W = workloads::workloadByName(GetParam());
   uint64_t Invokes = std::min<uint64_t>(W.RegionInvocations, 40);
   for (vm::VM::EngineKind Engine :
        {vm::VM::EngineKind::Legacy, vm::VM::EngineKind::Predecoded}) {
-    for (ExecBackend Backend :
-         {ExecBackend::Bytecode, ExecBackend::Template}) {
-      std::string What =
-          W.Name +
-          (Engine == vm::VM::EngineKind::Legacy ? " (legacy" : " (predec") +
-          (Backend == ExecBackend::Bytecode ? ", bytecode)" : ", template)");
-      PlanTrace On = traceWorkload(W, Engine, Backend, true, Invokes);
-      PlanTrace Off = traceWorkload(W, Engine, Backend, false, Invokes);
-      expectIdentical(On, Off, What);
-      EXPECT_GT(On.PlanBuilds, 0u) << What << ": plan path never engaged";
-      EXPECT_GT(On.PlanBytes, 0u) << What;
-      EXPECT_EQ(Off.PlanBuilds + Off.PlanHits + Off.PlanBytes, 0u) << What;
-    }
+    std::string What =
+        W.Name +
+        (Engine == vm::VM::EngineKind::Legacy ? " (legacy)" : " (predec)");
+    PlanTrace On = traceWorkload(W, Engine, true, Invokes);
+    PlanTrace Off = traceWorkload(W, Engine, false, Invokes);
+    expectIdentical(On, Off, What);
+    EXPECT_GT(On.PlanBuilds, 0u) << What << ": plan path never engaged";
+    EXPECT_GT(On.PlanBytes, 0u) << What;
+    EXPECT_EQ(Off.PlanBuilds + Off.PlanHits + Off.PlanBytes, 0u) << What;
   }
 }
 
@@ -201,8 +196,9 @@ PlanTrace traceSpeculative(bool SpecOn, bool PlanOn) {
   captureMachine(*E, T);
   T.MemHash = hashRange(*E->Machine, S.OutBase, S.OutLen);
   captureRegions(E->Spec->runtime(), T);
-  if (SpecOn)
+  if (SpecOn) {
     EXPECT_GE(E->Spec->stats().Promotions, 1u);
+  }
   return T;
 }
 
@@ -212,9 +208,10 @@ TEST(EmitPlanParity, SpeculativePromotionPathIdentical) {
     PlanTrace On = traceSpeculative(SpecOn, true);
     PlanTrace Off = traceSpeculative(SpecOn, false);
     expectIdentical(On, Off, What);
-    if (SpecOn)
+    if (SpecOn) {
       EXPECT_GT(On.PlanBuilds, 0u)
           << What << ": twin regions must specialize through plans";
+    }
   }
 }
 
@@ -362,7 +359,7 @@ TEST(EmitPlanReentrancy, NestedStaticCallSpecializesUnderParentPlan) {
 
 // Selection semantics: explicit flag beats the environment; Default
 // follows DYC_EMIT_PLAN; the path is on when the variable is unset or
-// unrecognized (default-on, unlike DYC_BACKEND's default-bytecode).
+// unrecognized (default-on).
 TEST(EmitPlanSelection, FlagAndEnvironmentRules) {
   unsetenv("DYC_EMIT_PLAN");
   EXPECT_TRUE(cogen::resolveEmitPlanEnabled(EmitPlanMode::Default));

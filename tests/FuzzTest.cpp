@@ -191,13 +191,6 @@ TEST_P(FuzzEquivalence, StaticAndDynamicAgreeUnderAllConfigs) {
     Fl.toggle(T) = false;
     Configs.push_back(Fl);
   }
-  // Backend axis: the template backend must be invisible to program
-  // results (all-on flags, prebuilt-translation execution substrate).
-  {
-    OptFlags Tmpl;
-    Tmpl.Backend = ExecBackend::Template;
-    Configs.push_back(Tmpl);
-  }
 
   for (size_t C = 0; C != Configs.size(); ++C) {
     auto DynE = Ctx.buildDynamic(Configs[C]);
@@ -354,16 +347,11 @@ TEST_P(SpeculationFuzz, SpeculativeLifecycleStaysBitIdentical) {
   speculate::SpeculationPolicy Off;
   Off.Enabled = false;
   auto SpecOff = Ctx.buildSpeculative(Off);
-  // Backend axis: the full speculative lifecycle (promote, guard, demote)
-  // on the template backend's prebuilt-translation substrate.
-  OptFlags Tmpl;
-  Tmpl.Backend = ExecBackend::Template;
-  auto SpecTmpl = Ctx.buildSpeculative(speculate::SpeculationPolicy(), Tmpl);
 
-  // Identical memory images in all four machines.
+  // Identical memory images in all three machines.
   DeterministicRNG In(Seed ^ 0x77);
   std::vector<core::Executable *> Es = {StaticE.get(), SpecOn.get(),
-                                        SpecOff.get(), SpecTmpl.get()};
+                                        SpecOff.get()};
   int64_t A = 0, B = 0;
   for (core::Executable *E : Es) {
     A = E->Machine->allocMemory(16);
@@ -396,25 +384,13 @@ TEST_P(SpeculationFuzz, SpeculativeLifecycleStaysBitIdentical) {
     Word RS = StaticE->Machine->run(static_cast<uint32_t>(F), Args);
     Word ROn = SpecOn->Machine->run(static_cast<uint32_t>(F), Args);
     Word ROff = SpecOff->Machine->run(static_cast<uint32_t>(F), Args);
-    Word RTm = SpecTmpl->Machine->run(static_cast<uint32_t>(F), Args);
     ASSERT_EQ(ROn.Bits, RS.Bits)
         << "speculation-on diverged at call " << C << " seed " << Seed
         << "\n" << Src;
     ASSERT_EQ(ROff.Bits, RS.Bits)
         << "speculation-off diverged at call " << C << " seed " << Seed
         << "\n" << Src;
-    ASSERT_EQ(RTm.Bits, RS.Bits)
-        << "template backend diverged at call " << C << " seed " << Seed
-        << "\n" << Src;
   }
-  // Identical speculative decisions on both backends: the seam must not
-  // perturb profiling, promotion, or the guard lifecycle.
-  EXPECT_EQ(SpecTmpl->Spec->stats().Promotions,
-            SpecOn->Spec->stats().Promotions);
-  EXPECT_EQ(SpecTmpl->Spec->stats().GuardHits,
-            SpecOn->Spec->stats().GuardHits);
-  EXPECT_EQ(SpecTmpl->Machine->execCycles(), SpecOn->Machine->execCycles())
-      << "seed " << Seed;
   for (int I = 0; I != 16; ++I) {
     EXPECT_EQ(SpecOn->Machine->memory()[B + I].Bits,
               StaticE->Machine->memory()[B + I].Bits)
@@ -481,7 +457,7 @@ TEST(FuzzReentry, ManyPromotedValuesThroughCacheAll) {
 
 //===----------------------------------------------------------------------===//
 // Tiering axis: random programs through the tiered SpecServer across
-// threshold scripts, engines, and backends. Tiering moves specialization
+// threshold scripts and engines. Tiering moves specialization
 // in time, so every call — cold, warm, hot-with-compile-in-flight, or
 // specialized — must stay bit-identical to the static baseline.
 //===----------------------------------------------------------------------===//
@@ -508,18 +484,17 @@ TEST_P(TierFuzz, TieredExecutionStaysBitIdentical) {
   int64_t Y = static_cast<int64_t>(In.nextBelow(1000)) - 500;
 
   // One config per axis value: threshold scripts (born-hot sync, staged
-  // sync, staged async), both engines, both backends.
+  // sync, staged async), both engines.
   struct TierCfg {
     uint32_t Warm, Hot;
     bool Sync;
-    ExecBackend Backend;
     vm::VM::EngineKind Engine;
   };
   const TierCfg Axis[] = {
-      {0, 0, true, ExecBackend::Bytecode, vm::VM::EngineKind::Predecoded},
-      {1, 3, true, ExecBackend::Bytecode, vm::VM::EngineKind::Legacy},
-      {1, 2, false, ExecBackend::Template, vm::VM::EngineKind::Predecoded},
-      {2, 5, false, ExecBackend::Bytecode, vm::VM::EngineKind::Legacy},
+      {0, 0, true, vm::VM::EngineKind::Predecoded},
+      {1, 3, true, vm::VM::EngineKind::Legacy},
+      {1, 2, false, vm::VM::EngineKind::Predecoded},
+      {2, 5, false, vm::VM::EngineKind::Legacy},
   };
 
   // The memory image must be identical in every VM — including the
@@ -588,7 +563,6 @@ TEST_P(TierFuzz, TieredExecutionStaysBitIdentical) {
   for (size_t C = 0; C != sizeof(Axis) / sizeof(Axis[0]); ++C) {
     const TierCfg &A = Axis[C];
     OptFlags Fl;
-    Fl.Backend = A.Backend;
     Fl.Tier.WarmThreshold = A.Warm;
     Fl.Tier.HotThreshold = A.Hot;
     Fl.Tier.SyncInstall = A.Sync;
@@ -741,7 +715,7 @@ INSTANTIATE_TEST_SUITE_P(Programs, TenantFuzz, ::testing::Range(0, 25));
 
 //===----------------------------------------------------------------------===//
 // Staged-emit-plan axis: random programs under a random optimization
-// matrix, backend, and engine, built twice with the plan path on and off.
+// matrix and engine, built twice with the plan path on and off.
 // The plan is contractually a pure host-side acceleration, so results,
 // memory, every simulated counter, and the disassembly of every region
 // must be bit-identical — and only the plan counters may differ.
@@ -766,8 +740,7 @@ TEST_P(EmitPlanFuzz, PlanAndLegacyWalkStayBitIdentical) {
   OptFlags Fl;
   for (unsigned T = 0; T != OptFlags::NumToggles; ++T)
     Fl.toggle(T) = Cfg.nextBelow(3) != 0; // each toggle off w.p. 1/3
-  Fl.Backend = Cfg.nextBelow(2) ? ExecBackend::Template
-                                : ExecBackend::Bytecode;
+  Cfg.nextBelow(2); // reserved draw: keeps every seed's engine choice
   vm::VM::EngineKind Engine = Cfg.nextBelow(2)
                                   ? vm::VM::EngineKind::Predecoded
                                   : vm::VM::EngineKind::Legacy;

@@ -1,17 +1,21 @@
 //===- tests/RegionExecTest.cpp - shared execution-core acceptance tests ----------===//
 //
 // Acceptance tests for the RegionExecutionCore refactor: the inline runtime
-// and the SpecServer are two front ends over one specialization backend, so
+// and the SpecServer are two front ends over one specialization core, so
 // the same workload must produce identical instruction counts, identical
 // specialization counts, and bit-identical region disassembly through both.
 // Also covers the chain model the core introduced inline: golden disassembly
 // of single-way and multi-way unrolled loops, CLOCK eviction through
-// buildDynamic, and the soft per-region code cap.
+// buildDynamic, and the soft per-region code cap; and the core's shared
+// translation table: VMs that adopt translations observe exactly what VMs
+// translating for themselves observe, and the table never outlives the
+// resident chains.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/DycContext.h"
+#include "core/Harness.h"
 #include "server/SpecServer.h"
+#include "speculate/SpeculativeRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -188,6 +192,207 @@ TEST(RegionExecCore, CodeCapHitsIsSoft) {
             triangular(20));
   EXPECT_GT(E->RT->stats(0).CodeCapHits, 0u);
   EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Shared translations
+//===----------------------------------------------------------------------===//
+
+/// Everything a VM's run exposes to its environment, plus how many
+/// translations it adopted instead of building.
+struct VMTrace {
+  std::vector<uint64_t> Results;
+  uint64_t ExecCycles = 0;
+  uint64_t DynCompCycles = 0;
+  uint64_t InstrsExecuted = 0;
+  uint64_t ICacheHits = 0;
+  uint64_t ICacheMisses = 0;
+  std::vector<uint64_t> FuncCalls;
+  std::vector<uint64_t> FuncInclusive;
+  uint64_t MemHash = 0;
+  uint64_t Adopts = 0;
+};
+
+void captureVM(vm::VM &M, const vm::Program &Prog, VMTrace &T) {
+  T.ExecCycles = M.execCycles();
+  T.DynCompCycles = M.dynCompCycles();
+  T.InstrsExecuted = M.instrsExecuted();
+  T.ICacheHits = M.icache().hits();
+  T.ICacheMisses = M.icache().misses();
+  for (uint32_t F = 0; F != Prog.numFunctions(); ++F) {
+    T.FuncCalls.push_back(M.functionStats(F).Calls);
+    T.FuncInclusive.push_back(M.functionStats(F).InclusiveCycles);
+  }
+  T.Adopts = M.decodeAdopts();
+}
+
+void expectSameObservables(const VMTrace &A, const VMTrace &B,
+                           const std::string &What) {
+  EXPECT_EQ(A.Results, B.Results) << What << ": results";
+  EXPECT_EQ(A.ExecCycles, B.ExecCycles) << What << ": ExecCycles";
+  EXPECT_EQ(A.DynCompCycles, B.DynCompCycles) << What << ": DynCompCycles";
+  EXPECT_EQ(A.InstrsExecuted, B.InstrsExecuted) << What << ": instrs";
+  EXPECT_EQ(A.ICacheHits, B.ICacheHits) << What << ": I-cache hits";
+  EXPECT_EQ(A.ICacheMisses, B.ICacheMisses) << What << ": I-cache misses";
+  EXPECT_EQ(A.FuncCalls, B.FuncCalls) << What << ": per-function calls";
+  EXPECT_EQ(A.FuncInclusive, B.FuncInclusive)
+      << What << ": per-function inclusive cycles";
+  EXPECT_EQ(A.MemHash, B.MemHash) << What << ": output memory";
+}
+
+/// Runs workload \p W on the executable's own VM, then on a second VM over
+/// the same program and runtime — attached to the core's shared table when
+/// \p Attach, translating for itself otherwise — and returns the second
+/// VM's trace plus the disassembly of every region.
+VMTrace traceSecondVM(const workloads::Workload &W, bool Attach,
+                      std::string &Disasm) {
+  core::DycContext Ctx;
+  core::compileWorkload(W, Ctx);
+  auto E = Ctx.buildDynamic();
+  int FI = E->findFunction(W.RegionFunc);
+  EXPECT_GE(FI, 0) << W.Name;
+  const uint64_t Invokes = std::min<uint64_t>(W.RegionInvocations, 40);
+  workloads::WorkloadSetup S1 = W.Setup(*E->Machine);
+  for (uint64_t I = 0; I != Invokes; ++I)
+    E->Machine->run(static_cast<uint32_t>(FI), S1.RegionArgs);
+
+  vm::VM Second(E->Prog);
+  Second.Hook = E->RT.get();
+  if (Attach)
+    E->RT->core().attachVM(Second);
+  workloads::WorkloadSetup S2 = W.Setup(Second);
+  VMTrace T;
+  for (uint64_t I = 0; I != Invokes; ++I)
+    T.Results.push_back(
+        Second.run(static_cast<uint32_t>(FI), S2.RegionArgs).Bits);
+  captureVM(Second, E->Prog, T);
+  if (S2.OutLen > 0)
+    T.MemHash = hashWords(Second.memory().data() + S2.OutBase,
+                          static_cast<size_t>(S2.OutLen));
+  for (size_t Ord = 0; Ord != E->RT->numRegions(); ++Ord)
+    Disasm += E->RT->disassembleRegion(Ord);
+  return T;
+}
+
+class SharedTranslationParity
+    : public ::testing::TestWithParam<std::string> {};
+
+// Every Table 3 workload: a VM that adopts the translations another VM
+// built must observe bit-identical counters, results, and memory to a VM
+// translating the same chains for itself, and the chains must not change.
+TEST_P(SharedTranslationParity, AdopterMatchesPrivateTranslationOnWorkload) {
+  const workloads::Workload &W = workloads::workloadByName(GetParam());
+  std::string SharedDis, PrivateDis;
+  VMTrace Shared = traceSecondVM(W, /*Attach=*/true, SharedDis);
+  VMTrace Private = traceSecondVM(W, /*Attach=*/false, PrivateDis);
+  expectSameObservables(Shared, Private, W.Name);
+  EXPECT_EQ(SharedDis, PrivateDis) << W.Name << ": golden disassembly";
+  EXPECT_GT(Shared.Adopts, 0u) << W.Name << ": no translation was shared";
+  EXPECT_EQ(Private.Adopts, 0u) << W.Name;
+}
+
+std::vector<std::string> workloadNames() {
+  std::vector<std::string> Names;
+  for (const workloads::Workload &W : workloads::allWorkloads())
+    Names.push_back(W.Name);
+  return Names;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3, SharedTranslationParity,
+                         ::testing::ValuesIn(workloadNames()));
+
+// Eviction churn through the inline runtime: the core releases a chain's
+// table entry when it evicts or displaces the chain, so the table never
+// holds more entries than the region has resident specializations, and
+// unpublishing the region drains it. A VM configured differently from the
+// first attached one keeps translating for itself.
+TEST(SharedTranslations, InlineChurnReleasesEntriesEagerly) {
+  auto Ctx = compile(SumSrc);
+  runtime::ChainBudget Budget;
+  Budget.MaxEntries = 2;
+  auto E = Ctx->buildDynamic(OptFlags(), vm::CostModel(), vm::ICacheConfig(),
+                             Budget);
+  int F = E->findFunction("f");
+  runtime::RegionExecutionCore &Core = E->RT->core();
+  const int64_t Keys[] = {3, 9, 17, 3, 9, 17, 5, 3, 17, 9, 5, 3};
+  for (int Round = 0; Round != 3; ++Round)
+    for (int64_t K : Keys) {
+      EXPECT_EQ(E->Machine->run(F, {Word::fromInt(K)}).asInt(),
+                triangular(K));
+      EXPECT_GT(Core.sharedTranslations(), 0u);
+      EXPECT_LE(Core.sharedTranslations(), Core.residentEntries(0));
+    }
+  EXPECT_GT(E->RT->stats(0).Evictions, 0u);
+
+  vm::ICacheConfig Smaller;
+  Smaller.SizeBytes = 4 * 1024;
+  vm::VM Other(E->Prog, vm::CostModel(), Smaller);
+  Other.Hook = E->RT.get();
+  Core.attachVM(Other);
+  for (int64_t K : Keys)
+    EXPECT_EQ(Other.run(F, {Word::fromInt(K)}).asInt(), triangular(K));
+  EXPECT_EQ(Other.decodeAdopts(), 0u)
+      << "a differently configured VM must not adopt translations";
+
+  E->RT->releaseRegion(*E->Machine, 0);
+  EXPECT_EQ(Core.sharedTranslations(), 0u);
+}
+
+// A chain evicted while the VM is still inside it — the recursive call's
+// dispatch evicts its caller's chain under a one-entry budget — is
+// translated and published again when the call returns into it. Collection
+// frees such chains once the VM has left them, and releases their late
+// entries with them.
+TEST(SharedTranslations, CollectionReleasesLatePublishedEntries) {
+  auto Ctx = compile("int f(int n, int d) {\n"
+                     "  make_static(n : cache_all);\n"
+                     "  int r = d;\n"
+                     "  if (n > 0) { r = d + f(n - 1, d); }\n"
+                     "  return r;\n"
+                     "}");
+  runtime::ChainBudget Budget;
+  Budget.MaxEntries = 1;
+  auto E = Ctx->buildDynamic(OptFlags(), vm::CostModel(), vm::ICacheConfig(),
+                             Budget);
+  int F = E->findFunction("f");
+  runtime::RegionExecutionCore &Core = E->RT->core();
+  EXPECT_EQ(E->Machine->run(F, {Word::fromInt(3), Word::fromInt(2)}).asInt(),
+            8);
+  EXPECT_EQ(Core.residentEntries(0), 1u);
+  EXPECT_GT(Core.sharedTranslations(), Core.residentEntries(0));
+  Core.collectChains();
+  EXPECT_EQ(Core.sharedTranslations(), Core.residentEntries(0));
+}
+
+// The speculative lifecycle (promote, guard, demote) on a machine sharing
+// translations observes exactly what a machine translating privately does.
+VMTrace traceSpeculative(bool SpecOn, bool Attach) {
+  auto Ctx = compile(SumSrc);
+  speculate::SpeculationPolicy Policy;
+  Policy.Enabled = SpecOn;
+  auto E = Ctx->buildSpeculative(Policy);
+  if (!Attach)
+    E->Machine->setSharedTranslations(nullptr);
+  int FI = E->findFunction("f");
+  EXPECT_GE(FI, 0);
+  VMTrace T;
+  // Enough monomorphic calls to clear HotCalls and promote, then a value
+  // switch to exercise the guard.
+  for (int I = 0; I != 24; ++I)
+    T.Results.push_back(
+        E->Machine->run(static_cast<uint32_t>(FI), {Word::fromInt(9)}).Bits);
+  for (int I = 0; I != 4; ++I)
+    T.Results.push_back(
+        E->Machine->run(static_cast<uint32_t>(FI), {Word::fromInt(5)}).Bits);
+  captureVM(*E->Machine, E->Prog, T);
+  return T;
+}
+
+TEST(SharedTranslations, SpeculativePromotionPathIdentical) {
+  for (bool SpecOn : {false, true})
+    expectSameObservables(traceSpeculative(SpecOn, true),
+                          traceSpeculative(SpecOn, false),
+                          SpecOn ? "speculation on" : "speculation off");
 }
 
 } // namespace

@@ -2,8 +2,9 @@
 //
 // Acceptance tests for the concurrent specialization service: bit-identical
 // outputs across client threads, exactly-once specialization under racing
-// misses, correct respecialization after capacity eviction, and the
-// static-fallback miss policy. The end of the file drives a real workload
+// misses, correct respecialization after capacity eviction, the
+// static-fallback miss policy, and translation sharing across client VMs
+// under eviction churn. The end of the file drives a real workload
 // through the multi-client harness.
 //
 //===----------------------------------------------------------------------===//
@@ -180,6 +181,50 @@ TEST(SpecServer, EvictionRespecializesCorrectly) {
   // Dispatching after reclamation still produces correct results.
   for (int64_t N : {7, 5, 3})
     EXPECT_EQ(Run(N), triangular(N));
+}
+
+// Eviction churn with several clients: the first client to enter a chain
+// publishes its translation and every other client adopts it, so each
+// chain is translated once for all four. Every client enters every chain
+// before the next miss can evict it (one worker, blocking misses, clients
+// taking turns per key).
+TEST(SharedTranslations, ServerClientsAdoptEveryChain) {
+  auto Ctx = compile(SumSrc);
+  ServerConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Cfg.OnMiss = MissPolicy::Block;
+  Cfg.Budget.MaxEntries = 2;
+  auto Server = Ctx->buildServer(OptFlags(), std::move(Cfg));
+  int F = Server->findFunction("f");
+  ASSERT_GE(F, 0);
+  auto Static = Ctx->buildStatic();
+  int SF = Static->findFunction("f");
+  ASSERT_GE(SF, 0);
+
+  std::vector<std::unique_ptr<vm::VM>> Clients;
+  for (int I = 0; I != 4; ++I)
+    Clients.push_back(Server->makeClientVM());
+  const int64_t Keys[] = {3, 9, 17, 3, 9, 17, 5, 3, 17, 9, 5, 3};
+  for (int Round = 0; Round != 3; ++Round)
+    for (int64_t K : Keys) {
+      int64_t Want =
+          Static->Machine->run(static_cast<uint32_t>(SF), {Word::fromInt(K)})
+              .asInt();
+      for (auto &C : Clients)
+        EXPECT_EQ(C->run(static_cast<uint32_t>(F), {Word::fromInt(K)})
+                      .asInt(),
+                  Want)
+            << "round " << Round << " n=" << K;
+    }
+  Server->drain();
+
+  server::ServerStatsSnapshot S = Server->stats();
+  EXPECT_GT(S.Evictions, 0u);
+  uint64_t Adopts = 0;
+  for (auto &C : Clients)
+    Adopts += C->decodeAdopts();
+  EXPECT_GE(Adopts, 3 * S.ChainsCreated);
+  EXPECT_LE(Server->sharedTranslations(), Server->residentEntries(0));
 }
 
 TEST(SpecServer, FallbackPolicyServesMissesImmediately) {

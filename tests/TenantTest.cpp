@@ -14,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 
 using namespace dyc;
 using server::MissPolicy;
@@ -60,7 +63,52 @@ const char *TwoRegionSrc = "int f(int n) {\n"
                            "  return s;\n"
                            "}";
 
+// The triangular sum offset by a dynamic k, then promoted again inside
+// the region: the promotion interns a dispatch site, and every key adds a
+// second chain.
+const char *PromotedSumSrc = "int f(int n, int k) {\n"
+                             "  int i;\n"
+                             "  make_static(n, i : cache_all);\n"
+                             "  int s = k;\n"
+                             "  for (i = 0; i < n; i = i + 1) { s = s + i; }\n"
+                             "  make_static(s);\n"
+                             "  return s * 2;\n"
+                             "}";
+
 int64_t triangular(int64_t N) { return N * (N - 1) / 2; }
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+uint32_t readU32At(const std::string &Bytes, size_t Off) {
+  uint32_t V = 0;
+  std::memcpy(&V, Bytes.data() + Off, sizeof(V));
+  return V;
+}
+
+void writeU32At(std::string &Bytes, size_t Off, uint32_t V) {
+  std::memcpy(&Bytes[Off], &V, sizeof(V));
+}
+
+/// Recomputes a warm-start file's trailing FNV-1a checksum over every
+/// preceding byte, so a deliberately corrupted field reaches validation.
+void resealChecksum(std::string &Bytes) {
+  const size_t PayloadN = Bytes.size() - 8;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I != PayloadN; ++I) {
+    H ^= static_cast<unsigned char>(Bytes[I]);
+    H *= 1099511628211ull;
+  }
+  std::memcpy(&Bytes[PayloadN], &H, sizeof(H));
+}
 
 /// The tenant-ledger fields that must match a dedicated single-tenant
 /// server bit for bit. Excluded by contract: ChainsCollected (shared
@@ -288,6 +336,7 @@ TEST(Tenant, QuotaRejectsMissesPastInFlightCap) {
 
 TEST(Tenant, WarmStartRoundTripServesWarmHits) {
   const std::vector<int64_t> Keys = {3, 5, 7};
+  const size_t Chains = 2 * Keys.size(); // region entry + internal promotion
   const std::string Path = "tenant_warm_test.dycwarm";
   std::remove(Path.c_str());
 
@@ -295,7 +344,7 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
   uint64_t ColdIHits = 0, ColdIMisses = 0;
   std::vector<int64_t> ColdOut;
   {
-    auto Ctx = compile(SumSrc);
+    auto Ctx = compile(PromotedSumSrc);
     ServerConfig Cfg;
     Cfg.NumWorkers = 1;
     Cfg.WarmStartPath = Path;
@@ -304,36 +353,36 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
     auto Client = Server->makeClientVM(1);
     for (int64_t N : Keys)
       ColdOut.push_back(
-          Client->run(static_cast<uint32_t>(F), {Word::fromInt(N)}).asInt());
+          Client->run(static_cast<uint32_t>(F), {Word::fromInt(N), Word::fromInt(1)}).asInt());
     ColdExecCycles = Client->execCycles();
     ColdDynComp = Client->dynCompCycles();
     ColdInstrs = Client->instrsExecuted();
     ColdIHits = Client->icache().hits();
     ColdIMisses = Client->icache().misses();
-    EXPECT_EQ(Server->stats().SpecRuns, Keys.size());
+    EXPECT_EQ(Server->stats().SpecRuns, Chains);
     // Destruction serializes the store to Path.
   }
 
   {
-    auto Ctx = compile(SumSrc);
+    auto Ctx = compile(PromotedSumSrc);
     ServerConfig Cfg;
     Cfg.NumWorkers = 1;
     Cfg.WarmStartPath = Path;
     auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
-    EXPECT_EQ(Server->storeChains(), Keys.size()); // loaded, unreferenced
+    EXPECT_EQ(Server->storeChains(), Chains); // loaded, unreferenced
     int F = Server->findFunction("f");
     auto Client = Server->makeClientVM(1);
     std::vector<int64_t> WarmOut;
     for (int64_t N : Keys)
       WarmOut.push_back(
-          Client->run(static_cast<uint32_t>(F), {Word::fromInt(N)}).asInt());
+          Client->run(static_cast<uint32_t>(F), {Word::fromInt(N), Word::fromInt(1)}).asInt());
     EXPECT_EQ(WarmOut, ColdOut);
 
     ServerStatsSnapshot S = Server->stats();
     EXPECT_EQ(S.SpecRuns, 0u) << "warm start must not recompile";
-    EXPECT_EQ(S.WarmHits, Keys.size());
-    EXPECT_EQ(S.DedupHits, Keys.size());
-    EXPECT_EQ(Server->tenantStats(1).WarmHits, Keys.size());
+    EXPECT_EQ(S.WarmHits, Chains);
+    EXPECT_EQ(S.DedupHits, Chains);
+    EXPECT_EQ(Server->tenantStats(1).WarmHits, Chains);
 
     // The restored chains occupy the original simulated addresses, so the
     // warm client's machine counters are bit-identical to the cold run's.
@@ -344,10 +393,62 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
     EXPECT_EQ(Client->icache().misses(), ColdIMisses);
   }
 
+  // A truncated or corrupted file must be rejected before any server state
+  // changes: no chain enters the store and no site is interned. Every
+  // prefix of the file is tried, then an out-of-range EntryPC carrying a
+  // valid checksum, then a flipped code byte (the checksum catches it).
+  {
+    std::string Bytes = readFile(Path);
+    ASSERT_GT(Bytes.size(), 8u);
+    auto Ctx = compile(PromotedSumSrc);
+    ServerConfig Cfg;
+    Cfg.NumWorkers = 1;
+    auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+    const std::string Bad = "tenant_warm_test_bad.dycwarm";
+    auto ExpectRejected = [&](const std::string &Contents,
+                              const std::string &What) {
+      writeFile(Bad, Contents);
+      EXPECT_FALSE(Server->loadCacheFrom(Bad)) << What;
+      EXPECT_EQ(Server->storeChains(), 0u) << What;
+      EXPECT_EQ(Server->numSites(), 0u) << What;
+    };
+    for (size_t N = 0; N != Bytes.size(); ++N)
+      ExpectRejected(Bytes.substr(0, N), "truncated to " + std::to_string(N));
+
+    // Layout: a 32-byte header, the site table (count, then per site two
+    // u32s and a length-prefixed word list), the chain count, and the
+    // first chain's region and promotion ids before its EntryPC.
+    size_t Off = 32;
+    uint32_t NumSites = readU32At(Bytes, Off);
+    ASSERT_GT(NumSites, 0u); // the internal promotion's dispatch site
+    Off += 4;
+    for (uint32_t I = 0; I != NumSites; ++I)
+      Off += 12 + 8 * static_cast<size_t>(readU32At(Bytes, Off + 8));
+    size_t EntryPCOff = Off + 4 + 8;
+    std::string BadEntry = Bytes;
+    writeU32At(BadEntry, EntryPCOff, 0xffffff);
+    resealChecksum(BadEntry);
+    ExpectRejected(BadEntry, "EntryPC out of range");
+
+    // The chain's key (length-prefixed words) and code length precede its
+    // code; flip a bit of the first instruction's A operand.
+    size_t KeyWords = readU32At(Bytes, EntryPCOff + 4);
+    size_t CodeOff = EntryPCOff + 8 + 8 * KeyWords + 4;
+    ASSERT_LT(CodeOff + 4, Bytes.size() - 8);
+    std::string Flipped = Bytes;
+    Flipped[CodeOff + 4] ^= 0x40;
+    ExpectRejected(Flipped, "flipped code byte");
+
+    // The intact file still loads into the same server afterwards.
+    EXPECT_TRUE(Server->loadCacheFrom(Path));
+    EXPECT_EQ(Server->storeChains(), Chains);
+    std::remove(Bad.c_str());
+  }
+
   // A server built with different optimization settings must reject the
   // file (fingerprint mismatch) and load nothing.
   {
-    auto Ctx = compile(SumSrc);
+    auto Ctx = compile(PromotedSumSrc);
     OptFlags Different;
     Different.StrengthReduction = false;
     ServerConfig Cfg;

@@ -3,7 +3,7 @@
 // Acceptance tests for the tier controller and the asynchronous promotion
 // path: a synchronously-installing tiered server is bit-identical to the
 // eager MissPolicy::Block configuration (cycles, counters, and generated
-// chains) on the paper's workloads under both engines and both backends;
+// chains) on the paper's workloads under both engines;
 // realistic thresholds converge to byte-identical chains with identical
 // steady-state costs; OSR entry picks a freshly installed chain up at a
 // back edge mid-loop, not at the next call; and eviction racing a
@@ -71,10 +71,8 @@ ServerConfig eagerConfig() {
 }
 
 /// Tiered flags with scripted thresholds.
-OptFlags tieredFlags(uint32_t Warm, uint32_t Hot, bool Sync,
-                     ExecBackend Backend = ExecBackend::Bytecode) {
+OptFlags tieredFlags(uint32_t Warm, uint32_t Hot, bool Sync) {
   OptFlags Fl;
-  Fl.Backend = Backend;
   Fl.Tier.WarmThreshold = Warm;
   Fl.Tier.HotThreshold = Hot;
   Fl.Tier.SyncInstall = Sync;
@@ -90,28 +88,6 @@ struct RunTrace {
   uint64_t ICacheMisses = 0;
   std::vector<std::string> Disasm; ///< per-region chain dumps
 };
-
-/// Runs one client through \p Server: every key in \p Keys, \p Rounds
-/// times, on the given engine. Captures results, the client's simulated
-/// accounts, and the final per-region disassembly.
-RunTrace runKeys(SpecServer &Server, int F, const std::vector<int64_t> &Keys,
-                 unsigned Rounds, vm::VM::EngineKind Engine) {
-  std::unique_ptr<vm::VM> Client = Server.makeClientVM();
-  Client->Engine = Engine;
-  RunTrace T;
-  for (unsigned R = 0; R != Rounds; ++R)
-    for (int64_t K : Keys)
-      T.Results.push_back(
-          Client->run(static_cast<uint32_t>(F), {Word::fromInt(K)}).asInt());
-  T.ExecCycles = Client->execCycles();
-  T.DynCompCycles = Client->dynCompCycles();
-  T.InstrsExecuted = Client->instrsExecuted();
-  T.ICacheHits = Client->icache().hits();
-  T.ICacheMisses = Client->icache().misses();
-  for (size_t Ord = 0; Ord != Server.numRegions(); ++Ord)
-    T.Disasm.push_back(Server.disassembleRegion(Ord));
-  return T;
-}
 
 /// Runs a workload's region function \p Invocations times on one client.
 RunTrace runWorkload(SpecServer &Server, const workloads::Workload &W,
@@ -156,57 +132,51 @@ void expectTracesEqual(const RunTrace &A, const RunTrace &B,
 // exact MissPolicy::Block code path — so a tiered run of each application
 // workload must be bit-identical to the eager run: same results, same
 // simulated accounts, same chains, same core server counters. Both
-// engines, both backends.
+// engines.
 TEST(Tier, SyncZeroThresholdsMatchesEagerOnWorkloads) {
   for (const workloads::Workload &W : workloads::allWorkloads()) {
     if (W.IsKernel)
       continue;
-    for (ExecBackend Backend :
-         {ExecBackend::Bytecode, ExecBackend::Template}) {
-      for (vm::VM::EngineKind Engine :
-           {vm::VM::EngineKind::Legacy, vm::VM::EngineKind::Predecoded}) {
-        std::string What =
-            W.Name + (Backend == ExecBackend::Template ? "/template"
-                                                       : "/bytecode") +
-            (Engine == vm::VM::EngineKind::Legacy ? "/legacy" : "/predecoded");
-        const uint64_t Invocations = 20;
+    for (vm::VM::EngineKind Engine :
+         {vm::VM::EngineKind::Legacy, vm::VM::EngineKind::Predecoded}) {
+      std::string What =
+          W.Name +
+          (Engine == vm::VM::EngineKind::Legacy ? "/legacy" : "/predecoded");
+      const uint64_t Invocations = 20;
 
-        core::DycContext EagerCtx;
-        core::compileWorkload(W, EagerCtx);
-        workloads::WorkloadSetup Setup;
-        ServerConfig ECfg = eagerConfig();
-        ECfg.MemoryImage = [&](vm::VM &V) { Setup = W.Setup(V); };
-        OptFlags EagerFl;
-        EagerFl.Backend = Backend;
-        auto Eager = EagerCtx.buildServer(EagerFl, std::move(ECfg));
-        RunTrace ERun = runWorkload(*Eager, W, Setup, Invocations, Engine);
+      core::DycContext EagerCtx;
+      core::compileWorkload(W, EagerCtx);
+      workloads::WorkloadSetup Setup;
+      ServerConfig ECfg = eagerConfig();
+      ECfg.MemoryImage = [&](vm::VM &V) { Setup = W.Setup(V); };
+      auto Eager = EagerCtx.buildServer(OptFlags(), std::move(ECfg));
+      RunTrace ERun = runWorkload(*Eager, W, Setup, Invocations, Engine);
 
-        core::DycContext TierCtx;
-        core::compileWorkload(W, TierCtx);
-        ServerConfig TCfg = eagerConfig();
-        TCfg.MemoryImage = [&](vm::VM &V) { Setup = W.Setup(V); };
-        auto Tiered = TierCtx.buildTiered(
-            tieredFlags(0, 0, /*Sync=*/true, Backend), std::move(TCfg));
-        RunTrace TRun = runWorkload(*Tiered, W, Setup, Invocations, Engine);
+      core::DycContext TierCtx;
+      core::compileWorkload(W, TierCtx);
+      ServerConfig TCfg = eagerConfig();
+      TCfg.MemoryImage = [&](vm::VM &V) { Setup = W.Setup(V); };
+      auto Tiered = TierCtx.buildTiered(tieredFlags(0, 0, /*Sync=*/true),
+                                        std::move(TCfg));
+      RunTrace TRun = runWorkload(*Tiered, W, Setup, Invocations, Engine);
 
-        expectTracesEqual(ERun, TRun, What);
+      expectTracesEqual(ERun, TRun, What);
 
-        // Core service counters are unchanged by tiering; the tier
-        // counters record what the controller saw.
-        server::ServerStatsSnapshot ES = Eager->stats();
-        server::ServerStatsSnapshot TS = Tiered->stats();
-        EXPECT_EQ(ES.Dispatches, TS.Dispatches) << What;
-        EXPECT_EQ(ES.CacheHits, TS.CacheHits) << What;
-        EXPECT_EQ(ES.CacheMisses, TS.CacheMisses) << What;
-        EXPECT_EQ(ES.SpecRuns, TS.SpecRuns) << What;
-        EXPECT_EQ(ES.JobsEnqueued, TS.JobsEnqueued) << What;
-        EXPECT_EQ(ES.Fallbacks, TS.Fallbacks) << What;
-        EXPECT_FALSE(ES.TierEnabled) << What;
-        EXPECT_TRUE(TS.TierEnabled) << What;
-        EXPECT_EQ(TS.HotInstalls, TS.SpecRuns) << What;
-        EXPECT_EQ(TS.ColdExecs, 0u) << What;
-        EXPECT_EQ(TS.WarmExecs, 0u) << What;
-      }
+      // Core service counters are unchanged by tiering; the tier
+      // counters record what the controller saw.
+      server::ServerStatsSnapshot ES = Eager->stats();
+      server::ServerStatsSnapshot TS = Tiered->stats();
+      EXPECT_EQ(ES.Dispatches, TS.Dispatches) << What;
+      EXPECT_EQ(ES.CacheHits, TS.CacheHits) << What;
+      EXPECT_EQ(ES.CacheMisses, TS.CacheMisses) << What;
+      EXPECT_EQ(ES.SpecRuns, TS.SpecRuns) << What;
+      EXPECT_EQ(ES.JobsEnqueued, TS.JobsEnqueued) << What;
+      EXPECT_EQ(ES.Fallbacks, TS.Fallbacks) << What;
+      EXPECT_FALSE(ES.TierEnabled) << What;
+      EXPECT_TRUE(TS.TierEnabled) << What;
+      EXPECT_EQ(TS.HotInstalls, TS.SpecRuns) << What;
+      EXPECT_EQ(TS.ColdExecs, 0u) << What;
+      EXPECT_EQ(TS.WarmExecs, 0u) << What;
     }
   }
 }

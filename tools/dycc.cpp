@@ -54,8 +54,6 @@ void usage() {
           "                        across them (--stats adds per-tenant\n"
           "                        ledgers and the global dedup counters)\n"
           "  --icache KB           L1 I-cache size (default 8)\n"
-          "  --backend NAME        execution backend: bytecode | template\n"
-          "                        (default: $DYC_BACKEND, else bytecode)\n"
           "  --emit-plan MODE      staged emit plans: on | off (default:\n"
           "                        $DYC_EMIT_PLAN, else on; off = legacy\n"
           "                        template walk — identical output, slower\n"
@@ -135,21 +133,6 @@ int main(int argc, char **argv) {
       Advise = true;
     } else if (A == "--icache" && I + 1 < argc) {
       ICCfg.SizeBytes = strtoul(argv[++I], nullptr, 10) * 1024;
-    } else if (A == "--backend" || A.rfind("--backend=", 0) == 0) {
-      std::string Name;
-      if (A == "--backend" && I + 1 < argc)
-        Name = argv[++I];
-      else if (A.size() > 10)
-        Name = A.substr(10);
-      if (Name == "bytecode")
-        Flags.Backend = ExecBackend::Bytecode;
-      else if (Name == "template")
-        Flags.Backend = ExecBackend::Template;
-      else {
-        fprintf(stderr, "dycc: unknown backend '%s' (bytecode | template)\n",
-                Name.c_str());
-        return 2;
-      }
     } else if (A == "--emit-plan" || A.rfind("--emit-plan=", 0) == 0) {
       std::string Mode;
       if (A == "--emit-plan" && I + 1 < argc)
@@ -265,7 +248,6 @@ int main(int argc, char **argv) {
         printf("tenant %u ledger: %s\n", T + 1,
                Server->tenantStats(T + 1).toString().c_str());
       }
-      printf("execution backend:          %s\n", Server->backendName());
       printf("server: %s\n", Server->stats().toString().c_str());
       for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
         printf("region %zu: %s\n", Ord,
@@ -318,7 +300,6 @@ int main(int argc, char **argv) {
       printf("I-cache: %llu hits, %llu misses\n",
              (unsigned long long)Client->icache().hits(),
              (unsigned long long)Client->icache().misses());
-      printf("execution backend:          %s\n", Server->backendName());
       printf("server: %s\n", Server->stats().toString().c_str());
       for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
         printf("region %zu: %s\n", Ord,
@@ -405,10 +386,6 @@ int main(int argc, char **argv) {
     printf("I-cache: %llu hits, %llu misses\n",
            (unsigned long long)E->Machine->icache().hits(),
            (unsigned long long)E->Machine->icache().misses());
-    if (E->RT || E->Spec)
-      printf("execution backend:          %s\n",
-             E->RT ? E->RT->backendName()
-                   : E->Spec->runtime().backendName());
     if (E->RT)
       for (size_t Ord = 0; Ord != E->RT->numRegions(); ++Ord)
         printf("region %zu: %s\n", Ord,
@@ -446,9 +423,7 @@ int main(int argc, char **argv) {
     // structural benefit of promoting every parameter.
     speculate::SpeculativeRuntime &Spec = *E->Spec;
     const profile::ValueProfiler &P = Spec.profiler();
-    printf("promotion advisor (speculative run-time evidence; "
-           "%s backend):\n",
-           Spec.runtime().backendName());
+    printf("promotion advisor (speculative run-time evidence):\n");
     const ir::Module &M = Spec.specModule();
     for (size_t FI = 0; FI != Ctx.module().numFunctions(); ++FI) {
       const ir::Function &Fn = M.function(static_cast<int>(FI));
