@@ -8,7 +8,8 @@
 //
 // Method, per kernel and per plan mode:
 //   1. build the dynamic configuration and warm it with one invocation
-//      (first specialization; the plan is built here when the path is on);
+//      (first specialization; when the path is on, the plan and the block
+//      programs this invocation reaches are built here);
 //   2. drive a respecialization loop (releaseRegion + run, so every
 //      iteration reruns the generating extension against a cached plan)
 //      and read the runtime's specializeHostSeconds() accumulator — host
@@ -19,9 +20,16 @@
 //      accumulated time (the repetition least disturbed by scheduler
 //      noise), divided by the instructions generated in one repetition.
 //
+// Cold phase, in the same interleaved repetitions: build a fresh
+// executable, run it once, and read specializeHostSeconds() — the first
+// specialization's host time, including the plan's creation and the
+// block programs it builds when the path is on. Each mode keeps its
+// minimum.
+//
 // Both modes execute the identical simulated sequence; --check fails on
-// any counter or disassembly divergence, and gates the plan speedup at
-// >= 2x on at least 3 of the 5 kernels.
+// any counter or disassembly divergence, gates the plan speedup at >= 2x
+// on at least 3 of the 5 kernels, and fails when a kernel's plan-on cold
+// time exceeds 2.5x its plan-off cold time.
 //
 // Flags:
 //   --quick        shrink the measured loop counts (CI smoke)
@@ -64,6 +72,7 @@ struct ModeRun {
   uint64_t SpecRuns = 0;        ///< respecialization iterations per rep
   uint64_t InstrsGenerated = 0; ///< emitted instructions in one rep
   double SpecSeconds = 0;       ///< min-over-reps specializer host time
+  double ColdSeconds = 0;       ///< min-over-reps first-run host time
   // Parity axis: the complete simulated state after the identical
   // sequence, plus the golden disassembly.
   uint64_t ExecCycles = 0;
@@ -92,27 +101,45 @@ std::string statsSansPlan(runtime::RegionStats St) {
 /// One plan mode's live configuration, kept alive across repetitions so
 /// the two modes' measured loops can interleave in time.
 struct ModeDriver {
+  const Workload *W = nullptr;
   core::DycContext Ctx;
+  OptFlags Fl;
   std::unique_ptr<core::Executable> E;
   WorkloadSetup S;
   int FI = -1;
   ModeRun R;
 
-  void init(const Workload &W, bool PlanOn, uint64_t SpecRuns) {
-    core::compileWorkload(W, Ctx);
-    OptFlags Fl;
-    Fl.EmitPlan = PlanOn ? EmitPlanMode::On : EmitPlanMode::Off;
-    E = Ctx.buildDynamic(Fl);
+  /// A fresh executable of the kernel, set up and ready for its first run.
+  std::unique_ptr<core::Executable> build(WorkloadSetup &Setup) {
+    std::unique_ptr<core::Executable> X = Ctx.buildDynamic(Fl);
     // Legacy engine: no host-side predecode translation per fresh chain
     // muddying cache behavior around the measured specializer.
-    E->Machine->Engine = vm::VM::EngineKind::Legacy;
-    S = W.Setup(*E->Machine);
-    FI = E->findFunction(W.RegionFunc);
+    X->Machine->Engine = vm::VM::EngineKind::Legacy;
+    Setup = W->Setup(*X->Machine);
+    return X;
+  }
+
+  void init(const Workload &Kernel, bool PlanOn, uint64_t SpecRuns) {
+    W = &Kernel;
+    core::compileWorkload(Kernel, Ctx);
+    Fl.EmitPlan = PlanOn ? EmitPlanMode::On : EmitPlanMode::Off;
+    E = build(S);
+    FI = E->findFunction(Kernel.RegionFunc);
     if (FI < 0)
-      fatal(W.Name + ": region function not found");
+      fatal(Kernel.Name + ": region function not found");
     R.SpecRuns = SpecRuns;
     E->Machine->run(static_cast<uint32_t>(FI),
                     S.RegionArgs); // warmup: specializes
+  }
+
+  /// One cold repetition: a fresh executable's first run specializes from
+  /// nothing — no chains, and no plan when the path is on.
+  void coldRep(unsigned RepIdx) {
+    WorkloadSetup FS;
+    std::unique_ptr<core::Executable> X = build(FS);
+    X->Machine->run(static_cast<uint32_t>(FI), FS.RegionArgs);
+    double Secs = X->RT->specializeHostSeconds();
+    R.ColdSeconds = RepIdx == 0 ? Secs : std::min(R.ColdSeconds, Secs);
   }
 
   uint64_t sumGenerated() const {
@@ -162,12 +189,18 @@ struct ModeDriver {
 struct Row {
   std::string Name;
   ModeRun On, Off;
-  double Speedup = 0; ///< legacy ns/instr over plan ns/instr
+  double Speedup = 0;   ///< legacy ns/instr over plan ns/instr
+  double ColdRatio = 0; ///< plan cold time over legacy cold time
   bool Parity = false;
 };
 
+/// The cold gate: a kernel's first specialization may cost at most this
+/// many times the legacy walk's when the plan path is on.
+constexpr double MaxColdRatio = 2.5;
+
 void writeJson(const char *Path, const std::vector<Row> &Rows,
-               unsigned GatePassCount, bool Check, bool CheckPassed) {
+               unsigned GatePassCount, bool ColdOk, bool Check,
+               bool CheckPassed) {
   FILE *F = std::fopen(Path, "w");
   if (!F) {
     std::fprintf(stderr, "cannot open %s\n", Path);
@@ -184,21 +217,24 @@ void writeJson(const char *Path, const std::vector<Row> &Rows,
         "     \"instrs_generated\": %llu,\n"
         "     \"parity\": %s,\n"
         "     \"plan_on\": {\"ns_per_emitted_instr\": %.3f, "
-        "\"plan_builds\": %llu, \"plan_hits\": %llu},\n"
-        "     \"plan_off\": {\"ns_per_emitted_instr\": %.3f},\n"
-        "     \"speedup\": %.3f}%s\n",
+        "\"cold_us\": %.3f, \"plan_builds\": %llu, \"plan_hits\": %llu},\n"
+        "     \"plan_off\": {\"ns_per_emitted_instr\": %.3f, "
+        "\"cold_us\": %.3f},\n"
+        "     \"speedup\": %.3f, \"cold_ratio\": %.3f}%s\n",
         R.Name.c_str(), (unsigned long long)R.On.SpecRuns,
         (unsigned long long)R.On.InstrsGenerated,
         R.Parity ? "true" : "false", R.On.NsPerEmittedInstr(),
-        (unsigned long long)R.On.PlanBuilds,
+        R.On.ColdSeconds * 1e6, (unsigned long long)R.On.PlanBuilds,
         (unsigned long long)R.On.PlanHits, R.Off.NsPerEmittedInstr(),
-        R.Speedup, I + 1 == Rows.size() ? "" : ",");
+        R.Off.ColdSeconds * 1e6, R.Speedup, R.ColdRatio,
+        I + 1 == Rows.size() ? "" : ",");
   }
   std::fprintf(F, "  ],\n");
   std::fprintf(F,
                "  \"gate\": {\"min_speedup\": 2.0, \"min_kernels\": 3, "
-               "\"kernels_passing\": %u},\n",
-               GatePassCount);
+               "\"kernels_passing\": %u, \"max_cold_ratio\": %.1f, "
+               "\"cold_passing\": %s},\n",
+               GatePassCount, MaxColdRatio, ColdOk ? "true" : "false");
   std::fprintf(F, "  \"check\": %s,\n  \"check_passed\": %s\n}\n",
                Check ? "true" : "false", CheckPassed ? "true" : "false");
   std::fclose(F);
@@ -226,11 +262,13 @@ int main(int Argc, char **Argv) {
   std::printf("specialization throughput, staged emit plans on vs off "
               "(dispatch: %s)\n",
               vm::VM::dispatchMode());
-  std::printf("%-12s %9s %11s %13s %13s %8s %7s\n", "kernel", "respecs",
-              "emitted", "plan ns/i", "legacy ns/i", "speedup", "parity");
+  std::printf("%-12s %9s %11s %13s %13s %8s %13s %13s %7s %7s\n", "kernel",
+              "respecs", "emitted", "plan ns/i", "legacy ns/i", "speedup",
+              "plan cold us", "legacy cold", "cold x", "parity");
 
   std::vector<Row> Rows;
   bool ParityOk = true;
+  bool ColdOk = true;
   unsigned GatePass = 0;
   for (const std::string &Name : Names) {
     const Workload &W = workloads::workloadByName(Name);
@@ -242,6 +280,8 @@ int main(int Argc, char **Argv) {
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
       On.rep(Rep, SpecRuns);
       Off.rep(Rep, SpecRuns);
+      On.coldRep(Rep);
+      Off.coldRep(Rep);
     }
     On.finish();
     Off.finish();
@@ -262,28 +302,37 @@ int main(int Argc, char **Argv) {
     R.Speedup = PlanNs > 0 ? LegacyNs / PlanNs : 0;
     if (R.Speedup >= 2.0)
       ++GatePass;
-    std::printf("%-12s %9llu %11llu %13.3f %13.3f %7.2fx %7s\n",
+    R.ColdRatio = R.Off.ColdSeconds > 0
+                      ? R.On.ColdSeconds / R.Off.ColdSeconds
+                      : 0;
+    if (R.ColdRatio > MaxColdRatio)
+      ColdOk = false;
+    std::printf("%-12s %9llu %11llu %13.3f %13.3f %7.2fx %13.1f %13.1f "
+                "%6.2fx %7s\n",
                 Name.c_str(), (unsigned long long)R.On.SpecRuns,
                 (unsigned long long)R.On.InstrsGenerated, PlanNs, LegacyNs,
-                R.Speedup, R.Parity ? "ok" : "FAIL");
+                R.Speedup, R.On.ColdSeconds * 1e6, R.Off.ColdSeconds * 1e6,
+                R.ColdRatio, R.Parity ? "ok" : "FAIL");
     Rows.push_back(std::move(R));
   }
 
   bool GateOk = GatePass >= 3;
-  std::printf("\nplan >= 2x on %u/5 kernels (gate: 3) %s; counter parity "
-              "%s\n",
-              GatePass, GateOk ? "ok" : "FAIL", ParityOk ? "ok" : "FAIL");
+  std::printf("\nplan >= 2x on %u/5 kernels (gate: 3) %s; plan cold <= "
+              "%.1fx legacy cold on every kernel %s; counter parity %s\n",
+              GatePass, GateOk ? "ok" : "FAIL", MaxColdRatio,
+              ColdOk ? "ok" : "FAIL", ParityOk ? "ok" : "FAIL");
 
-  bool CheckPassed = ParityOk && GateOk;
+  bool CheckPassed = ParityOk && GateOk && ColdOk;
   if (Json)
-    writeJson(Json, Rows, GatePass, Check, CheckPassed);
+    writeJson(Json, Rows, GatePass, ColdOk, Check, CheckPassed);
 
   if (Check && !CheckPassed) {
-    std::fprintf(stderr,
-                 "FAIL: %s\n",
+    std::fprintf(stderr, "FAIL: %s\n",
                  !ParityOk ? "plan/legacy counter parity diverged"
-                           : "plan speedup gate missed (need >= 2x on 3 of "
-                             "5 kernels)");
+                 : !GateOk ? "plan speedup gate missed (need >= 2x on 3 of "
+                             "5 kernels)"
+                           : "plan cold gate missed (first specialization "
+                             "over 2.5x the legacy walk's)");
     return 1;
   }
   return 0;

@@ -18,8 +18,11 @@
 // Div/Rem fold-failure tests), the builder compiles BOTH outcomes
 // behind a Branch guard and continues symbolically down each arm,
 // memoizing the assumption so the same test never re-forks on one
-// path. A small per-block guard budget bounds the expansion; a path
-// that exhausts it falls back to Generic steps for its remaining ops.
+// path. A test with no assumption yet is reported as a status, not
+// thrown: the op's simulation records it and finishes, then the op is
+// rolled back and re-simulated under each outcome. A small per-block
+// guard budget bounds the expansion; a path that exhausts it falls back
+// to Generic steps for its remaining ops.
 // Before any Generic suffix — and at the end of every fully compiled
 // path — a Sync step reconstructs the live deferral table, so the
 // legacy interpreter and the driver's terminator handling observe
@@ -34,7 +37,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <optional>
 
 namespace dyc {
 namespace cogen {
@@ -86,38 +89,31 @@ struct PredKey {
   uint32_t RefIdx = 0;
   uint64_t Cmp = 0;
 
-  bool operator<(const PredKey &O) const {
-    if (P != O.P)
-      return P < O.P;
-    if (RefK != O.RefK)
-      return RefK < O.RefK;
-    if (RefIdx != O.RefIdx)
-      return RefIdx < O.RefIdx;
-    return Cmp < O.Cmp;
+  bool operator==(const PredKey &O) const {
+    return P == O.P && RefK == O.RefK && RefIdx == O.RefIdx && Cmp == O.Cmp;
   }
 };
 
-/// Thrown when simulation reaches a value test with no recorded
-/// assumption: the caller rolls the op back and compiles a guard.
-struct NeedGuard {
-  PlanBranch::Pred P;
-  PlanRef A;
-  Word Cmp;
+/// One entry of a path's register -> latest-table-entry map.
+struct LatestDef {
+  uint32_t Reg = 0;
+  uint32_t Idx = 0;
+};
+
+/// One recorded assumption of a path.
+struct Assumption {
+  PredKey K;
+  bool Holds = false;
 };
 
 /// Builds one BlockPlan by symbolically executing the legacy walk.
 class BlockBuilder {
 public:
   BlockBuilder(const GenExtFunction &GX, const OptFlags &Flags,
-               const GenBlock &GB)
-      : GX(GX), Flags(Flags), GB(GB) {}
+               const GenBlock &GB, BlockPlan &BP)
+      : GX(GX), Flags(Flags), GB(GB), BP(BP) {}
 
-  BlockPlan build(uint32_t CtxId) {
-    buildFrom(0);
-    GX.Region.context(CtxId).StaticIn.forEachSetBit(
-        [&](size_t Reg) { BP.KeyRegs.push_back(static_cast<uint32_t>(Reg)); });
-    return std::move(BP);
-  }
+  void build() { buildFrom(0); }
 
 private:
   /// Value tests compiled per block before paths stop forking and bail to
@@ -130,17 +126,25 @@ private:
   const GenExtFunction &GX;
   const OptFlags &Flags;
   const GenBlock &GB;
-  BlockPlan BP;
+  BlockPlan &BP;
 
-  /// Per-path symbolic state (cloned at guards).
+  /// Per-path symbolic state (cloned at guards). The maps are flat
+  /// vectors scanned linearly: Latest holds at most the path's pending
+  /// entries and Assumed at most MaxGuards tests, so a scan beats a tree,
+  /// and the per-op snapshot and per-guard clone are plain copies.
   struct Path {
     std::vector<SymEntry> Table;
-    std::map<uint32_t, size_t> Latest;
-    std::map<PredKey, bool> Assumed;
+    std::vector<LatestDef> Latest; ///< unordered, one entry per register
+    std::vector<Assumption> Assumed;
   };
   Path P;
   PlanStep Open;
   bool HaveOpen = false;
+
+  /// The op's status: the first value test of the op being simulated
+  /// that the path holds no assumption for. Set by assume(), cleared
+  /// before each op.
+  std::optional<PlanBranch> Need;
 
   /// Rollback image for one op's transactional simulation. An op never
   /// pushes steps or evals, so table state, the open step, and the shared
@@ -148,7 +152,7 @@ private:
   /// during simulation.
   struct Snap {
     std::vector<SymEntry> Table;
-    std::map<uint32_t, size_t> Latest;
+    std::vector<LatestDef> Latest;
     PlanStep Open;
     bool HaveOpen;
     size_t NTemplate, NHoles, NExprs;
@@ -340,38 +344,35 @@ private:
         if (HaveOpen && Open.K == PlanStep::EvalRun)
           flush();
         Snap S = snapshot();
-        try {
-          simEmit(Op);
-        } catch (NeedGuard &G) {
-          rollback(std::move(S));
-          flush();
-          if (BP.Branches.size() >= MaxGuards) {
-            bailGeneric(I);
-            return;
-          }
-          uint32_t BI = static_cast<uint32_t>(BP.Branches.size());
-          PlanBranch Br;
-          Br.P = G.P;
-          Br.A = G.A;
-          Br.Cmp = G.Cmp;
-          BP.Branches.push_back(Br);
-          PlanStep BS;
-          BS.K = PlanStep::Branch;
-          BS.First = BI;
-          BP.Steps.push_back(BS);
-
-          PredKey K = predKey(G.P, G.A, G.Cmp);
-          Path Saved = P;
-          BP.Branches[BI].True = static_cast<uint32_t>(BP.Steps.size());
-          P.Assumed[K] = true;
-          buildFrom(I);
-          P = std::move(Saved);
-          BP.Branches[BI].False = static_cast<uint32_t>(BP.Steps.size());
-          P.Assumed[K] = false;
-          buildFrom(I);
+        Need.reset();
+        simEmit(Op);
+        if (!Need)
+          continue;
+        // A value test had no assumption on this path: undo the op and
+        // compile a guard on the test, then the op under each outcome.
+        rollback(std::move(S));
+        flush();
+        if (BP.Branches.size() >= MaxGuards) {
+          bailGeneric(I);
           return;
         }
-        continue;
+        uint32_t BI = static_cast<uint32_t>(BP.Branches.size());
+        BP.Branches.push_back(*Need);
+        PlanStep BS;
+        BS.K = PlanStep::Branch;
+        BS.First = BI;
+        BP.Steps.push_back(BS);
+
+        PredKey K = predKey(Need->P, Need->A, Need->Cmp);
+        Path Saved = P;
+        BP.Branches[BI].True = static_cast<uint32_t>(BP.Steps.size());
+        P.Assumed.push_back({K, true});
+        buildFrom(I);
+        P = std::move(Saved);
+        BP.Branches[BI].False = static_cast<uint32_t>(BP.Steps.size());
+        P.Assumed.push_back({K, false});
+        buildFrom(I);
+        return;
       }
       }
     }
@@ -388,7 +389,10 @@ private:
   }
 
   /// Resolves one value test: literals decide now; otherwise the path's
-  /// recorded assumption applies, or the op aborts to compile a guard.
+  /// recorded assumption applies. A test with no assumption answers false
+  /// and, if it is the op's first, becomes the op's status (Need).
+  /// "False" never folds anything at plan time, so the rest of the op
+  /// simulates harmlessly before buildFrom rolls it back.
   bool assume(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
     if (A.K == PlanRef::Lit) {
       if (Pk == PlanBranch::EqBits)
@@ -396,10 +400,27 @@ private:
       int64_t V = A.L.asInt();
       return isPowerOf2(V) && V >= 2;
     }
-    auto It = P.Assumed.find(predKey(Pk, A, Cmp));
-    if (It != P.Assumed.end())
-      return It->second;
-    throw NeedGuard{Pk, A, Cmp};
+    const PredKey K = predKey(Pk, A, Cmp);
+    for (const Assumption &As : P.Assumed)
+      if (As.K == K)
+        return As.Holds;
+    if (!Need)
+      Need = PlanBranch{Pk, A, Cmp};
+    return false;
+  }
+
+  // -- Flat Latest map -------------------------------------------------------
+
+  LatestDef *latest(uint32_t Reg) {
+    for (LatestDef &L : P.Latest)
+      if (L.Reg == Reg)
+        return &L;
+    return nullptr;
+  }
+
+  void eraseLatest(LatestDef *L) {
+    *L = P.Latest.back();
+    P.Latest.pop_back();
   }
 
   // -- Value plumbing --------------------------------------------------------
@@ -596,9 +617,8 @@ private:
     if (!D.Pending)
       return;
     D.Pending = false;
-    auto It = P.Latest.find(D.Dst);
-    if (It != P.Latest.end() && It->second == Idx)
-      P.Latest.erase(It);
+    if (LatestDef *L = latest(D.Dst); L && L->Idx == Idx)
+      eraseLatest(L);
     ++Open.Materialized;
     force(D.A);
     force(D.B);
@@ -613,10 +633,10 @@ private:
   SymVal readResolve(uint32_t Reg) {
     uint32_t Cur = Reg;
     while (true) {
-      auto It = P.Latest.find(Cur);
-      if (It == P.Latest.end())
+      const LatestDef *L = latest(Cur);
+      if (!L)
         return SymVal::reg(Cur);
-      SymEntry &D = P.Table[It->second];
+      SymEntry &D = P.Table[L->Idx];
       ++Open.TableOps; // charge(CM.SpecZcpTableOp)
       if (D.Op == Opcode::Mov) {
         if (D.A.IsConst)
@@ -626,7 +646,7 @@ private:
       }
       if (D.Op == Opcode::ConstI || D.Op == Opcode::ConstF)
         return SymVal::cst(D.Imm);
-      return SymVal::reg(Cur, static_cast<int32_t>(It->second));
+      return SymVal::reg(Cur, static_cast<int32_t>(L->Idx));
     }
   }
 
@@ -648,15 +668,14 @@ private:
       if ((!D.A.IsConst && D.A.R == Dst) || (!D.B.IsConst && D.B.R == Dst))
         materialize(I);
     }
-    auto It = P.Latest.find(Dst);
-    if (It != P.Latest.end()) {
-      SymEntry &D = P.Table[It->second];
+    if (LatestDef *L = latest(Dst)) {
+      SymEntry &D = P.Table[L->Idx];
       if (D.Pending) {
         D.Pending = false;
         ++Open.DeadAssigns; // ++Stats.DeadAssignsEliminated
         ++Open.TableOps;    // charge(CM.SpecZcpTableOp)
       }
-      P.Latest.erase(It);
+      eraseLatest(L);
     }
   }
 
@@ -681,7 +700,8 @@ private:
       D.Imm = stabilize(Imm);
       D.FromZcp = FromZcp;
       P.Table.push_back(D);
-      P.Latest[Dst] = P.Table.size() - 1;
+      // writeEvent above dropped any earlier definition of Dst.
+      P.Latest.push_back({Dst, static_cast<uint32_t>(P.Table.size() - 1)});
       return;
     }
     force(A);
@@ -853,20 +873,25 @@ template <typename T> uint64_t bytesOf(const std::vector<T> &V) {
 
 } // namespace
 
-EmitPlan buildEmitPlan(const GenExtFunction &GX, const OptFlags &Flags) {
-  EmitPlan P;
-  P.FlagsFingerprint = Flags.fingerprint();
-  P.Blocks.reserve(GX.Blocks.size());
+uint64_t createEmitPlan(const GenExtFunction &GX, EmitPlan &Plan) {
+  Plan.Blocks.resize(GX.Blocks.size());
+  uint64_t Bytes = sizeof(EmitPlan) + bytesOf(Plan.Blocks);
   for (uint32_t Ctx = 0; Ctx != GX.Blocks.size(); ++Ctx) {
-    BlockBuilder B(GX, Flags, GX.Blocks[Ctx]);
-    P.Blocks.push_back(B.build(Ctx));
+    std::vector<uint32_t> &Regs = Plan.Blocks[Ctx].KeyRegs;
+    GX.Region.context(Ctx).StaticIn.forEachSetBit(
+        [&](size_t Reg) { Regs.push_back(static_cast<uint32_t>(Reg)); });
+    Bytes += bytesOf(Regs);
   }
-  P.Bytes = sizeof(EmitPlan);
-  for (const BlockPlan &BP : P.Blocks)
-    P.Bytes += sizeof(BlockPlan) + bytesOf(BP.Steps) + bytesOf(BP.Evals) +
-               bytesOf(BP.Template) + bytesOf(BP.Holes) + bytesOf(BP.Exprs) +
-               bytesOf(BP.Syncs) + bytesOf(BP.Branches) + bytesOf(BP.KeyRegs);
-  return P;
+  return Bytes;
+}
+
+uint64_t buildBlockPlan(const GenExtFunction &GX, const OptFlags &Flags,
+                        uint32_t Ctx, BlockPlan &BP) {
+  assert(!BP.built() && "block program built twice");
+  BlockBuilder(GX, Flags, GX.Blocks[Ctx], BP).build();
+  return bytesOf(BP.Steps) + bytesOf(BP.Evals) + bytesOf(BP.Template) +
+         bytesOf(BP.Holes) + bytesOf(BP.Exprs) + bytesOf(BP.Syncs) +
+         bytesOf(BP.Branches);
 }
 
 bool resolveEmitPlanEnabled(EmitPlanMode Mode) {

@@ -54,11 +54,15 @@
 /// and every context edge) — the "memo checks hoisted to run
 /// boundaries" piece.
 ///
-/// Plans depend only on the immutable GenExtFunction and the
-/// OptFlags::fingerprint() they were built under, so they survive chain
-/// eviction and CodeObject::Version churn; RegionExecutionCore builds
-/// them lazily on first specialization, caches them per region, and
-/// recycles their storage through the region's RecyclingPool.
+/// Plans are staged on demand, so their one-time cost is paid only for
+/// what specialization reaches. RegionExecutionCore creates a region's
+/// plan on its first specialization with only the key lists (every
+/// context needs one, placed or not: edges compose keys of their
+/// targets); the UnrollDriver builds a context's block program the first
+/// time it places that context. A plan depends only on the immutable
+/// GenExtFunction and the core's fixed OptFlags, so it survives chain
+/// eviction and CodeObject::Version churn; its storage is recycled
+/// through the region's RecyclingPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -199,7 +203,8 @@ struct PlanStep {
   uint32_t Materialized = 0;
 };
 
-/// The emit program for one GenBlock (context).
+/// The emit program for one GenBlock (context). Steps is empty until the
+/// block is built; a built program always ends in an End step.
 struct BlockPlan {
   std::vector<PlanStep> Steps;
   std::vector<PlanEval> Evals;
@@ -213,26 +218,34 @@ struct BlockPlan {
   std::vector<PlanBranch> Branches;
   /// This context's StaticIn registers in ascending (bit-set) order: the
   /// flattened memo-key composition list used for the context's own
-  /// placements and for every edge that targets it.
+  /// placements and for every edge that targets it. Set when the plan is
+  /// created, before the block is built.
   std::vector<uint32_t> KeyRegs;
+
+  bool built() const { return !Steps.empty(); }
 };
 
 /// The staged emit plan for one region.
 struct EmitPlan {
-  /// OptFlags::fingerprint() the plan was built under — a plan is valid
-  /// only for flag settings that emit identical code.
-  uint64_t FlagsFingerprint = 0;
-  std::vector<BlockPlan> Blocks; ///< index == context id
-  /// Total plan footprint in bytes (templates, holes, eval streams,
-  /// expressions, sync tables, guards, steps, key lists) — the PlanBytes
-  /// counter's contribution.
-  uint64_t Bytes = 0;
+  /// Index == context id. Sized once, by createEmitPlan, so building one
+  /// block never moves another: a nested re-entrant specialization may
+  /// build a block while an outer run is executing a different one.
+  std::vector<BlockPlan> Blocks;
 };
 
-/// Compiles \p GX into a staged emit plan under \p Flags. Pure function
-/// of its inputs: no VM, no values, no charges — plan building is host
-/// work and must not touch simulated counters.
-EmitPlan buildEmitPlan(const GenExtFunction &GX, const OptFlags &Flags);
+/// Creates \p GX's plan: every context's KeyRegs, no block programs.
+/// Returns the bytes it allocated (the plan, its block headers, and the
+/// key lists) — the PlanBytes counter's contribution.
+uint64_t createEmitPlan(const GenExtFunction &GX, EmitPlan &Plan);
+
+/// Builds the block program of context \p Ctx into \p BP (created by
+/// createEmitPlan, not yet built) under \p Flags. Returns the bytes the
+/// program occupies (templates, holes, eval streams, expressions, sync
+/// tables, guards, steps). Pure function of its inputs: no VM, no values,
+/// no charges — plan building is host work and must not touch simulated
+/// counters.
+uint64_t buildBlockPlan(const GenExtFunction &GX, const OptFlags &Flags,
+                        uint32_t Ctx, BlockPlan &BP);
 
 /// Resolves an EmitPlanMode against the DYC_EMIT_PLAN environment
 /// variable ("on"/"1"/"true" / "off"/"0"/"false"; unknown values are

@@ -192,20 +192,20 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
 
   std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
 
-  // Staged emit plan: built once per region on first specialization (the
-  // caller serializes specializeInto, and nested re-entrant runs happen on
-  // this thread after the pointer below is captured, so a nested run of
-  // the same region sees the already-built plan as a hit). The plan
-  // depends only on the immutable GX and the flag fingerprint, so it is
-  // never invalidated by chain eviction or Version churn.
-  const cogen::EmitPlan *PlanPtr = nullptr;
+  // Staged emit plan: created once per region on first specialization,
+  // holding only the contexts' key lists; the driver builds each block
+  // program on the context's first placement. The caller serializes
+  // specializeInto, and nested re-entrant runs happen on this thread after
+  // the plan exists, so a nested run of the same region is a hit. The
+  // plan depends only on the immutable GX and the core's fixed flags, so
+  // it is never invalidated by chain eviction or Version churn.
+  cogen::EmitPlan *PlanPtr = nullptr;
   if (PlanOn) {
-    if (!R.Plan || R.Plan->FlagsFingerprint != Flags.fingerprint()) {
+    if (!R.Plan) {
       R.Plan = std::allocate_shared<cogen::EmitPlan>(
-          PoolAllocator<cogen::EmitPlan>(R.Pool),
-          cogen::buildEmitPlan(R.GX, Flags));
+          PoolAllocator<cogen::EmitPlan>(R.Pool));
+      R.Stats.PlanBytes += cogen::createEmitPlan(R.GX, *R.Plan);
       ++R.Stats.PlanBuilds;
-      R.Stats.PlanBytes += R.Plan->Bytes;
     } else {
       ++R.Stats.PlanHits;
     }

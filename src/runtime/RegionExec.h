@@ -170,12 +170,15 @@ struct SpecEntry {
 struct RegionState {
   cogen::GenExtFunction GX;
   RegionStats Stats;
-  /// The region's staged emit plan (cogen/EmitPlan.h), built lazily on
-  /// first specialization when the plan path is enabled. Depends only on
-  /// the immutable GX and the flag fingerprint it records, so it survives
-  /// chain eviction and CodeObject::Version churn; storage is recycled
-  /// through Pool like the region's other shared objects.
-  std::shared_ptr<const cogen::EmitPlan> Plan;
+  /// The region's staged emit plan (cogen/EmitPlan.h) when the plan path
+  /// is enabled: created with every context's key list on the region's
+  /// first specialization, then grown one block program per context on
+  /// that context's first placement, under the caller's specialization
+  /// serialization. Depends only on the immutable GX and the core's fixed
+  /// flags, so it survives chain eviction and CodeObject::Version churn;
+  /// storage is recycled through Pool like the region's other shared
+  /// objects.
+  std::shared_ptr<cogen::EmitPlan> Plan;
   /// Memo for static calls executed at specialize time.
   std::map<std::vector<uint64_t>, Word> CallMemo;
   /// "<function>.chain" — cached so per-chain naming is one append, not a

@@ -67,9 +67,9 @@ struct RegionStats {
   /// toString suffix, like TierEnabled; the counters are hard-zero when
   /// the plan path is off.
   bool PlanEnabled = false;
-  uint64_t PlanBuilds = 0; ///< plans compiled (once per region + flags)
-  uint64_t PlanHits = 0;   ///< specialization runs served by a cached plan
-  uint64_t PlanBytes = 0;  ///< total footprint of built plans
+  uint64_t PlanBuilds = 0; ///< plans created (once per region)
+  uint64_t PlanHits = 0;   ///< specialization runs served by an existing plan
+  uint64_t PlanBytes = 0;  ///< key lists plus the block programs built
 
   std::string toString() const;
 };

@@ -151,16 +151,18 @@ public:
   /// memory is reclaimed in bulk when the run finishes.
   /// \p Plan, when non-null, is the region's staged emit plan: block
   /// set-up programs execute through the PlanRunner (with legacy
-  /// fallbacks per Generic step) and memo keys compose through the plan's
-  /// flattened key-register lists. Null runs the legacy walk unchanged.
+  /// fallbacks per Generic step), a context's block program is built
+  /// under \p Flags on its first placement, and memo keys compose through
+  /// the plan's flattened key-register lists. Null runs the legacy walk
+  /// unchanged. \p Flags must outlive the driver.
   UnrollDriver(RegionExecutionCore &Core, RegionState &R, uint32_t Ordinal,
                vm::VM &M, const OptFlags &Flags, vm::CodeObject &Buf,
                std::map<ir::BlockId, uint32_t> &ExitStubs,
                std::map<uint32_t, uint32_t> &DispatchStubs,
                std::map<ir::BlockId, uint32_t> &OsrEntries,
-               BumpArena &Scratch, const cogen::EmitPlan *Plan = nullptr)
+               BumpArena &Scratch, cogen::EmitPlan *Plan = nullptr)
       : Core(Core), R(R), Ordinal(Ordinal), M(M), CM(M.costModel()),
-        GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
+        Flags(Flags), GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
         DispatchStubs(DispatchStubs), OsrEntries(OsrEntries),
         E(Buf, R.Stats, M, R.GX, Flags.MaxRegionInstrs),
         D(E, R.Stats, M, Flags, R.GX), MaxRegionInstrs(Flags.MaxRegionInstrs),
@@ -278,6 +280,7 @@ private:
   uint32_t Ordinal;
   vm::VM &M;
   const vm::CostModel &CM;
+  const OptFlags &Flags;
   const cogen::GenExtFunction &GX;
   vm::CodeObject &Buf;
   std::map<ir::BlockId, uint32_t> &ExitStubs;
@@ -296,7 +299,7 @@ private:
   Emitter E;
   DeferralEngine D;
   size_t MaxRegionInstrs;      ///< Flags.MaxRegionInstrs (buffer reserve)
-  const cogen::EmitPlan *Plan; ///< null = legacy walk
+  cogen::EmitPlan *Plan;       ///< null = legacy walk
   PlanRunner PR;
 
   using MemoPair = std::pair<const std::vector<uint64_t>, int64_t>;

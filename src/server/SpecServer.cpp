@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <set>
 
 namespace dyc {
 namespace server {
@@ -148,6 +149,49 @@ bool pcsInRange(const std::map<K, uint32_t> &M, uint32_t CodeN) {
     if (KV.second >= CodeN)
       return false;
   return true;
+}
+
+/// Whether every instruction of a loaded chain has a real opcode and
+/// every control transfer stays in range: branch targets inside the
+/// chain, Dispatch payloads (-(site+1)) naming one of the file's
+/// \p NumSites sites, and ExitRegion resume offsets inside the region
+/// function's \p StaticN static instructions.
+bool codeInRange(const std::vector<vm::Instr> &Code, uint32_t NumSites,
+                 size_t StaticN) {
+  for (const vm::Instr &I : Code) {
+    if (static_cast<unsigned>(I.Opcode) >= vm::NumOps)
+      return false;
+    bool Ok = true;
+    switch (I.Opcode) {
+    case vm::Op::Br:
+      Ok = I.B < Code.size();
+      break;
+    case vm::Op::CondBr:
+      Ok = I.B < Code.size() && I.C < Code.size();
+      break;
+    case vm::Op::Dispatch:
+      Ok = I.Imm < 0 && I.Imm >= -static_cast<int64_t>(NumSites);
+      break;
+    case vm::Op::ExitRegion:
+      Ok = I.B < StaticN;
+      break;
+    default:
+      break;
+    }
+    if (!Ok)
+      return false;
+  }
+  return true;
+}
+
+/// A site's or chain's identity — region, promotion, and value words —
+/// as one comparable vector, for rejecting duplicates.
+std::vector<uint64_t> identity(uint32_t Ord, uint32_t PromoId,
+                               const std::vector<Word> &Vals) {
+  std::vector<uint64_t> Id = {Ord, PromoId};
+  for (const Word &W : Vals)
+    Id.push_back(W.Bits);
+  return Id;
 }
 
 } // namespace
@@ -1099,14 +1143,20 @@ bool SpecServer::loadCacheFrom(const std::string &Path) {
       ModuleFP != moduleFingerprint(RegionContentHash) ||
       !R.u32(NumSites) || (NumSites != 0 && Core.numSites() != 0))
     return false;
+  // Sites and chains must be unique: internSite would merge a duplicate
+  // site and shift every later index that chain code names, and the
+  // store holds one chain per identity.
+  std::set<std::vector<uint64_t>> Seen;
   std::vector<runtime::DispatchSite> Sites;
   for (uint32_t I = 0; I != NumSites; ++I) {
     runtime::DispatchSite S;
     if (!R.u32(S.RegionOrd) || !R.u32(S.PromoId) || !R.words(S.BakedVals) ||
-        !ValidPoint(S.RegionOrd, S.PromoId))
+        !ValidPoint(S.RegionOrd, S.PromoId) ||
+        !Seen.insert(identity(S.RegionOrd, S.PromoId, S.BakedVals)).second)
       return false;
     Sites.push_back(std::move(S));
   }
+  Seen.clear();
 
   struct LoadedChain {
     StoredChain SC;
@@ -1128,7 +1178,12 @@ bool SpecServer::loadCacheFrom(const std::string &Path) {
         CodeN > (R.End - R.P) / sizeof(vm::Instr))
       return false;
     L.Code.resize(CodeN);
-    if (!R.bytes(L.Code.data(), CodeN * sizeof(vm::Instr)) ||
+    const size_t StaticN =
+        Prog.function(static_cast<uint32_t>(Core.regionFuncIdx(L.SC.Ord)))
+            .Code.size();
+    if (!Seen.insert(identity(L.SC.Ord, L.SC.PromoId, L.SC.Key)).second ||
+        !R.bytes(L.Code.data(), CodeN * sizeof(vm::Instr)) ||
+        !codeInRange(L.Code, NumSites, StaticN) ||
         !R.pairMap(L.ExitStubs) || !R.pairMap(L.DispatchStubs) ||
         !R.pairMap(L.OsrEntries) || !pcsInRange(L.ExitStubs, CodeN) ||
         !pcsInRange(L.DispatchStubs, CodeN) ||

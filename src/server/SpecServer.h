@@ -229,10 +229,11 @@ public:
   /// (the site table must be empty so the file's interned dispatch sites
   /// replay at their original indices). Validates the checksum, format
   /// version, instruction encoding, module fingerprint, OptFlags
-  /// fingerprint, every region/promotion reference, and every entry and
-  /// stub PC; returns false — loading nothing — on any failure. Loaded chains
-  /// enter the store unreferenced; tenants adopt them on first miss
-  /// (counted as WarmHits).
+  /// fingerprint, every region/promotion reference, every entry and stub
+  /// PC, and in chain code every opcode, branch target, dispatch site and
+  /// exit offset; rejects duplicate sites and chains. Returns false —
+  /// loading nothing — on any failure. Loaded chains enter the store
+  /// unreferenced; tenants adopt them on first miss (counted as WarmHits).
   bool loadCacheFrom(const std::string &Path);
 
   /// The tiering controller, or null when tiering is off.

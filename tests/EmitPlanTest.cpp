@@ -7,8 +7,9 @@
 // complete observable state — simulated counters (DynCompCycles included),
 // results, output memory, and the golden disassembly of every region —
 // plus the speculation path, plan-cache counter semantics under eviction
-// churn, hard-zeroing when the path is off, nested static-call re-entry
-// into the specializer while a parent plan is executing, and the
+// churn, block programs built on first placement, hard-zeroing when the
+// path is off, nested static-call re-entry into the specializer while a
+// parent plan (of another region or the same one) is executing, and the
 // flag/environment selection rules.
 //
 //===----------------------------------------------------------------------===//
@@ -215,8 +216,8 @@ TEST(EmitPlanParity, SpeculativePromotionPathIdentical) {
   }
 }
 
-// Plan-cache semantics under eviction churn: the plan keys on the
-// immutable generating extension plus the flags fingerprint, so capacity
+// Plan-cache semantics under eviction churn: the plan depends only on the
+// immutable generating extension and the core's fixed flags, so capacity
 // evictions and code-version churn must never force a rebuild — one build
 // per region, every later specialization run a hit.
 TEST(EmitPlanCache, OneBuildManyHitsAcrossEvictionChurn) {
@@ -355,6 +356,101 @@ TEST(EmitPlanReentrancy, NestedStaticCallSpecializesUnderParentPlan) {
     }
   }
   expectIdentical(Traces[0], Traces[1], "nested static call");
+}
+
+// Blocks on demand: the plan is created on the region's first
+// specialization with no block programs, and a context's program is built
+// the first time the context is placed. The static `if` on the key sends
+// keys above 5 and keys up to 5 to different contexts, so PlanBytes grows
+// exactly when a key reaches a context no earlier key placed.
+const char *BranchOnKeySrc = "int f(int n, int x) {\n"
+                             "  make_static(n : cache_all);\n"
+                             "  int r = 0;\n"
+                             "  if (n > 5) { r = x * n + 3; } else { r = x - n; }\n"
+                             "  return r;\n"
+                             "}";
+
+TEST(EmitPlanCache, BlocksBuiltOnFirstPlacement) {
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Ctx.compile(BranchOnKeySrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("f");
+    ASSERT_GE(FI, 0);
+
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    std::vector<uint64_t> Bytes;
+    for (int64_t N : {7, 9, 2, 3, 8}) {
+      T.Results.push_back(E->Machine
+                              ->run(static_cast<uint32_t>(FI),
+                                    {Word::fromInt(N), Word::fromInt(4)})
+                              .Bits);
+      Bytes.push_back(E->RT->stats(0).PlanBytes);
+    }
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+
+    const runtime::RegionStats &St = E->RT->stats(0);
+    EXPECT_EQ(St.SpecializationRuns, 5u);
+    if (PlanOn) {
+      EXPECT_EQ(St.PlanBuilds, 1u) << "one plan per region";
+      EXPECT_EQ(St.PlanHits, 4u);
+      EXPECT_GT(Bytes[0], 0u);
+      EXPECT_EQ(Bytes[1], Bytes[0]) << "key 9 places only key 7's contexts";
+      EXPECT_GT(Bytes[2], Bytes[1]) << "key 2 places the else context";
+      EXPECT_EQ(Bytes[3], Bytes[2]) << "key 3 places no new context";
+      EXPECT_EQ(Bytes[4], Bytes[3]) << "key 8 places no new context";
+    }
+  }
+  EXPECT_EQ(Traces[0].Results,
+            (std::vector<uint64_t>{31, 39, 2, 1, 35}));
+  expectIdentical(Traces[0], Traces[1], "blocks on demand");
+}
+
+// Same-region re-entrancy: specializing h(n) executes the static call
+// h(n - 1), which dispatches on a new key of the same region and
+// specializes it while the outer run is still inside the plan's block
+// that holds the call. The innermost run (n == 0) is the first to place
+// the `return 1` context, so it builds that block program of the plan
+// whose other block every enclosing run is executing.
+const char *SelfRecursiveSrc = "pure int h(int n) {\n"
+                               "  make_static(n : cache_all);\n"
+                               "  if (n <= 0) return 1;\n"
+                               "  return n * h(n - 1);\n"
+                               "}";
+
+TEST(EmitPlanReentrancy, SameRegionNestedRunBuildsBlocksOfRunningPlan) {
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Ctx.compile(SelfRecursiveSrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("h");
+    ASSERT_GE(FI, 0);
+
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    for (int64_t N : {5, 7, 5, 0})
+      T.Results.push_back(
+          E->Machine->run(static_cast<uint32_t>(FI), {Word::fromInt(N)})
+              .Bits);
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+
+    ASSERT_EQ(E->RT->numRegions(), 1u);
+    const runtime::RegionStats &St = E->RT->stats(0);
+    EXPECT_EQ(St.SpecializationRuns, 8u) << "keys 5..0, then 7 and 6";
+    if (PlanOn) {
+      EXPECT_EQ(St.PlanBuilds, 1u);
+      EXPECT_EQ(St.PlanHits, 7u) << "every nested run reuses the plan";
+    }
+  }
+  EXPECT_EQ(Traces[0].Results, (std::vector<uint64_t>{120, 5040, 120, 1}));
+  expectIdentical(Traces[0], Traces[1], "same-region re-entrancy");
 }
 
 // Selection semantics: explicit flag beats the environment; Default

@@ -4,7 +4,8 @@
 // parity against a dedicated single-tenant server, cross-tenant chain
 // deduplication through the content-addressed store, refcounted release
 // under eviction churn, per-tenant quota admission, warm-start
-// serialization round-trips, and the untiered-counters regression.
+// serialization round-trips, a seeded fuzzer of the warm-start reader,
+// and the untiered-counters regression.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,10 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <random>
+#include <set>
+#include <tuple>
 
 using namespace dyc;
 using server::MissPolicy;
@@ -74,6 +79,21 @@ const char *PromotedSumSrc = "int f(int n, int k) {\n"
                              "  make_static(s);\n"
                              "  return s * 2;\n"
                              "}";
+
+// A dynamic branch in every unrolled iteration, then a promotion whose
+// dispatch site bakes the static n: every key adds two chains and one
+// site, and the chains carry branches and a dispatch.
+const char *BranchyPromotedSrc =
+    "int f(int n, int k) {\n"
+    "  int i;\n"
+    "  make_static(n, i : cache_all);\n"
+    "  int s = k;\n"
+    "  for (i = 0; i < n; i = i + 1) {\n"
+    "    if (s > 4) { s = s - i; } else { s = s + i * n; }\n"
+    "  }\n"
+    "  make_static(s);\n"
+    "  return s * 2 + n;\n"
+    "}";
 
 int64_t triangular(int64_t N) { return N * (N - 1) / 2; }
 
@@ -458,6 +478,319 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
     EXPECT_EQ(Server->storeChains(), 0u);
   }
   std::remove(Path.c_str());
+}
+
+/// A warm-start file parsed by the test's own reader (the layout
+/// saveCacheTo writes): every record, plus the offsets of the fields the
+/// fuzzer corrupts. Ok is false when the bytes do not parse.
+struct WarmImage {
+  struct Site {
+    uint32_t Ord = 0, PromoId = 0;
+    std::vector<uint64_t> Baked;
+  };
+  struct Chain {
+    uint32_t Ord = 0, PromoId = 0, EntryPC = 0;
+    std::vector<uint64_t> Key;
+    std::vector<vm::Instr> Code;
+    std::vector<std::pair<uint32_t, uint32_t>> Exit, Dispatch, Osr;
+  };
+  /// A u32 field and the first value out of its range (0: unbounded).
+  struct Field {
+    size_t Off = 0;
+    uint32_t Bound = 0;
+  };
+  bool Ok = false;
+  std::vector<Site> Sites;
+  std::vector<Chain> Chains;
+  std::vector<Field> Ids;    ///< region and promotion ids
+  /// Entry, stub, OSR, branch-target and ExitRegion resume PCs.
+  std::vector<Field> Pcs;
+  std::vector<Field> Counts; ///< length prefixes
+  std::vector<size_t> DispatchImms; ///< Imm fields of Dispatch instrs
+  /// [Off, Off+Len) byte ranges of each site's and each chain's identity
+  /// (ids plus value list), for duplicating one record over another.
+  std::vector<std::pair<size_t, size_t>> SiteRecs, ChainRecs;
+};
+
+/// \p StaticN is the region function's static code size, the bound of
+/// ExitRegion resume offsets (the fuzzed program has one region).
+WarmImage parseWarm(const std::string &B, uint32_t NumRegions,
+                    uint32_t StaticN) {
+  WarmImage W;
+  if (B.size() < 40)
+    return W;
+  const size_t End = B.size() - 8;
+  size_t P = 32;
+  auto U32 = [&](uint32_t &V) {
+    if (End - P < 4)
+      return false;
+    std::memcpy(&V, B.data() + P, 4);
+    P += 4;
+    return true;
+  };
+  auto Words = [&](std::vector<uint64_t> &Ws) {
+    uint32_t N = 0;
+    W.Counts.push_back({P, 0});
+    if (!U32(N) || N > (End - P) / 8)
+      return false;
+    Ws.resize(N);
+    for (uint64_t &V : Ws) {
+      std::memcpy(&V, B.data() + P, 8);
+      P += 8;
+    }
+    return true;
+  };
+  auto Pairs = [&](std::vector<std::pair<uint32_t, uint32_t>> &M,
+                   uint32_t CodeN) {
+    uint32_t N = 0;
+    W.Counts.push_back({P, 0});
+    if (!U32(N) || N > (End - P) / 8)
+      return false;
+    for (uint32_t I = 0; I != N; ++I) {
+      std::pair<uint32_t, uint32_t> KV;
+      W.Pcs.push_back({P + 4, CodeN});
+      if (!U32(KV.first) || !U32(KV.second))
+        return false;
+      M.push_back(KV);
+    }
+    return true;
+  };
+  uint32_t NumSites = 0;
+  W.Counts.push_back({P, 0});
+  if (!U32(NumSites))
+    return W;
+  for (uint32_t I = 0; I != NumSites; ++I) {
+    WarmImage::Site S;
+    size_t Start = P;
+    W.Ids.push_back({P, NumRegions});
+    W.Ids.push_back({P + 4, 0});
+    if (!U32(S.Ord) || !U32(S.PromoId) || !Words(S.Baked))
+      return W;
+    W.SiteRecs.push_back({Start, P - Start});
+    W.Sites.push_back(std::move(S));
+  }
+  uint32_t NumChains = 0;
+  W.Counts.push_back({P, 0});
+  if (!U32(NumChains))
+    return W;
+  for (uint32_t I = 0; I != NumChains; ++I) {
+    WarmImage::Chain C;
+    size_t Start = P;
+    W.Ids.push_back({P, NumRegions});
+    W.Ids.push_back({P + 4, 0});
+    size_t EntryOff = P + 8;
+    if (!U32(C.Ord) || !U32(C.PromoId) || !U32(C.EntryPC) || !Words(C.Key))
+      return W;
+    W.ChainRecs.push_back({Start, P - Start});
+    uint32_t CodeN = 0;
+    W.Counts.push_back({P, 0});
+    if (!U32(CodeN) || CodeN > (End - P) / sizeof(vm::Instr))
+      return W;
+    W.Pcs.push_back({EntryOff, CodeN});
+    for (uint32_t K = 0; K != CodeN; ++K) {
+      const size_t At = P + K * sizeof(vm::Instr);
+      vm::Instr In;
+      std::memcpy(&In, B.data() + At, sizeof(In));
+      if (In.Opcode == vm::Op::Br || In.Opcode == vm::Op::CondBr)
+        W.Pcs.push_back({At + offsetof(vm::Instr, B), CodeN});
+      if (In.Opcode == vm::Op::CondBr)
+        W.Pcs.push_back({At + offsetof(vm::Instr, C), CodeN});
+      if (In.Opcode == vm::Op::Dispatch)
+        W.DispatchImms.push_back(At + offsetof(vm::Instr, Imm));
+      if (In.Opcode == vm::Op::ExitRegion)
+        W.Pcs.push_back({At + offsetof(vm::Instr, B), StaticN});
+      C.Code.push_back(In);
+    }
+    P += CodeN * sizeof(vm::Instr);
+    if (!Pairs(C.Exit, CodeN) || !Pairs(C.Dispatch, CodeN) ||
+        !Pairs(C.Osr, CodeN))
+      return W;
+    W.Chains.push_back(std::move(C));
+  }
+  W.Ok = P == End;
+  return W;
+}
+
+/// Asserts what a loaded warm-start image may contain: region and
+/// promotion ids of real points, no two sites or chains with the same
+/// identity, real opcodes, every entry, stub, OSR and branch-target PC
+/// inside its chain, every Dispatch naming an interned site, and every
+/// ExitRegion resuming inside the region function's static code.
+void expectLoadable(const WarmImage &W, const core::Executable &Ref,
+                    const std::string &What) {
+  ASSERT_TRUE(W.Ok) << What;
+  const runtime::RegionExecutionCore &Core = Ref.RT->core();
+  auto ValidPoint = [&](uint32_t Ord, uint32_t PromoId) {
+    return Ord < Core.numRegions() && PromoId < Core.numPromos(Ord);
+  };
+  std::set<std::tuple<uint32_t, uint32_t, std::vector<uint64_t>>> Seen;
+  for (const WarmImage::Site &S : W.Sites) {
+    EXPECT_TRUE(ValidPoint(S.Ord, S.PromoId)) << What;
+    EXPECT_TRUE(Seen.insert({S.Ord, S.PromoId, S.Baked}).second)
+        << What << ": duplicate site";
+  }
+  Seen.clear();
+  for (const WarmImage::Chain &C : W.Chains) {
+    const uint32_t N = static_cast<uint32_t>(C.Code.size());
+    EXPECT_TRUE(ValidPoint(C.Ord, C.PromoId)) << What;
+    EXPECT_TRUE(Seen.insert({C.Ord, C.PromoId, C.Key}).second)
+        << What << ": duplicate chain";
+    EXPECT_LT(C.EntryPC, N) << What;
+    const size_t StaticN =
+        C.Ord < Core.numRegions()
+            ? Ref.Prog
+                  .function(static_cast<uint32_t>(Core.regionFuncIdx(C.Ord)))
+                  .Code.size()
+            : 0;
+    for (const auto *M : {&C.Exit, &C.Dispatch, &C.Osr})
+      for (const auto &KV : *M)
+        EXPECT_LT(KV.second, N) << What;
+    for (const vm::Instr &In : C.Code) {
+      EXPECT_LT(static_cast<unsigned>(In.Opcode), vm::NumOps) << What;
+      if (In.Opcode == vm::Op::ExitRegion) {
+        EXPECT_LT(In.B, StaticN) << What << ": exit resume offset";
+      }
+      if (In.Opcode == vm::Op::Br || In.Opcode == vm::Op::CondBr) {
+        EXPECT_LT(In.B, N) << What << ": branch target";
+      }
+      if (In.Opcode == vm::Op::CondBr) {
+        EXPECT_LT(In.C, N) << What << ": branch target";
+      }
+      if (In.Opcode == vm::Op::Dispatch) {
+        EXPECT_LT(In.Imm, 0) << What;
+        EXPECT_LE(-In.Imm, static_cast<int64_t>(W.Sites.size()))
+            << What << ": dispatch site";
+      }
+    }
+  }
+}
+
+// Warm-start reader fuzzer: 200 seeded mutations of a saved file — byte
+// flips, truncations, out-of-range ids, PCs and length prefixes, and one
+// record's identity copied over another's — each resealed with a fresh
+// checksum so it reaches the range checks. loadCacheFrom must either
+// reject the file and leave the chain store and site table untouched, or
+// load all of it, with every id and PC in range.
+TEST(Tenant, WarmStartReaderFuzz) {
+  const std::string Path = "tenant_warm_fuzz.dycwarm";
+  const std::string Bad = "tenant_warm_fuzz_bad.dycwarm";
+  const std::string Out = "tenant_warm_fuzz_out.dycwarm";
+  std::remove(Path.c_str());
+  auto Ctx = compile(BranchyPromotedSrc);
+  {
+    ServerConfig Cfg;
+    Cfg.NumWorkers = 1;
+    Cfg.WarmStartPath = Path;
+    auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+    int F = Server->findFunction("f");
+    auto Client = Server->makeClientVM(1);
+    for (int64_t N : {3, 5, 7, 9})
+      Client->run(static_cast<uint32_t>(F),
+                  {Word::fromInt(N), Word::fromInt(1)});
+    // Destruction serializes the store to Path.
+  }
+  // The inline build of the same module reports the valid point ids and
+  // lowers the same static code.
+  auto Ref = Ctx->buildDynamic();
+  const uint32_t NumRegions =
+      static_cast<uint32_t>(Ref->RT->core().numRegions());
+  const uint32_t StaticN = static_cast<uint32_t>(
+      Ref->Prog.function(static_cast<uint32_t>(Ref->findFunction("f")))
+          .Code.size());
+  const std::string Orig = readFile(Path);
+  const WarmImage Base = parseWarm(Orig, NumRegions, StaticN);
+  ASSERT_TRUE(Base.Ok);
+  ASSERT_EQ(Base.Sites.size(), 4u);
+  ASSERT_EQ(Base.Chains.size(), 8u);
+  ASSERT_FALSE(Base.DispatchImms.empty());
+  expectLoadable(Base, *Ref, "unmutated");
+
+  std::mt19937_64 Rng(0xD1C5EED);
+  auto Pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  auto OutOfRange = [&](uint32_t Bound) {
+    return Pick(3) == 0 ? 0xffffffffu : Bound + static_cast<uint32_t>(Pick(4));
+  };
+  unsigned Accepted = 0, Rejected = 0;
+  for (unsigned Iter = 0; Iter != 200; ++Iter) {
+    std::string M = Orig;
+    std::string What = "mutation " + std::to_string(Iter);
+    switch (Iter % 6) {
+    case 0: { // byte flip
+      size_t At = Pick(M.size() - 8);
+      M[At] = static_cast<char>(M[At] ^ (1u << Pick(8)));
+      What += ": flip byte " + std::to_string(At);
+      break;
+    }
+    case 1: // truncation
+      M.resize(Pick(M.size()));
+      What += ": truncate to " + std::to_string(M.size());
+      break;
+    case 2: { // out-of-range region or promotion id, or dispatch site
+      if (Pick(3) == 0) {
+        size_t At = Base.DispatchImms[Pick(Base.DispatchImms.size())];
+        int64_t Imm = -static_cast<int64_t>(Base.Sites.size() + 1 + Pick(3));
+        std::memcpy(&M[At], &Imm, sizeof(Imm));
+        What += ": dispatch site at " + std::to_string(At);
+        break;
+      }
+      const WarmImage::Field &Fd = Base.Ids[Pick(Base.Ids.size())];
+      writeU32At(M, Fd.Off, OutOfRange(Fd.Bound ? Fd.Bound : 8));
+      What += ": id at " + std::to_string(Fd.Off);
+      break;
+    }
+    case 3: { // out-of-range PC
+      const WarmImage::Field &Fd = Base.Pcs[Pick(Base.Pcs.size())];
+      writeU32At(M, Fd.Off, OutOfRange(Fd.Bound));
+      What += ": pc at " + std::to_string(Fd.Off);
+      break;
+    }
+    case 4: { // length prefix off by a little or a lot
+      const WarmImage::Field &Fd = Base.Counts[Pick(Base.Counts.size())];
+      uint32_t V = readU32At(M, Fd.Off);
+      uint32_t Bumps[] = {V + 1, V - 1, 0xffffffffu, V * 2 + 1};
+      writeU32At(M, Fd.Off, Bumps[Pick(4)]);
+      What += ": count at " + std::to_string(Fd.Off);
+      break;
+    }
+    case 5: { // one site's or chain's identity copied over another's
+      const auto &Recs = Pick(2) ? Base.SiteRecs : Base.ChainRecs;
+      const auto &From = Recs[Pick(Recs.size())];
+      const auto &To = Recs[Pick(Recs.size())];
+      if (From.second == To.second)
+        M.replace(To.first, To.second, Orig, From.first, From.second);
+      What += ": duplicate record at " + std::to_string(To.first);
+      break;
+    }
+    }
+    if (M.size() >= 8)
+      resealChecksum(M);
+    writeFile(Bad, M);
+
+    ServerConfig Cfg;
+    Cfg.NumWorkers = 1;
+    auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+    if (!Server->loadCacheFrom(Bad)) {
+      ++Rejected;
+      EXPECT_EQ(Server->storeChains(), 0u) << What;
+      EXPECT_EQ(Server->numSites(), 0u) << What;
+      continue;
+    }
+    ++Accepted;
+    const WarmImage In = parseWarm(M, NumRegions, StaticN);
+    ASSERT_TRUE(In.Ok) << What << ": loaded a file that does not parse";
+    EXPECT_EQ(Server->storeChains(), In.Chains.size()) << What;
+    EXPECT_EQ(Server->numSites(), In.Sites.size()) << What;
+    ASSERT_TRUE(Server->saveCacheTo(Out)) << What;
+    expectLoadable(parseWarm(readFile(Out), NumRegions, StaticN), *Ref,
+                   What);
+  }
+  // Both outcomes must occur, or the mutations are not reaching the
+  // checks they are meant to probe.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+  std::remove(Path.c_str());
+  std::remove(Bad.c_str());
+  std::remove(Out.c_str());
 }
 
 TEST(Tenant, TierCountersReportZerosWhenTieringOff) {
