@@ -302,14 +302,14 @@ struct FunctionLowering {
       case Opcode::Load:
         if (FoldSrc1[Idx])
           emit({v::Op::LoadAbs, I.Dst, 0, 0,
-                Consts[I.Src1].Val.asInt() + I.Imm});
+                wrapAdd(Consts[I.Src1].Val.asInt(), I.Imm)});
         else
           emit({v::Op::Load, I.Dst, I.Src1, 0, I.Imm});
         break;
       case Opcode::Store:
         if (FoldSrc1[Idx])
           emit({v::Op::StoreAbs, I.Src2, 0, 0,
-                Consts[I.Src1].Val.asInt() + I.Imm});
+                wrapAdd(Consts[I.Src1].Val.asInt(), I.Imm)});
         else
           emit({v::Op::Store, I.Src2, I.Src1, 0, I.Imm});
         break;

@@ -27,18 +27,18 @@ bool isEvaluableOp(Opcode Op) {
 bool evalPureOp(Opcode Op, Word A, Word B, Word &Out) {
   switch (Op) {
   case Opcode::Mov: Out = A; return true;
-  case Opcode::Add: Out = Word::fromInt(A.asInt() + B.asInt()); return true;
-  case Opcode::Sub: Out = Word::fromInt(A.asInt() - B.asInt()); return true;
-  case Opcode::Mul: Out = Word::fromInt(A.asInt() * B.asInt()); return true;
+  case Opcode::Add: Out = Word::fromInt(wrapAdd(A.asInt(), B.asInt())); return true;
+  case Opcode::Sub: Out = Word::fromInt(wrapSub(A.asInt(), B.asInt())); return true;
+  case Opcode::Mul: Out = Word::fromInt(wrapMul(A.asInt(), B.asInt())); return true;
   case Opcode::Div:
     if (B.asInt() == 0)
       return false;
-    Out = Word::fromInt(A.asInt() / B.asInt());
+    Out = Word::fromInt(wrapDiv(A.asInt(), B.asInt()));
     return true;
   case Opcode::Rem:
     if (B.asInt() == 0)
       return false;
-    Out = Word::fromInt(A.asInt() % B.asInt());
+    Out = Word::fromInt(wrapRem(A.asInt(), B.asInt()));
     return true;
   case Opcode::And: Out = Word::fromInt(A.asInt() & B.asInt()); return true;
   case Opcode::Or:  Out = Word::fromInt(A.asInt() | B.asInt()); return true;
@@ -49,7 +49,7 @@ bool evalPureOp(Opcode Op, Word A, Word B, Word &Out) {
   case Opcode::Shr:
     Out = Word::fromInt(A.asInt() >> (B.asInt() & 63));
     return true;
-  case Opcode::Neg: Out = Word::fromInt(-A.asInt()); return true;
+  case Opcode::Neg: Out = Word::fromInt(wrapNeg(A.asInt())); return true;
   case Opcode::FAdd:
     Out = Word::fromFloat(A.asFloat() + B.asFloat());
     return true;

@@ -162,7 +162,7 @@ void Emitter::emitResolved(Opcode Op, ir::Type Ty, uint32_t Dst,
   case Opcode::Load:
     if (A.IsConst) {
       charge(CM.SpecEmitHole);
-      emitRaw({v::Op::LoadAbs, Dst, 0, 0, A.C.asInt() + Imm});
+      emitRaw({v::Op::LoadAbs, Dst, 0, 0, wrapAdd(A.C.asInt(), Imm)});
     } else {
       emitRaw({v::Op::Load, Dst, A.R, 0, Imm});
     }
@@ -172,7 +172,7 @@ void Emitter::emitResolved(Opcode Op, ir::Type Ty, uint32_t Dst,
     uint32_t ValReg = regOf(B, ir::Type::I64, GX.Scratch0);
     if (A.IsConst) {
       charge(CM.SpecEmitHole);
-      emitRaw({v::Op::StoreAbs, ValReg, 0, 0, A.C.asInt() + Imm});
+      emitRaw({v::Op::StoreAbs, ValReg, 0, 0, wrapAdd(A.C.asInt(), Imm)});
     } else {
       emitRaw({v::Op::Store, ValReg, A.R, 0, Imm});
     }

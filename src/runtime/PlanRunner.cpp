@@ -9,7 +9,7 @@ namespace runtime {
 
 void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                           std::vector<Word> &Vals) {
-  const std::vector<Word> &Mem = M.memory();
+  const vm::Memory &Mem = M.memory();
   const uint32_t End = S.First + S.Count;
   for (uint32_t I = S.First; I != End; ++I) {
     const cogen::PlanEval &E = BP.Evals[I];
@@ -27,7 +27,7 @@ void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
       break;
     }
     case cogen::PlanEval::Load: {
-      int64_t Addr = Vals[E.A].asInt() + E.Imm;
+      int64_t Addr = wrapAdd(Vals[E.A].asInt(), E.Imm);
       if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
         fatal("static load out of range at specialize time");
       Vals[E.Dst] = Mem[static_cast<size_t>(Addr)];

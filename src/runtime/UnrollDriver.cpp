@@ -126,8 +126,8 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
     return;
   }
   case SetupOp::EvalLoad: {
-    int64_t Addr = Vals[Op.A.R].asInt() + Op.Imm;
-    const std::vector<Word> &Mem = M.memory();
+    int64_t Addr = wrapAdd(Vals[Op.A.R].asInt(), Op.Imm);
+    const vm::Memory &Mem = M.memory();
     if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
       fatal("static load out of range at specialize time");
     Vals[Op.Dst] = Mem[static_cast<size_t>(Addr)];

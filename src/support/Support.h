@@ -66,6 +66,38 @@ struct Word {
   bool operator!=(const Word &O) const { return Bits != O.Bits; }
 };
 
+/// Guest integer arithmetic. The simulated machine's integers wrap modulo
+/// 2^64 (two's complement), so Add, Sub, Mul and Neg compute in uint64_t
+/// and never reach signed-overflow undefined behaviour on the host. The
+/// one overflowing quotient, INT64_MIN / -1, wraps to INT64_MIN, and its
+/// remainder is 0. Callers check for a zero divisor first: that is a guest
+/// fault, not a value. Every place the host evaluates guest arithmetic —
+/// both VM engines, ir::evalPureOp (constant folding and the specializer)
+/// and address formation — goes through these.
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapNeg(int64_t A) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
+}
+inline int64_t wrapDiv(int64_t A, int64_t B) {
+  assert(B != 0 && "guest division by zero is a fault, not a value");
+  return B == -1 ? wrapNeg(A) : A / B;
+}
+inline int64_t wrapRem(int64_t A, int64_t B) {
+  assert(B != 0 && "guest remainder by zero is a fault, not a value");
+  return B == -1 ? 0 : A % B;
+}
+
 /// A non-owning view of a Word sequence. The run-time's dispatch path
 /// composes cache keys into stack buffers and passes them around as spans,
 /// so a dispatch never heap-allocates; owned std::vector<Word> keys convert

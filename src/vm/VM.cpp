@@ -27,8 +27,38 @@
 
 #include "vm/VM.h"
 
+#include <cstring>
+#include <sys/mman.h>
+
 namespace dyc {
 namespace vm {
+
+namespace {
+
+/// Maps \p Words zero words, private and anonymous. MAP_NORESERVE: pages
+/// nobody touches need no swap reservation either.
+Word *mapWords(size_t Words) {
+  void *P = mmap(nullptr, Words * sizeof(Word), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    fatal(formatString("cannot map %zu words of VM memory", Words));
+  return static_cast<Word *>(P);
+}
+
+} // namespace
+
+Memory::Memory(size_t Words) : Base(mapWords(Words)), Size(Words) {}
+
+Memory::~Memory() { munmap(Base, Size * sizeof(Word)); }
+
+void Memory::grow(size_t Words) {
+  assert(Words > Size && "grow must enlarge the image");
+  Word *NewBase = mapWords(Words);
+  std::memcpy(NewBase, Base, Size * sizeof(Word));
+  munmap(Base, Size * sizeof(Word));
+  Base = NewBase;
+  Size = Words;
+}
 
 RuntimeHook::~RuntimeHook() = default;
 
@@ -120,8 +150,7 @@ int Program::findFunction(const std::string &Name) const {
 }
 
 VM::VM(Program &P, const CostModel &CMIn, const ICacheConfig &ICIn)
-    : Prog(P), CM(CMIn), IC(ICIn) {
-  Mem.resize(1 << 20);
+    : Prog(P), CM(CMIn), IC(ICIn), Mem(1 << 20) {
   FuncStats.resize(P.numFunctions());
 }
 
@@ -138,7 +167,7 @@ int64_t VM::allocMemory(int64_t Cells) {
     size_t NewSize = Mem.size();
     while (static_cast<uint64_t>(MemBrk) > NewSize)
       NewSize *= 2;
-    Mem.resize(NewSize);
+    Mem.grow(NewSize);
   }
   return Base;
 }
@@ -224,18 +253,18 @@ void VM::stepOne(size_t BaseDepth) {
     R[I.A] = R[I.B];
     break;
 
-  case Op::Add: R[I.A] = Word::fromInt(R[I.B].asInt() + R[I.C].asInt()); break;
-  case Op::Sub: R[I.A] = Word::fromInt(R[I.B].asInt() - R[I.C].asInt()); break;
-  case Op::Mul: R[I.A] = Word::fromInt(R[I.B].asInt() * R[I.C].asInt()); break;
+  case Op::Add: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), R[I.C].asInt())); break;
+  case Op::Sub: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), R[I.C].asInt())); break;
+  case Op::Mul: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), R[I.C].asInt())); break;
   case Op::Div:
     if (R[I.C].asInt() == 0)
       machineError("integer divide by zero", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() / R[I.C].asInt());
+    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), R[I.C].asInt()));
     break;
   case Op::Rem:
     if (R[I.C].asInt() == 0)
       machineError("integer remainder by zero", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() % R[I.C].asInt());
+    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), R[I.C].asInt()));
     break;
   case Op::And: R[I.A] = Word::fromInt(R[I.B].asInt() & R[I.C].asInt()); break;
   case Op::Or:  R[I.A] = Word::fromInt(R[I.B].asInt() | R[I.C].asInt()); break;
@@ -246,20 +275,20 @@ void VM::stepOne(size_t BaseDepth) {
   case Op::Shr:
     R[I.A] = Word::fromInt(R[I.B].asInt() >> (R[I.C].asInt() & 63));
     break;
-  case Op::Neg: R[I.A] = Word::fromInt(-R[I.B].asInt()); break;
+  case Op::Neg: R[I.A] = Word::fromInt(wrapNeg(R[I.B].asInt())); break;
 
-  case Op::AddI: R[I.A] = Word::fromInt(R[I.B].asInt() + I.Imm); break;
-  case Op::SubI: R[I.A] = Word::fromInt(R[I.B].asInt() - I.Imm); break;
-  case Op::MulI: R[I.A] = Word::fromInt(R[I.B].asInt() * I.Imm); break;
+  case Op::AddI: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), I.Imm)); break;
+  case Op::SubI: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), I.Imm)); break;
+  case Op::MulI: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), I.Imm)); break;
   case Op::DivI:
     if (I.Imm == 0)
       machineError("integer divide by zero immediate", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() / I.Imm);
+    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), I.Imm));
     break;
   case Op::RemI:
     if (I.Imm == 0)
       machineError("integer remainder by zero immediate", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() % I.Imm);
+    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), I.Imm));
     break;
   case Op::AndI: R[I.A] = Word::fromInt(R[I.B].asInt() & I.Imm); break;
   case Op::OrI:  R[I.A] = Word::fromInt(R[I.B].asInt() | I.Imm); break;
@@ -319,13 +348,13 @@ void VM::stepOne(size_t BaseDepth) {
     break;
 
   case Op::Load:
-    R[I.A] = mem(R[I.B].asInt() + I.Imm, Fr);
+    R[I.A] = mem(wrapAdd(R[I.B].asInt(), I.Imm), Fr);
     break;
   case Op::LoadAbs:
     R[I.A] = mem(I.Imm, Fr);
     break;
   case Op::Store:
-    mem(R[I.B].asInt() + I.Imm, Fr) = R[I.A];
+    mem(wrapAdd(R[I.B].asInt(), I.Imm), Fr) = R[I.A];
     break;
   case Op::StoreAbs:
     mem(I.Imm, Fr) = R[I.A];
@@ -611,15 +640,15 @@ restart_frame:
         }
 
         CASE(Add) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() + R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Sub) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() - R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Mul) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() * R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Div) {
@@ -627,7 +656,7 @@ restart_frame:
             SETPC();
             machineError("integer divide by zero", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() / R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Rem) {
@@ -635,7 +664,7 @@ restart_frame:
             SETPC();
             machineError("integer remainder by zero", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() % R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(And) {
@@ -659,20 +688,20 @@ restart_frame:
           NEXT();
         }
         CASE(Neg) {
-          R[IP->A] = Word::fromInt(-R[IP->B].asInt());
+          R[IP->A] = Word::fromInt(wrapNeg(R[IP->B].asInt()));
           NEXT();
         }
 
         CASE(AddI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() + IP->Imm);
+          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(SubI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() - IP->Imm);
+          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(MulI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() * IP->Imm);
+          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(DivI) {
@@ -680,7 +709,7 @@ restart_frame:
             SETPC();
             machineError("integer divide by zero immediate", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() / IP->Imm);
+          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(RemI) {
@@ -688,7 +717,7 @@ restart_frame:
             SETPC();
             machineError("integer remainder by zero immediate", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() % IP->Imm);
+          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(AndI) {
@@ -841,7 +870,7 @@ restart_frame:
 
         CASE(Load) {
           SETPC();
-          R[IP->A] = mem(R[IP->B].asInt() + IP->Imm, Fr);
+          R[IP->A] = mem(wrapAdd(R[IP->B].asInt(), IP->Imm), Fr);
           NEXT();
         }
         CASE(LoadAbs) {
@@ -851,7 +880,7 @@ restart_frame:
         }
         CASE(Store) {
           SETPC();
-          mem(R[IP->B].asInt() + IP->Imm, Fr) = R[IP->A];
+          mem(wrapAdd(R[IP->B].asInt(), IP->Imm), Fr) = R[IP->A];
           NEXT();
         }
         CASE(StoreAbs) {
@@ -984,7 +1013,8 @@ restart_frame:
         }
         CASE(ConstIAdd) {
           R[IP->A] = Word{static_cast<uint64_t>(IP->Imm)};
-          R[IP[1].A] = Word::fromInt(R[IP[1].B].asInt() + R[IP[1].C].asInt());
+          R[IP[1].A] =
+              Word::fromInt(wrapAdd(R[IP[1].B].asInt(), R[IP[1].C].asInt()));
           NEXT2();
         }
         CASE(MovBr) {

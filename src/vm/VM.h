@@ -74,6 +74,53 @@ private:
   uint64_t NextCodeAddr = 0x10000;
 };
 
+/// A VM's data memory: a flat array of Words addressed from 0, backed by an
+/// anonymous private mapping. The kernel supplies a zero page on a page's
+/// first touch, so a VM pays only for the pages its program writes, not
+/// for the whole image (the Table 3 programs touch 1-27 of 2,048 pages).
+/// Contents read exactly as a zero-initialized array would. Not copyable:
+/// each VM owns its own mapping.
+class Memory {
+public:
+  /// Maps \p Words zero words; fatal() if the mapping fails.
+  explicit Memory(size_t Words);
+  ~Memory();
+  Memory(const Memory &) = delete;
+  Memory &operator=(const Memory &) = delete;
+
+  size_t size() const { return Size; }
+  Word *data() { return Base; }
+  const Word *data() const { return Base; }
+  Word *begin() { return Base; }
+  Word *end() { return Base + Size; }
+  const Word *begin() const { return Base; }
+  const Word *end() const { return Base + Size; }
+  Word &operator[](size_t I) {
+    assert(I < Size && "memory index out of range");
+    return Base[I];
+  }
+  const Word &operator[](size_t I) const {
+    assert(I < Size && "memory index out of range");
+    return Base[I];
+  }
+
+  /// Grows to \p Words (more than size()): maps the larger image and
+  /// copies the contents over; the new range reads zero.
+  void grow(size_t Words);
+
+  /// A copy of the whole image. Implicit only because the end-to-end
+  /// benchmark (perfbench/), which builds against this header unedited,
+  /// binds memory() to a const std::vector<Word>& in its untimed reference
+  /// pass. It copies every word, so library code indexes the Memory.
+  operator std::vector<Word>() const {
+    return std::vector<Word>(begin(), end());
+  }
+
+private:
+  Word *Base = nullptr;
+  size_t Size = 0;
+};
+
 class VM;
 
 /// Interface the DyC run-time implements; invoked when the machine executes
@@ -162,10 +209,16 @@ public:
   Word run(uint32_t FuncIdx, const std::vector<Word> &Args);
 
   // --- Memory ---------------------------------------------------------------
-  std::vector<Word> &memory() { return Mem; }
-  const std::vector<Word> &memory() const { return Mem; }
+  /// The data memory: 1<<20 words at construction, all reading zero; pages
+  /// become resident only when touched. Machine code reaches it through
+  /// bounds-checked Load/Store, so an address at or past size() is a
+  /// machine error.
+  Memory &memory() { return Mem; }
+  const Memory &memory() const { return Mem; }
 
   /// Bump-allocates \p Cells words of VM memory; returns the base address.
+  /// Past the end of the image, memory doubles until the allocation fits,
+  /// keeping its contents.
   int64_t allocMemory(int64_t Cells);
 
   // --- Cycle accounting -------------------------------------------------------
@@ -323,7 +376,7 @@ private:
   Program &Prog;
   CostModel CM;
   ICache IC;
-  std::vector<Word> Mem;
+  Memory Mem;
   int64_t MemBrk = 16; // low addresses reserved (address 0 acts as "null")
   std::vector<Frame> Frames;
   /// Armed OSR watches; empty in non-tiered runs so both engines' poll

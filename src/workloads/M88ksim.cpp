@@ -84,7 +84,7 @@ int m88k_run(int* text, int ntext, int* data, int* regs, int* bkpts,
 )";
 
 /// Encodes one simulator instruction.
-void putInstr(std::vector<Word> &Mem, int64_t Text, int Idx, int64_t Op,
+void putInstr(vm::Memory &Mem, int64_t Text, int Idx, int64_t Op,
               int64_t A, int64_t B, int64_t C) {
   Mem[Text + Idx * 4 + 0] = Word::fromInt(Op);
   Mem[Text + Idx * 4 + 1] = Word::fromInt(A);

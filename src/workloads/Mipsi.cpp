@@ -59,7 +59,7 @@ int mipsi_run(int* prog, int nprog, int* ptab, int* mem, int* init,
 }
 )";
 
-void putInstr(std::vector<Word> &Mem, int64_t Prog, int Idx, int64_t Op,
+void putInstr(vm::Memory &Mem, int64_t Prog, int Idx, int64_t Op,
               int64_t A, int64_t B, int64_t C) {
   Mem[Prog + Idx * 4 + 0] = Word::fromInt(Op);
   Mem[Prog + Idx * 4 + 1] = Word::fromInt(A);

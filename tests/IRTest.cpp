@@ -166,6 +166,21 @@ TEST(ConstEvalTest, MatchesCppSemantics) {
   ASSERT_TRUE(evalPureOp(Opcode::Shl, Word::fromInt(1), Word::fromInt(66),
                          Out));
   EXPECT_EQ(Out.asInt(), 4); // shift amounts mask to 6 bits, as in the VM
+  // Where C++ signed arithmetic would overflow, guest integers wrap.
+  const Word Min = Word::fromInt(INT64_MIN), Max = Word::fromInt(INT64_MAX);
+  const Word MinusOne = Word::fromInt(-1);
+  ASSERT_TRUE(evalPureOp(Opcode::Div, Min, MinusOne, Out));
+  EXPECT_EQ(Out.asInt(), INT64_MIN);
+  ASSERT_TRUE(evalPureOp(Opcode::Rem, Min, MinusOne, Out));
+  EXPECT_EQ(Out.asInt(), 0);
+  ASSERT_TRUE(evalPureOp(Opcode::Add, Max, Word::fromInt(1), Out));
+  EXPECT_EQ(Out.asInt(), INT64_MIN);
+  ASSERT_TRUE(evalPureOp(Opcode::Sub, Min, Word::fromInt(1), Out));
+  EXPECT_EQ(Out.asInt(), INT64_MAX);
+  ASSERT_TRUE(evalPureOp(Opcode::Mul, Max, Word::fromInt(2), Out));
+  EXPECT_EQ(Out.asInt(), -2);
+  ASSERT_TRUE(evalPureOp(Opcode::Neg, Min, Word(), Out));
+  EXPECT_EQ(Out.asInt(), INT64_MIN);
 }
 
 TEST(ModuleTest, LookupAndDuplicates) {

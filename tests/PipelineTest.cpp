@@ -130,4 +130,64 @@ int classify(int* table, int n, int x) {
   }
 }
 
+bool hasDivOrRem(const ir::Function &F) {
+  for (size_t B = 0; B != F.numBlocks(); ++B)
+    for (const ir::Instruction &I :
+         F.block(static_cast<ir::BlockId>(B)).Instrs)
+      if (I.Op == ir::Opcode::Div || I.Op == ir::Opcode::Rem)
+        return true;
+  return false;
+}
+
+TEST(Pipeline, Int64MinByMinusOneWrapsInEveryBuild) {
+  // INT64_MIN / -1 overflows in C++ and traps on the host's divide
+  // instruction. Guest integers wrap instead: the quotient is INT64_MIN
+  // and the remainder 0, whichever stage evaluates the operation, and the
+  // static and dynamic builds agree.
+  struct Variant {
+    const char *Name;
+    const char *Source; // OP stands for / or %
+    std::vector<Word> Args;
+    bool Specializes; // the dynamic build specializes a region
+    bool Folded;      // ConstantFold removes the division
+  };
+  const Variant Variants[] = {
+      {"d dynamic",
+       "int f(int d) { int a = 0 - 9223372036854775807 - 1; return a OP d; }",
+       {Word::fromInt(-1)}, false, false},
+      {"d dynamic in a specialized region",
+       "int f(int k, int d) { make_static(k); "
+       "int a = 0 - 9223372036854775807 - k; return a OP d; }",
+       {Word::fromInt(1), Word::fromInt(-1)}, true, false},
+      {"d static, so the specializer folds it",
+       "int f(int d) { make_static(d); "
+       "int a = 0 - 9223372036854775807 - 1; return a OP d; }",
+       {Word::fromInt(-1)}, true, false},
+      {"both constant, so ConstantFold folds it",
+       "int f(int d) { int a = 0 - 9223372036854775807 - 1; int b = 0 - 1; "
+       "return a OP b + d; }",
+       {Word::fromInt(0)}, false, true},
+  };
+  for (const Variant &V : Variants) {
+    for (const char *Op : {"/", "%"}) {
+      std::string Src = V.Source;
+      Src.replace(Src.find("OP"), 2, Op);
+      SCOPED_TRACE(std::string(V.Name) + ": " + Src);
+      auto Ctx = compileOk(Src);
+      const ir::Module &M = Ctx->module();
+      EXPECT_EQ(hasDivOrRem(M.function(M.findFunction("f"))), !V.Folded);
+      auto StaticE = Ctx->buildStatic();
+      auto DynE = Ctx->buildDynamic();
+      int F = StaticE->findFunction("f");
+      ASSERT_GE(F, 0);
+      const int64_t Want = Op[0] == '/' ? INT64_MIN : 0;
+      EXPECT_EQ(StaticE->Machine->run(F, V.Args).asInt(), Want);
+      EXPECT_EQ(DynE->Machine->run(F, V.Args).asInt(), Want);
+      int Ord = DynE->regionOrdinalOf("f");
+      EXPECT_EQ(Ord >= 0 && DynE->RT->stats(Ord).SpecializationRuns == 1,
+                V.Specializes);
+    }
+  }
+}
+
 } // namespace

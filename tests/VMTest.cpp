@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <unistd.h>
+
 using namespace dyc;
 using namespace dyc::vm;
 
@@ -277,6 +282,158 @@ TEST(VMExec, DifferentialAgainstConstEval) {
           << ir::opcodeName(P.IROp) << " A=" << A.Bits << " B=" << B.Bits;
     }
   }
+
+  // Integer edge operands, where guest arithmetic wraps (INT64_MAX + 1,
+  // -INT64_MIN, INT64_MIN / -1): both engines, the register and immediate
+  // forms, and the fused ConstI+Add superinstruction agree with the
+  // evaluator bit for bit.
+  struct IntOp {
+    ir::Opcode IROp;
+    Op RegOp;
+    Op ImmOp;
+  };
+  const IntOp IntOps[] = {
+      {ir::Opcode::Add, Op::Add, Op::AddI},
+      {ir::Opcode::Sub, Op::Sub, Op::SubI},
+      {ir::Opcode::Mul, Op::Mul, Op::MulI},
+      {ir::Opcode::Div, Op::Div, Op::DivI},
+      {ir::Opcode::Rem, Op::Rem, Op::RemI},
+      {ir::Opcode::And, Op::And, Op::AndI},
+      {ir::Opcode::Or, Op::Or, Op::OrI},
+      {ir::Opcode::Xor, Op::Xor, Op::XorI},
+      {ir::Opcode::Shl, Op::Shl, Op::ShlI},
+      {ir::Opcode::Shr, Op::Shr, Op::ShrI},
+      {ir::Opcode::CmpLt, Op::CmpLt, Op::CmpLtI},
+      {ir::Opcode::CmpGe, Op::CmpGe, Op::CmpGeI},
+  };
+  const int64_t Edges[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX};
+  const VM::EngineKind Engines[] = {VM::EngineKind::Legacy,
+                                    VM::EngineKind::Predecoded};
+  auto Run = [](std::vector<Instr> Code, VM::EngineKind E,
+                const std::vector<Word> &Args) {
+    MiniProgram MP(std::move(Code), 3);
+    VM M(MP.P);
+    M.Engine = E;
+    return M.run(MP.Func, Args);
+  };
+  for (VM::EngineKind E : Engines) {
+    const char *EngineName =
+        E == VM::EngineKind::Legacy ? "legacy" : "predecoded";
+    for (int64_t AV : Edges) {
+      Word A = Word::fromInt(AV), Expected;
+      ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Neg, A, Word(), Expected));
+      EXPECT_EQ(Run({{Op::Neg, 2, 0}, {Op::Ret, 2}}, E, {A}).Bits,
+                Expected.Bits)
+          << "neg A=" << AV << " " << EngineName;
+      for (int64_t BV : Edges) {
+        Word B = Word::fromInt(BV);
+        for (const IntOp &P : IntOps) {
+          if (!ir::evalPureOp(P.IROp, A, B, Expected))
+            continue; // division by zero: a fault, not a value
+          EXPECT_EQ(Run({{P.RegOp, 2, 0, 1}, {Op::Ret, 2}}, E, {A, B}).Bits,
+                    Expected.Bits)
+              << ir::opcodeName(P.IROp) << " A=" << AV << " B=" << BV << " "
+              << EngineName;
+          EXPECT_EQ(Run({{P.ImmOp, 2, 0, 0, BV}, {Op::Ret, 2}}, E, {A}).Bits,
+                    Expected.Bits)
+              << ir::opcodeName(P.IROp) << " immediate A=" << AV
+              << " B=" << BV << " " << EngineName;
+          if (P.RegOp == Op::Add) {
+            Word Fused = Run(
+                {{Op::ConstI, 1, 0, 0, BV}, {Op::Add, 2, 0, 1}, {Op::Ret, 2}},
+                E, {A});
+            EXPECT_EQ(Fused.Bits, Expected.Bits)
+                << "consti+add A=" << AV << " B=" << BV << " " << EngineName;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VMMemory, FreshImageReadsZero) {
+  MiniProgram MP({{Op::Ret, NoReg}}, 1);
+  VM M(MP.P);
+  const Memory &Mem = M.memory();
+  ASSERT_EQ(Mem.size(), size_t(1) << 20);
+  EXPECT_EQ(Mem[0].Bits, 0u);
+  EXPECT_EQ(Mem[Mem.size() / 2].Bits, 0u);
+  EXPECT_EQ(Mem[Mem.size() - 1].Bits, 0u);
+}
+
+TEST(VMMemory, EachVMOwnsItsImage) {
+  MiniProgram MP({{Op::LoadAbs, 0, 0, 0, 4096}, {Op::Ret, 0}}, 1);
+  VM A(MP.P), B(MP.P);
+  A.memory()[4096] = Word::fromInt(7);
+  EXPECT_EQ(B.memory()[4096].Bits, 0u);
+  EXPECT_EQ(A.run(MP.Func, {}).asInt(), 7);
+  EXPECT_EQ(B.run(MP.Func, {}).asInt(), 0);
+}
+
+TEST(VMMemory, GrowthKeepsContentsAndZeroFillsTheNewRange) {
+  const int64_t Initial = int64_t(1) << 20;
+  // Loads the word at the old end of the image, now in range.
+  MiniProgram MP({{Op::LoadAbs, 0, 0, 0, Initial}, {Op::Ret, 0}}, 1);
+  VM M(MP.P);
+  int64_t A = M.allocMemory(4);
+  M.memory()[A] = Word::fromInt(11);
+  M.memory()[Initial - 1] = Word::fromInt(22);
+  int64_t Big = M.allocMemory(Initial); // runs past the end: doubles
+  EXPECT_EQ(Big, A + 4);
+  const Memory &Mem = M.memory();
+  ASSERT_EQ(Mem.size(), size_t(2) << 20);
+  EXPECT_EQ(Mem[A].asInt(), 11);
+  EXPECT_EQ(Mem[Initial - 1].asInt(), 22);
+  EXPECT_EQ(Mem[Initial].Bits, 0u);
+  EXPECT_EQ(Mem[Mem.size() / 2 + 12345].Bits, 0u);
+  EXPECT_EQ(Mem[Mem.size() - 1].Bits, 0u);
+  M.memory()[Initial] = Word::fromInt(33);
+  EXPECT_EQ(M.run(MP.Func, {}).asInt(), 33);
+}
+
+TEST(VMMemoryDeathTest, AccessOutsideTheImageIsAMachineError) {
+  MiniProgram AtEnd({{Op::LoadAbs, 0, 0, 0, int64_t(1) << 20}, {Op::Ret, 0}},
+                    1);
+  VM M(AtEnd.P);
+  EXPECT_DEATH(M.run(AtEnd.Func, {}),
+               "machine error in 'test' at pc 0: memory access out of "
+               "range: 1048576");
+  MiniProgram Below({{Op::Store, 0, 0, 0, -1}, {Op::Ret, 0}}, 1);
+  VM N(Below.P);
+  EXPECT_DEATH(N.run(Below.Func, {Word::fromInt(0)}),
+               "memory access out of range: -1");
+}
+
+/// Resident set size in bytes, read from /proc/self/statm; -1 where that
+/// file is unavailable.
+long long residentBytes() {
+  std::FILE *F = std::fopen("/proc/self/statm", "r");
+  if (!F)
+    return -1;
+  long long Pages = 0, Resident = 0;
+  int N = std::fscanf(F, "%lld %lld", &Pages, &Resident);
+  std::fclose(F);
+  return N == 2 ? Resident * sysconf(_SC_PAGESIZE) : -1;
+}
+
+TEST(VMMemory, UntouchedPagesCostNothing) {
+  // Sixteen 8 MB images with one word written in each: zero-on-demand
+  // pages keep that to a few pages per VM. An eagerly zeroed image would
+  // make all 128 MB resident.
+  long long Before = residentBytes();
+  if (Before < 0)
+    GTEST_SKIP() << "/proc/self/statm is unavailable";
+  MiniProgram MP({{Op::Ret, NoReg}}, 1);
+  std::vector<std::unique_ptr<VM>> VMs;
+  for (int I = 0; I != 16; ++I) {
+    VMs.push_back(std::make_unique<VM>(MP.P));
+    VMs.back()->memory()[1000 + I] = Word::fromInt(I + 1);
+  }
+  long long Grew = residentBytes() - Before;
+  EXPECT_LT(Grew, 16LL << 20) << "resident memory grew by " << Grew
+                              << " bytes for 16 VMs";
+  for (int I = 0; I != 16; ++I)
+    EXPECT_EQ(VMs[I]->memory()[1000 + I].asInt(), I + 1);
 }
 
 TEST(DisassemblerTest, RendersKnownForms) {
