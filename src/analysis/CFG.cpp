@@ -2,45 +2,60 @@
 
 #include "analysis/CFG.h"
 
+#include <algorithm>
+
 namespace dyc {
 namespace analysis {
 
 using ir::BlockId;
 
-CFG::CFG(const ir::Function &F) {
+CFG::CFG(const ir::Function &F)
+    : Start(2 * F.numBlocks() + 1, 0), RPOIndex(F.numBlocks(), -1) {
   size_t N = F.numBlocks();
-  Succs.resize(N);
-  Preds.resize(N);
-  RPOIndex.assign(N, -1);
 
+  // Count each list's length, turn the counts into end offsets, then fill
+  // every list back to front, walking blocks and their successors in
+  // reverse so the lists come out in forward order.
   for (BlockId B = 0; B != N; ++B)
-    F.block(B).appendSuccessors(Succs[B]);
-  for (BlockId B = 0; B != N; ++B)
-    for (BlockId S : Succs[B])
-      Preds[S].push_back(B);
+    F.block(B).forEachSuccessor([&](BlockId S) {
+      ++Start[B];
+      ++Start[N + S];
+    });
+  for (size_t L = 1; L != Start.size(); ++L)
+    Start[L] += Start[L - 1];
+  Edges.resize(Start[2 * N]);
+  for (BlockId B = N; B-- > 0;) {
+    BlockId Succ[2];
+    unsigned NumSucc = 0;
+    F.block(B).forEachSuccessor([&](BlockId S) { Succ[NumSucc++] = S; });
+    while (NumSucc-- > 0) {
+      Edges[--Start[B]] = Succ[NumSucc];
+      Edges[--Start[N + Succ[NumSucc]]] = B;
+    }
+  }
 
-  // Iterative postorder DFS from the entry.
-  std::vector<ir::BlockId> Post;
-  std::vector<uint8_t> State(N, 0); // 0 unseen, 1 on stack, 2 done
-  std::vector<std::pair<BlockId, size_t>> Stack;
-  Stack.emplace_back(0, 0);
-  State[0] = 1;
+  // Iterative postorder DFS from the entry; RPOIndex marks visited blocks
+  // with -2 until the final numbering.
+  RPO.reserve(N);
+  std::vector<std::pair<BlockId, uint32_t>> Stack; // block, next edge
+  Stack.reserve(N);
+  Stack.emplace_back(0, Start[0]);
+  RPOIndex[0] = -2;
   while (!Stack.empty()) {
-    auto &[B, NextSucc] = Stack.back();
-    if (NextSucc < Succs[B].size()) {
-      BlockId S = Succs[B][NextSucc++];
-      if (State[S] == 0) {
-        State[S] = 1;
-        Stack.emplace_back(S, 0);
+    auto &[B, NextEdge] = Stack.back();
+    if (NextEdge != Start[B + 1]) {
+      BlockId S = Edges[NextEdge++];
+      if (RPOIndex[S] == -1) {
+        RPOIndex[S] = -2;
+        Stack.emplace_back(S, Start[S]);
       }
       continue;
     }
-    State[B] = 2;
-    Post.push_back(B);
+    RPO.push_back(B);
     Stack.pop_back();
   }
 
-  RPO.assign(Post.rbegin(), Post.rend());
+  std::reverse(RPO.begin(), RPO.end());
   for (size_t I = 0; I != RPO.size(); ++I)
     RPOIndex[RPO[I]] = static_cast<int>(I);
 }

@@ -15,6 +15,7 @@
 
 #include "ir/Function.h"
 
+#include <span>
 #include <vector>
 
 namespace dyc {
@@ -25,11 +26,11 @@ class CFG {
 public:
   explicit CFG(const ir::Function &F);
 
-  const std::vector<ir::BlockId> &succs(ir::BlockId B) const {
-    return Succs[B];
-  }
-  const std::vector<ir::BlockId> &preds(ir::BlockId B) const {
-    return Preds[B];
+  /// Successors in terminator order; predecessors in block order. A condbr
+  /// whose targets coincide contributes two entries to each list.
+  std::span<const ir::BlockId> succs(ir::BlockId B) const { return list(B); }
+  std::span<const ir::BlockId> preds(ir::BlockId B) const {
+    return list(numBlocks() + B);
   }
 
   /// Blocks in reverse postorder from the entry; unreachable blocks are
@@ -41,11 +42,17 @@ public:
 
   bool isReachable(ir::BlockId B) const { return RPOIndex[B] >= 0; }
 
-  size_t numBlocks() const { return Succs.size(); }
+  size_t numBlocks() const { return RPOIndex.size(); }
 
 private:
-  std::vector<std::vector<ir::BlockId>> Succs;
-  std::vector<std::vector<ir::BlockId>> Preds;
+  std::span<const ir::BlockId> list(size_t L) const {
+    return {Edges.data() + Start[L], Edges.data() + Start[L + 1]};
+  }
+
+  /// Every block's successor list, then every block's predecessor list,
+  /// in one array: list L is Edges[Start[L], Start[L + 1]).
+  std::vector<ir::BlockId> Edges;
+  std::vector<uint32_t> Start;
   std::vector<ir::BlockId> RPO;
   std::vector<int> RPOIndex;
 };

@@ -8,48 +8,47 @@ namespace analysis {
 using ir::BlockId;
 using ir::Reg;
 
-Liveness::Liveness(const ir::Function &F, const CFG &G) : G(G) {
+Liveness::Liveness(const ir::Function &F, const CFG &G) {
   size_t N = F.numBlocks();
   size_t R = F.numRegs();
   LiveIn.assign(N, BitVector(R));
   LiveOut.assign(N, BitVector(R));
 
-  // Per-block use (upward-exposed) and def sets.
-  std::vector<BitVector> Use(N, BitVector(R));
-  std::vector<BitVector> Def(N, BitVector(R));
-  std::vector<Reg> Uses;
+  // Per-block use (upward-exposed) and def sets, one row of words each.
+  size_t Words = (R + 63) / 64;
+  std::vector<uint64_t> Use(N * Words, 0);
+  std::vector<uint64_t> Def(N * Words, 0);
   for (BlockId B = 0; B != N; ++B) {
+    uint64_t *U = Use.data() + B * Words;
+    uint64_t *D = Def.data() + B * Words;
     for (const ir::Instruction &I : F.block(B).Instrs) {
-      Uses.clear();
-      I.appendUses(Uses);
-      for (Reg U : Uses)
-        if (!Def[B].test(U))
-          Use[B].set(U);
+      I.forEachUse([&](Reg X) {
+        if (!testBit(D, X))
+          setBit(U, X);
+      });
       if (I.definesReg())
-        Def[B].set(I.Dst);
+        setBit(D, I.Dst);
     }
   }
 
-  // Iterate to fixpoint, visiting blocks in reverse RPO (approximate
-  // postorder) for fast convergence.
+  // Iterate to fixpoint in place, visiting blocks in reverse RPO
+  // (approximate postorder) for fast convergence.
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (auto It = G.rpo().rbegin(); It != G.rpo().rend(); ++It) {
       BlockId B = *It;
-      BitVector Out(R);
-      for (BlockId S : G.succs(B))
-        Out.unionWith(LiveIn[S]);
-      BitVector In = Out;
-      In.subtract(Def[B]);
-      In.unionWith(Use[B]);
-      if (!(Out == LiveOut[B])) {
-        LiveOut[B] = std::move(Out);
-        Changed = true;
-      }
-      if (!(In == LiveIn[B])) {
-        LiveIn[B] = std::move(In);
-        Changed = true;
+      uint64_t *Out = LiveOut[B].words();
+      uint64_t *In = LiveIn[B].words();
+      for (size_t W = 0; W != Words; ++W) {
+        uint64_t NewOut = 0;
+        for (BlockId S : G.succs(B))
+          NewOut |= LiveIn[S].words()[W];
+        uint64_t NewIn =
+            (NewOut & ~Def[B * Words + W]) | Use[B * Words + W];
+        Changed |= Out[W] != NewOut || In[W] != NewIn;
+        Out[W] = NewOut;
+        In[W] = NewIn;
       }
     }
   }
@@ -60,15 +59,11 @@ BitVector Liveness::liveBefore(const ir::Function &F, BlockId B,
   BitVector Live = LiveOut[B];
   const ir::BasicBlock &BB = F.block(B);
   assert(Idx <= BB.Instrs.size() && "instruction index out of range");
-  std::vector<Reg> Uses;
   for (size_t I = BB.Instrs.size(); I-- > Idx;) {
     const ir::Instruction &In = BB.Instrs[I];
     if (In.definesReg())
       Live.reset(In.Dst);
-    Uses.clear();
-    In.appendUses(Uses);
-    for (Reg U : Uses)
-      Live.set(U);
+    In.forEachUse([&](Reg U) { Live.set(U); });
   }
   return Live;
 }

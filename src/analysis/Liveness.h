@@ -38,7 +38,6 @@ public:
 private:
   std::vector<BitVector> LiveIn;
   std::vector<BitVector> LiveOut;
-  const CFG &G;
 };
 
 } // namespace analysis

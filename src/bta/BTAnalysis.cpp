@@ -83,6 +83,14 @@ public:
         if (I.Op == Opcode::MakeStatic)
           for (Reg V : I.AnnotVars)
             AnnotatedRegs.set(V);
+    for (const analysis::Loop &L : LI.loops()) {
+      LoopFacts &LF = Loops.emplace_back();
+      LF.L = &L;
+      LF.Variant = LI.loopVariantRegs(F, L.Header);
+      for (BlockId B : G.rpo())
+        if (L.contains(B))
+          LF.Order.push_back(B);
+    }
   }
 
   RegionInfo run() {
@@ -121,6 +129,14 @@ public:
   }
 
 private:
+  /// One per loop of LI, computed once: the loop's variant registers and
+  /// its blocks in RPO order.
+  struct LoopFacts {
+    const analysis::Loop *L = nullptr;
+    std::vector<Reg> Variant;
+    std::vector<BlockId> Order;
+  };
+
   CachePolicy effectivePolicy(CachePolicy P) const {
     return Flags.UncheckedDispatching ? P : CachePolicy::CacheAll;
   }
@@ -232,12 +248,9 @@ private:
     default: {
       if (!isEvaluableOp(I.Op))
         return false;
-      std::vector<Reg> Uses;
-      I.appendUses(Uses);
-      for (Reg U : Uses)
-        if (!Set.test(U))
-          return false;
-      return true;
+      bool AllStatic = true;
+      I.forEachUse([&](Reg U) { AllStatic = AllStatic && Set.test(U); });
+      return AllStatic;
     }
     }
   }
@@ -309,7 +322,7 @@ private:
     // which is what keeps a derived induction variable under a dynamic
     // bound from unrolling without bound. "Without complete loop
     // unrolling" (Table 5) demotes the annotated ones too.
-    if (const analysis::Loop *L = LI.loopAtHeader(S)) {
+    if (const LoopFacts *L = loopAtHeader(S)) {
       const BitVector &Live = LV.liveIn(S);
       // Even an annotated induction variable must be demoted when no exit
       // test of the loop is derivably static: specializing such a loop
@@ -319,7 +332,7 @@ private:
       // bound-producing load turns dynamic).
       bool StaticExit =
           Flags.CompleteLoopUnrolling && loopHasStaticExit(*L, In);
-      for (Reg V : LI.loopVariantRegs(F, S)) {
+      for (Reg V : L->Variant) {
         if (!In.test(V) || !Live.test(V))
           continue;
         if (StaticExit && AnnotatedRegs.test(V))
@@ -405,18 +418,21 @@ private:
     return E;
   }
 
+  const LoopFacts *loopAtHeader(BlockId B) const {
+    for (const LoopFacts &LF : Loops)
+      if (LF.L->Header == B)
+        return &LF;
+    return nullptr;
+  }
+
   /// Optimistically propagates staticness through the loop body (union
   /// over two RPO passes) and checks whether any exiting conditional
   /// branch tests a static condition.
-  bool loopHasStaticExit(const analysis::Loop &L, const BitVector &HeaderIn) {
+  bool loopHasStaticExit(const LoopFacts &LF, const BitVector &HeaderIn) {
+    const analysis::Loop &L = *LF.L;
     BitVector Set = HeaderIn;
-    // Blocks of the loop in RPO order.
-    std::vector<BlockId> Order;
-    for (BlockId B : G.rpo())
-      if (L.contains(B))
-        Order.push_back(B);
     for (int Pass = 0; Pass != 2; ++Pass) {
-      for (BlockId B : Order) {
+      for (BlockId B : LF.Order) {
         for (const Instruction &I : F.block(B).Instrs) {
           if (I.Op == Opcode::MakeStatic) {
             for (Reg V : I.AnnotVars)
@@ -430,7 +446,7 @@ private:
         }
       }
     }
-    for (BlockId B : Order) {
+    for (BlockId B : LF.Order) {
       const Instruction &T = F.block(B).terminator();
       if (T.Op != Opcode::CondBr)
         continue;
@@ -466,9 +482,10 @@ private:
     // Loop unrolling facts: a loop completely unrolls if some context at
     // its header keeps a loop-variant register static.
     if (Flags.CompleteLoopUnrolling) {
-      for (const analysis::Loop &L : LI.loops()) {
+      for (const LoopFacts &LF : Loops) {
+        const analysis::Loop &L = *LF.L;
+        const std::vector<Reg> &Variant = LF.Variant;
         bool Unrolls = false;
-        std::vector<Reg> Variant = LI.loopVariantRegs(F, L.Header);
         for (uint32_t Id : CtxsOfBlock[L.Header]) {
           for (Reg V : Variant)
             if (R.Contexts[Id].StaticIn.test(V))
@@ -515,6 +532,7 @@ private:
   analysis::Dominators DT;
   analysis::LoopInfo LI;
   analysis::Liveness LV;
+  std::vector<LoopFacts> Loops;
   RegionInfo R;
   std::vector<std::vector<uint32_t>> CtxsOfBlock;
   BitVector AnnotatedRegs;

@@ -35,14 +35,15 @@ struct BasicBlock {
     return Instrs.back();
   }
 
-  /// Appends the successor block ids to \p Succs.
-  void appendSuccessors(std::vector<BlockId> &Succs) const {
+  /// Calls \p F with each successor block id, in terminator order (a
+  /// condbr with identical targets names its target twice).
+  template <typename Fn> void forEachSuccessor(Fn F) const {
     const Instruction &T = terminator();
     if (T.Op == Opcode::Br) {
-      Succs.push_back(T.TrueSucc);
+      F(T.TrueSucc);
     } else if (T.Op == Opcode::CondBr) {
-      Succs.push_back(T.TrueSucc);
-      Succs.push_back(T.FalseSucc);
+      F(T.TrueSucc);
+      F(T.FalseSucc);
     }
   }
 };

@@ -93,41 +93,6 @@ bool Instruction::isSideEffectFree() const {
   }
 }
 
-void Instruction::appendUses(std::vector<Reg> &Uses) const {
-  switch (Op) {
-  case Opcode::ConstI:
-  case Opcode::ConstF:
-  case Opcode::Br:
-  case Opcode::MakeDynamic:
-    return;
-  case Opcode::MakeStatic:
-    // A promotion reads the annotated variables' run-time values.
-    for (Reg R : AnnotVars)
-      Uses.push_back(R);
-    return;
-  case Opcode::Ret:
-  case Opcode::CondBr:
-    if (Src1 != NoReg)
-      Uses.push_back(Src1);
-    return;
-  case Opcode::Call:
-  case Opcode::CallExt:
-    for (Reg A : Args)
-      Uses.push_back(A);
-    return;
-  case Opcode::Store:
-    Uses.push_back(Src1);
-    Uses.push_back(Src2);
-    return;
-  default:
-    if (Src1 != NoReg)
-      Uses.push_back(Src1);
-    if (Src2 != NoReg)
-      Uses.push_back(Src2);
-    return;
-  }
-}
-
 std::string Instruction::toString() const {
   std::string S;
   auto R = [](Reg X) {

@@ -136,8 +136,46 @@ struct Instruction {
   /// annotated static; calls when annotated static and the callee is pure.
   bool isSideEffectFree() const;
 
+  /// Calls \p F with every register this instruction reads, in operand
+  /// order (a promotion reads its annotated variables).
+  template <typename Fn> void forEachUse(Fn F) const {
+    switch (Op) {
+    case Opcode::ConstI:
+    case Opcode::ConstF:
+    case Opcode::Br:
+    case Opcode::MakeDynamic:
+      return;
+    case Opcode::MakeStatic:
+      for (Reg R : AnnotVars)
+        F(R);
+      return;
+    case Opcode::Ret:
+    case Opcode::CondBr:
+      if (Src1 != NoReg)
+        F(Src1);
+      return;
+    case Opcode::Call:
+    case Opcode::CallExt:
+      for (Reg A : Args)
+        F(A);
+      return;
+    case Opcode::Store:
+      F(Src1);
+      F(Src2);
+      return;
+    default:
+      if (Src1 != NoReg)
+        F(Src1);
+      if (Src2 != NoReg)
+        F(Src2);
+      return;
+    }
+  }
+
   /// Appends every register this instruction reads to \p Uses.
-  void appendUses(std::vector<Reg> &Uses) const;
+  void appendUses(std::vector<Reg> &Uses) const {
+    forEachUse([&](Reg R) { Uses.push_back(R); });
+  }
 
   /// Renders the instruction for dumps.
   std::string toString() const;

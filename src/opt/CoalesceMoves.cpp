@@ -9,7 +9,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Liveness.h"
 #include "opt/Passes.h"
 
 namespace dyc {
@@ -17,21 +16,13 @@ namespace opt {
 
 using namespace ir;
 
-bool runCoalesceMoves(Function &F, const Module &M) {
+bool runCoalesceMoves(Function &F, const analysis::Liveness &LV) {
   // Count total uses of each register across the function (annotation
   // variable lists count as uses).
   std::vector<unsigned> UseCount(F.numRegs(), 0);
-  std::vector<Reg> Uses;
   for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Instrs) {
-      Uses.clear();
-      I.appendUses(Uses);
-      for (Reg U : Uses)
-        ++UseCount[U];
-    }
-
-  analysis::CFG G(F);
-  analysis::Liveness LV(F, G);
+    for (const Instruction &I : B.Instrs)
+      I.forEachUse([&](Reg U) { ++UseCount[U]; });
 
   bool Changed = false;
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
@@ -62,11 +53,7 @@ bool runCoalesceMoves(Function &F, const Module &M) {
         const Instruction &Mid = BB.Instrs[I];
         if (Mid.definesReg() && Mid.Dst == V)
           Blocked = true;
-        Uses.clear();
-        Mid.appendUses(Uses);
-        for (Reg U : Uses)
-          if (U == V)
-            Blocked = true;
+        Mid.forEachUse([&](Reg U) { Blocked |= U == V; });
       }
       if (Blocked)
         continue;

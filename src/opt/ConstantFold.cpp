@@ -11,16 +11,17 @@ using namespace ir;
 
 namespace {
 
-/// Returns true (and the value) if the use of \p R at (\p B, \p Idx) is
-/// provably the given constant: its unique reaching definition is a
-/// ConstI/ConstF instruction.
+/// Returns true (and the value) if the use of \p R at the cursor's
+/// position is provably the given constant: its unique reaching definition
+/// is a ConstI/ConstF instruction.
 bool knownConstant(const Function &F, const analysis::ReachingDefs &RD,
-                   BlockId B, size_t Idx, Reg R, Word &Out) {
-  int Site = RD.uniqueReachingDef(F, B, Idx, R);
+                   const analysis::ReachingDefs::Cursor &Cur, Reg R,
+                   Word &Out) {
+  int Site = Cur.uniqueReachingDef(R);
   if (Site < 0)
     return false;
   const analysis::DefSite &D = RD.defSites()[static_cast<size_t>(Site)];
-  if (D.InstrIdx == 0xffffffffu)
+  if (D.InstrIdx == analysis::ParamSite)
     return false; // function parameter, unknown at compile time
   const Instruction &Def = F.block(D.Block).Instrs[D.InstrIdx];
   if (Def.Op != Opcode::ConstI && Def.Op != Opcode::ConstF)
@@ -43,25 +44,27 @@ bool isUnaryOp(Opcode Op) {
 
 } // namespace
 
-bool runConstantFold(Function &F, const Module &M) {
-  analysis::CFG G(F);
-  analysis::ReachingDefs RD(F, G);
-  bool Changed = false;
+FoldResult runConstantFold(Function &F, const analysis::ReachingDefs &RD) {
+  FoldResult Result;
+  analysis::ReachingDefs::Cursor Cur(RD);
 
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     BasicBlock &BB = F.block(B);
-    for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx) {
+    Cur.enterBlock(B);
+    // Folding keeps every instruction's Dst, so the cursor stays in step.
+    for (size_t Idx = 0; Idx != BB.Instrs.size();
+         Cur.advance(BB.Instrs[Idx++])) {
       Instruction &I = BB.Instrs[Idx];
 
       if (I.Op == Opcode::CondBr) {
         Word C;
-        if (knownConstant(F, RD, B, Idx, I.Src1, C)) {
+        if (knownConstant(F, RD, Cur, I.Src1, C)) {
           BlockId Target = C.asInt() != 0 ? I.TrueSucc : I.FalseSucc;
           Instruction Br;
           Br.Op = Opcode::Br;
           Br.TrueSucc = Target;
           I = std::move(Br);
-          Changed = true;
+          Result.Changed = Result.FoldedBranch = true;
         }
         continue;
       }
@@ -70,10 +73,9 @@ bool runConstantFold(Function &F, const Module &M) {
         continue;
 
       Word A, Bv;
-      if (!knownConstant(F, RD, B, Idx, I.Src1, A))
+      if (!knownConstant(F, RD, Cur, I.Src1, A))
         continue;
-      if (!isUnaryOp(I.Op) &&
-          !knownConstant(F, RD, B, Idx, I.Src2, Bv))
+      if (!isUnaryOp(I.Op) && !knownConstant(F, RD, Cur, I.Src2, Bv))
         continue;
 
       Word Out;
@@ -87,10 +89,10 @@ bool runConstantFold(Function &F, const Module &M) {
       C.Imm = I.Ty == Type::F64 ? static_cast<int64_t>(Out.Bits)
                                 : Out.asInt();
       I = std::move(C);
-      Changed = true;
+      Result.Changed = true;
     }
   }
-  return Changed;
+  return Result;
 }
 
 } // namespace opt

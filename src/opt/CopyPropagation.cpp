@@ -1,10 +1,6 @@
 //===- opt/CopyPropagation.cpp ------------------------------------------------------===//
 
-#include "analysis/ReachingDefs.h"
 #include "opt/Passes.h"
-
-#include <map>
-#include <set>
 
 namespace dyc {
 namespace opt {
@@ -17,13 +13,13 @@ namespace {
 /// Uses of these variables are never rewritten: replacing a use of an
 /// annotated variable with its copy source would bypass the promotion the
 /// programmer asked for.
-std::set<Reg> annotatedRegs(const Function &F) {
-  std::set<Reg> Out;
+BitVector annotatedRegs(const Function &F) {
+  BitVector Out(F.numRegs());
   for (const BasicBlock &B : F.Blocks)
     for (const Instruction &I : B.Instrs)
       if (I.isAnnotation())
         for (Reg R : I.AnnotVars)
-          Out.insert(R);
+          Out.set(R);
   return Out;
 }
 
@@ -70,67 +66,68 @@ template <typename Fn> bool rewriteUses(Instruction &I, Fn Rewrite) {
 
 } // namespace
 
-bool runCopyPropagation(Function &F, const Module &M) {
+bool runCopyPropagation(Function &F, const analysis::ReachingDefs &RD) {
   bool Changed = false;
-  std::set<Reg> Annotated = annotatedRegs(F);
+  BitVector Annotated = annotatedRegs(F);
 
   // --- Block-local copy propagation -----------------------------------------
+  std::vector<Reg> CopyOf(F.numRegs(), NoReg); // dst -> src at this point
+  std::vector<Reg> Touched; // dsts given a source in this block
+  auto Chase = [&](Reg R) {
+    return Annotated.test(R) || CopyOf[R] == NoReg ? R : CopyOf[R];
+  };
   for (BasicBlock &BB : F.Blocks) {
-    std::map<Reg, Reg> Copies; // dst -> src, valid at current point
-    auto Chase = [&](Reg R) {
-      if (Annotated.count(R))
-        return R;
-      auto It = Copies.find(R);
-      return It == Copies.end() ? R : It->second;
-    };
     for (Instruction &I : BB.Instrs) {
       Changed |= rewriteUses(I, Chase);
       if (I.definesReg()) {
         // Kill facts involving the redefined register.
-        Copies.erase(I.Dst);
-        for (auto It = Copies.begin(); It != Copies.end();)
-          It = It->second == I.Dst ? Copies.erase(It) : std::next(It);
+        CopyOf[I.Dst] = NoReg;
+        for (Reg D : Touched)
+          if (CopyOf[D] == I.Dst)
+            CopyOf[D] = NoReg;
         if (I.Op == Opcode::Mov && I.Src1 != I.Dst &&
-            !Annotated.count(I.Dst))
-          Copies[I.Dst] = Chase(I.Src1);
+            !Annotated.test(I.Dst)) {
+          CopyOf[I.Dst] = Chase(I.Src1);
+          Touched.push_back(I.Dst);
+        }
       }
       if (I.Op == Opcode::MakeStatic)
         for (Reg R : I.AnnotVars)
-          Copies.erase(R);
+          CopyOf[R] = NoReg;
     }
+    for (Reg D : Touched)
+      CopyOf[D] = NoReg;
+    Touched.clear();
   }
 
   // --- Global single-definition copy propagation ----------------------------
-  analysis::CFG G(F);
-  analysis::ReachingDefs RD(F, G);
-
-  // Count def sites per register (parameter pseudo-defs included).
-  std::vector<unsigned> DefCount(F.numRegs(), 0);
-  for (const analysis::DefSite &D : RD.defSites())
-    ++DefCount[D.Defined];
-
+  // The block-local phase rewrote only uses, so RD still describes F.
+  analysis::ReachingDefs::Cursor Cur(RD);
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
-    BasicBlock &BB = F.block(B);
-    for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx) {
+    Cur.enterBlock(B);
+    for (Instruction &I : F.block(B).Instrs) {
       auto Rewrite = [&](Reg R) {
-        if (Annotated.count(R))
+        if (Annotated.test(R))
           return R;
-        int Site = RD.uniqueReachingDef(F, B, Idx, R);
+        int Site = Cur.uniqueReachingDef(R);
         if (Site < 0)
           return R;
         const analysis::DefSite &D =
             RD.defSites()[static_cast<size_t>(Site)];
-        if (D.InstrIdx == 0xffffffffu)
+        if (D.InstrIdx == analysis::ParamSite)
           return R;
         const Instruction &Def = F.block(D.Block).Instrs[D.InstrIdx];
         if (Def.Op != Opcode::Mov)
           return R;
+        // The source must have a single definition (a parameter's
+        // pseudo-def counts).
         Reg S = Def.Src1;
-        if (S == R || DefCount[S] != 1 || Annotated.count(S))
+        if (S == R || RD.sitesOf(S).size() != 1 || Annotated.test(S))
           return R;
         return S;
       };
-      Changed |= rewriteUses(BB.Instrs[Idx], Rewrite);
+      Changed |= rewriteUses(I, Rewrite);
+      Cur.advance(I);
     }
   }
   return Changed;

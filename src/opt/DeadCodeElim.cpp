@@ -1,6 +1,5 @@
 //===- opt/DeadCodeElim.cpp -----------------------------------------------------===//
 
-#include "analysis/Liveness.h"
 #include "opt/Passes.h"
 
 namespace dyc {
@@ -33,43 +32,49 @@ bool removableWhenDead(const Instruction &I, const Module &M) {
 
 } // namespace
 
-bool runDeadCodeElim(Function &F, const Module &M) {
-  analysis::CFG G(F);
-  analysis::Liveness LV(F, G);
+bool runDeadCodeElim(Function &F, const Module &M,
+                     const analysis::Liveness &LV) {
   bool Changed = false;
-  std::vector<Reg> Uses;
+  BitVector Live(F.numRegs());
+  std::vector<uint8_t> Dead;
 
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     BasicBlock &BB = F.block(B);
-    BitVector Live = LV.liveOut(B);
+    Live = LV.liveOut(B);
     // Backward walk; mark-and-sweep within the block.
-    std::vector<bool> Keep(BB.Instrs.size(), true);
+    Dead.assign(BB.Instrs.size(), 0);
+    bool BlockChanged = false;
     for (size_t Idx = BB.Instrs.size(); Idx-- > 0;) {
-      Instruction &I = BB.Instrs[Idx];
-      bool Dead = removableWhenDead(I, M) && !Live.test(I.Dst);
+      const Instruction &I = BB.Instrs[Idx];
+      bool IsDead = removableWhenDead(I, M) && !Live.test(I.Dst);
       // Self-moves are dead regardless of liveness.
       if (I.Op == Opcode::Mov && I.Src1 == I.Dst)
-        Dead = true;
-      if (Dead) {
-        Keep[Idx] = false;
-        Changed = true;
+        IsDead = true;
+      if (IsDead) {
+        Dead[Idx] = 1;
+        BlockChanged = true;
         continue; // its uses do not become live
       }
       if (I.definesReg())
         Live.reset(I.Dst);
-      Uses.clear();
-      I.appendUses(Uses);
-      for (Reg U : Uses)
-        Live.set(U);
+      I.forEachUse([&](Reg U) { Live.set(U); });
     }
-    if (Changed) {
-      std::vector<Instruction> Kept;
-      Kept.reserve(BB.Instrs.size());
-      for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx)
-        if (Keep[Idx])
-          Kept.push_back(std::move(BB.Instrs[Idx]));
-      BB.Instrs = std::move(Kept);
+    if (!BlockChanged)
+      continue;
+    Changed = true;
+    // Compact in place. An instruction is never moved onto itself:
+    // self-move-assignment leaves a std::vector member (Args, AnnotVars)
+    // empty in libstdc++.
+    size_t Kept = 0;
+    for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx) {
+      if (Dead[Idx])
+        continue;
+      if (Kept != Idx)
+        BB.Instrs[Kept] = std::move(BB.Instrs[Idx]);
+      ++Kept;
     }
+    BB.Instrs.erase(BB.Instrs.begin() + static_cast<ptrdiff_t>(Kept),
+                    BB.Instrs.end());
   }
   return Changed;
 }

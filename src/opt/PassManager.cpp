@@ -7,29 +7,41 @@ namespace opt {
 
 unsigned runStaticOptimizations(ir::Function &F, const ir::Module &M) {
   unsigned Applications = 0;
-  // Bounded fixpoint; each round runs the classic pipeline once.
+  // Bounded fixpoint; each round runs the classic pipeline once and builds
+  // each analysis once, rebuilding it only after a pass that invalidates
+  // it (docs/INTERNALS.md section 2).
   for (unsigned Round = 0; Round != 8; ++Round) {
     bool Changed = false;
-    if (runConstantFold(F, M)) {
-      Changed = true;
-      ++Applications;
+    auto Count = [&](bool PassChanged) {
+      if (PassChanged) {
+        Changed = true;
+        ++Applications;
+      }
+    };
+
+    // Folding keeps every def site and copy propagation rewrites only
+    // uses, so one ReachingDefs serves both unless a branch folded.
+    analysis::CFG G(F);
+    analysis::ReachingDefs RD(F, G);
+    FoldResult Fold = runConstantFold(F, RD);
+    Count(Fold.Changed);
+    if (Fold.FoldedBranch) {
+      G = analysis::CFG(F);
+      RD = analysis::ReachingDefs(F, G);
     }
-    if (runCopyPropagation(F, M)) {
-      Changed = true;
-      ++Applications;
-    }
-    if (runCoalesceMoves(F, M)) {
-      Changed = true;
-      ++Applications;
-    }
-    if (runDeadCodeElim(F, M)) {
-      Changed = true;
-      ++Applications;
-    }
-    if (runSimplifyCFG(F, M)) {
-      Changed = true;
-      ++Applications;
-    }
+    Count(runCopyPropagation(F, RD));
+
+    // Coalescing renames definitions, so DCE rebuilds liveness after it
+    // changed something. (Conservative: no block's live-in or live-out
+    // set changes; see docs/INTERNALS.md section 2.)
+    analysis::Liveness LV(F, G);
+    bool Coalesced = runCoalesceMoves(F, LV);
+    Count(Coalesced);
+    if (Coalesced)
+      LV = analysis::Liveness(F, G);
+    Count(runDeadCodeElim(F, M, LV));
+
+    Count(runSimplifyCFG(F));
     if (!Changed)
       break;
   }

@@ -8,7 +8,7 @@ namespace opt {
 
 using namespace ir;
 
-bool runSimplifyCFG(Function &F, const Module &M) {
+bool runSimplifyCFG(Function &F) {
   bool Changed = false;
 
   // Fold condbr with identical targets.

@@ -103,6 +103,10 @@ public:
     return N;
   }
 
+  /// The backing words, for dataflow loops that update sets in place.
+  uint64_t *words() { return Bits.data(); }
+  const uint64_t *words() const { return Bits.data(); }
+
   /// Calls \p F with the index of each set bit, in increasing order.
   template <typename Fn> void forEachSetBit(Fn F) const {
     for (size_t WI = 0; WI != Bits.size(); ++WI) {
@@ -119,6 +123,15 @@ private:
   size_t NumBits = 0;
   std::vector<uint64_t> Bits;
 };
+
+/// Bit access on a raw row of words: the dataflow analyses keep their
+/// per-block sets as rows of one flat array.
+inline bool testBit(const uint64_t *Row, size_t I) {
+  return (Row[I / 64] >> (I % 64)) & 1;
+}
+inline void setBit(uint64_t *Row, size_t I) {
+  Row[I / 64] |= 1ULL << (I % 64);
+}
 
 } // namespace dyc
 

@@ -5,8 +5,11 @@
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
 #include "analysis/ReachingDefs.h"
+#include "bta/BTAnalysis.h"
 #include "frontend/Lower.h"
 #include "ir/IRBuilder.h"
+#include "opt/Passes.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -42,11 +45,16 @@ Function makeLoopDiamond() {
   return F;
 }
 
+/// A CFG edge list as a vector, for element-wise comparison.
+std::vector<BlockId> ids(std::span<const BlockId> L) {
+  return {L.begin(), L.end()};
+}
+
 TEST(CFGTest, PredsSuccsRPO) {
   Function F = makeLoopDiamond();
   analysis::CFG G(F);
-  EXPECT_EQ(G.succs(0), (std::vector<BlockId>{1, 3}));
-  EXPECT_EQ(G.succs(2), (std::vector<BlockId>{1}));
+  EXPECT_EQ(ids(G.succs(0)), (std::vector<BlockId>{1, 3}));
+  EXPECT_EQ(ids(G.succs(2)), (std::vector<BlockId>{1}));
   EXPECT_EQ(G.preds(1).size(), 2u); // from bb0 and the latch bb2
   EXPECT_EQ(G.preds(3).size(), 2u);
   EXPECT_EQ(G.rpo().front(), 0u);
@@ -54,6 +62,32 @@ TEST(CFGTest, PredsSuccsRPO) {
   // RPO visits a block before its non-backedge successors.
   EXPECT_LT(G.rpoIndex(0), G.rpoIndex(1));
   EXPECT_LT(G.rpoIndex(1), G.rpoIndex(2));
+}
+
+TEST(CFGTest, CondBrWithEqualTargetsKeepsBothEdges) {
+  // bb0: condbr p, bb1, bb2 ; bb1: condbr p, bb2, bb2 ; bb2: ret p. Before
+  // SimplifyCFG folds it, bb1's condbr is two edges into bb2.
+  Function F;
+  F.Name = "dup";
+  F.RetTy = Type::I64;
+  Reg P = F.newReg(Type::I64, "p");
+  F.NumParams = 1;
+  BlockId B0 = F.newBlock();
+  BlockId B1 = F.newBlock();
+  BlockId B2 = F.newBlock();
+  IRBuilder B(F);
+  B.setInsertPoint(B0);
+  B.condBr(P, B1, B2);
+  B.setInsertPoint(B1);
+  B.condBr(P, B2, B2);
+  B.setInsertPoint(B2);
+  B.ret(P);
+  analysis::CFG G(F);
+  EXPECT_EQ(ids(G.succs(B0)), (std::vector<BlockId>{B1, B2}));
+  EXPECT_EQ(ids(G.succs(B1)), (std::vector<BlockId>{B2, B2}));
+  EXPECT_EQ(ids(G.preds(B1)), (std::vector<BlockId>{B0}));
+  EXPECT_EQ(ids(G.preds(B2)), (std::vector<BlockId>{B0, B1, B1}));
+  EXPECT_TRUE(G.succs(B2).empty());
 }
 
 TEST(CFGTest, UnreachableBlocksExcluded) {
@@ -180,6 +214,84 @@ TEST(ReachingDefsTest, ParameterPseudoDefs) {
   int Def = RD.uniqueReachingDef(F, 0, 0, 0);
   ASSERT_GE(Def, 0);
   EXPECT_EQ(RD.defSites()[static_cast<size_t>(Def)].InstrIdx, 0xffffffffu);
+}
+
+TEST(ReachingDefsTest, ParameterPseudoDefKillsLoopDefsAtEntry) {
+  // The entry block is a loop header, and the loop redefines parameter p:
+  //   bb0: condbr p, bb1, bb2 ; bb1: p = add p, p ; br bb0 ; bb2: ret p
+  // p's pseudo-def is generated at bb0 and kills p's other definitions
+  // there, although bb0 does not redefine p. So only the pseudo-def
+  // reaches out of bb0, while both definitions reach bb0's own entry.
+  Function F;
+  F.Name = "e";
+  F.RetTy = Type::I64;
+  Reg P = F.newReg(Type::I64, "p");
+  F.NumParams = 1;
+  BlockId B0 = F.newBlock();
+  BlockId B1 = F.newBlock();
+  BlockId B2 = F.newBlock();
+  IRBuilder B(F);
+  B.setInsertPoint(B0);
+  B.condBr(P, B1, B2);
+  F.block(B1).Instrs.push_back(makeBinary(Opcode::Add, Type::I64, P, P, P));
+  B.setInsertPoint(B1);
+  B.br(B0);
+  B.setInsertPoint(B2);
+  B.ret(P);
+
+  analysis::CFG G(F);
+  analysis::ReachingDefs RD(F, G);
+  ASSERT_EQ(RD.sitesOf(P).size(), 2u); // the add and the pseudo-def
+  for (BlockId Out : {B1, B2}) {
+    int Def = RD.uniqueReachingDef(F, Out, 0, P);
+    ASSERT_GE(Def, 0) << "bb" << Out;
+    EXPECT_EQ(RD.defSites()[static_cast<size_t>(Def)].InstrIdx,
+              analysis::ParamSite)
+        << "bb" << Out;
+  }
+  EXPECT_EQ(RD.uniqueReachingDef(F, B0, 0, P), -1);
+}
+
+/// Walks every block of \p F with a cursor and expects it to answer
+/// uniqueReachingDef at every register operand; returns the operand count.
+size_t expectCursorMatchesBackwardScan(const Function &F,
+                                       const std::string &What) {
+  analysis::CFG G(F);
+  analysis::ReachingDefs RD(F, G);
+  analysis::ReachingDefs::Cursor Cur(RD);
+  size_t Operands = 0;
+  for (BlockId B = 0; B != F.numBlocks(); ++B) {
+    Cur.enterBlock(B);
+    const BasicBlock &BB = F.block(B);
+    for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx) {
+      BB.Instrs[Idx].forEachUse([&](Reg R) {
+        ++Operands;
+        EXPECT_EQ(Cur.uniqueReachingDef(R),
+                  RD.uniqueReachingDef(F, B, Idx, R))
+            << What << " bb" << B << " instr " << Idx << " r" << R;
+      });
+      Cur.advance(BB.Instrs[Idx]);
+    }
+  }
+  return Operands;
+}
+
+TEST(ReachingDefsTest, CursorMatchesBackwardScanOnTable3) {
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    ir::Module M = lower(W.Source);
+    for (size_t I = 0; I != M.numFunctions(); ++I)
+      bta::normalizeAnnotations(M.function(static_cast<int>(I)));
+    size_t Before = 0, After = 0;
+    for (size_t I = 0; I != M.numFunctions(); ++I)
+      Before += expectCursorMatchesBackwardScan(
+          M.function(static_cast<int>(I)), W.Name + " unoptimized");
+    opt::runStaticOptimizations(M);
+    for (size_t I = 0; I != M.numFunctions(); ++I)
+      After += expectCursorMatchesBackwardScan(
+          M.function(static_cast<int>(I)), W.Name + " optimized");
+    EXPECT_GT(Before, 0u) << W.Name;
+    EXPECT_GT(After, 0u) << W.Name;
+  }
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSchedule.h"
+
 #include "core/DycContext.h"
 
 #include <gtest/gtest.h>
@@ -204,6 +206,25 @@ TEST_P(FuzzEquivalence, StaticAndDynamicAgreeUnderAllConfigs) {
 
 INSTANTIATE_TEST_SUITE_P(Programs, FuzzEquivalence,
                          ::testing::Range(0, 200));
+
+//===----------------------------------------------------------------------===//
+// Optimizer round schedule: sharing analyses within a round must print
+// the same module and count the same pass applications as rebuilding them
+// before every pass (tests/ReferenceSchedule.h).
+//===----------------------------------------------------------------------===//
+
+class OptScheduleFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(OptScheduleFuzz, SharedAnalysesMatchRebuildingEveryPass) {
+  uint64_t Seed = 0x0b7 + static_cast<uint64_t>(GetParam()) * 7907;
+  ProgramGen Gen(Seed);
+  std::string Src = Gen.generate();
+  reftest::expectSchedulesAgree(Src, formatString("seed %llu\n",
+                                                  (unsigned long long)Seed) +
+                                         Src);
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, OptScheduleFuzz, ::testing::Range(0, 100));
 
 //===----------------------------------------------------------------------===//
 // Floating-point fuzzing: the ZCP/DAE machinery treats 0.0 and 1.0

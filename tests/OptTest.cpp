@@ -1,8 +1,9 @@
 //===- tests/OptTest.cpp - static optimizer unit tests ----------------------------===//
 
-#include "analysis/CFG.h"
-#include "frontend/Lower.h"
-#include "opt/Passes.h"
+#include "ReferenceSchedule.h"
+
+#include "core/DycContext.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -156,8 +157,7 @@ TEST(SimplifyCFG, ThreadsTrivialJumpChains) {
 }
 
 TEST(Optimizer, PreservesSemantics) {
-  // Run the same source optimized and unoptimized through the VM layers
-  // indirectly: optimization must be idempotent and verified.
+  // Optimization must be idempotent and verified...
   ir::Module M = lower(
       "int collatz(int n) {\n"
       "  int steps = 0;\n"
@@ -173,6 +173,89 @@ TEST(Optimizer, PreservesSemantics) {
   unsigned Second = opt::runStaticOptimizations(F, M);
   EXPECT_EQ(Second, 0u) << "optimizer failed to reach a fixpoint";
   EXPECT_EQ(verifyFunction(F, M), "");
+
+  // ...and must not change what a program computes: on every Table 3
+  // workload, static builds of the optimized and the unoptimized module
+  // return the same region result and leave the same output range.
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    core::DycContext Optimized, Unoptimized;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Optimized.compile(W.Source, Errors)) << W.Name;
+    Unoptimized.moduleMutable() = reftest::lowerForOptimizer(W.Source);
+    ASSERT_EQ(verifyModule(Unoptimized.module()), "") << W.Name;
+
+    auto EO = Optimized.buildStatic();
+    auto EU = Unoptimized.buildStatic();
+    workloads::WorkloadSetup SO = W.Setup(*EO->Machine);
+    workloads::WorkloadSetup SU = W.Setup(*EU->Machine);
+    ASSERT_EQ(SO.OutBase, SU.OutBase) << W.Name;
+    ASSERT_EQ(SO.OutLen, SU.OutLen) << W.Name;
+    Word RO = EO->Machine->run(
+        static_cast<uint32_t>(EO->findFunction(W.RegionFunc)), SO.RegionArgs);
+    Word RU = EU->Machine->run(
+        static_cast<uint32_t>(EU->findFunction(W.RegionFunc)), SU.RegionArgs);
+    EXPECT_EQ(RO.Bits, RU.Bits) << W.Name;
+    for (int64_t I = 0; I != SO.OutLen; ++I)
+      ASSERT_EQ(EO->Machine->memory()[SO.OutBase + I].Bits,
+                EU->Machine->memory()[SU.OutBase + I].Bits)
+          << W.Name << " output word " << I;
+  }
+}
+
+TEST(RoundSchedule, MatchesRebuildingEveryPassOnTable3) {
+  for (const workloads::Workload &W : workloads::allWorkloads())
+    reftest::expectSchedulesAgree(W.Source, W.Name);
+}
+
+TEST(RoundSchedule, FoldedBranchAndCoalesceInOneRound) {
+  // Round 1 folds `if (1)` (so CopyPropagation needs fresh reaching
+  // definitions: x = b no longer reaches the return) and coalesces
+  // s = a * 3, whose two definitions keep it from being propagated (so
+  // DCE gets fresh liveness).
+  const std::string Src = "int f(int a, int b) {\n"
+                          "  int x = a;\n"
+                          "  if (1) { } else { x = b; }\n"
+                          "  int s = 0;\n"
+                          "  if (b) { s = a * 3; }\n"
+                          "  return x + s;\n"
+                          "}";
+  ir::Module M = reftest::lowerForOptimizer(Src);
+  Function &F = M.function(0);
+  opt::FoldResult Fold =
+      opt::runConstantFold(F, analysis::ReachingDefs(F, analysis::CFG(F)));
+  EXPECT_TRUE(Fold.FoldedBranch);
+  analysis::CFG G(F);
+  opt::runCopyPropagation(F, analysis::ReachingDefs(F, G));
+  EXPECT_TRUE(opt::runCoalesceMoves(F, analysis::Liveness(F, G)));
+
+  reftest::expectSchedulesAgree(Src, "fold + coalesce");
+}
+
+TEST(RoundSchedule, CoalescingKeepsBlockBoundaryLiveness) {
+  // Coalescing renames a temporary's block-local definition; no register
+  // enters or leaves a block's live-in or live-out set. So DCE would see
+  // the same liveness had it reused the one CoalesceMoves read; the round
+  // schedule rebuilds it anyway.
+  size_t Coalesced = 0;
+  for (const workloads::Workload &W : workloads::allWorkloads()) {
+    ir::Module M = reftest::lowerForOptimizer(W.Source);
+    for (size_t I = 0; I != M.numFunctions(); ++I) {
+      Function &F = M.function(static_cast<int>(I));
+      opt::runConstantFold(F, analysis::ReachingDefs(F, analysis::CFG(F)));
+      analysis::CFG G(F);
+      opt::runCopyPropagation(F, analysis::ReachingDefs(F, G));
+      analysis::Liveness Before(F, G);
+      if (!opt::runCoalesceMoves(F, Before))
+        continue;
+      ++Coalesced;
+      analysis::Liveness After(F, G);
+      for (BlockId B = 0; B != F.numBlocks(); ++B) {
+        EXPECT_TRUE(Before.liveIn(B) == After.liveIn(B)) << W.Name << F.Name;
+        EXPECT_TRUE(Before.liveOut(B) == After.liveOut(B)) << W.Name << F.Name;
+      }
+    }
+  }
+  EXPECT_GT(Coalesced, 0u);
 }
 
 } // namespace
