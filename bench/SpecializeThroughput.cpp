@@ -23,8 +23,13 @@
 // Cold phase, in the same interleaved repetitions: build a fresh
 // executable, run it once, and read specializeHostSeconds() — the first
 // specialization's host time, including the plan's creation and the
-// block programs it builds when the path is on. Each mode keeps its
-// minimum.
+// block programs and guard arms it builds when the path is on. Each mode
+// keeps its minimum.
+//
+// Plan size, plan path on: the PlanBytes a fresh executable holds after
+// its cold run, and what the warmed executable holds after every
+// respecialization loop (arms built on first take make the two differ
+// only if later runs take arms the first one did not).
 //
 // Both modes execute the identical simulated sequence; --check fails on
 // any counter or disassembly divergence, gates the plan speedup at >= 2x
@@ -83,6 +88,8 @@ struct ModeRun {
   std::string Disassembly; ///< all regions
   uint64_t PlanBuilds = 0;
   uint64_t PlanHits = 0;
+  uint64_t ColdPlanBytes = 0; ///< PlanBytes after a cold run
+  uint64_t PlanBytes = 0;     ///< PlanBytes after the respecialization loops
 
   double NsPerEmittedInstr() const {
     return InstrsGenerated
@@ -140,6 +147,14 @@ struct ModeDriver {
     X->Machine->run(static_cast<uint32_t>(FI), FS.RegionArgs);
     double Secs = X->RT->specializeHostSeconds();
     R.ColdSeconds = RepIdx == 0 ? Secs : std::min(R.ColdSeconds, Secs);
+    R.ColdPlanBytes = planBytes(*X->RT); // identical every rep
+  }
+
+  static uint64_t planBytes(const runtime::DycRuntime &RT) {
+    uint64_t B = 0;
+    for (size_t Ord = 0; Ord != RT.numRegions(); ++Ord)
+      B += RT.stats(Ord).PlanBytes;
+    return B;
   }
 
   uint64_t sumGenerated() const {
@@ -183,6 +198,7 @@ struct ModeDriver {
       R.PlanBuilds += St.PlanBuilds;
       R.PlanHits += St.PlanHits;
     }
+    R.PlanBytes = planBytes(RT);
   }
 };
 
@@ -217,7 +233,8 @@ void writeJson(const char *Path, const std::vector<Row> &Rows,
         "     \"instrs_generated\": %llu,\n"
         "     \"parity\": %s,\n"
         "     \"plan_on\": {\"ns_per_emitted_instr\": %.3f, "
-        "\"cold_us\": %.3f, \"plan_builds\": %llu, \"plan_hits\": %llu},\n"
+        "\"cold_us\": %.3f, \"plan_builds\": %llu, \"plan_hits\": %llu,\n"
+        "                 \"cold_plan_bytes\": %llu, \"plan_bytes\": %llu},\n"
         "     \"plan_off\": {\"ns_per_emitted_instr\": %.3f, "
         "\"cold_us\": %.3f},\n"
         "     \"speedup\": %.3f, \"cold_ratio\": %.3f}%s\n",
@@ -225,7 +242,9 @@ void writeJson(const char *Path, const std::vector<Row> &Rows,
         (unsigned long long)R.On.InstrsGenerated,
         R.Parity ? "true" : "false", R.On.NsPerEmittedInstr(),
         R.On.ColdSeconds * 1e6, (unsigned long long)R.On.PlanBuilds,
-        (unsigned long long)R.On.PlanHits, R.Off.NsPerEmittedInstr(),
+        (unsigned long long)R.On.PlanHits,
+        (unsigned long long)R.On.ColdPlanBytes,
+        (unsigned long long)R.On.PlanBytes, R.Off.NsPerEmittedInstr(),
         R.Off.ColdSeconds * 1e6, R.Speedup, R.ColdRatio,
         I + 1 == Rows.size() ? "" : ",");
   }
@@ -262,9 +281,10 @@ int main(int Argc, char **Argv) {
   std::printf("specialization throughput, staged emit plans on vs off "
               "(dispatch: %s)\n",
               vm::VM::dispatchMode());
-  std::printf("%-12s %9s %11s %13s %13s %8s %13s %13s %7s %7s\n", "kernel",
-              "respecs", "emitted", "plan ns/i", "legacy ns/i", "speedup",
-              "plan cold us", "legacy cold", "cold x", "parity");
+  std::printf("%-12s %9s %11s %13s %13s %8s %13s %13s %7s %11s %11s %7s\n",
+              "kernel", "respecs", "emitted", "plan ns/i", "legacy ns/i",
+              "speedup", "plan cold us", "legacy cold", "cold x",
+              "cold bytes", "plan bytes", "parity");
 
   std::vector<Row> Rows;
   bool ParityOk = true;
@@ -308,11 +328,12 @@ int main(int Argc, char **Argv) {
     if (R.ColdRatio > MaxColdRatio)
       ColdOk = false;
     std::printf("%-12s %9llu %11llu %13.3f %13.3f %7.2fx %13.1f %13.1f "
-                "%6.2fx %7s\n",
+                "%6.2fx %11llu %11llu %7s\n",
                 Name.c_str(), (unsigned long long)R.On.SpecRuns,
                 (unsigned long long)R.On.InstrsGenerated, PlanNs, LegacyNs,
                 R.Speedup, R.On.ColdSeconds * 1e6, R.Off.ColdSeconds * 1e6,
-                R.ColdRatio, R.Parity ? "ok" : "FAIL");
+                R.ColdRatio, (unsigned long long)R.On.ColdPlanBytes,
+                (unsigned long long)R.On.PlanBytes, R.Parity ? "ok" : "FAIL");
     Rows.push_back(std::move(R));
   }
 

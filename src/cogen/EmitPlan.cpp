@@ -15,14 +15,16 @@
 //
 // Where the legacy decision tree forks on a *value* (zero/copy-
 // propagation 0/1 tests, power-of-two strength-reduction tests,
-// Div/Rem fold-failure tests), the builder compiles BOTH outcomes
-// behind a Branch guard and continues symbolically down each arm,
-// memoizing the assumption so the same test never re-forks on one
-// path. A test with no assumption yet is reported as a status, not
-// thrown: the op's simulation records it and finishes, then the op is
-// rolled back and re-simulated under each outcome. A small per-block
-// guard budget bounds the expansion; a path that exhausts it falls back
-// to Generic steps for its remaining ops.
+// Div/Rem fold-failure tests), the builder ends the path in a Branch
+// guard whose arms are both unbuilt, and saves the path's symbolic state
+// as the guard's seed. A test with no assumption yet is reported as a
+// status, not thrown: the op's simulation records it and finishes, then
+// the op is rolled back. The first specialization that takes an arm
+// builds it (buildBranchArm): the seed is restored, the outcome is
+// memoized as an assumption so the same test never re-forks on that
+// path, and the op is re-simulated under it. Outcomes no key takes are
+// never compiled. A small per-block guard budget bounds the expansion; a
+// path that exhausts it falls back to Generic steps for its remaining ops.
 // Before any Generic suffix — and at the end of every fully compiled
 // path — a Sync step reconstructs the live deferral table, so the
 // legacy interpreter and the driver's terminator handling observe
@@ -47,64 +49,11 @@ namespace v = vm;
 
 namespace {
 
-/// Plan-time image of an RVal: constness, the run-time register (dynamic
-/// operands), a still-pending symbolic producer link, and — for constants
-/// — the value as a PlanRef.
-struct SymVal {
-  bool IsConst = false;
-  uint32_t R = v::NoReg;
-  int32_t Dep = -1;
-  PlanRef C;
+using LatestDef = PlanPath::LatestDef;
 
-  static SymVal reg(uint32_t R, int32_t Dep = -1) {
-    SymVal V;
-    V.R = R;
-    V.Dep = Dep;
-    return V;
-  }
-  static SymVal cst(PlanRef C) {
-    SymVal V;
-    V.IsConst = true;
-    V.C = C;
-    return V;
-  }
-};
-
-/// Plan-time image of one DeferredInstr.
-struct SymEntry {
-  Opcode Op = Opcode::Mov;
-  ir::Type Ty = ir::Type::I64;
-  uint32_t Dst = v::NoReg;
-  SymVal A, B;
-  PlanRef Imm;
-  bool FromZcp = false;
-  bool Pending = true;
-};
-
-/// Identity of one value test, for assumption memoization along a path.
-/// Literal refs never reach here (they decide immediately).
-struct PredKey {
-  uint8_t P = 0;
-  uint8_t RefK = 0;
-  uint32_t RefIdx = 0;
-  uint64_t Cmp = 0;
-
-  bool operator==(const PredKey &O) const {
-    return P == O.P && RefK == O.RefK && RefIdx == O.RefIdx && Cmp == O.Cmp;
-  }
-};
-
-/// One entry of a path's register -> latest-table-entry map.
-struct LatestDef {
-  uint32_t Reg = 0;
-  uint32_t Idx = 0;
-};
-
-/// One recorded assumption of a path.
-struct Assumption {
-  PredKey K;
-  bool Holds = false;
-};
+template <typename T> uint64_t bytesOf(const std::vector<T> &V) {
+  return V.size() * sizeof(T);
+}
 
 /// Builds one BlockPlan by symbolically executing the legacy walk.
 class BlockBuilder {
@@ -115,11 +64,36 @@ public:
 
   void build() { buildFrom(0); }
 
+  /// Restores guard \p BI's seed, commits the path to the \p Taken
+  /// outcome, and compiles the arm from the guard's op on.
+  void buildArm(uint32_t BI, bool Taken) {
+    PlanBranch &Br = BP.Branches[BI];
+    uint32_t &Target = Taken ? Br.True : Br.False;
+    assert(Target == PlanBranch::Unbuilt && "guard arm built twice");
+    Target = static_cast<uint32_t>(BP.Steps.size());
+    const PlanPredKey K = predKey(Br.P, Br.A, Br.Cmp);
+    PlanArmSeed &Seed = BP.Seeds[BI];
+    const uint32_t OpIdx = Seed.OpIdx;
+    if ((Taken ? Br.False : Br.True) == PlanBranch::Unbuilt) {
+      P = Seed.Path;
+    } else {
+      P = std::move(Seed.Path);
+      Seed = PlanArmSeed(); // both arms exist: free the seed
+    }
+    // Br and Seed may dangle from here on: building pushes to Branches
+    // and Seeds.
+    P.Assumed.push_back({K, Taken});
+    buildFrom(OpIdx);
+  }
+
+  /// Bytes of the arm seeds this builder saved.
+  uint64_t seedBytes() const { return SeedBytes; }
+
 private:
-  /// Value tests compiled per block before paths stop forking and bail to
-  /// Generic. Each guard adds one Branch node (two compiled arms), so the
-  /// leaf count — and with it plan size — grows linearly in this budget;
-  /// it bounds growth on adversarial inputs while covering every test the
+  /// Guards a block builds before paths stop forking and bail to
+  /// Generic. Arms are compiled only when a specialization takes them, so
+  /// this caps the arms a block ever builds (each guard has two), and with
+  /// them plan size, on adversarial inputs, while covering every test the
   /// Table 3 kernels' largest unrolled bodies perform.
   static constexpr size_t MaxGuards = 96;
 
@@ -128,16 +102,9 @@ private:
   const GenBlock &GB;
   BlockPlan &BP;
 
-  /// Per-path symbolic state (cloned at guards). The maps are flat
-  /// vectors scanned linearly: Latest holds at most the path's pending
-  /// entries and Assumed at most MaxGuards tests, so a scan beats a tree,
-  /// and the per-op snapshot and per-guard clone are plain copies.
-  struct Path {
-    std::vector<SymEntry> Table;
-    std::vector<LatestDef> Latest; ///< unordered, one entry per register
-    std::vector<Assumption> Assumed;
-  };
-  Path P;
+  /// The current path's symbolic state; a guard saves it as its seed.
+  PlanPath P;
+  uint64_t SeedBytes = 0;
   PlanStep Open;
   bool HaveOpen = false;
 
@@ -151,7 +118,7 @@ private:
   /// array cursors are the whole footprint. Assumptions are read-only
   /// during simulation.
   struct Snap {
-    std::vector<SymEntry> Table;
+    std::vector<PlanTableEntry> Table;
     std::vector<LatestDef> Latest;
     PlanStep Open;
     bool HaveOpen;
@@ -246,18 +213,13 @@ private:
     uint32_t First = static_cast<uint32_t>(BP.Syncs.size());
     uint32_t Count = 0;
     for (size_t I = 0; I != P.Table.size(); ++I) {
-      const SymEntry &E = P.Table[I];
+      const PlanTableEntry &E = P.Table[I];
       if (!E.Pending)
         continue;
       Remap[I] = static_cast<int32_t>(Count++);
-      PlanSync S;
-      S.Op = E.Op;
-      S.Ty = E.Ty;
-      S.Dst = E.Dst;
-      S.A = syncOperand(E.A, Remap);
-      S.B = syncOperand(E.B, Remap);
-      S.Imm = E.Imm;
-      S.FromZcp = E.FromZcp;
+      PlanTableEntry S = E;
+      S.A.Dep = remapDep(E.A.Dep, Remap);
+      S.B.Dep = remapDep(E.B.Dep, Remap);
       BP.Syncs.push_back(S);
     }
     if (!Count)
@@ -269,14 +231,8 @@ private:
     BP.Steps.push_back(S);
   }
 
-  static PlanSync::Operand syncOperand(const SymVal &V,
-                                       const std::vector<int32_t> &Remap) {
-    PlanSync::Operand O;
-    O.IsConst = V.IsConst;
-    O.R = V.R;
-    O.Dep = V.Dep < 0 ? -1 : Remap[static_cast<size_t>(V.Dep)];
-    O.C = V.C;
-    return O;
+  static int32_t remapDep(int32_t Dep, const std::vector<int32_t> &Remap) {
+    return Dep < 0 ? -1 : Remap[static_cast<size_t>(Dep)];
   }
 
   /// Guard budget exhausted (or a deliberately uncompiled op): sync the
@@ -296,7 +252,8 @@ private:
   // -- Path driver -----------------------------------------------------------
 
   /// Compiles ops [OpIdx, end) plus the path epilogue (table sync + End)
-  /// under the current symbolic state, forking recursively at guards.
+  /// under the current symbolic state, or up to the first value test the
+  /// path holds no assumption for, which ends the path in a guard.
   void buildFrom(uint32_t OpIdx) {
     for (uint32_t I = OpIdx; I != GB.Ops.size(); ++I) {
       const SetupOp &Op = GB.Ops[I];
@@ -349,29 +306,22 @@ private:
         if (!Need)
           continue;
         // A value test had no assumption on this path: undo the op and
-        // compile a guard on the test, then the op under each outcome.
+        // end the path in a guard on the test, both arms unbuilt. The
+        // path's state becomes the guard's seed; buildArm resumes from it
+        // at this op when a specialization first takes an arm.
         rollback(std::move(S));
         flush();
         if (BP.Branches.size() >= MaxGuards) {
           bailGeneric(I);
           return;
         }
-        uint32_t BI = static_cast<uint32_t>(BP.Branches.size());
-        BP.Branches.push_back(*Need);
         PlanStep BS;
         BS.K = PlanStep::Branch;
-        BS.First = BI;
+        BS.First = static_cast<uint32_t>(BP.Branches.size());
         BP.Steps.push_back(BS);
-
-        PredKey K = predKey(Need->P, Need->A, Need->Cmp);
-        Path Saved = P;
-        BP.Branches[BI].True = static_cast<uint32_t>(BP.Steps.size());
-        P.Assumed.push_back({K, true});
-        buildFrom(I);
-        P = std::move(Saved);
-        BP.Branches[BI].False = static_cast<uint32_t>(BP.Steps.size());
-        P.Assumed.push_back({K, false});
-        buildFrom(I);
+        BP.Branches.push_back(*Need);
+        SeedBytes += bytesOf(P.Table) + bytesOf(P.Latest) + bytesOf(P.Assumed);
+        BP.Seeds.push_back({std::move(P), I});
         return;
       }
       }
@@ -383,7 +333,7 @@ private:
 
   // -- Assumption machinery --------------------------------------------------
 
-  static PredKey predKey(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
+  static PlanPredKey predKey(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
     return {static_cast<uint8_t>(Pk), static_cast<uint8_t>(A.K), A.Idx,
             Cmp.Bits};
   }
@@ -400,8 +350,8 @@ private:
       int64_t V = A.L.asInt();
       return isPowerOf2(V) && V >= 2;
     }
-    const PredKey K = predKey(Pk, A, Cmp);
-    for (const Assumption &As : P.Assumed)
+    const PlanPredKey K = predKey(Pk, A, Cmp);
+    for (const PlanPath::Assumption &As : P.Assumed)
       if (As.K == K)
         return As.Holds;
     if (!Need)
@@ -464,7 +414,7 @@ private:
     return PlanRef::expr(newExpr(PlanExpr::Pure, Opcode::Mov, R, PlanRef()));
   }
 
-  SymVal stabilizeVal(SymVal V) {
+  PlanOperand stabilizeVal(PlanOperand V) {
     if (V.IsConst)
       V.C = stabilize(V.C);
     return V;
@@ -508,8 +458,9 @@ private:
   /// Plan-time mirror of Emitter::emitResolved (operands carrying a
   /// still-pending producer were forced by the caller, as in the legacy
   /// engine).
-  void emitResolvedSym(Opcode Op, ir::Type Ty, uint32_t Dst, const SymVal &A,
-                       const SymVal &B, PlanRef Imm) {
+  void emitResolvedSym(Opcode Op, ir::Type Ty, uint32_t Dst,
+                       const PlanOperand &A, const PlanOperand &B,
+                       PlanRef Imm) {
     switch (Op) {
     case Opcode::ConstI:
     case Opcode::ConstF:
@@ -613,7 +564,7 @@ private:
   // -- Symbolic DeferralEngine ----------------------------------------------
 
   void materialize(size_t Idx) {
-    SymEntry &D = P.Table[Idx];
+    PlanTableEntry &D = P.Table[Idx];
     if (!D.Pending)
       return;
     D.Pending = false;
@@ -625,18 +576,18 @@ private:
     emitResolvedSym(D.Op, D.Ty, D.Dst, D.A, D.B, D.Imm);
   }
 
-  void force(const SymVal &A) {
+  void force(const PlanOperand &A) {
     if (A.Dep >= 0 && P.Table[static_cast<size_t>(A.Dep)].Pending)
       materialize(static_cast<size_t>(A.Dep));
   }
 
-  SymVal readResolve(uint32_t Reg) {
+  PlanOperand readResolve(uint32_t Reg) {
     uint32_t Cur = Reg;
     while (true) {
       const LatestDef *L = latest(Cur);
       if (!L)
-        return SymVal::reg(Cur);
-      SymEntry &D = P.Table[L->Idx];
+        return PlanOperand::reg(Cur);
+      PlanTableEntry &D = P.Table[L->Idx];
       ++Open.TableOps; // charge(CM.SpecZcpTableOp)
       if (D.Op == Opcode::Mov) {
         if (D.A.IsConst)
@@ -645,16 +596,16 @@ private:
         continue;
       }
       if (D.Op == Opcode::ConstI || D.Op == Opcode::ConstF)
-        return SymVal::cst(D.Imm);
-      return SymVal::reg(Cur, static_cast<int32_t>(L->Idx));
+        return PlanOperand::cst(D.Imm);
+      return PlanOperand::reg(Cur, static_cast<int32_t>(L->Idx));
     }
   }
 
-  SymVal resolve(const Operand &O) {
+  PlanOperand resolve(const Operand &O) {
     if (O.R == ir::NoReg)
-      return SymVal();
+      return PlanOperand();
     if (O.Static)
-      return SymVal::cst(PlanRef::stat(O.R));
+      return PlanOperand::cst(PlanRef::stat(O.R));
     return readResolve(O.R);
   }
 
@@ -662,14 +613,14 @@ private:
     if (Dst == v::NoReg)
       return;
     for (size_t I = 0; I != P.Table.size(); ++I) {
-      SymEntry &D = P.Table[I];
+      PlanTableEntry &D = P.Table[I];
       if (!D.Pending)
         continue;
       if ((!D.A.IsConst && D.A.R == Dst) || (!D.B.IsConst && D.B.R == Dst))
         materialize(I);
     }
     if (LatestDef *L = latest(Dst)) {
-      SymEntry &D = P.Table[L->Idx];
+      PlanTableEntry &D = P.Table[L->Idx];
       if (D.Pending) {
         D.Pending = false;
         ++Open.DeadAssigns; // ++Stats.DeadAssignsEliminated
@@ -686,12 +637,12 @@ private:
   }
 
   void deferOrEmit(const SetupOp &Op, Opcode FormOp, ir::Type Ty, uint32_t Dst,
-                   const SymVal &A, const SymVal &B, PlanRef Imm,
+                   const PlanOperand &A, const PlanOperand &B, PlanRef Imm,
                    bool FromZcp) {
     writeEvent(Dst);
     if (Op.Deferrable) {
       ++Open.TableOps; // charge(CM.SpecZcpTableOp)
-      SymEntry D;
+      PlanTableEntry D;
       D.Op = FormOp;
       D.Ty = Ty;
       D.Dst = Dst;
@@ -714,7 +665,7 @@ private:
     openCopy();
 
     if (Op.Op == Opcode::Call || Op.Op == Opcode::CallExt) {
-      std::vector<SymVal> Args;
+      std::vector<PlanOperand> Args;
       Args.reserve(Op.Args.size());
       for (const Operand &A : Op.Args)
         Args.push_back(resolve(A));
@@ -724,7 +675,7 @@ private:
         uint32_t Stage = GX.StageBase + static_cast<uint32_t>(I);
         ir::Type ArgTy = GX.RegTypes[Op.Args[I].R];
         force(Args[I]);
-        emitResolvedSym(Opcode::Mov, ArgTy, Stage, Args[I], SymVal(),
+        emitResolvedSym(Opcode::Mov, ArgTy, Stage, Args[I], PlanOperand(),
                         PlanRef());
       }
       raw({Op.Op == Opcode::Call ? v::Op::Call : v::Op::CallExt,
@@ -733,8 +684,8 @@ private:
       return;
     }
 
-    SymVal A = resolve(Op.A);
-    SymVal B = resolve(Op.B);
+    PlanOperand A = resolve(Op.A);
+    PlanOperand B = resolve(Op.B);
 
     // A move that resolves to its own destination (copy propagation came
     // full circle) is a no-op: the register already holds the value.
@@ -762,7 +713,7 @@ private:
         ++Open.EvalOps; // charge(CM.SpecEvalOp)
         deferOrEmit(Op,
                     Op.Ty == ir::Type::F64 ? Opcode::ConstF : Opcode::ConstI,
-                    Op.Ty, Op.Dst, SymVal(), SymVal(),
+                    Op.Ty, Op.Dst, PlanOperand(), PlanOperand(),
                     symEval(Op.Op, A.C, B.IsConst ? B.C : PlanRef()),
                     /*FromZcp=*/false);
         return;
@@ -775,8 +726,8 @@ private:
     bool OneConst = A.IsConst != B.IsConst;
     if (Flags.ZeroCopyPropagation && OneConst) {
       ++Open.ZcpChecks; // charge(CM.SpecZcpTableOp)
-      const SymVal &CS = A.IsConst ? A : B;
-      const SymVal &DS = A.IsConst ? B : A;
+      const PlanOperand &CS = A.IsConst ? A : B;
+      const PlanOperand &DS = A.IsConst ? B : A;
       bool ConstOnRight = B.IsConst;
       bool IsFloat = Op.Ty == ir::Type::F64;
       Word One = IsFloat ? Word::fromFloat(1.0) : Word::fromInt(1);
@@ -806,14 +757,14 @@ private:
       }
       if (RewriteToMove) {
         ++Open.ZcpApplied;
-        deferOrEmit(Op, Opcode::Mov, Op.Ty, Op.Dst, DS, SymVal(), PlanRef(),
-                    /*FromZcp=*/true);
+        deferOrEmit(Op, Opcode::Mov, Op.Ty, Op.Dst, DS, PlanOperand(),
+                    PlanRef(), /*FromZcp=*/true);
         return;
       }
       if (RewriteToClear) {
         ++Open.ZcpApplied;
         deferOrEmit(Op, IsFloat ? Opcode::ConstF : Opcode::ConstI, Op.Ty,
-                    Op.Dst, SymVal(), SymVal(), PlanRef::lit(Zero),
+                    Op.Dst, PlanOperand(), PlanOperand(), PlanRef::lit(Zero),
                     /*FromZcp=*/true);
         return;
       }
@@ -828,15 +779,15 @@ private:
         (Op.Op == Opcode::Mul || Op.Op == Opcode::Div ||
          Op.Op == Opcode::Rem)) {
       ++Open.SrChecks; // charge(CM.SpecStrengthCheck)
-      const SymVal &CS = A.IsConst ? A : B;
-      const SymVal &DS = A.IsConst ? B : A;
+      const PlanOperand &CS = A.IsConst ? A : B;
+      const PlanOperand &DS = A.IsConst ? B : A;
       bool ConstOnRight = B.IsConst;
       bool Relevant = Op.Op == Opcode::Mul || ConstOnRight;
       if (Relevant && assume(PlanBranch::Pow2Ge2, CS.C, Word())) {
         if (Op.Op == Opcode::Mul) {
           ++Open.StrengthReduced;
           deferOrEmit(Op, Opcode::Shl, Op.Ty, Op.Dst, DS,
-                      SymVal::cst(log2Ref(CS.C)), PlanRef(), false);
+                      PlanOperand::cst(log2Ref(CS.C)), PlanRef(), false);
           return;
         }
         // Exact shift sequence (C truncates toward zero, so negative
@@ -867,8 +818,12 @@ private:
   }
 };
 
-template <typename T> uint64_t bytesOf(const std::vector<T> &V) {
-  return V.size() * sizeof(T);
+/// Bytes of BP's program arrays. The contents of arm seeds are counted by
+/// the builder that saves them.
+uint64_t programBytes(const BlockPlan &BP) {
+  return bytesOf(BP.Steps) + bytesOf(BP.Evals) + bytesOf(BP.Template) +
+         bytesOf(BP.Holes) + bytesOf(BP.Exprs) + bytesOf(BP.Syncs) +
+         bytesOf(BP.Branches) + bytesOf(BP.Seeds);
 }
 
 } // namespace
@@ -888,10 +843,18 @@ uint64_t createEmitPlan(const GenExtFunction &GX, EmitPlan &Plan) {
 uint64_t buildBlockPlan(const GenExtFunction &GX, const OptFlags &Flags,
                         uint32_t Ctx, BlockPlan &BP) {
   assert(!BP.built() && "block program built twice");
-  BlockBuilder(GX, Flags, GX.Blocks[Ctx], BP).build();
-  return bytesOf(BP.Steps) + bytesOf(BP.Evals) + bytesOf(BP.Template) +
-         bytesOf(BP.Holes) + bytesOf(BP.Exprs) + bytesOf(BP.Syncs) +
-         bytesOf(BP.Branches);
+  BlockBuilder B(GX, Flags, GX.Blocks[Ctx], BP);
+  B.build();
+  return programBytes(BP) + B.seedBytes();
+}
+
+uint64_t buildBranchArm(const GenExtFunction &GX, const OptFlags &Flags,
+                        uint32_t Ctx, BlockPlan &BP, uint32_t Branch,
+                        bool Taken) {
+  const uint64_t Before = programBytes(BP);
+  BlockBuilder B(GX, Flags, GX.Blocks[Ctx], BP);
+  B.buildArm(Branch, Taken);
+  return programBytes(BP) - Before + B.seedBytes();
 }
 
 bool resolveEmitPlanEnabled(EmitPlanMode Mode) {

@@ -25,9 +25,11 @@
 ///  * Branch — a guard on a specialize-time value the legacy decision
 ///    tree forks on (a zero/copy-propagation 0/1 test, a power-of-two
 ///    strength-reduction test, a divide-by-zero fold test). The builder
-///    compiles *both* outcomes; the guard picks the matching pre-compiled
-///    sub-program at run time, so value-dependent rewrites no longer
-///    force the interpretive path.
+///    emits the guard with both arms unbuilt and keeps the path's
+///    symbolic state as the guard's seed; the first specialization that
+///    takes an arm compiles it from the seed (buildBranchArm), and every
+///    later one jumps straight to it. Value-dependent rewrites no longer
+///    force the interpretive path, and outcomes no key takes cost nothing.
 ///  * Sync — replays the symbolic deferral-table state the compiled
 ///    steps imply into the live DeferralEngine, so everything after the
 ///    compiled portion — Generic suffixes and the driver's terminator
@@ -58,10 +60,11 @@
 /// what specialization reaches. RegionExecutionCore creates a region's
 /// plan on its first specialization with only the key lists (every
 /// context needs one, placed or not: edges compose keys of their
-/// targets); the UnrollDriver builds a context's block program the first
-/// time it places that context. A plan depends only on the immutable
-/// GenExtFunction and the core's fixed OptFlags, so it survives chain
-/// eviction and CodeObject::Version churn; its storage is recycled
+/// targets); the UnrollDriver builds a context's block program up to its
+/// first guard the first time it places that context, and each guard arm
+/// the first time a placement takes it. A plan depends only on the
+/// immutable GenExtFunction and the core's fixed OptFlags, so it survives
+/// chain eviction and CodeObject::Version churn; its storage is recycled
 /// through the region's RecyclingPool.
 ///
 //===----------------------------------------------------------------------===//
@@ -118,14 +121,17 @@ struct PlanHole {
 /// One guard: picks the sub-program matching the specialize-time value,
 /// mirroring a value test of the legacy decision tree.
 struct PlanBranch {
+  /// Arm target of an outcome no specialization has taken yet.
+  static constexpr uint32_t Unbuilt = ~0u;
+
   enum Pred : uint8_t {
     EqBits,  ///< bits(A) == bits(Cmp) (ZCP 0/1 tests, div-by-zero folds)
     Pow2Ge2, ///< isPowerOf2(A.asInt()) && A.asInt() >= 2 (SR tests)
   } P = EqBits;
   PlanRef A;
   Word Cmp;
-  uint32_t True = 0;  ///< step index if the predicate holds
-  uint32_t False = 0; ///< step index otherwise
+  uint32_t True = Unbuilt;  ///< step index if the predicate holds
+  uint32_t False = Unbuilt; ///< step index otherwise
 };
 
 /// One pre-decoded static set-up operation of an EvalRun step.
@@ -142,27 +148,84 @@ struct PlanEval {
   int64_t Imm = 0;
 };
 
-/// One reconstructed deferral-table entry of a Sync step: the still-
-/// pending entries of the symbolic table, in legacy order, with producer
-/// links (Dep) remapped to the compacted indices (links to entries that
-/// already died are cleared — forceOperand skips them either way).
-struct PlanSync {
-  /// A symbolic RVal: a register (possibly linked to an earlier pending
-  /// entry) or a constant whose value is resolved at sync time from the
-  /// ref (refs stored into the table are always sync-stable: literals or
-  /// captured expressions).
-  struct Operand {
-    bool IsConst = false;
-    uint32_t R = vm::NoReg;
-    int32_t Dep = -1;
-    PlanRef C;
-  };
+/// A symbolic RVal: a register (possibly linked to a pending deferral-table
+/// entry by Dep) or a constant whose value is a ref. Refs stored into the
+/// table are always sync-stable: literals or captured expressions.
+struct PlanOperand {
+  bool IsConst = false;
+  uint32_t R = vm::NoReg;
+  int32_t Dep = -1;
+  PlanRef C;
+
+  static PlanOperand reg(uint32_t R, int32_t Dep = -1) {
+    PlanOperand V;
+    V.R = R;
+    V.Dep = Dep;
+    return V;
+  }
+  static PlanOperand cst(PlanRef C) {
+    PlanOperand V;
+    V.IsConst = true;
+    V.C = C;
+    return V;
+  }
+};
+
+/// The plan-time image of one DeferredInstr: an entry of the builder's
+/// symbolic deferral table, and of a Sync step's reconstruction list. A
+/// Sync list holds the still-pending entries of the symbolic table, in
+/// legacy order, with producer links (Dep) remapped to the compacted
+/// indices (links to entries that already died are cleared —
+/// forceOperand skips them either way).
+struct PlanTableEntry {
   ir::Opcode Op = ir::Opcode::Mov;
   ir::Type Ty = ir::Type::I64;
   uint32_t Dst = vm::NoReg;
-  Operand A, B;
+  PlanOperand A, B;
   PlanRef Imm;
   bool FromZcp = false;
+  bool Pending = true; ///< builder only: false once emitted or killed
+};
+
+/// Identity of one value test, for assumption memoization along a path.
+/// Literal refs never reach here (they decide immediately).
+struct PlanPredKey {
+  uint8_t P = 0;
+  uint8_t RefK = 0;
+  uint32_t RefIdx = 0;
+  uint64_t Cmp = 0;
+
+  bool operator==(const PlanPredKey &O) const {
+    return P == O.P && RefK == O.RefK && RefIdx == O.RefIdx && Cmp == O.Cmp;
+  }
+};
+
+/// The builder's symbolic state along one path of a block program. The
+/// maps are flat vectors scanned linearly: Latest holds at most the
+/// path's pending entries and Assumed at most one test per guard, so a
+/// scan beats a tree and a snapshot is a plain copy.
+struct PlanPath {
+  /// One register -> latest-table-entry link.
+  struct LatestDef {
+    uint32_t Reg = 0;
+    uint32_t Idx = 0;
+  };
+  /// One value-test outcome the path has committed to.
+  struct Assumption {
+    PlanPredKey K;
+    bool Holds = false;
+  };
+  std::vector<PlanTableEntry> Table;
+  std::vector<LatestDef> Latest; ///< unordered, one entry per register
+  std::vector<Assumption> Assumed;
+};
+
+/// Everything buildBranchArm needs to compile one arm of a guard: the
+/// path's state just before the op whose value test the guard makes, and
+/// that op's GenBlock index. Freed once both arms exist.
+struct PlanArmSeed {
+  PlanPath Path;
+  uint32_t OpIdx = 0;
 };
 
 /// One step of a block's emit program. Execution is PC-driven: most steps
@@ -204,7 +267,10 @@ struct PlanStep {
 };
 
 /// The emit program for one GenBlock (context). Steps is empty until the
-/// block is built; a built program always ends in an End step.
+/// block is built. Every path of a built program ends in an End step or
+/// reaches a Branch arm that is still Unbuilt; building an arm appends
+/// its steps (and everything they index) to the arrays below, so indices
+/// already handed out never move.
 struct BlockPlan {
   std::vector<PlanStep> Steps;
   std::vector<PlanEval> Evals;
@@ -214,8 +280,11 @@ struct BlockPlan {
   std::vector<vm::Instr> Template;
   std::vector<PlanHole> Holes;
   std::vector<PlanExpr> Exprs;
-  std::vector<PlanSync> Syncs;
+  std::vector<PlanTableEntry> Syncs;
   std::vector<PlanBranch> Branches;
+  /// Parallel to Branches: the seed of each guard with an unbuilt arm
+  /// (empty once both arms exist).
+  std::vector<PlanArmSeed> Seeds;
   /// This context's StaticIn registers in ascending (bit-set) order: the
   /// flattened memo-key composition list used for the context's own
   /// placements and for every edge that targets it. Set when the plan is
@@ -229,7 +298,8 @@ struct BlockPlan {
 struct EmitPlan {
   /// Index == context id. Sized once, by createEmitPlan, so building one
   /// block never moves another: a nested re-entrant specialization may
-  /// build a block while an outer run is executing a different one.
+  /// build a block while an outer run is executing a different one, or an
+  /// arm of the very block the outer run is executing.
   std::vector<BlockPlan> Blocks;
 };
 
@@ -239,13 +309,23 @@ struct EmitPlan {
 uint64_t createEmitPlan(const GenExtFunction &GX, EmitPlan &Plan);
 
 /// Builds the block program of context \p Ctx into \p BP (created by
-/// createEmitPlan, not yet built) under \p Flags. Returns the bytes the
-/// program occupies (templates, holes, eval streams, expressions, sync
-/// tables, guards, steps). Pure function of its inputs: no VM, no values,
-/// no charges — plan building is host work and must not touch simulated
-/// counters.
+/// createEmitPlan, not yet built) under \p Flags, up to the first guard
+/// on its path. Returns the bytes the program occupies (templates, holes,
+/// eval streams, expressions, sync tables, guards, arm seeds, steps).
+/// Pure function of its inputs: no VM, no values, no charges — plan
+/// building is host work and must not touch simulated counters.
 uint64_t buildBlockPlan(const GenExtFunction &GX, const OptFlags &Flags,
                         uint32_t Ctx, BlockPlan &BP);
+
+/// Builds the \p Taken arm of guard \p Branch of \p BP (the block program
+/// of context \p Ctx, built under the same \p Flags) from the guard's
+/// seed, up to the next guard on the arm, and points the guard at it.
+/// Frees the seed once both arms exist. Appends only, so a run executing
+/// \p BP stays valid if it addresses steps by index. Returns the bytes
+/// appended, seeds included. Pure, like buildBlockPlan.
+uint64_t buildBranchArm(const GenExtFunction &GX, const OptFlags &Flags,
+                        uint32_t Ctx, BlockPlan &BP, uint32_t Branch,
+                        bool Taken);
 
 /// Resolves an EmitPlanMode against the DYC_EMIT_PLAN environment
 /// variable ("on"/"1"/"true" / "off"/"0"/"false"; unknown values are

@@ -91,7 +91,7 @@ void PlanRunner::runSync(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                          const std::vector<Word> &Vals) {
   const uint32_t End = S.First + S.Count;
   for (uint32_t I = S.First; I != End; ++I) {
-    const cogen::PlanSync &Y = BP.Syncs[I];
+    const cogen::PlanTableEntry &Y = BP.Syncs[I];
     DeferralEngine::DeferredInstr DI;
     DI.Op = Y.Op;
     DI.Ty = Y.Ty;

@@ -22,7 +22,8 @@
 ///    ZcpApplied / StrengthReduced / DeadAssignsEliminated /
 ///    MaterializedDeferred) are replayed arithmetically.
 ///  * Branch — evaluate the guard's predicate on the live value and jump
-///    to the matching pre-compiled sub-program.
+///    to the matching sub-program, building it first if no earlier run
+///    took that arm.
 ///  * Sync — rebuild the live DeferralEngine's table from the plan's
 ///    reconstruction list, so Generic suffixes and the driver's
 ///    terminator handling observe exactly the legacy walk's state.
@@ -32,9 +33,9 @@
 /// The runner is deliberately decoupled from the UnrollDriver: it sees
 /// only the VM (charging + static-load memory), the region state (stats),
 /// the chain buffer, and the deferral engine (for Sync). Generic steps
-/// reach the driver through the callback passed to runBlock, so
-/// re-entrant specialization (memoized static calls that dispatch again)
-/// works unchanged under the plan path.
+/// and unbuilt guard arms reach the driver through the callbacks passed
+/// to runBlock, so re-entrant specialization (memoized static calls that
+/// dispatch again) works unchanged under the plan path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,10 +57,19 @@ public:
 
   /// Executes \p BP from its first step until End. \p Generic is called
   /// with the GenBlock::Ops index of each Generic step and must execute it
-  /// through the legacy path.
-  template <typename GenericFn>
+  /// through the legacy path. \p BuildArm is called with a guard's
+  /// Branches index and outcome when the run takes an arm that is still
+  /// Unbuilt, and must build it (cogen::buildBranchArm).
+  ///
+  /// Both callbacks can grow \p BP's vectors: BuildArm directly, and a
+  /// Generic static call through a nested same-region run that builds an
+  /// arm of this very block. So the loop addresses steps and guards by
+  /// index and never holds a reference across either call, and it grows
+  /// the expression scratch to the expressions that exist at every Branch
+  /// (an arm's expressions are only ever read past its guard).
+  template <typename GenericFn, typename BuildArmFn>
   void runBlock(const cogen::BlockPlan &BP, std::vector<Word> &Vals,
-                GenericFn &&Generic) {
+                GenericFn &&Generic, BuildArmFn &&BuildArm) {
     ExprVals.assign(BP.Exprs.size(), Word());
     uint32_t PC = 0;
     while (true) {
@@ -74,12 +84,17 @@ public:
         ++PC;
         break;
       case cogen::PlanStep::Generic:
-        Generic(S.First);
+        Generic(S.First); // S may dangle after this call
         ++PC;
         break;
       case cogen::PlanStep::Branch: {
-        const cogen::PlanBranch &Br = BP.Branches[S.First];
-        PC = predicate(Br, Vals) ? Br.True : Br.False;
+        const uint32_t BI = S.First;
+        const bool Taken = predicate(BP.Branches[BI], Vals);
+        if ((Taken ? BP.Branches[BI].True : BP.Branches[BI].False) ==
+            cogen::PlanBranch::Unbuilt)
+          BuildArm(BI, Taken); // S may dangle after this call
+        PC = Taken ? BP.Branches[BI].True : BP.Branches[BI].False;
+        ExprVals.resize(BP.Exprs.size());
         break;
       }
       case cogen::PlanStep::Sync:
@@ -128,9 +143,9 @@ private:
   size_t MaxInstrs;
   DeferralEngine &D;
   /// Evaluated PlanExpr values, indexed by expression id; sized per
-  /// runBlock. Expressions persist for the whole block run — a deferred
-  /// value captured early can be consumed by a hole, a guard, or a Sync
-  /// operand many steps later.
+  /// runBlock and grown at every Branch. Expressions persist for the
+  /// whole block run — a deferred value captured early can be consumed by
+  /// a hole, a guard, or a Sync operand many steps later.
   std::vector<Word> ExprVals;
 };
 

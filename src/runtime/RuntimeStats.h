@@ -69,7 +69,10 @@ struct RegionStats {
   bool PlanEnabled = false;
   uint64_t PlanBuilds = 0; ///< plans created (once per region)
   uint64_t PlanHits = 0;   ///< specialization runs served by an existing plan
-  uint64_t PlanBytes = 0;  ///< key lists plus the block programs built
+  /// Key lists plus the block programs and guard arms built so far (arm
+  /// seeds included): grows when a key reaches a new block or first takes
+  /// a new arm.
+  uint64_t PlanBytes = 0;
 
   std::string toString() const;
 };

@@ -349,17 +349,23 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
 
   const GenBlock &GB = GX.Blocks[Cur.Ctx];
   if (Plan) {
-    // Staged path: the block's pre-compiled linear emit program, built on
-    // the context's first placement. Generic steps fall back to the legacy
+    // Staged path: the block's linear emit program, built on the context's
+    // first placement up to its first guard, each guard arm built when a
+    // placement first takes it. Generic steps fall back to the legacy
     // interpreter per op, so the emitted chain and every simulated charge
     // are identical to the walk below. A Generic static call may re-enter
-    // the specializer and build other blocks of this plan; Blocks never
-    // resizes, so BP stays valid.
+    // the specializer and build other blocks of this plan, or arms of this
+    // block; Blocks never resizes, so BP stays valid.
     cogen::BlockPlan &BP = Plan->Blocks[Cur.Ctx];
     if (!BP.built())
       R.Stats.PlanBytes += cogen::buildBlockPlan(GX, Flags, Cur.Ctx, BP);
-    PR.runBlock(BP, Cur.Vals,
-                [&](uint32_t OpIdx) { execSetup(GB.Ops[OpIdx], Cur.Vals); });
+    PR.runBlock(
+        BP, Cur.Vals,
+        [&](uint32_t OpIdx) { execSetup(GB.Ops[OpIdx], Cur.Vals); },
+        [&](uint32_t Branch, bool Taken) {
+          R.Stats.PlanBytes +=
+              cogen::buildBranchArm(GX, Flags, Cur.Ctx, BP, Branch, Taken);
+        });
   } else {
     for (const SetupOp &Op : GB.Ops)
       execSetup(Op, Cur.Vals);

@@ -7,9 +7,11 @@
 // complete observable state — simulated counters (DynCompCycles included),
 // results, output memory, and the golden disassembly of every region —
 // plus the speculation path, plan-cache counter semantics under eviction
-// churn, block programs built on first placement, hard-zeroing when the
-// path is off, nested static-call re-entry into the specializer while a
-// parent plan (of another region or the same one) is executing, and the
+// churn, block programs built on first placement, guard arms built on
+// first take and in any order, the Generic fallback past a block's guard
+// budget, hard-zeroing when the path is off, nested static-call re-entry
+// into the specializer while a parent plan (of another region, or the
+// same one, down to the block it is running) is executing, and the
 // flag/environment selection rules.
 //
 //===----------------------------------------------------------------------===//
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 
 using namespace dyc;
 using workloads::Workload;
@@ -362,7 +365,9 @@ TEST(EmitPlanReentrancy, NestedStaticCallSpecializesUnderParentPlan) {
 // specialization with no block programs, and a context's program is built
 // the first time the context is placed. The static `if` on the key sends
 // keys above 5 and keys up to 5 to different contexts, so PlanBytes grows
-// exactly when a key reaches a context no earlier key placed.
+// when a key reaches a context no earlier key placed — and when it takes
+// a guard arm no earlier key took (key 8, a power of two, is the first to
+// take the strength-reduction arm of `x * n`).
 const char *BranchOnKeySrc = "int f(int n, int x) {\n"
                              "  make_static(n : cache_all);\n"
                              "  int r = 0;\n"
@@ -402,12 +407,165 @@ TEST(EmitPlanCache, BlocksBuiltOnFirstPlacement) {
       EXPECT_EQ(Bytes[1], Bytes[0]) << "key 9 places only key 7's contexts";
       EXPECT_GT(Bytes[2], Bytes[1]) << "key 2 places the else context";
       EXPECT_EQ(Bytes[3], Bytes[2]) << "key 3 places no new context";
-      EXPECT_EQ(Bytes[4], Bytes[3]) << "key 8 places no new context";
+      EXPECT_GT(Bytes[4], Bytes[3])
+          << "key 8 places no new context but takes the shift arm";
     }
   }
   EXPECT_EQ(Traces[0].Results,
             (std::vector<uint64_t>{31, 39, 2, 1, 35}));
   expectIdentical(Traces[0], Traces[1], "blocks on demand");
+}
+
+// Guard arms on demand: `x * n` with n static makes three value tests —
+// n == 1 (zero/copy propagation to a move), n == 0 (to a clear) and n a
+// power of two (strength reduction to a shift). The first key builds the
+// block and the arms it takes; PlanBytes grows again exactly when a key
+// takes an arm no earlier key took.
+const char *MulByKeySrc = "int f(int n, int x) {\n"
+                          "  make_static(n : cache_all);\n"
+                          "  return x * n;\n"
+                          "}";
+
+TEST(EmitPlanCache, GuardArmsBuiltOnFirstTake) {
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Ctx.compile(MulByKeySrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("f");
+    ASSERT_GE(FI, 0);
+
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    std::vector<uint64_t> Bytes;
+    for (int64_t N : {3, 3, 1, 0, 8, 1}) {
+      T.Results.push_back(E->Machine
+                              ->run(static_cast<uint32_t>(FI),
+                                    {Word::fromInt(N), Word::fromInt(5)})
+                              .Bits);
+      Bytes.push_back(E->RT->stats(0).PlanBytes);
+    }
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+
+    if (PlanOn) {
+      EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 4u);
+      EXPECT_GT(Bytes[0], 0u);
+      EXPECT_EQ(Bytes[1], Bytes[0]) << "key 3 again: dispatch hit";
+      EXPECT_GT(Bytes[2], Bytes[1]) << "key 1 takes the move arm";
+      EXPECT_GT(Bytes[3], Bytes[2]) << "key 0 takes the clear arm";
+      EXPECT_GT(Bytes[4], Bytes[3]) << "key 8 takes the shift arm";
+      EXPECT_EQ(Bytes[5], Bytes[4]) << "key 1 again: dispatch hit";
+    }
+  }
+  EXPECT_EQ(Traces[0].Results,
+            (std::vector<uint64_t>{15, 15, 5, 0, 40, 5}));
+  expectIdentical(Traces[0], Traces[1], "guard arms on demand");
+}
+
+// Guard budget: each `x * k` term makes up to three value tests, so the
+// 256 keys below take 256 distinct paths through a tree of 255 guards,
+// well past a block's budget of 96. Arms are built as keys take them until
+// the block holds its budget; every path that reaches a new test after
+// that runs its remaining ops through Generic steps, and must still emit
+// the walk's code.
+const char *FourTermsSrc = "int f(int a, int b, int c, int d, int x) {\n"
+                           "  make_static(a, b, c, d : cache_all);\n"
+                           "  return x * a + x * b + x * c + x * d;\n"
+                           "}";
+
+TEST(EmitPlanCache, GuardBudgetFallsBackToTheWalk) {
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Ctx.compile(FourTermsSrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("f");
+    ASSERT_GE(FI, 0);
+
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    for (int64_t Key = 0; Key != 256; ++Key) {
+      std::vector<Word> Args;
+      for (int Term = 0; Term != 4; ++Term)
+        Args.push_back(Word::fromInt((Key >> (2 * Term)) & 3));
+      Args.push_back(Word::fromInt(5));
+      T.Results.push_back(
+          E->Machine->run(static_cast<uint32_t>(FI), Args).Bits);
+    }
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+    EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 256u);
+  }
+  expectIdentical(Traces[0], Traces[1], "guard budget");
+}
+
+// Arm order: a plan's arms are built in whatever order keys take them, and
+// any order must compose to the walk's code. The kernel makes several
+// value tests per key and has no internal promotions, so every key gets
+// one chain and dispatch-site numbering cannot depend on the order. Two
+// plans see the same keys in opposite orders; each key's chain must
+// disassemble exactly as the walk's chain for that key.
+const char *ManyGuardsSrc = "int f(int a, int b, int x, int y) {\n"
+                            "  make_static(a, b : cache_all);\n"
+                            "  int r = x * a + y * b;\n"
+                            "  r = r - x * (a - b);\n"
+                            "  return r + y / (b + 1) + x % (a + 1);\n"
+                            "}";
+
+using KeyPair = std::pair<int64_t, int64_t>;
+
+/// Runs f on each key in \p Keys (plan on or off) and returns every key's
+/// chain, without the header line that names the chain by its creation
+/// ordinal, plus the run results in \p Results.
+std::map<KeyPair, std::string> chainPerKey(const std::vector<KeyPair> &Keys,
+                                           bool PlanOn,
+                                           std::vector<uint64_t> &Results) {
+  std::map<KeyPair, std::string> Chains;
+  core::DycContext Ctx;
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(Ctx.compile(ManyGuardsSrc, Errors))
+      << (Errors.empty() ? "" : Errors[0]);
+  auto E = Ctx.buildDynamic(withPlan(PlanOn));
+  int FI = E->findFunction("f");
+  EXPECT_GE(FI, 0);
+  std::string Before;
+  for (const KeyPair &K : Keys) {
+    std::vector<Word> Args = {Word::fromInt(K.first), Word::fromInt(K.second),
+                              Word::fromInt(11), Word::fromInt(-6)};
+    Results.push_back(
+        E->Machine->run(static_cast<uint32_t>(FI), Args).Bits);
+    std::string After = E->RT->disassembleRegion(0);
+    EXPECT_EQ(After.compare(0, Before.size(), Before), 0)
+        << "a run changed an earlier chain";
+    std::string New = After.substr(Before.size());
+    Chains[K] = New.substr(New.find('\n') + 1);
+    Before = std::move(After);
+  }
+  EXPECT_EQ(E->RT->stats(0).SpecializationRuns, Keys.size());
+  return Chains;
+}
+
+TEST(EmitPlanCache, ArmsBuiltInAnyOrderComposeToTheWalk) {
+  const std::vector<KeyPair> Keys = {{0, 0}, {1, 1}, {2, 3}, {3, 7}, {1, 0},
+                                     {0, 1}, {2, 2}, {4, 3}, {3, 1}, {5, 8}};
+  std::vector<KeyPair> Reversed(Keys.rbegin(), Keys.rend());
+  std::vector<uint64_t> WalkResults, FwdResults, RevResults;
+  auto Walk = chainPerKey(Keys, false, WalkResults);
+  auto Fwd = chainPerKey(Keys, true, FwdResults);
+  auto Rev = chainPerKey(Reversed, true, RevResults);
+  for (const KeyPair &K : Keys) {
+    std::string What = "key (" + std::to_string(K.first) + "," +
+                       std::to_string(K.second) + ")";
+    EXPECT_FALSE(Walk[K].empty()) << What;
+    EXPECT_EQ(Fwd[K], Walk[K]) << What << ", forward order";
+    EXPECT_EQ(Rev[K], Walk[K]) << What << ", reverse order";
+  }
+  EXPECT_EQ(FwdResults, WalkResults);
+  EXPECT_EQ(std::vector<uint64_t>(RevResults.rbegin(), RevResults.rend()),
+            WalkResults);
 }
 
 // Same-region re-entrancy: specializing h(n) executes the static call
@@ -451,6 +609,52 @@ TEST(EmitPlanReentrancy, SameRegionNestedRunBuildsBlocksOfRunningPlan) {
   }
   EXPECT_EQ(Traces[0].Results, (std::vector<uint64_t>{120, 5040, 120, 1}));
   expectIdentical(Traces[0], Traces[1], "same-region re-entrancy");
+}
+
+// Same-region re-entrancy into a block's arms: the context after the
+// static `if` makes the static call h(n - 1, n), then multiplies the
+// dynamic x by its result r. The outermost run (key 3) builds that block
+// up to the first guard on r and enters the call; each nested run places
+// the same context, so the runs for keys 1 and 2 build the arms for r == 1,
+// r == 2 and the tests between them while the outer run is inside the
+// call. Only after the call returns does the outer run take those arms,
+// with the block's vectors grown under it.
+const char *RecursiveMulSrc = "pure int h(int n, int x) {\n"
+                              "  make_static(n : cache_all);\n"
+                              "  if (n <= 0) return x;\n"
+                              "  return x * h(n - 1, n);\n"
+                              "}";
+
+TEST(EmitPlanReentrancy, NestedRunBuildsArmOfRunningBlock) {
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(Ctx.compile(RecursiveMulSrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("h");
+    ASSERT_GE(FI, 0);
+
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    for (int64_t N : {3, 4, 3, 1})
+      T.Results.push_back(E->Machine
+                              ->run(static_cast<uint32_t>(FI),
+                                    {Word::fromInt(N), Word::fromInt(5)})
+                              .Bits);
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+
+    ASSERT_EQ(E->RT->numRegions(), 1u);
+    const runtime::RegionStats &St = E->RT->stats(0);
+    EXPECT_EQ(St.SpecializationRuns, 5u) << "keys 3..0, then 4";
+    if (PlanOn) {
+      EXPECT_EQ(St.PlanBuilds, 1u);
+      EXPECT_EQ(St.PlanHits, 4u) << "every nested run reuses the plan";
+    }
+  }
+  EXPECT_EQ(Traces[0].Results, (std::vector<uint64_t>{30, 120, 30, 5}));
+  expectIdentical(Traces[0], Traces[1], "nested run builds a running arm");
 }
 
 // Selection semantics: explicit flag beats the environment; Default
