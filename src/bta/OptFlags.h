@@ -39,19 +39,6 @@
 
 namespace dyc {
 
-/// Whether specialization runs execute through staged emit plans
-/// (cogen/EmitPlan.h): per-region compilation of the generating
-/// extension into a linear emit program with block-copy templates.
-/// Like Tier this is not an optimization toggle — the plan
-/// path is contractually bit-identical to the legacy template walk in
-/// every simulated counter and every emitted chain; it only changes
-/// host wall-clock per emitted instruction.
-enum class EmitPlanMode {
-  Default, ///< resolve from DYC_EMIT_PLAN ("on"/"off"); on when unset
-  On,      ///< execute specialization through staged emit plans
-  Off,     ///< legacy walk: interpret the SetupOp templates directly
-};
-
 /// Tiered-execution policy (the src/tier/ controller). Tiering changes
 /// *when* specialization work happens — never what executes or what the
 /// simulated counters charge per executed dispatch — so it is policy, not
@@ -101,10 +88,13 @@ struct OptFlags {
   /// steady-state behavior is invariant.
   TieringPolicy Tier;
 
-  /// Staged-emit-plan selection (see EmitPlanMode). Like Tier, not a
-  /// toggle: it cannot change observable behavior, so it is excluded
-  /// from fingerprint() below.
-  EmitPlanMode EmitPlan = EmitPlanMode::Default;
+  /// Test hook: specialization runs walk each block's SetupOps at
+  /// specialize time instead of running its staged emit program
+  /// (cogen/EmitPlan.h). Both run the one emit-semantics template
+  /// (runtime/Deferral.h), concretely or symbolically, so the walk is the
+  /// reference the plan-parity tests compare byte for byte. Like Tier, it
+  /// cannot change emitted chains, so fingerprint() excludes it.
+  bool ReferenceWalk = false;
 
   /// Named accessors for the ablation harness (Table 5 columns).
   static constexpr unsigned NumToggles = 9;
@@ -113,8 +103,8 @@ struct OptFlags {
 
   /// Content fingerprint of everything that can change *what code a
   /// specialization run emits*: the nine optimization toggles and the
-  /// region code cap. Tier and EmitPlan are deliberately excluded — both
-  /// are contractually unable to change emitted chains. The multi-tenant
+  /// region code cap. Tier and ReferenceWalk are deliberately excluded —
+  /// both are contractually unable to change emitted chains. The multi-tenant
   /// chain store folds this into its dedup key, and the warm-start file
   /// records it so a cache serialized under one configuration is never
   /// adopted under another.

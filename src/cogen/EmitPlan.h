@@ -22,8 +22,8 @@
 ///    patch-site (hole) list whose entries compute immediate fields from
 ///    the run's static values (directly or through derived-value
 ///    expressions).
-///  * Branch — a guard on a specialize-time value the legacy decision
-///    tree forks on (a zero/copy-propagation 0/1 test, a power-of-two
+///  * Branch — a guard on a specialize-time value the emit semantics
+///    test (a zero/copy-propagation 0/1 test, a power-of-two
 ///    strength-reduction test, a divide-by-zero fold test). The builder
 ///    emits the guard with both arms unbuilt and keeps the path's
 ///    symbolic state as the guard's seed; the first specialization that
@@ -34,27 +34,25 @@
 ///    steps imply into the live DeferralEngine, so everything after the
 ///    compiled portion — Generic suffixes and the driver's terminator
 ///    handling (return/condition resolution, dropAllPending accounting)
-///    — behaves bit-identically to the legacy walk.
-///  * Generic — one SetupOp executed through the unmodified legacy path
-///    (memoized static calls always; dynamic instructions only past the
-///    block's guard budget).
+///    — sees exactly the table the reference walk would have left.
+///  * Generic — one SetupOp executed at specialize time in the concrete
+///    domain (memoized static calls always; dynamic instructions only past
+///    the block's guard budget).
 ///  * End — terminates the current path of the step program.
 ///
-/// The builder is a plan-time *symbolic execution* of the DeferralEngine:
-/// it tracks the deferral table (pending entries, copy/constant
-/// propagation, dead-assignment kills, forced materializations) with
-/// values abstracted to PlanRefs — plan-time literals, static-register
-/// reads, or derived expressions — and mirrors every chargeDynComp call
-/// and every RegionStats bump the legacy engine would make, replayed as
-/// per-step counts. That is what keeps every simulated counter
-/// (DynCompCycles included) and every emitted chain bit-identical plan
-/// on/off.
+/// The builder runs the one statement of the emit semantics — the
+/// DeferralEngineT template of runtime/Deferral.h — in the Symbolic value
+/// domain: values are PlanRefs (plan-time literals, static-register reads,
+/// or derived expressions), value tests fork the program through guards,
+/// immediates become holes, and every charge and RegionStats bump becomes
+/// a per-step count the runner replays. That is what keeps every simulated
+/// counter (DynCompCycles included) and every emitted chain bit-identical
+/// to the reference walk, which runs the same template concretely.
 ///
 /// The plan also carries the flattened static-key register list of every
-/// context (the memoization key composition the driver otherwise
-/// re-derives through a std::function bit-set walk on every placement
-/// and every context edge) — the "memo checks hoisted to run
-/// boundaries" piece.
+/// context, from which the driver composes every memoization key (on
+/// every placement and every context edge, under the reference walk too)
+/// — the "memo checks hoisted to run boundaries" piece.
 ///
 /// Plans are staged on demand, so their one-time cost is paid only for
 /// what specialization reaches. RegionExecutionCore creates a region's
@@ -74,6 +72,7 @@
 
 #include "bta/OptFlags.h"
 #include "cogen/GenExt.h"
+#include "runtime/Emitter.h"
 
 namespace dyc {
 namespace cogen {
@@ -97,7 +96,7 @@ struct PlanRef {
 /// Copy step (its capture point) and is evaluated into the run's
 /// expression scratch when that step executes — capturing static values
 /// *before* later set-up evaluation can overwrite them, exactly when the
-/// legacy walk would have read them.
+/// concrete domain would have read them.
 struct PlanExpr {
   enum Kind : uint8_t {
     Pure, ///< evalPureOp(Op, A, B) — guarded against Div/Rem-by-zero
@@ -108,8 +107,8 @@ struct PlanExpr {
 };
 
 /// One patch site of a Copy template: the Imm field of the instruction at
-/// template position \p InstrIdx becomes bits(\p Ref) + \p Add. Every
-/// emit-time hole the legacy path fills (demoted-constant
+/// template position \p InstrIdx becomes wrapAdd(\p Ref, \p Add). Every
+/// emit-time hole the concrete domain fills (demoted-constant
 /// materializations, immediate-form packing, absolute-address folding,
 /// folded pure ops, strength-reduction shift constants) reduces to this.
 struct PlanHole {
@@ -118,8 +117,8 @@ struct PlanHole {
   PlanRef Ref;
 };
 
-/// One guard: picks the sub-program matching the specialize-time value,
-/// mirroring a value test of the legacy decision tree.
+/// One guard: picks the sub-program matching the specialize-time value of
+/// one value test of the emit semantics.
 struct PlanBranch {
   /// Arm target of an outcome no specialization has taken yet.
   static constexpr uint32_t Unbuilt = ~0u;
@@ -148,45 +147,6 @@ struct PlanEval {
   int64_t Imm = 0;
 };
 
-/// A symbolic RVal: a register (possibly linked to a pending deferral-table
-/// entry by Dep) or a constant whose value is a ref. Refs stored into the
-/// table are always sync-stable: literals or captured expressions.
-struct PlanOperand {
-  bool IsConst = false;
-  uint32_t R = vm::NoReg;
-  int32_t Dep = -1;
-  PlanRef C;
-
-  static PlanOperand reg(uint32_t R, int32_t Dep = -1) {
-    PlanOperand V;
-    V.R = R;
-    V.Dep = Dep;
-    return V;
-  }
-  static PlanOperand cst(PlanRef C) {
-    PlanOperand V;
-    V.IsConst = true;
-    V.C = C;
-    return V;
-  }
-};
-
-/// The plan-time image of one DeferredInstr: an entry of the builder's
-/// symbolic deferral table, and of a Sync step's reconstruction list. A
-/// Sync list holds the still-pending entries of the symbolic table, in
-/// legacy order, with producer links (Dep) remapped to the compacted
-/// indices (links to entries that already died are cleared —
-/// forceOperand skips them either way).
-struct PlanTableEntry {
-  ir::Opcode Op = ir::Opcode::Mov;
-  ir::Type Ty = ir::Type::I64;
-  uint32_t Dst = vm::NoReg;
-  PlanOperand A, B;
-  PlanRef Imm;
-  bool FromZcp = false;
-  bool Pending = true; ///< builder only: false once emitted or killed
-};
-
 /// Identity of one value test, for assumption memoization along a path.
 /// Literal refs never reach here (they decide immediately).
 struct PlanPredKey {
@@ -200,23 +160,17 @@ struct PlanPredKey {
   }
 };
 
-/// The builder's symbolic state along one path of a block program. The
-/// maps are flat vectors scanned linearly: Latest holds at most the
-/// path's pending entries and Assumed at most one test per guard, so a
-/// scan beats a tree and a snapshot is a plain copy.
+/// The builder's symbolic state along one path of a block program: the
+/// deferral table, with values abstracted to PlanRefs, and the value-test
+/// outcomes the path has committed to (at most one per guard, so a flat
+/// vector scanned linearly).
 struct PlanPath {
-  /// One register -> latest-table-entry link.
-  struct LatestDef {
-    uint32_t Reg = 0;
-    uint32_t Idx = 0;
-  };
   /// One value-test outcome the path has committed to.
   struct Assumption {
     PlanPredKey K;
     bool Holds = false;
   };
-  std::vector<PlanTableEntry> Table;
-  std::vector<LatestDef> Latest; ///< unordered, one entry per register
+  runtime::DeferralTable<PlanRef> Table;
   std::vector<Assumption> Assumed;
 };
 
@@ -247,23 +201,15 @@ struct PlanStep {
   uint32_t ExprFirst = 0;
   uint32_t ExprCount = 0;
   /// Aggregated charge replay, as *counts* (the cost model is per-VM, so
-  /// cycles are computed at run time). EvalRun uses EvalOps/StaticLoads;
-  /// Copy uses the rest. TableOps replays the deferral engine's
-  /// SpecZcpTableOp charges (inserts, resolve hops, dead-kills);
-  /// ZcpChecks the zero/copy candidate tests (same rate, kept separate
-  /// for readability); SrChecks the strength-reduction tests.
-  uint32_t EvalOps = 0;
-  uint32_t StaticLoads = 0;
-  uint32_t Emits = 0;
-  uint32_t EmitHoles = 0;
-  uint32_t ZcpChecks = 0;
-  uint32_t SrChecks = 0;
-  uint32_t TableOps = 0;
+  /// cycles are computed at run time), one per cost-model rate. EvalRun
+  /// counts EvalOp and StaticLoad; Copy counts every rate but StaticLoad.
+  uint32_t Charges[runtime::NumCharges] = {};
   /// Aggregated RegionStats replay for the compiled deferral activity.
-  uint32_t ZcpApplied = 0;
-  uint32_t StrengthReduced = 0;
-  uint32_t DeadAssigns = 0;
-  uint32_t Materialized = 0;
+  uint32_t Stats[runtime::NumStats] = {};
+
+  uint32_t &count(runtime::Charge K) { return Charges[size_t(K)]; }
+  uint32_t count(runtime::Charge K) const { return Charges[size_t(K)]; }
+  uint32_t &count(runtime::Stat K) { return Stats[size_t(K)]; }
 };
 
 /// The emit program for one GenBlock (context). Steps is empty until the
@@ -280,7 +226,7 @@ struct BlockPlan {
   std::vector<vm::Instr> Template;
   std::vector<PlanHole> Holes;
   std::vector<PlanExpr> Exprs;
-  std::vector<PlanTableEntry> Syncs;
+  std::vector<runtime::DeferredEntry<PlanRef>> Syncs;
   std::vector<PlanBranch> Branches;
   /// Parallel to Branches: the seed of each guard with an unbuilt arm
   /// (empty once both arms exist).
@@ -326,11 +272,6 @@ uint64_t buildBlockPlan(const GenExtFunction &GX, const OptFlags &Flags,
 uint64_t buildBranchArm(const GenExtFunction &GX, const OptFlags &Flags,
                         uint32_t Ctx, BlockPlan &BP, uint32_t Branch,
                         bool Taken);
-
-/// Resolves an EmitPlanMode against the DYC_EMIT_PLAN environment
-/// variable ("on"/"1"/"true" / "off"/"0"/"false"; unknown values are
-/// ignored). Default is on. An explicit flag beats the environment.
-bool resolveEmitPlanEnabled(EmitPlanMode Mode);
 
 } // namespace cogen
 } // namespace dyc

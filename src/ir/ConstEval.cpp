@@ -79,7 +79,7 @@ bool evalPureOp(Opcode Op, Word A, Word B, Word &Out) {
     Out = Word::fromFloat(static_cast<double>(A.asInt()));
     return true;
   case Opcode::FToI:
-    Out = Word::fromInt(static_cast<int64_t>(A.asFloat()));
+    Out = Word::fromInt(wrapFToI(A.asFloat()));
     return true;
   default:
     return false;

@@ -1,272 +1,16 @@
-//===- runtime/Deferral.cpp - Staged ZCP + dead-assignment engine ------------------===//
+//===- runtime/Deferral.cpp - Emit semantics, concrete instantiation ---------------===//
+//
+// The specializer's emit-time instantiation of the deferral engine; the
+// plan builder instantiates the symbolic one in cogen/EmitPlan.cpp.
+//
+//===----------------------------------------------------------------------===//
 
 #include "runtime/Deferral.h"
-
-#include "ir/ConstEval.h"
 
 namespace dyc {
 namespace runtime {
 
-using cogen::Operand;
-using cogen::SetupOp;
-using ir::Opcode;
-namespace v = vm;
-
-void DeferralEngine::materializeEntry(size_t Idx) {
-  DeferredInstr &D = Defer[Idx];
-  if (!D.Pending)
-    return;
-  D.Pending = false;
-  auto It = LatestDef.find(D.Dst);
-  if (It != LatestDef.end() && It->second == Idx)
-    LatestDef.erase(It);
-  ++Stats.MaterializedDeferred;
-  forceOperand(D.A);
-  forceOperand(D.B);
-  E.emitResolved(D.Op, D.Ty, D.Dst, D.A, D.B, D.Imm);
-}
-
-void DeferralEngine::forceOperand(const RVal &A) {
-  if (A.Dep >= 0 && Defer[static_cast<size_t>(A.Dep)].Pending)
-    materializeEntry(static_cast<size_t>(A.Dep));
-}
-
-RVal DeferralEngine::readResolve(uint32_t Reg) {
-  uint32_t Cur = Reg;
-  while (true) {
-    auto It = LatestDef.find(Cur);
-    if (It == LatestDef.end())
-      return RVal::reg(Cur);
-    DeferredInstr &D = Defer[It->second];
-    charge(CM.SpecZcpTableOp);
-    if (D.Op == Opcode::Mov) {
-      if (D.A.IsConst)
-        return D.A;
-      Cur = D.A.R;
-      continue;
-    }
-    if (D.Op == Opcode::ConstI || D.Op == Opcode::ConstF)
-      return RVal::cst(Word{static_cast<uint64_t>(D.Imm)});
-    return RVal::reg(Cur, static_cast<int32_t>(It->second));
-  }
-}
-
-RVal DeferralEngine::resolveOperand(const Operand &O,
-                                    const std::vector<Word> &Vals) {
-  if (O.R == ir::NoReg)
-    return RVal();
-  if (O.Static)
-    return RVal::cst(Vals[O.R]);
-  return readResolve(O.R);
-}
-
-void DeferralEngine::writeEvent(uint32_t Dst) {
-  if (Dst == v::NoReg)
-    return;
-  for (size_t I = 0; I != Defer.size(); ++I) {
-    DeferredInstr &D = Defer[I];
-    if (!D.Pending)
-      continue;
-    if ((!D.A.IsConst && D.A.R == Dst) || (!D.B.IsConst && D.B.R == Dst))
-      materializeEntry(I);
-  }
-  auto It = LatestDef.find(Dst);
-  if (It != LatestDef.end()) {
-    DeferredInstr &D = Defer[It->second];
-    if (D.Pending) {
-      D.Pending = false;
-      ++Stats.DeadAssignsEliminated;
-      charge(CM.SpecZcpTableOp);
-    }
-    LatestDef.erase(It);
-  }
-}
-
-void DeferralEngine::memoryClobber() {
-  for (size_t I = 0; I != Defer.size(); ++I)
-    if (Defer[I].Pending && Defer[I].Op == Opcode::Load)
-      materializeEntry(I);
-}
-
-void DeferralEngine::dropAllPending() {
-  for (DeferredInstr &D : Defer) {
-    if (!D.Pending)
-      continue;
-    D.Pending = false;
-    ++Stats.DeadAssignsEliminated;
-  }
-  LatestDef.clear();
-}
-
-void DeferralEngine::deferOrEmit(const SetupOp &Op, Opcode FormOp, ir::Type Ty,
-                                 uint32_t Dst, const RVal &A, const RVal &B,
-                                 int64_t Imm, bool FromZcp) {
-  writeEvent(Dst);
-  if (Op.Deferrable) {
-    charge(CM.SpecZcpTableOp);
-    DeferredInstr D;
-    D.Op = FormOp;
-    D.Ty = Ty;
-    D.Dst = Dst;
-    D.A = A;
-    D.B = B;
-    D.Imm = Imm;
-    D.FromZcp = FromZcp;
-    Defer.push_back(D);
-    LatestDef[Dst] = Defer.size() - 1;
-    return;
-  }
-  forceOperand(A);
-  forceOperand(B);
-  E.emitResolved(FormOp, Ty, Dst, A, B, Imm);
-}
-
-void DeferralEngine::emitDynamic(const SetupOp &Op,
-                                 const std::vector<Word> &Vals) {
-  if (Op.Op == Opcode::Call || Op.Op == Opcode::CallExt) {
-    std::vector<RVal> Args;
-    Args.reserve(Op.Args.size());
-    for (const Operand &A : Op.Args)
-      Args.push_back(resolveOperand(A, Vals));
-    memoryClobber();
-    writeEvent(Op.Dst);
-    for (size_t I = 0; I != Args.size(); ++I) {
-      uint32_t Stage = GX.StageBase + static_cast<uint32_t>(I);
-      ir::Type ArgTy = GX.RegTypes[Op.Args[I].R];
-      forceOperand(Args[I]);
-      E.emitResolved(Opcode::Mov, ArgTy, Stage, Args[I], RVal(), 0);
-    }
-    E.emitRaw({Op.Op == Opcode::Call ? v::Op::Call : v::Op::CallExt,
-               Op.Dst == ir::NoReg ? v::NoReg : Op.Dst, GX.StageBase,
-               static_cast<uint32_t>(Args.size()), Op.Callee});
-    return;
-  }
-
-  RVal A = resolveOperand(Op.A, Vals);
-  RVal B = resolveOperand(Op.B, Vals);
-
-  // A move that resolves to its own destination (copy propagation came
-  // full circle) is a no-op: the register already holds the value.
-  if (Op.Op == Opcode::Mov && !A.IsConst && A.R == Op.Dst)
-    return;
-
-  if (Op.Op == Opcode::Store) {
-    memoryClobber();
-    forceOperand(A);
-    forceOperand(B);
-    E.emitResolved(Opcode::Store, ir::Type::I64, v::NoReg, A, B, Op.Imm);
-    return;
-  }
-
-  // Dynamic constant folding: propagation can turn both operands into
-  // constants.
-  if (ir::isEvaluableOp(Op.Op) && A.IsConst &&
-      (isUnaryOpcode(Op.Op) || B.IsConst)) {
-    Word Out;
-    if (ir::evalPureOp(Op.Op, A.C, B.C, Out)) {
-      charge(CM.SpecEvalOp);
-      deferOrEmit(Op, Op.Ty == ir::Type::F64 ? Opcode::ConstF
-                                             : Opcode::ConstI,
-                  Op.Ty, Op.Dst, RVal(), RVal(),
-                  static_cast<int64_t>(Out.Bits), /*FromZcp=*/false);
-      return;
-    }
-  }
-
-  // Staged zero/copy propagation (section 2.2.7): a special value of
-  // the single constant operand reduces the operation to a move or a
-  // clear.
-  bool OneConst = A.IsConst != B.IsConst;
-  if (Flags.ZeroCopyPropagation && OneConst) {
-    charge(CM.SpecZcpTableOp);
-    const RVal &CS = A.IsConst ? A : B;
-    const RVal &DS = A.IsConst ? B : A;
-    bool ConstOnRight = B.IsConst;
-    bool IsFloat = Op.Ty == ir::Type::F64;
-    Word One = IsFloat ? Word::fromFloat(1.0) : Word::fromInt(1);
-    Word Zero = IsFloat ? Word::fromFloat(0.0) : Word::fromInt(0);
-    bool RewriteToMove = false, RewriteToClear = false;
-    switch (Op.Op) {
-    case Opcode::Mul:
-    case Opcode::FMul:
-      RewriteToMove = CS.C == One;
-      RewriteToClear = CS.C == Zero;
-      break;
-    case Opcode::Add:
-    case Opcode::FAdd:
-      RewriteToMove = CS.C == Zero;
-      break;
-    case Opcode::Sub:
-    case Opcode::FSub:
-      RewriteToMove = ConstOnRight && CS.C == Zero;
-      break;
-    case Opcode::Div:
-    case Opcode::FDiv:
-      RewriteToMove = ConstOnRight && CS.C == One;
-      break;
-    default:
-      break;
-    }
-    if (RewriteToMove) {
-      ++Stats.ZcpApplied;
-      deferOrEmit(Op, Opcode::Mov, Op.Ty, Op.Dst, DS, RVal(), 0,
-                  /*FromZcp=*/true);
-      return;
-    }
-    if (RewriteToClear) {
-      ++Stats.ZcpApplied;
-      deferOrEmit(Op, IsFloat ? Opcode::ConstF : Opcode::ConstI, Op.Ty,
-                  Op.Dst, RVal(), RVal(),
-                  static_cast<int64_t>(Zero.Bits), /*FromZcp=*/true);
-      return;
-    }
-  }
-
-  // Strength reduction (section 2.2.7): integer multiply/divide/
-  // remainder by a power of two become shifts and masks.
-  if (Flags.StrengthReduction && OneConst &&
-      (Op.Op == Opcode::Mul || Op.Op == Opcode::Div ||
-       Op.Op == Opcode::Rem)) {
-    charge(CM.SpecStrengthCheck);
-    const RVal &CS = A.IsConst ? A : B;
-    const RVal &DS = A.IsConst ? B : A;
-    bool ConstOnRight = B.IsConst;
-    int64_t C = CS.C.asInt();
-    if (isPowerOf2(C) && C >= 2) {
-      if (Op.Op == Opcode::Mul) {
-        ++Stats.StrengthReduced;
-        deferOrEmit(Op, Opcode::Shl, Op.Ty, Op.Dst, DS,
-                    RVal::cst(Word::fromInt(log2OfPow2(C))), 0, false);
-        return;
-      }
-      if (ConstOnRight &&
-          (Op.Op == Opcode::Div || Op.Op == Opcode::Rem)) {
-        // Exact shift sequence (C truncates toward zero, so negative
-        // dividends need the bias fixup) — the same code an optimizing
-        // static compiler emits for constant power-of-two divisors.
-        ++Stats.StrengthReduced;
-        forceOperand(DS);
-        writeEvent(Op.Dst);
-        unsigned K = log2OfPow2(C);
-        uint32_t X = DS.R;
-        uint32_t S0 = GX.Scratch0;
-        E.emitRaw({v::Op::ShrI, S0, X, 0, 63});
-        E.emitRaw({v::Op::AndI, S0, S0, 0, C - 1});
-        E.emitRaw({v::Op::Add, S0, X, S0});
-        if (Op.Op == Opcode::Div) {
-          E.emitRaw({v::Op::ShrI, Op.Dst, S0, 0, (int64_t)K});
-        } else {
-          E.emitRaw({v::Op::ShrI, S0, S0, 0, (int64_t)K});
-          E.emitRaw({v::Op::ShlI, S0, S0, 0, (int64_t)K});
-          E.emitRaw({v::Op::Sub, Op.Dst, X, S0});
-        }
-        return;
-      }
-    }
-  }
-
-  deferOrEmit(Op, Op.Op, Op.Ty, Op.Dst, A, B, Op.Imm, /*FromZcp=*/false);
-}
+template class DeferralEngineT<Concrete>;
 
 } // namespace runtime
 } // namespace dyc

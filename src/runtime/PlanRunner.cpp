@@ -7,6 +7,15 @@
 namespace dyc {
 namespace runtime {
 
+void PlanRunner::replay(const cogen::PlanStep &S) {
+  uint64_t Cycles = 0;
+  for (size_t K = 0; K != NumCharges; ++K)
+    Cycles += static_cast<uint64_t>(S.Charges[K]) * Rates[K];
+  M.chargeDynComp(Cycles);
+  for (size_t K = 0; K != NumStats; ++K)
+    statOf(R.Stats, static_cast<Stat>(K)) += S.Stats[K];
+}
+
 void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                           std::vector<Word> &Vals) {
   const vm::Memory &Mem = M.memory();
@@ -35,9 +44,8 @@ void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
     }
     }
   }
-  M.chargeDynComp(static_cast<uint64_t>(S.EvalOps) * CM.SpecEvalOp +
-                  static_cast<uint64_t>(S.StaticLoads) * CM.SpecStaticLoad);
-  R.Stats.StaticLoadsExecuted += S.StaticLoads;
+  replay(S);
+  R.Stats.StaticLoadsExecuted += S.count(Charge::StaticLoad);
 }
 
 void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
@@ -48,7 +56,7 @@ void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
   for (uint32_t X = S.ExprFirst; X != ExprEnd; ++X) {
     const cogen::PlanExpr &E = BP.Exprs[X];
     if (E.K == cogen::PlanExpr::Log2) {
-      ExprVals[X] = Word::fromInt(log2OfPow2(ref(E.A, Vals).asInt()));
+      ExprVals[X] = Concrete::log2(ref(E.A, Vals));
       continue;
     }
     Word Out;
@@ -65,44 +73,32 @@ void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
   for (uint32_t H = S.HoleFirst; H != HoleEnd; ++H) {
     const cogen::PlanHole &PH = BP.Holes[H];
     Buf.Code[Pre + (PH.InstrIdx - S.First)].Imm =
-        static_cast<int64_t>(ref(PH.Ref, Vals).Bits) + PH.Add;
+        wrapAdd(ref(PH.Ref, Vals).asInt(), PH.Add);
   }
 
   // Replay the walk's exact charge trail for the run as one accumulation,
-  // and its stats arithmetically. ZcpChecks and TableOps both charge at
-  // the SpecZcpTableOp rate. CodeCapHits: the legacy emitRaw counts a hit
+  // and its stats arithmetically. CodeCapHits: Concrete::emit counts a hit
   // for every instruction pushed at a position >= the cap.
-  M.chargeDynComp(
-      static_cast<uint64_t>(S.Emits) * CM.SpecEmit +
-      static_cast<uint64_t>(S.EmitHoles) * CM.SpecEmitHole +
-      static_cast<uint64_t>(S.EvalOps) * CM.SpecEvalOp +
-      static_cast<uint64_t>(S.ZcpChecks + S.TableOps) * CM.SpecZcpTableOp +
-      static_cast<uint64_t>(S.SrChecks) * CM.SpecStrengthCheck);
-  R.Stats.InstructionsGenerated += S.Emits;
-  R.Stats.ZcpApplied += S.ZcpApplied;
-  R.Stats.StrengthReduced += S.StrengthReduced;
-  R.Stats.DeadAssignsEliminated += S.DeadAssigns;
-  R.Stats.MaterializedDeferred += S.Materialized;
-  if (Pre + S.Emits > MaxInstrs)
-    R.Stats.CodeCapHits += S.Emits - (Pre < MaxInstrs ? MaxInstrs - Pre : 0);
+  replay(S);
+  const uint32_t Emits = S.count(Charge::Emit);
+  R.Stats.InstructionsGenerated += Emits;
+  if (Pre + Emits > MaxInstrs)
+    R.Stats.CodeCapHits += Emits - (Pre < MaxInstrs ? MaxInstrs - Pre : 0);
 }
 
 void PlanRunner::runSync(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                          const std::vector<Word> &Vals) {
   const uint32_t End = S.First + S.Count;
   for (uint32_t I = S.First; I != End; ++I) {
-    const cogen::PlanTableEntry &Y = BP.Syncs[I];
-    DeferralEngine::DeferredInstr DI;
-    DI.Op = Y.Op;
-    DI.Ty = Y.Ty;
-    DI.Dst = Y.Dst;
-    DI.A = Y.A.IsConst ? RVal::cst(ref(Y.A.C, Vals))
-                       : RVal::reg(Y.A.R, Y.A.Dep);
-    DI.B = Y.B.IsConst ? RVal::cst(ref(Y.B.C, Vals))
-                       : RVal::reg(Y.B.R, Y.B.Dep);
-    DI.Imm = static_cast<int64_t>(ref(Y.Imm, Vals).Bits);
-    DI.FromZcp = Y.FromZcp;
-    D.restore(DI);
+    const DeferredEntry<cogen::PlanRef> &Y = BP.Syncs[I];
+    DeferralEngine::Entry E;
+    E.Op = Y.Op;
+    E.Ty = Y.Ty;
+    E.Dst = Y.Dst;
+    E.A = concrete(Y.A, Vals);
+    E.B = concrete(Y.B, Vals);
+    E.Imm = ref(Y.Imm, Vals);
+    D.restore(E);
   }
 }
 

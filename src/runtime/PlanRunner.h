@@ -16,19 +16,19 @@
 ///    scratch, then one bulk append of the pre-encoded template into the
 ///    chain buffer, then the hole list patches immediate fields in place.
 ///    The appended instructions are new (never rewritten), so — exactly
-///    like the legacy Emitter::emitRaw appends they replace — no
-///    CodeObject::Version bump happens; the charge trail and stats
-///    (InstructionsGenerated, CodeCapHits, the deferral engine's
-///    ZcpApplied / StrengthReduced / DeadAssignsEliminated /
-///    MaterializedDeferred) are replayed arithmetically.
+///    like the Concrete::emit appends they replace — no CodeObject::Version
+///    bump happens; the charge trail and stats (InstructionsGenerated,
+///    CodeCapHits, the deferral engine's ZcpApplied / StrengthReduced /
+///    DeadAssignsEliminated / MaterializedDeferred) are replayed
+///    arithmetically from the step's counts.
 ///  * Branch — evaluate the guard's predicate on the live value and jump
 ///    to the matching sub-program, building it first if no earlier run
 ///    took that arm.
 ///  * Sync — rebuild the live DeferralEngine's table from the plan's
 ///    reconstruction list, so Generic suffixes and the driver's
-///    terminator handling observe exactly the legacy walk's state.
-///  * Generic — handed back to the caller, which runs the unmodified
-///    legacy UnrollDriver::execSetup for that SetupOp index.
+///    terminator handling observe exactly the reference walk's state.
+///  * Generic — handed back to the caller, which runs
+///    UnrollDriver::execSetup (the concrete domain) for that SetupOp index.
 ///
 /// The runner is deliberately decoupled from the UnrollDriver: it sees
 /// only the VM (charging + static-load memory), the region state (stats),
@@ -53,11 +53,14 @@ class PlanRunner {
 public:
   PlanRunner(vm::VM &M, RegionState &R, vm::CodeObject &Buf, size_t MaxInstrs,
              DeferralEngine &D)
-      : M(M), CM(M.costModel()), R(R), Buf(Buf), MaxInstrs(MaxInstrs), D(D) {}
+      : M(M), R(R), Buf(Buf), MaxInstrs(MaxInstrs), D(D) {
+    for (size_t K = 0; K != NumCharges; ++K)
+      Rates[K] = cyclesOf(M.costModel(), static_cast<Charge>(K));
+  }
 
   /// Executes \p BP from its first step until End. \p Generic is called
   /// with the GenBlock::Ops index of each Generic step and must execute it
-  /// through the legacy path. \p BuildArm is called with a guard's
+  /// at specialize time. \p BuildArm is called with a guard's
   /// Branches index and outcome when the run takes an arm that is still
   /// Unbuilt, and must build it (cogen::buildBranchArm).
   ///
@@ -123,12 +126,17 @@ private:
   bool predicate(const cogen::PlanBranch &Br,
                  const std::vector<Word> &Vals) const {
     Word V = ref(Br.A, Vals);
-    if (Br.P == cogen::PlanBranch::EqBits)
-      return V.Bits == Br.Cmp.Bits;
-    int64_t I = V.asInt();
-    return isPowerOf2(I) && I >= 2;
+    return Br.P == cogen::PlanBranch::EqBits ? Concrete::eqBits(V, Br.Cmp)
+                                             : Concrete::pow2Ge2(V);
   }
 
+  RVal concrete(const Resolved<cogen::PlanRef> &O,
+                const std::vector<Word> &Vals) const {
+    return O.IsConst ? RVal::cst(ref(O.C, Vals)) : RVal::reg(O.R, O.Dep);
+  }
+
+  /// Charges the step's counts at this VM's rates and adds its stats.
+  void replay(const cogen::PlanStep &S);
   void runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                 std::vector<Word> &Vals);
   void runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
@@ -137,7 +145,7 @@ private:
                const std::vector<Word> &Vals);
 
   vm::VM &M;
-  const vm::CostModel &CM;
+  uint64_t Rates[NumCharges]; ///< cycles per count, by Charge
   RegionState &R;
   vm::CodeObject &Buf;
   size_t MaxInstrs;

@@ -80,7 +80,6 @@ void RegionExecutionCore::addRegion(cogen::GenExtFunction GX) {
   auto R = std::make_unique<RegionState>();
   R->CtxPlacements.assign(GX.Region.Contexts.size(), 0);
   R->GX = std::move(GX);
-  R->Stats.PlanEnabled = PlanOn;
   Regions.push_back(std::move(R));
   Books.emplace_back();
 }
@@ -199,17 +198,13 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   // the plan exists, so a nested run of the same region is a hit. The
   // plan depends only on the immutable GX and the core's fixed flags, so
   // it is never invalidated by chain eviction or Version churn.
-  cogen::EmitPlan *PlanPtr = nullptr;
-  if (PlanOn) {
-    if (!R.Plan) {
-      R.Plan = std::allocate_shared<cogen::EmitPlan>(
-          PoolAllocator<cogen::EmitPlan>(R.Pool));
-      R.Stats.PlanBytes += cogen::createEmitPlan(R.GX, *R.Plan);
-      ++R.Stats.PlanBuilds;
-    } else {
-      ++R.Stats.PlanHits;
-    }
-    PlanPtr = R.Plan.get();
+  if (!R.Plan) {
+    R.Plan = std::allocate_shared<cogen::EmitPlan>(
+        PoolAllocator<cogen::EmitPlan>(R.Pool));
+    R.Stats.PlanBytes += cogen::createEmitPlan(R.GX, *R.Plan);
+    ++R.Stats.PlanBuilds;
+  } else {
+    ++R.Stats.PlanHits;
   }
 
   uint32_t Entry;
@@ -221,7 +216,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
     UnrollDriver Driver(*this, R, static_cast<uint32_t>(Ordinal), VMRef,
                         Flags, Chain->CO, Chain->ExitStubs,
                         Chain->DispatchStubs, Chain->OsrEntries, R.Scratch,
-                        PlanPtr);
+                        *R.Plan);
     Entry = Driver.run(P.TargetCtx, std::move(Vals));
   }
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());

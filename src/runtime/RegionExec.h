@@ -45,9 +45,9 @@
 /// should also call VM::invalidateDecoded on its own VM, so the VM's
 /// cache does not pin memory for code the registry is about to free; the
 /// VM additionally revalidates every translation against (Code.size(),
-/// Version) when it enters a code object, which is what makes Emitter
-/// rewrites (branch patching, hole filling — they bump Version) safe even
-/// without eager invalidation.
+/// Version) when it enters a code object, which is what makes the
+/// specializer's rewrites (branch patching through Concrete::at, which
+/// bumps Version) safe even without eager invalidation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,14 +170,13 @@ struct SpecEntry {
 struct RegionState {
   cogen::GenExtFunction GX;
   RegionStats Stats;
-  /// The region's staged emit plan (cogen/EmitPlan.h) when the plan path
-  /// is enabled: created with every context's key list on the region's
-  /// first specialization, then grown one block program per context on
-  /// that context's first placement, under the caller's specialization
-  /// serialization. Depends only on the immutable GX and the core's fixed
-  /// flags, so it survives chain eviction and CodeObject::Version churn;
-  /// storage is recycled through Pool like the region's other shared
-  /// objects.
+  /// The region's staged emit plan (cogen/EmitPlan.h): created with every
+  /// context's key list on the region's first specialization, then grown
+  /// one block program per context on that context's first placement,
+  /// under the caller's specialization serialization. Depends only on the
+  /// immutable GX and the core's fixed flags, so it survives chain
+  /// eviction and CodeObject::Version churn; storage is recycled through
+  /// Pool like the region's other shared objects.
   std::shared_ptr<cogen::EmitPlan> Plan;
   /// Memo for static calls executed at specialize time.
   std::map<std::vector<uint64_t>, Word> CallMemo;
@@ -213,8 +212,7 @@ class RegionExecutionCore {
 public:
   RegionExecutionCore(const ir::Module &M, vm::Program &Prog,
                       const OptFlags &Flags, ChainBudget Budget = {})
-      : M(M), Prog(Prog), Flags(Flags), Budget(Budget),
-        PlanOn(cogen::resolveEmitPlanEnabled(Flags.EmitPlan)) {}
+      : M(M), Prog(Prog), Flags(Flags), Budget(Budget) {}
 
   // --- Shared translations ----------------------------------------------------
 
@@ -380,9 +378,6 @@ private:
   /// Translations of this core's chains, shared by every attached VM.
   std::shared_ptr<vm::SharedTranslations> Shared =
       std::make_shared<vm::SharedTranslations>();
-  /// Resolved once at construction (OptFlags::EmitPlan / DYC_EMIT_PLAN):
-  /// whether specialization runs execute through staged emit plans.
-  bool PlanOn;
 
   std::vector<std::unique_ptr<RegionState>> Regions;
   std::vector<RegionBook> Books; ///< parallel to Regions

@@ -36,11 +36,10 @@ std::string RegionStats::toString() const {
         (unsigned long long)WarmPromotions,
         (unsigned long long)HotPromotions, (unsigned long long)HotInstalls,
         (unsigned long long)OsrEntries, (unsigned long long)OsrPolls);
-  if (PlanEnabled)
-    S += formatString(" plan-builds=%llu plan-hits=%llu plan-bytes=%llu",
-                      (unsigned long long)PlanBuilds,
-                      (unsigned long long)PlanHits,
-                      (unsigned long long)PlanBytes);
+  S += formatString(" plan-builds=%llu plan-hits=%llu plan-bytes=%llu",
+                    (unsigned long long)PlanBuilds,
+                    (unsigned long long)PlanHits,
+                    (unsigned long long)PlanBytes);
   return S;
 }
 

@@ -62,11 +62,10 @@ struct RegionStats {
   uint64_t OsrEntries = 0;
   uint64_t OsrPolls = 0;
 
-  /// Staged emit plans (cogen/EmitPlan.h). PlanEnabled mirrors the core's
-  /// resolved OptFlags::EmitPlan / DYC_EMIT_PLAN selection and gates the
-  /// toString suffix, like TierEnabled; the counters are hard-zero when
-  /// the plan path is off.
-  bool PlanEnabled = false;
+  /// Staged emit plans (cogen/EmitPlan.h). Every specialization runs
+  /// through the region's plan, so PlanEnabled is always true; it remains
+  /// because the end-to-end benchmark (perfbench/) reads it.
+  bool PlanEnabled = true;
   uint64_t PlanBuilds = 0; ///< plans created (once per region)
   uint64_t PlanHits = 0;   ///< specialization runs served by an existing plan
   /// Key lists plus the block programs and guard arms built so far (arm

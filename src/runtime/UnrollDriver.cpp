@@ -59,10 +59,10 @@ uint32_t UnrollDriver::run(uint32_t Ctx0, std::vector<Word> Vals0) {
       OsrEntries.emplace(static_cast<ir::BlockId>(B),
                          static_cast<uint32_t>(OsrState[B]));
 
-  // Resolve pending branch patches: plan mode dereferences the stable
-  // memo slot recorded at patch time; the legacy walk re-probes its map.
+  // Resolve pending branch patches: the plan path dereferences the stable
+  // memo slot recorded at patch time; the reference walk re-probes its map.
   for (const Patch &P : Patches) {
-    const int64_t *PC = Plan ? P.Val : memoFind(P.Key);
+    const int64_t *PC = Flags.ReferenceWalk ? memoFind(P.Key) : P.Val;
     if (!PC || *PC < 0)
       fatal("specializer left an unresolved branch target");
     v::Instr &I = E.at(P.PC);
@@ -81,31 +81,19 @@ const std::vector<uint64_t> &
 UnrollDriver::keyRef(uint32_t Ctx, const std::vector<Word> &Vals) {
   KeyScratch.clear();
   KeyScratch.push_back(Ctx);
-  if (Plan) {
-    // Fold the FNV-1a hash into the composition pass: the memo operations
-    // that follow reuse it instead of re-walking the key.
-    uint64_t H = 0xcbf29ce484222325ull;
-    H ^= Ctx;
+  // Fold the FNV-1a hash into the composition pass: the memo operations
+  // that follow reuse it instead of re-walking the key.
+  uint64_t H = 0xcbf29ce484222325ull;
+  H ^= Ctx;
+  H *= 1099511628211ull;
+  for (uint32_t Reg : Plan.Blocks[Ctx].KeyRegs) {
+    uint64_t W = Vals[Reg].Bits;
+    KeyScratch.push_back(W);
+    H ^= W;
     H *= 1099511628211ull;
-    for (uint32_t Reg : Plan->Blocks[Ctx].KeyRegs) {
-      uint64_t W = Vals[Reg].Bits;
-      KeyScratch.push_back(W);
-      H ^= W;
-      H *= 1099511628211ull;
-    }
-    KeyHashScratch = H;
-  } else {
-    GX.Region.context(Ctx).StaticIn.forEachSetBit(
-        [&](size_t Reg) { KeyScratch.push_back(Vals[Reg].Bits); });
   }
+  KeyHashScratch = H;
   return KeyScratch;
-}
-
-int64_t *UnrollDriver::memoFind(const std::vector<uint64_t> &K) {
-  if (Plan)
-    return PM.find(K.data(), K.size(), hashOf(K));
-  auto It = Memo.find(K);
-  return It == Memo.end() ? nullptr : &It->second;
 }
 
 void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
@@ -177,7 +165,7 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
 void UnrollDriver::materializeForEdge(const bta::Edge &Ed,
                                       const std::vector<Word> &Vals) {
   for (ir::Reg Rg : Ed.Materialize)
-    E.emitConst(Rg, Vals[Rg], GX.RegTypes[Rg]);
+    D.emitConst(Rg, Vals[Rg], GX.RegTypes[Rg]);
 }
 
 std::optional<UnrollDriver::Item>
@@ -188,11 +176,11 @@ UnrollDriver::continueEdge(const bta::Edge &Ed, Item &Cur) {
   case bta::Edge::None:
     return std::nullopt;
   case bta::Edge::Exit:
-    E.emitRaw({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
+    E.emit({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
     return std::nullopt;
   case bta::Edge::Promo: {
     uint32_t Site = makeSite(Ed.PromoIdx, Cur.Vals);
-    E.emitRaw({v::Op::Dispatch, 0, 0, 0,
+    E.emit({v::Op::Dispatch, 0, 0, 0,
                -(static_cast<int64_t>(Site) + 1)});
     return std::nullopt;
   }
@@ -206,10 +194,10 @@ UnrollDriver::continueEdge(const bta::Edge &Ed, Item &Cur) {
       return Next; // fall through, no branch emitted
     }
     if (*PC >= 0) {
-      E.emitRaw({v::Op::Br, 0, static_cast<uint32_t>(*PC)});
+      E.emit({v::Op::Br, 0, static_cast<uint32_t>(*PC)});
     } else {
       addPatch(bufSize(), false, K, PC);
-      E.emitRaw({v::Op::Br, 0, 0});
+      E.emit({v::Op::Br, 0, 0});
       // Re-queue ownership of Vals: the queued item already has its own
       // copy (enqueued when first seen).
     }
@@ -246,11 +234,11 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
     materializeForEdge(Ed, Vals);
     switch (Ed.K) {
     case bta::Edge::Exit:
-      E.emitRaw({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
+      E.emit({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
       return L;
     case bta::Edge::Promo: {
       uint32_t Site = makeSite(Ed.PromoIdx, Vals);
-      E.emitRaw({v::Op::Dispatch, 0, 0, 0,
+      E.emit({v::Op::Dispatch, 0, 0, 0,
                  -(static_cast<int64_t>(Site) + 1)});
       return L;
     }
@@ -259,7 +247,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
       bool Fresh = false;
       int64_t *PC = memoFindOrQueue(K, Fresh);
       if (!Fresh && *PC >= 0) {
-        E.emitRaw({v::Op::Br, 0, static_cast<uint32_t>(*PC)});
+        E.emit({v::Op::Br, 0, static_cast<uint32_t>(*PC)});
         return L;
       }
       if (Fresh) {
@@ -268,7 +256,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
         Queue.push_back(std::move(Other));
       }
       addPatch(bufSize(), false, K, PC);
-      E.emitRaw({v::Op::Br, 0, 0});
+      E.emit({v::Op::Br, 0, 0});
       return L;
     }
     case bta::Edge::None:
@@ -282,7 +270,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
     auto It = ExitStubs.find(Ed.Block);
     if (It == ExitStubs.end()) {
       uint32_t PC = bufSize();
-      E.emitRaw({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
+      E.emit({v::Op::ExitRegion, 0, GX.BlockPC[Ed.Block]});
       It = ExitStubs.emplace(Ed.Block, PC).first;
     }
     L.Known = true;
@@ -294,7 +282,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
     auto It = DispatchStubs.find(Site);
     if (It == DispatchStubs.end()) {
       uint32_t PC = bufSize();
-      E.emitRaw({v::Op::Dispatch, 0, 0, 0,
+      E.emit({v::Op::Dispatch, 0, 0, 0,
                  -(static_cast<int64_t>(Site) + 1)});
       It = DispatchStubs.emplace(Site, PC).first;
     }
@@ -323,13 +311,13 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
 }
 
 std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
-  // Plan mode: the placement pc goes straight through the item's stable
-  // memo handle — no key recomposition, no probe. The legacy walk
-  // re-probes its ordered map exactly as before.
-  if (Plan)
-    *Cur.MemoVal = static_cast<int64_t>(bufSize());
-  else
+  // The plan path's placement pc goes straight through the item's stable
+  // memo handle — no key recomposition, no probe. The reference walk
+  // re-probes its ordered map.
+  if (Flags.ReferenceWalk)
     memoAssign(keyRef(Cur.Ctx, Cur.Vals), static_cast<int64_t>(bufSize()));
+  else
+    *Cur.MemoVal = static_cast<int64_t>(bufSize());
   // OSR entry bookkeeping: an IR block placed exactly once this run has a
   // unique residual pc a generic frame can transfer to at a back-edge
   // (its static state is fully determined by the dispatch key). A second
@@ -348,15 +336,19 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
   D.reset();
 
   const GenBlock &GB = GX.Blocks[Cur.Ctx];
-  if (Plan) {
-    // Staged path: the block's linear emit program, built on the context's
-    // first placement up to its first guard, each guard arm built when a
-    // placement first takes it. Generic steps fall back to the legacy
-    // interpreter per op, so the emitted chain and every simulated charge
-    // are identical to the walk below. A Generic static call may re-enter
-    // the specializer and build other blocks of this plan, or arms of this
-    // block; Blocks never resizes, so BP stays valid.
-    cogen::BlockPlan &BP = Plan->Blocks[Cur.Ctx];
+  if (Flags.ReferenceWalk) {
+    // Test hook: walk the block's set-up ops in the concrete domain — the
+    // reference the plan path must match byte for byte.
+    for (const SetupOp &Op : GB.Ops)
+      execSetup(Op, Cur.Vals);
+  } else {
+    // The block's linear emit program, built on the context's first
+    // placement up to its first guard, each guard arm built when a
+    // placement first takes it. Generic steps run per op in the concrete
+    // domain. A Generic static call may re-enter the specializer and build
+    // other blocks of this plan, or arms of this block; Blocks never
+    // resizes, so BP stays valid.
+    cogen::BlockPlan &BP = Plan.Blocks[Cur.Ctx];
     if (!BP.built())
       R.Stats.PlanBytes += cogen::buildBlockPlan(GX, Flags, Cur.Ctx, BP);
     PR.runBlock(
@@ -366,9 +358,6 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
           R.Stats.PlanBytes +=
               cogen::buildBranchArm(GX, Flags, Cur.Ctx, BP, Branch, Taken);
         });
-  } else {
-    for (const SetupOp &Op : GB.Ops)
-      execSetup(Op, Cur.Vals);
   }
 
   // Terminator.
@@ -377,7 +366,7 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
   case cogen::GenTerm::Ret: {
     if (T.RetVal.R == ir::NoReg) {
       D.dropAllPending();
-      E.emitRaw({v::Op::Ret, v::NoReg});
+      E.emit({v::Op::Ret, v::NoReg});
       return std::nullopt;
     }
     RVal V = D.resolveOperand(T.RetVal, Cur.Vals);
@@ -385,10 +374,10 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
     D.dropAllPending();
     if (V.IsConst) {
       ir::Type Ty = GX.RegTypes[T.RetVal.R];
-      E.emitConst(GX.Scratch0, V.C, Ty);
-      E.emitRaw({v::Op::Ret, GX.Scratch0});
+      D.emitConst(GX.Scratch0, V.C, Ty);
+      E.emit({v::Op::Ret, GX.Scratch0});
     } else {
-      E.emitRaw({v::Op::Ret, V.R});
+      E.emit({v::Op::Ret, V.R});
     }
     return std::nullopt;
   }
@@ -409,7 +398,7 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
     ++R.Stats.DynamicBranchesEmitted;
     charge(CM.SpecEmitBranch);
     size_t BranchPC = bufSize();
-    E.emitRaw({v::Op::CondBr, C.R, 0, 0});
+    E.emit({v::Op::CondBr, C.R, 0, 0});
     EdgeLabel TL = labelFor(T.TrueE, Cur.Vals, BranchPC, false);
     EdgeLabel FL = labelFor(T.FalseE, Cur.Vals, BranchPC, true);
 

@@ -42,7 +42,7 @@
 namespace dyc {
 namespace runtime {
 
-/// Plan-mode memoization table: open-addressed with linear probing,
+/// The plan path's memoization table: open-addressed with linear probing,
 /// power-of-two sized, keys interned into a flat word pool, hashes stored
 /// per slot. One hash and one probe per operation, no per-node
 /// allocation, bulk-freed through the run's scratch arena. Host-only
@@ -102,15 +102,6 @@ public:
     }
   }
 
-  static uint64_t hashWords(const uint64_t *K, size_t N) {
-    uint64_t H = 0xcbf29ce484222325ull;
-    for (size_t I = 0; I != N; ++I) {
-      H ^= K[I];
-      H *= 1099511628211ull;
-    }
-    return H;
-  }
-
 private:
   struct Slot {
     uint64_t H = 0;
@@ -149,24 +140,24 @@ public:
   /// \p Scratch backs the run's worklist, memo table, and patch list; the
   /// caller opens a BumpArena::Scope around the driver's lifetime so the
   /// memory is reclaimed in bulk when the run finishes.
-  /// \p Plan, when non-null, is the region's staged emit plan: block
-  /// set-up programs execute through the PlanRunner (with legacy
-  /// fallbacks per Generic step), a context's block program is built
-  /// under \p Flags on its first placement, and memo keys compose through
-  /// the plan's flattened key-register lists. Null runs the legacy walk
-  /// unchanged. \p Flags must outlive the driver.
+  /// \p Plan is the region's staged emit plan: memo keys compose through
+  /// its flattened key-register lists, and block set-up programs execute
+  /// through the PlanRunner (Generic steps in the concrete domain), a
+  /// context's block program built under \p Flags on its first placement.
+  /// Under the OptFlags::ReferenceWalk test hook, blocks instead walk
+  /// their SetupOps in the concrete domain, and placements go through the
+  /// walk's own ordered memo. \p Flags must outlive the driver.
   UnrollDriver(RegionExecutionCore &Core, RegionState &R, uint32_t Ordinal,
                vm::VM &M, const OptFlags &Flags, vm::CodeObject &Buf,
                std::map<ir::BlockId, uint32_t> &ExitStubs,
                std::map<uint32_t, uint32_t> &DispatchStubs,
                std::map<ir::BlockId, uint32_t> &OsrEntries,
-               BumpArena &Scratch, cogen::EmitPlan *Plan = nullptr)
+               BumpArena &Scratch, cogen::EmitPlan &Plan)
       : Core(Core), R(R), Ordinal(Ordinal), M(M), CM(M.costModel()),
         Flags(Flags), GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
         DispatchStubs(DispatchStubs), OsrEntries(OsrEntries),
-        E(Buf, R.Stats, M, R.GX, Flags.MaxRegionInstrs),
-        D(E, R.Stats, M, Flags, R.GX), MaxRegionInstrs(Flags.MaxRegionInstrs),
-        Plan(Plan),
+        E(Buf, R.Stats, M, Flags.MaxRegionInstrs), D(E, Flags, R.GX),
+        MaxRegionInstrs(Flags.MaxRegionInstrs), Plan(Plan),
         PR(M, R, Buf, Flags.MaxRegionInstrs, D),
         Queue(ArenaAllocator<Item>(Scratch)),
         Memo(std::less<std::vector<uint64_t>>(),
@@ -183,17 +174,17 @@ private:
     std::vector<Word> Vals;
     /// The item's memo value slot (queued with -1 by the single-probe
     /// find-or-queue on the edge that produced it). Stable for the
-    /// driver's lifetime in both modes; plan-mode place() assigns the
-    /// placement pc through it without recomposing the key. Null only
-    /// for CondBr fall-throughs, which run() resolves before placing.
+    /// driver's lifetime; the plan path's place() assigns the placement
+    /// pc through it without recomposing the key. Null only for CondBr
+    /// fall-throughs, which run() resolves before placing.
     int64_t *MemoVal = nullptr;
   };
 
   struct Patch {
     size_t PC = 0;
     bool FieldC = false;
-    std::vector<uint64_t> Key; ///< legacy walk: re-probed at resolution
-    int64_t *Val = nullptr;    ///< plan mode: target's stable memo slot
+    std::vector<uint64_t> Key; ///< reference walk: re-probed at resolution
+    int64_t *Val = nullptr;    ///< plan path: target's stable memo slot
   };
 
   /// Branch-target resolution for an edge. Fresh Ctx edges yield no PC;
@@ -209,52 +200,54 @@ private:
     return static_cast<uint32_t>(Buf.Code.size());
   }
 
-  /// Composes the memo key of (\p Ctx, \p Vals) into the reused KeyScratch
-  /// buffer and returns it. Plan mode iterates the plan's flattened
-  /// key-register list; legacy walks the context's StaticIn bit set — the
-  /// two produce identical keys (ascending register order).
+  /// Composes the memo key of (\p Ctx, \p Vals) — the context, then its
+  /// key registers' values in ascending register order — into the reused
+  /// KeyScratch buffer, hashing it on the way, and returns it.
   const std::vector<uint64_t> &keyRef(uint32_t Ctx,
                                       const std::vector<Word> &Vals);
 
-  /// Memo primitives, routed to the open-addressed PlanMemo in plan mode
-  /// and the legacy ordered Memo otherwise. Key composition never charges
-  /// the simulated cost model, so the split is host-time only.
-  /// \p K composed by keyRef reuses the hash computed during composition;
-  /// any other key is rehashed.
-  uint64_t hashOf(const std::vector<uint64_t> &K) const {
-    return &K == &KeyScratch ? KeyHashScratch
-                             : PlanMemo::hashWords(K.data(), K.size());
+  /// Memo primitives over keys composed by keyRef, routed to the
+  /// open-addressed PlanMemo on the plan path (reusing the hash computed
+  /// during composition) and to the reference walk's ordered Memo under
+  /// the test hook. Key composition never charges the simulated cost
+  /// model, so the split is host-time only.
+  int64_t *memoFind(const std::vector<uint64_t> &K) {
+    if (Flags.ReferenceWalk) {
+      auto It = Memo.find(K);
+      return It == Memo.end() ? nullptr : &It->second;
+    }
+    assert(&K == &KeyScratch && "memo keys come from keyRef");
+    return PM.find(K.data(), K.size(), KeyHashScratch);
   }
-  int64_t *memoFind(const std::vector<uint64_t> &K);
-  /// Legacy-walk placement: re-probe the ordered memo and assign. Plan
-  /// mode assigns through the item's stable MemoVal handle instead.
+  /// Reference-walk placement: re-probe the ordered memo and assign. The
+  /// plan path assigns through the item's stable MemoVal handle instead.
   void memoAssign(const std::vector<uint64_t> &K, int64_t V) { Memo[K] = V; }
   /// Fused find + queue-mark: one probe resolves the key, queuing it
   /// (value -1) when first seen. \p Fresh reports the first-seen case.
-  /// The returned slot pointer is stable for the driver's lifetime in
-  /// both modes (chunked store / node-based map). Identical memo contents
-  /// and emitted code to find-then-mark; the fusion only drops the edge
-  /// paths' duplicate composition and probe.
+  /// The returned slot pointer is stable for the driver's lifetime
+  /// (chunked store / node-based map).
   int64_t *memoFindOrQueue(const std::vector<uint64_t> &K, bool &Fresh) {
-    if (Plan) {
-      int64_t *V = PM.findOrInsert(K.data(), K.size(), hashOf(K), Fresh);
-      if (Fresh)
-        *V = -1;
-      return V;
+    if (Flags.ReferenceWalk) {
+      auto [It, Inserted] = Memo.emplace(K, -1);
+      Fresh = Inserted;
+      return &It->second;
     }
-    auto [It, Inserted] = Memo.emplace(K, -1);
-    Fresh = Inserted;
-    return &It->second;
+    assert(&K == &KeyScratch && "memo keys come from keyRef");
+    int64_t *V = PM.findOrInsert(K.data(), K.size(), KeyHashScratch, Fresh);
+    if (Fresh)
+      *V = -1;
+    return V;
   }
-  /// Records a forward-branch patch against the target's memo slot \p V
-  /// (plan mode: resolved by dereferencing the stable handle). The legacy
-  /// walk stores a key copy and re-probes at resolution, as it always has.
+  /// Records a forward-branch patch against the target keyed \p K, whose
+  /// memo slot is \p V. The plan path resolves it by dereferencing the
+  /// stable handle when the run finishes; the reference walk stores a key
+  /// copy and re-probes.
   void addPatch(size_t PC, bool FieldC, const std::vector<uint64_t> &K,
                 int64_t *V) {
-    if (Plan)
-      Patches.push_back({PC, FieldC, {}, V});
-    else
+    if (Flags.ReferenceWalk)
       Patches.push_back({PC, FieldC, K, nullptr});
+    else
+      Patches.push_back({PC, FieldC, {}, V});
   }
 
   void execSetup(const cogen::SetupOp &Op, std::vector<Word> &Vals);
@@ -296,10 +289,10 @@ private:
   /// RegionState::CtxPlacements accumulates across runs.
   std::vector<int64_t> OsrState;
 
-  Emitter E;
+  Concrete E;
   DeferralEngine D;
-  size_t MaxRegionInstrs;      ///< Flags.MaxRegionInstrs (buffer reserve)
-  cogen::EmitPlan *Plan;       ///< null = legacy walk
+  size_t MaxRegionInstrs; ///< Flags.MaxRegionInstrs (buffer reserve)
+  cogen::EmitPlan &Plan;
   PlanRunner PR;
 
   using MemoPair = std::pair<const std::vector<uint64_t>, int64_t>;
@@ -308,10 +301,13 @@ private:
                            ArenaAllocator<MemoPair>>;
 
   std::deque<Item, ArenaAllocator<Item>> Queue;
-  MemoMap Memo; ///< -1 queued, else PC (legacy walk)
-  PlanMemo PM;  ///< same contract, open-addressed (plan mode)
+  /// Reference walk only: its own ordered memo, the one the plan path's
+  /// specialize_throughput ratio gates are measured against. Same
+  /// contract as PM.
+  MemoMap Memo;
+  PlanMemo PM; ///< key -> -1 queued, else PC (plan path)
   std::vector<uint64_t> KeyScratch; ///< keyRef's reused composition buffer
-  uint64_t KeyHashScratch = 0; ///< FNV-1a of KeyScratch (plan mode)
+  uint64_t KeyHashScratch = 0;      ///< FNV-1a of KeyScratch
   std::vector<Patch, ArenaAllocator<Patch>> Patches;
 };
 

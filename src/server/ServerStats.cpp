@@ -59,11 +59,10 @@ std::string ServerStatsSnapshot::toString() const {
         (unsigned long long)HotPromotions, (unsigned long long)HotInstalls,
         (unsigned long long)OsrEntries, (unsigned long long)OsrPolls,
         (unsigned long long)CompileQueueDepth);
-  if (PlanEnabled)
-    S += formatString(" plan[builds=%llu hits=%llu bytes=%llu]",
-                      (unsigned long long)PlanBuilds,
-                      (unsigned long long)PlanHits,
-                      (unsigned long long)PlanBytes);
+  S += formatString(" plan[builds=%llu hits=%llu bytes=%llu]",
+                    (unsigned long long)PlanBuilds,
+                    (unsigned long long)PlanHits,
+                    (unsigned long long)PlanBytes);
   if (MultiTenant)
     S += formatString(
         " mt[tenants=%llu dedup=%llu quota-rej=%llu warm=%llu store=%llu]",

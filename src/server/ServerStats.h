@@ -59,9 +59,7 @@ struct ServerStatsSnapshot {
   /// instant of the snapshot.
   uint64_t CompileQueueDepth = 0;
   /// Staged emit plans (filled by SpecServer::stats by summing the core's
-  /// per-region counters under the specialization lock; zero and
-  /// unrendered when the plan path is off).
-  bool PlanEnabled = false;
+  /// per-region counters under the specialization lock).
   uint64_t PlanBuilds = 0;
   uint64_t PlanHits = 0;
   uint64_t PlanBytes = 0;

@@ -1036,11 +1036,6 @@ runtime::RegionStats SpecServer::regionStats(size_t Ordinal) const {
     RS.ColdExecs = RS.WarmExecs = RS.WarmPromotions = RS.HotPromotions = 0;
     RS.HotInstalls = RS.OsrEntries = RS.OsrPolls = 0;
   }
-  if (!RS.PlanEnabled) {
-    // Same contract for the staged-emit-plan block: the plan path is the
-    // only writer, so force hard zeros when it is off.
-    RS.PlanBuilds = RS.PlanHits = RS.PlanBytes = 0;
-  }
   return RS;
 }
 

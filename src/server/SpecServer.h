@@ -179,16 +179,9 @@ public:
       std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
       for (size_t I = 0; I != Core.numRegions(); ++I) {
         const runtime::RegionStats &RS = Core.stats(I);
-        if (RS.PlanEnabled)
-          S.PlanEnabled = true;
         S.PlanBuilds += RS.PlanBuilds;
         S.PlanHits += RS.PlanHits;
         S.PlanBytes += RS.PlanBytes;
-      }
-      if (!S.PlanEnabled) {
-        // The plan path is the only writer of these fields; report hard
-        // zeros when it is off (same contract as the tier block above).
-        S.PlanBuilds = S.PlanHits = S.PlanBytes = 0;
       }
     }
     if (Cfg.MultiTenant) {

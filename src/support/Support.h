@@ -97,6 +97,14 @@ inline int64_t wrapRem(int64_t A, int64_t B) {
   assert(B != 0 && "guest remainder by zero is a fault, not a value");
   return B == -1 ? 0 : A % B;
 }
+/// Guest float-to-int conversion truncates toward zero. NaN and values
+/// outside [-2^63, 2^63) give INT64_MIN, the "integer indefinite" that
+/// x86-64's cvttsd2si returns, instead of the host's undefined behaviour.
+inline int64_t wrapFToI(double X) {
+  if (!(X >= -0x1p63 && X < 0x1p63))
+    return INT64_MIN;
+  return static_cast<int64_t>(X);
+}
 
 /// A non-owning view of a Word sequence. The run-time's dispatch path
 /// composes cache keys into stack buffers and passes them around as spans,

@@ -344,7 +344,7 @@ void VM::stepOne(size_t BaseDepth) {
     R[I.A] = Word::fromFloat(static_cast<double>(R[I.B].asInt()));
     break;
   case Op::FToI:
-    R[I.A] = Word::fromInt(static_cast<int64_t>(R[I.B].asFloat()));
+    R[I.A] = Word::fromInt(wrapFToI(R[I.B].asFloat()));
     break;
 
   case Op::Load:
@@ -864,7 +864,7 @@ restart_frame:
           NEXT();
         }
         CASE(FToI) {
-          R[IP->A] = Word::fromInt(static_cast<int64_t>(R[IP->B].asFloat()));
+          R[IP->A] = Word::fromInt(wrapFToI(R[IP->B].asFloat()));
           NEXT();
         }
 

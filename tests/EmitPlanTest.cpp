@@ -2,28 +2,25 @@
 //
 // The staged emit plan's hard invariant: plans change how the host walks a
 // generating extension, never what the simulated machine observes. These
-// tests run every Table 3 workload through both VM engines with the plan
-// path on and off and compare the
-// complete observable state — simulated counters (DynCompCycles included),
-// results, output memory, and the golden disassembly of every region —
-// plus the speculation path, plan-cache counter semantics under eviction
-// churn, block programs built on first placement, guard arms built on
-// first take and in any order, the Generic fallback past a block's guard
-// budget, hard-zeroing when the path is off, nested static-call re-entry
-// into the specializer while a parent plan (of another region, or the
-// same one, down to the block it is running) is executing, and the
-// flag/environment selection rules.
+// tests run every Table 3 workload through both VM engines on the plan
+// path and on the reference walk (the OptFlags::ReferenceWalk test hook)
+// and compare the complete observable state — simulated counters
+// (DynCompCycles included), results, output memory, and the golden
+// disassembly of every region — plus the speculation path, plan-cache
+// counter semantics under eviction churn, block programs built on first
+// placement, guard arms built on first take and in any order, the Generic
+// fallback past a block's guard budget, the Div/Rem-by-zero fold guard,
+// nested static-call re-entry into the specializer while a parent plan
+// (of another region, or the same one, down to the block it is running)
+// is executing, and the default selection.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cogen/EmitPlan.h"
 #include "core/Harness.h"
-#include "server/SpecServer.h"
 #include "speculate/SpeculativeRuntime.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 
 using namespace dyc;
@@ -34,15 +31,15 @@ namespace {
 
 OptFlags withPlan(bool PlanOn) {
   OptFlags Fl;
-  Fl.EmitPlan = PlanOn ? EmitPlanMode::On : EmitPlanMode::Off;
+  Fl.ReferenceWalk = !PlanOn;
   return Fl;
 }
 
-/// RegionStats rendered with the plan block neutralized: the plan counters
-/// differ between the two modes by design, everything else must not.
-std::string statsSansPlan(runtime::RegionStats St) {
-  St.PlanEnabled = false;
-  St.PlanBuilds = St.PlanHits = St.PlanBytes = 0;
+/// RegionStats rendered without PlanBytes: the walk builds no block
+/// programs, so that counter differs between the two modes by design;
+/// everything else, plan builds and hits included, must not.
+std::string statsSansPlanBytes(runtime::RegionStats St) {
+  St.PlanBytes = 0;
   return St.toString();
 }
 
@@ -60,7 +57,7 @@ struct PlanTrace {
   std::vector<uint64_t> FuncInclusive;
   uint64_t MemHash = 0;
   std::vector<std::string> Disassembly;  ///< per region
-  std::vector<std::string> RegionStats;  ///< per region, plan block zeroed
+  std::vector<std::string> RegionStats;  ///< per region, PlanBytes zeroed
   uint64_t PlanBuilds = 0;               ///< summed over regions
   uint64_t PlanHits = 0;
   uint64_t PlanBytes = 0;
@@ -88,7 +85,7 @@ void captureRegions(runtime::DycRuntime &RT, PlanTrace &T) {
   for (size_t Ord = 0; Ord != RT.numRegions(); ++Ord) {
     T.Disassembly.push_back(RT.disassembleRegion(Ord));
     const runtime::RegionStats &St = RT.stats(Ord);
-    T.RegionStats.push_back(statsSansPlan(St));
+    T.RegionStats.push_back(statsSansPlanBytes(St));
     T.PlanBuilds += St.PlanBuilds;
     T.PlanHits += St.PlanHits;
     T.PlanBytes += St.PlanBytes;
@@ -153,8 +150,8 @@ TEST_P(EmitPlanParity, CountersAndDisassemblyIdenticalOnWorkload) {
     PlanTrace Off = traceWorkload(W, Engine, false, Invokes);
     expectIdentical(On, Off, What);
     EXPECT_GT(On.PlanBuilds, 0u) << What << ": plan path never engaged";
-    EXPECT_GT(On.PlanBytes, 0u) << What;
-    EXPECT_EQ(Off.PlanBuilds + Off.PlanHits + Off.PlanBytes, 0u) << What;
+    EXPECT_GT(On.PlanBytes, Off.PlanBytes)
+        << What << ": the walk holds key lists only";
   }
 }
 
@@ -259,51 +256,6 @@ TEST(EmitPlanCache, OneBuildManyHitsAcrossEvictionChurn) {
     }
   }
   expectIdentical(Traces[0], Traces[1], "eviction churn");
-}
-
-// Hard-zero contract when the path is off: no counters, no toString
-// suffix, and the server front end forces zeros in both snapshot layers.
-TEST(EmitPlanCache, HardZeroAndUnrenderedWhenOff) {
-  core::DycContext Ctx;
-  std::vector<std::string> Errors;
-  ASSERT_TRUE(Ctx.compile(SumSrc, Errors));
-  auto E = Ctx.buildDynamic(withPlan(false));
-  int FI = E->findFunction("f");
-  ASSERT_GE(FI, 0);
-  E->Machine->run(static_cast<uint32_t>(FI), {Word::fromInt(7)});
-  const runtime::RegionStats &St = E->RT->stats(0);
-  EXPECT_FALSE(St.PlanEnabled);
-  EXPECT_EQ(St.PlanBuilds + St.PlanHits + St.PlanBytes, 0u);
-  EXPECT_EQ(St.toString().find("plan-builds"), std::string::npos);
-
-  for (bool PlanOn : {false, true}) {
-    core::DycContext SCtx;
-    ASSERT_TRUE(SCtx.compile(SumSrc, Errors));
-    server::ServerConfig Cfg;
-    Cfg.NumWorkers = 1;
-    Cfg.OnMiss = server::MissPolicy::Block;
-    auto Server = SCtx.buildServer(withPlan(PlanOn), std::move(Cfg));
-    auto Client = Server->makeClientVM();
-    int FS = Server->findFunction("f");
-    ASSERT_GE(FS, 0);
-    for (int64_t K : {3, 9, 3})
-      Client->run(static_cast<uint32_t>(FS), {Word::fromInt(K)});
-    Server->drain();
-    server::ServerStatsSnapshot S = Server->stats();
-    runtime::RegionStats RS = Server->regionStats(0);
-    if (PlanOn) {
-      EXPECT_TRUE(S.PlanEnabled);
-      EXPECT_GT(S.PlanBuilds, 0u);
-      EXPECT_NE(S.toString().find("plan["), std::string::npos);
-      EXPECT_TRUE(RS.PlanEnabled);
-    } else {
-      EXPECT_FALSE(S.PlanEnabled);
-      EXPECT_EQ(S.PlanBuilds + S.PlanHits + S.PlanBytes, 0u);
-      EXPECT_EQ(S.toString().find("plan["), std::string::npos);
-      EXPECT_FALSE(RS.PlanEnabled);
-      EXPECT_EQ(RS.PlanBuilds + RS.PlanHits + RS.PlanBytes, 0u);
-    }
-  }
 }
 
 // Re-entrancy: specializing f executes the static call g(...) at
@@ -657,29 +609,77 @@ TEST(EmitPlanReentrancy, NestedRunBuildsArmOfRunningBlock) {
   expectIdentical(Traces[0], Traces[1], "nested run builds a running arm");
 }
 
-// Selection semantics: explicit flag beats the environment; Default
-// follows DYC_EMIT_PLAN; the path is on when the variable is unset or
-// unrecognized (default-on).
-TEST(EmitPlanSelection, FlagAndEnvironmentRules) {
-  unsetenv("DYC_EMIT_PLAN");
-  EXPECT_TRUE(cogen::resolveEmitPlanEnabled(EmitPlanMode::Default));
-  for (const char *Off : {"off", "0", "false"}) {
-    setenv("DYC_EMIT_PLAN", Off, 1);
-    EXPECT_FALSE(cogen::resolveEmitPlanEnabled(EmitPlanMode::Default))
-        << Off;
-    EXPECT_TRUE(cogen::resolveEmitPlanEnabled(EmitPlanMode::On))
-        << "explicit flag must beat the environment";
-  }
-  for (const char *On : {"on", "1", "true", "nonsense"}) {
-    setenv("DYC_EMIT_PLAN", On, 1);
-    EXPECT_TRUE(cogen::resolveEmitPlanEnabled(EmitPlanMode::Default)) << On;
-    EXPECT_FALSE(cogen::resolveEmitPlanEnabled(EmitPlanMode::Off))
-        << "explicit flag must beat the environment";
-  }
-  unsetenv("DYC_EMIT_PLAN");
+// Div/Rem-by-zero fold guard: with z == 0, zero/copy propagation turns
+// `a` into the constant 0, so `a / k` and `a % k` have two constant
+// operands and the fold is guarded on k == 0. A zero divisor cannot fold:
+// the chain holds the faithful div and rem, which fault only if the arm
+// ever runs, as the static build's would. Keys with k == 0 leave that arm
+// untaken at run time (d < 0); each guard arm is taken by two keys.
+const char *DivByKeySrc =
+    "int g(int z, int k, int c, int d) {\n"
+    "  make_static(z, k, c : cache_all);\n"
+    "  int r = c;\n"
+    "  if (d > 0) { int a = d * z; r = a / k + a % k + c; }\n"
+    "  return r;\n"
+    "}";
 
-  // The resolved selection reaches RegionStats: default flags on a fresh
-  // core engage the plan path (default-on).
+TEST(EmitPlanCache, DivRemByZeroFoldGuard) {
+  const std::vector<std::vector<int64_t>> Calls = {
+      {0, 0, 1, -1}, {0, 3, 2, 2}, {0, 0, 3, -1}, {0, 5, 4, 2}};
+  auto argsOf = [](const std::vector<int64_t> &C) {
+    std::vector<Word> Args;
+    for (int64_t V : C)
+      Args.push_back(Word::fromInt(V));
+    return Args;
+  };
+  std::vector<std::string> Errors;
+  std::vector<uint64_t> Want;
+  {
+    core::DycContext Ctx;
+    ASSERT_TRUE(Ctx.compile(DivByKeySrc, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+    auto E = Ctx.buildStatic();
+    int FI = E->findFunction("g");
+    ASSERT_GE(FI, 0);
+    for (const std::vector<int64_t> &C : Calls)
+      Want.push_back(
+          E->Machine->run(static_cast<uint32_t>(FI), argsOf(C)).Bits);
+  }
+  EXPECT_EQ(Want, (std::vector<uint64_t>{1, 2, 3, 4}));
+
+  PlanTrace Traces[2];
+  for (bool PlanOn : {true, false}) {
+    core::DycContext Ctx;
+    ASSERT_TRUE(Ctx.compile(DivByKeySrc, Errors));
+    auto E = Ctx.buildDynamic(withPlan(PlanOn));
+    int FI = E->findFunction("g");
+    ASSERT_GE(FI, 0);
+    PlanTrace &T = Traces[PlanOn ? 0 : 1];
+    std::string Before;
+    for (const std::vector<int64_t> &C : Calls) {
+      T.Results.push_back(
+          E->Machine->run(static_cast<uint32_t>(FI), argsOf(C)).Bits);
+      std::string After = E->RT->disassembleRegion(0);
+      std::string Chain = After.substr(Before.size());
+      bool ZeroKey = C[1] == 0;
+      EXPECT_EQ(Chain.find(" div r") != std::string::npos, ZeroKey)
+          << "k=" << C[1] << (PlanOn ? " plan\n" : " walk\n") << Chain;
+      EXPECT_EQ(Chain.find(" rem r") != std::string::npos, ZeroKey)
+          << "k=" << C[1] << (PlanOn ? " plan\n" : " walk\n") << Chain;
+      Before = std::move(After);
+    }
+    captureMachine(*E, T);
+    captureRegions(*E->RT, T);
+    EXPECT_EQ(E->RT->stats(0).SpecializationRuns, Calls.size());
+  }
+  EXPECT_EQ(Traces[0].Results, Want);
+  expectIdentical(Traces[0], Traces[1], "div/rem fold guard");
+}
+
+// Selection: default flags run every specialization through the plan, and
+// the server front end passes the core's plan counters through — summed
+// into its snapshot, rendered by toString, and per region.
+TEST(EmitPlanSelection, DefaultFlagsRunThroughPlans) {
   core::DycContext Ctx;
   std::vector<std::string> Errors;
   ASSERT_TRUE(Ctx.compile(SumSrc, Errors));
@@ -687,8 +687,34 @@ TEST(EmitPlanSelection, FlagAndEnvironmentRules) {
   int FI = E->findFunction("f");
   ASSERT_GE(FI, 0);
   E->Machine->run(static_cast<uint32_t>(FI), {Word::fromInt(5)});
-  EXPECT_TRUE(E->RT->stats(0).PlanEnabled);
+  EXPECT_FALSE(E->RT->core().flags().ReferenceWalk);
   EXPECT_EQ(E->RT->stats(0).PlanBuilds, 1u);
+  EXPECT_GT(E->RT->stats(0).PlanBytes, 0u);
+
+  core::DycContext SCtx;
+  ASSERT_TRUE(SCtx.compile(SumSrc, Errors));
+  server::ServerConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Cfg.OnMiss = server::MissPolicy::Block;
+  auto Server = SCtx.buildServer(OptFlags(), std::move(Cfg));
+  auto Client = Server->makeClientVM();
+  int FS = Server->findFunction("f");
+  ASSERT_GE(FS, 0);
+  // Keys 3 and 9 specialize (a plan build, then a plan hit); the second 3
+  // reuses its cached chain.
+  for (int64_t K : {3, 9, 3})
+    Client->run(static_cast<uint32_t>(FS), {Word::fromInt(K)});
+  Server->drain();
+  runtime::RegionStats RS = Server->regionStats(0);
+  EXPECT_EQ(RS.PlanBuilds, 1u);
+  EXPECT_EQ(RS.PlanHits, 1u);
+  EXPECT_GT(RS.PlanBytes, 0u);
+  server::ServerStatsSnapshot S = Server->stats();
+  EXPECT_EQ(S.PlanBuilds, RS.PlanBuilds);
+  EXPECT_EQ(S.PlanHits, RS.PlanHits);
+  EXPECT_EQ(S.PlanBytes, RS.PlanBytes);
+  EXPECT_NE(S.toString().find("plan[builds=1 hits=1 bytes="),
+            std::string::npos);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace dyc;
 using namespace dyc::ir;
 
@@ -181,6 +183,17 @@ TEST(ConstEvalTest, MatchesCppSemantics) {
   EXPECT_EQ(Out.asInt(), -2);
   ASSERT_TRUE(evalPureOp(Opcode::Neg, Min, Word(), Out));
   EXPECT_EQ(Out.asInt(), INT64_MIN);
+  // Float-to-int conversion of NaN or an out-of-range value, undefined as
+  // a C++ cast, gives INT64_MIN; -2^63 converts exactly.
+  for (double F : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e20, -1e20, 0x1p63}) {
+    ASSERT_TRUE(evalPureOp(Opcode::FToI, Word::fromFloat(F), Word(), Out));
+    EXPECT_EQ(Out.asInt(), INT64_MIN) << F;
+  }
+  ASSERT_TRUE(evalPureOp(Opcode::FToI, Word::fromFloat(-0x1p63), Word(), Out));
+  EXPECT_EQ(Out.asInt(), INT64_MIN);
+  ASSERT_TRUE(
+      evalPureOp(Opcode::FToI, Word::fromFloat(0x1p62), Word(), Out));
+  EXPECT_EQ(Out.asInt(), INT64_C(1) << 62);
 }
 
 TEST(ModuleTest, LookupAndDuplicates) {

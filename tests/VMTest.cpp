@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -347,6 +348,19 @@ TEST(VMExec, DifferentialAgainstConstEval) {
           }
         }
       }
+    }
+    // Float-to-int edge operands, where a host cast would be undefined:
+    // NaN and out-of-range values convert to INT64_MIN in both engines and
+    // the evaluator; -2^63 itself is in range.
+    const double FEdges[] = {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e20, -1e20,
+                             0x1p63, -0x1p63};
+    for (double FV : FEdges) {
+      Word A = Word::fromFloat(FV), Expected;
+      ASSERT_TRUE(ir::evalPureOp(ir::Opcode::FToI, A, Word(), Expected));
+      EXPECT_EQ(Expected.asInt(), INT64_MIN) << "ftoi " << FV;
+      EXPECT_EQ(Run({{Op::FToI, 2, 0}, {Op::Ret, 2}}, E, {A}).Bits,
+                Expected.Bits)
+          << "ftoi A=" << FV << " " << EngineName;
     }
   }
 }

@@ -53,11 +53,7 @@ void usage() {
           "                        tenants replay the call, chains dedup\n"
           "                        across them (--stats adds per-tenant\n"
           "                        ledgers and the global dedup counters)\n"
-          "  --icache KB           L1 I-cache size (default 8)\n"
-          "  --emit-plan MODE      staged emit plans: on | off (default:\n"
-          "                        $DYC_EMIT_PLAN, else on; off = legacy\n"
-          "                        template walk — identical output, slower\n"
-          "                        host-side specialization)\n");
+          "  --icache KB           L1 I-cache size (default 8)\n");
   for (unsigned T = 0; T != OptFlags::NumToggles; ++T)
     fprintf(stderr, "  --no-%-27s disable this optimization\n",
             OptFlags::toggleName(T));
@@ -133,21 +129,6 @@ int main(int argc, char **argv) {
       Advise = true;
     } else if (A == "--icache" && I + 1 < argc) {
       ICCfg.SizeBytes = strtoul(argv[++I], nullptr, 10) * 1024;
-    } else if (A == "--emit-plan" || A.rfind("--emit-plan=", 0) == 0) {
-      std::string Mode;
-      if (A == "--emit-plan" && I + 1 < argc)
-        Mode = argv[++I];
-      else if (A.size() > 12)
-        Mode = A.substr(12);
-      if (Mode == "on")
-        Flags.EmitPlan = EmitPlanMode::On;
-      else if (Mode == "off")
-        Flags.EmitPlan = EmitPlanMode::Off;
-      else {
-        fprintf(stderr, "dycc: unknown emit-plan mode '%s' (on | off)\n",
-                Mode.c_str());
-        return 2;
-      }
     } else if (A.rfind("--no-", 0) == 0) {
       bool Known = false;
       for (unsigned T = 0; T != OptFlags::NumToggles; ++T)
@@ -325,8 +306,7 @@ int main(int argc, char **argv) {
                (unsigned long long)T.OsrEntries,
                (unsigned long long)T.OsrPolls);
       }
-      if (Server->numRegions() &&
-          Server->regionStats(0).PlanEnabled) {
+      if (Server->numRegions()) {
         printf("emit-plan advisor (per-region plan amortization):\n");
         for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord) {
           runtime::RegionStats RS = Server->regionStats(Ord);
@@ -458,7 +438,7 @@ int main(int argc, char **argv) {
       }
     }
     runtime::DycRuntime &SRT = Spec.runtime();
-    if (SRT.numRegions() && SRT.stats(0).PlanEnabled) {
+    if (SRT.numRegions()) {
       printf("emit-plan advisor (per-region plan amortization):\n");
       for (size_t Ord = 0; Ord != SRT.numRegions(); ++Ord) {
         const runtime::RegionStats &RS = SRT.stats(Ord);
