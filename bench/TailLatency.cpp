@@ -146,7 +146,7 @@ PhaseResult runPhase(const char *Phase, core::DycContext &Ctx,
                      size_t MaxEntries, double StepUs) {
   server::ServerConfig Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Quota.Budget.MaxEntries = MaxEntries;
+  Cfg.Budget.MaxEntries = MaxEntries;
   std::unique_ptr<server::SpecServer> Server =
       Ctx.buildMultiTenant(OptFlags(), std::move(Cfg));
   int F = Server->findFunction("f");

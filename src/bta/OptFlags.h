@@ -104,7 +104,7 @@ struct OptFlags {
   /// Content fingerprint of everything that can change *what code a
   /// specialization run emits*: the nine optimization toggles and the
   /// region code cap. Tier and ReferenceWalk are deliberately excluded —
-  /// both are contractually unable to change emitted chains. The multi-tenant
+  /// both are contractually unable to change emitted chains. The server's
   /// chain store folds this into its dedup key, and the warm-start file
   /// records it so a cache serialized under one configuration is never
   /// adopted under another.

@@ -13,9 +13,6 @@ namespace cogen {
 using namespace ir;
 namespace v = vm;
 
-namespace {
-
-/// Direct opcode translations (reg-reg forms).
 v::Op vmOpOf(Opcode Op) {
   switch (Op) {
   case Opcode::Add: return v::Op::Add;
@@ -49,12 +46,10 @@ v::Op vmOpOf(Opcode Op) {
   case Opcode::IToF: return v::Op::IToF;
   case Opcode::FToI: return v::Op::FToI;
   default:
-    fatal("no direct VM translation for this opcode");
+    fatal("opcode has no reg-reg VM form");
   }
 }
 
-/// Reg-immediate form for an integer/compare op with a constant second
-/// operand; Op::Halt if none exists.
 v::Op immFormOf(Opcode Op) {
   switch (Op) {
   case Opcode::Add: return v::Op::AddI;
@@ -81,7 +76,7 @@ v::Op immFormOf(Opcode Op) {
   }
 }
 
-bool isCommutative(Opcode Op) {
+bool isCommutativeOpcode(Opcode Op) {
   switch (Op) {
   case Opcode::Add: case Opcode::Mul: case Opcode::And: case Opcode::Or:
   case Opcode::Xor: case Opcode::FAdd: case Opcode::FMul:
@@ -92,8 +87,6 @@ bool isCommutative(Opcode Op) {
   }
 }
 
-/// Mirrors an asymmetric comparison so the constant lands on the right:
-/// (c < x) == (x > c), etc.
 Opcode mirrorCompare(Opcode Op) {
   switch (Op) {
   case Opcode::CmpLt: return Opcode::CmpGt;
@@ -103,6 +96,8 @@ Opcode mirrorCompare(Opcode Op) {
   default: return Op;
   }
 }
+
+namespace {
 
 bool isBinaryArith(Opcode Op) {
   switch (Op) {
@@ -224,7 +219,7 @@ struct FunctionLowering {
         // Float imm forms carry double bit patterns; int forms int values.
         if (C2) {
           FoldSrc2[Idx] = 1;
-        } else if (C1 && (isCommutative(I.Op) ||
+        } else if (C1 && (isCommutativeOpcode(I.Op) ||
                           (!FloatOp && mirrorCompare(I.Op) != I.Op))) {
           FoldSrc1[Idx] = 1;
         }
@@ -378,7 +373,7 @@ struct FunctionLowering {
           }
           emit({immFormOf(I.Op), I.Dst, I.Src1, 0, Imm});
         } else if (FoldSrc1[Idx]) {
-          Opcode Op2 = isCommutative(I.Op) ? I.Op : mirrorCompare(I.Op);
+          Opcode Op2 = isCommutativeOpcode(I.Op) ? I.Op : mirrorCompare(I.Op);
           emit({immFormOf(Op2), I.Dst, I.Src2, 0,
                 static_cast<int64_t>(Consts[I.Src1].Val.Bits)});
         } else {

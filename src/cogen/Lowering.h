@@ -72,6 +72,15 @@ LoweredFunction lowerFunction(const ir::Function &F, const ir::Module &M,
 /// library, asserting that indices line up.
 void bindExternals(const ir::Module &M, vm::Program &Prog);
 
+/// The IR-to-VM encoding tables, shared by this lowering and the run-time
+/// emitter (runtime/Deferral.h), so both encode an operation alike.
+vm::Op vmOpOf(ir::Opcode Op);    ///< reg-reg form; fatals if none
+vm::Op immFormOf(ir::Opcode Op); ///< reg-immediate form; vm::Op::Halt if none
+bool isCommutativeOpcode(ir::Opcode Op);
+/// Mirrors an asymmetric comparison so a constant first operand can move
+/// to the right: (c < x) == (x > c). Lt<->Gt, Le<->Ge; else \p Op.
+ir::Opcode mirrorCompare(ir::Opcode Op);
+
 } // namespace cogen
 } // namespace dyc
 

@@ -63,7 +63,6 @@ DycContext::buildMultiTenant(const OptFlags &Flags,
                              server::ServerConfig Cfg) const {
   OptFlags MTF = Flags;
   MTF.Tier.Enabled = false; // tiering does not compose with multi-tenancy
-  Cfg.MultiTenant = true;
   return std::make_unique<server::SpecServer>(M, MTF, std::move(Cfg));
 }
 

@@ -119,10 +119,10 @@ public:
               server::ServerConfig Cfg = server::ServerConfig()) const;
 
   /// Builds the multi-tenant specialization service: buildServer with
-  /// Cfg.MultiTenant forced on (per-tenant cache views, quotas, and the
-  /// cross-tenant content-addressed chain store) and tiering forced off —
-  /// the two do not compose. Make per-tenant clients with
-  /// SpecServer::makeClientVM(TenantId).
+  /// tiering forced off — per-tenant heat is not modeled, so the tiering
+  /// controller's server-wide heat would couple the tenants. Every server
+  /// serves tenant views over the cross-tenant chain store; make
+  /// per-tenant clients with SpecServer::makeClientVM(TenantId).
   std::unique_ptr<server::SpecServer>
   buildMultiTenant(const OptFlags &Flags = OptFlags(),
                    server::ServerConfig Cfg = server::ServerConfig()) const;

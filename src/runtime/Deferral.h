@@ -425,7 +425,7 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
       emitConst(Dst, Out, Ty);
       return;
     }
-    D.emit({vmOpOf(Op), Dst,
+    D.emit({cogen::vmOpOf(Op), Dst,
             regOf(A,
                   Ty == ir::Type::F64 && Op != Opcode::FToI ? ir::Type::F64
                                                             : ir::Type::I64,
@@ -466,11 +466,11 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
     // happens at run time, as it would have in static code.
     uint32_t RA = regOf(A, ir::Type::I64, GX.Scratch0);
     uint32_t RB = regOf(B, ir::Type::I64, GX.Scratch1);
-    D.emit({vmOpOf(Op), Dst, RA, RB});
+    D.emit({cogen::vmOpOf(Op), Dst, RA, RB});
     return;
   }
   if (!A.IsConst && B.IsConst) {
-    vm::Op IF = immFormOf(Op);
+    vm::Op IF = cogen::immFormOf(Op);
     if (IF != vm::Op::Halt) {
       D.charge(Charge::EmitHole);
       D.emitImm({IF, Dst, A.R}, B.C, 0);
@@ -481,15 +481,15 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
                         Op == Opcode::FCmpGt || Op == Opcode::FCmpGe;
     uint32_t RB = regOf(B, FloatOperand ? ir::Type::F64 : ir::Type::I64,
                         GX.Scratch1);
-    D.emit({vmOpOf(Op), Dst, A.R, RB});
+    D.emit({cogen::vmOpOf(Op), Dst, A.R, RB});
     return;
   }
   if (A.IsConst && !B.IsConst) {
-    if (isCommutativeOpcode(Op)) {
+    if (cogen::isCommutativeOpcode(Op)) {
       emitResolved(Op, Ty, Dst, B, A, Imm);
       return;
     }
-    Opcode Mirrored = mirrorCompare(Op);
+    Opcode Mirrored = cogen::mirrorCompare(Op);
     if (Mirrored != Op) {
       emitResolved(Mirrored, Ty, Dst, B, A, Imm);
       return;
@@ -497,10 +497,10 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
     bool FloatOperand = Op == Opcode::FSub || Op == Opcode::FDiv;
     uint32_t RA = regOf(A, FloatOperand ? ir::Type::F64 : ir::Type::I64,
                         GX.Scratch0);
-    D.emit({vmOpOf(Op), Dst, RA, B.R});
+    D.emit({cogen::vmOpOf(Op), Dst, RA, B.R});
     return;
   }
-  D.emit({vmOpOf(Op), Dst, A.R, B.R});
+  D.emit({cogen::vmOpOf(Op), Dst, A.R, B.R});
 }
 
 using DeferralEngine = DeferralEngineT<Concrete>;

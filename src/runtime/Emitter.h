@@ -12,7 +12,9 @@
 /// are written once, in runtime/Deferral.h, as a template over a *value
 /// domain*. This header holds what every domain shares (the resolved
 /// operand, the deferral-table entry, one charge kind per cost-model
-/// rate, the encoding tables) and the emit-time domain, Concrete:
+/// rate) and the emit-time domain, Concrete. The IR-to-VM encoding tables
+/// are static lowering's (cogen/Lowering.h), so residual and static code
+/// encode an operation alike. The two domains:
 ///
 ///  * Concrete — values are the specialize-time Words. Tests compare them
 ///    directly; emits append to the chain buffer, charge the VM and bump
@@ -145,12 +147,6 @@ inline uint64_t &statOf(RegionStats &S, Stat K) {
 /// True for the opcodes the emitter treats as single-operand (fold with
 /// only A resolved).
 bool isUnaryOpcode(ir::Opcode Op);
-
-/// Encoding tables of the resolved-instruction encoder.
-vm::Op vmOpOf(ir::Opcode Op);      ///< reg-reg form; fatals if none
-vm::Op immFormOf(ir::Opcode Op);   ///< immediate form; vm::Op::Halt if none
-bool isCommutativeOpcode(ir::Opcode Op);
-ir::Opcode mirrorCompare(ir::Opcode Op); ///< Lt<->Gt, Le<->Ge; else Op
 
 /// The emit-time value domain: encodes into one code chain's buffer.
 class Concrete {

@@ -81,7 +81,6 @@ void RegionExecutionCore::addRegion(cogen::GenExtFunction GX) {
   R->CtxPlacements.assign(GX.Region.Contexts.size(), 0);
   R->GX = std::move(GX);
   Regions.push_back(std::move(R));
-  Books.emplace_back();
 }
 
 const bta::PromoPoint &RegionExecutionCore::promo(size_t Ordinal,
@@ -277,19 +276,27 @@ std::shared_ptr<CodeChain> RegionExecutionCore::newChain(size_t Ordinal) {
 // Capacity + eviction
 //===----------------------------------------------------------------------===//
 
-void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
-                                const UnpublishFn &Unpublish) {
-  assert(E->Region < Books.size() && "bad region ordinal");
-  RegionBook &B = Books[E->Region];
+void RegionExecutionCore::admit(ResidencyBook &Book,
+                                std::shared_ptr<SpecEntry> E,
+                                const EvictFn &Evict) {
+  assert(E->Region < Regions.size() && "bad region ordinal");
+  if (Book.Regions.size() < Regions.size())
+    Book.Regions.resize(Regions.size());
+  ResidencyBook::Region &B = Book.Regions[E->Region];
   const SpecEntry *Fresh = E.get();
-  B.Instrs += E->Chain ? E->Chain->Instrs : 0;
+  B.Instrs += E->Chain->Instrs;
   B.Records.push_back(std::move(E));
 
   // CLOCK sweep: clear set reference bits; evict the first clear record
   // that is not the one just admitted. Two full laps guarantee a victim
   // (after one lap every bit is clear).
+  const ChainBudget &Budget = Book.Budget;
+  auto OverBudget = [&] {
+    return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
+           (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
+  };
   size_t Guard = 2 * B.Records.size() + 2;
-  while (overBudget(B) && B.Records.size() > 1 && Guard--) {
+  while (OverBudget() && B.Records.size() > 1 && Guard--) {
     if (B.Hand >= B.Records.size())
       B.Hand = 0;
     std::shared_ptr<SpecEntry> &Cand = B.Records[B.Hand];
@@ -302,37 +309,33 @@ void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
       ++B.Hand; // recently used: second chance
       continue;
     }
-    if (Unpublish)
-      Unpublish(*Cand);
-    if (Cand->Chain) {
-      B.Instrs -= Cand->Chain->Instrs;
-      retireChain(*Cand->Chain);
-    }
-    ++Regions[Cand->Region]->Stats.Evictions;
+    std::shared_ptr<SpecEntry> Victim = std::move(Cand);
     B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
     // Hand stays: it now points at the next record.
+    B.Instrs -= Victim->Chain->Instrs;
+    ++Regions[Victim->Region]->Stats.Evictions;
+    Evict(*Victim);
   }
 }
 
-void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
+void RegionExecutionCore::displaced(ResidencyBook &Book, const SpecEntry &E,
                                     ir::CachePolicy Policy) {
-  assert(E->Region < Books.size() && "bad region ordinal");
-  if (E->Chain)
-    retireChain(*E->Chain);
+  assert(E.Region < Regions.size() && "bad region ordinal");
   // One-slot mismatch replacement is the inline runtime's historical
   // eviction event; hashed/indexed displacement (same key or same index
   // word) replaces rather than evicts.
   if (Policy == ir::CachePolicy::CacheOne ||
       Policy == ir::CachePolicy::CacheOneUnchecked)
-    ++Regions[E->Region]->Stats.Evictions;
+    ++Regions[E.Region]->Stats.Evictions;
 
-  RegionBook &B = Books[E->Region];
+  assert(E.Region < Book.Regions.size() && "displaced before any admit");
+  ResidencyBook::Region &B = Book.Regions[E.Region];
   auto It = std::find_if(
       B.Records.begin(), B.Records.end(),
-      [&](const std::shared_ptr<SpecEntry> &R) { return R.get() == E.get(); });
+      [&](const std::shared_ptr<SpecEntry> &R) { return R.get() == &E; });
   if (It == B.Records.end())
     return;
-  B.Instrs -= (*It)->Chain ? (*It)->Chain->Instrs : 0;
+  B.Instrs -= E.Chain->Instrs;
   size_t Idx = static_cast<size_t>(It - B.Records.begin());
   B.Records.erase(It);
   if (B.Hand > Idx)
@@ -344,16 +347,6 @@ void RegionExecutionCore::retireChain(CodeChain &Chain) {
   // VMs that adopted the translation keep executing off their own
   // references, but the table must not pin a retired chain's translation.
   Shared->release(Chain.CO.BaseAddr);
-}
-
-size_t RegionExecutionCore::residentEntries(size_t Ordinal) const {
-  assert(Ordinal < Books.size() && "bad region ordinal");
-  return Books[Ordinal].Records.size();
-}
-
-uint64_t RegionExecutionCore::residentInstrs(size_t Ordinal) const {
-  assert(Ordinal < Books.size() && "bad region ordinal");
-  return Books[Ordinal].Instrs;
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,16 +14,19 @@
 /// can never leave a dangling jump, inline or in the server.
 ///
 /// The core owns, per region: the generating extension and its metadata,
-/// the run-time statistics, the specialize-time static-call memo, the
-/// dispatch-site table, and the capacity book (CLOCK eviction against a
-/// ChainBudget). It owns globally: the chain registry that keeps evicted
-/// chains alive until their active-executor count — maintained from the
-/// VM's onDynamicCodeExit callback — drains to zero.
+/// the run-time statistics, the specialize-time static-call memo and the
+/// dispatch-site table. It owns globally: the chain registry that keeps
+/// evicted chains alive until their active-executor count — maintained
+/// from the VM's onDynamicCodeExit callback — drains to zero. It also
+/// writes the one CLOCK sweep (admit) over a residency book the caller
+/// passes in: the inline front end's book lives in the core, and every
+/// SpecServer tenant view holds its own.
 ///
 /// What the core does NOT own is the dispatch cache: each front end maps
 /// keys to published SpecEntries its own way (per-promotion CodeCache
-/// inline; lock-free ShardedCache snapshots in the server) and tells the
-/// core about displacements so eviction bookkeeping stays identical.
+/// inline; lock-free ShardedCache snapshots in the server), tells the core
+/// about displacements so eviction bookkeeping stays identical, and
+/// retires its victims' chains itself.
 ///
 /// Concurrency contract: specializeInto / admit / displaced and the
 /// resident/disassembly accessors must be serialized by the caller (the
@@ -38,16 +41,16 @@
 /// reached through a newly published chain. The core owns the front end's
 /// SharedTranslations table: every VM it attaches publishes the
 /// translations it builds of chains and adopts those of other VMs, and
-/// the core itself releases a chain's entry when it evicts or displaces
-/// the chain — eager reclamation for all front ends, including the
-/// server, whose client VMs the core cannot reach. A front end that
-/// unpublishes a chain (admit's eviction callback, one-slot displacement)
-/// should also call VM::invalidateDecoded on its own VM, so the VM's
-/// cache does not pin memory for code the registry is about to free; the
-/// VM additionally revalidates every translation against (Code.size(),
-/// Version) when it enters a code object, which is what makes the
-/// specializer's rewrites (branch patching through Concrete::at, which
-/// bumps Version) safe even without eager invalidation.
+/// retireChain releases a chain's entry — eager reclamation for all front
+/// ends, including the server, whose client VMs the core cannot reach. A
+/// front end that unpublishes a chain (admit's eviction callback, one-slot
+/// displacement) should also call VM::invalidateDecoded on its own VM, so
+/// the VM's cache does not pin memory for code the registry is about to
+/// free; the VM additionally revalidates every translation against
+/// (Code.size(), Version) when it enters a code object, which is what
+/// makes the specializer's rewrites (branch patching through
+/// Concrete::at, which bumps Version) safe even without eager
+/// invalidation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,10 +146,10 @@ struct EntryStats {
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> LastUse{0}; ///< global dispatch tick of last hit
   std::atomic<bool> RefBit{false};  ///< CLOCK reference bit
-  /// Multi-tenant adoption marker: the entry was published over a chain
-  /// from the cross-tenant store instead of a fresh generating-extension
-  /// run. The first client to enter it invalidates the chain's range in
-  /// its I-cache, so an adopted chain the client executed in an earlier
+  /// Adoption marker: the entry was published over a chain from the
+  /// server's chain store instead of a fresh generating-extension run. The
+  /// first client to enter it invalidates the chain's range in its
+  /// I-cache, so an adopted chain the client executed in an earlier
   /// residency models as cold code — exactly what the fresh compile a
   /// dedicated server would have produced looks like.
   std::atomic<bool> ColdEntryPending{false};
@@ -164,6 +167,27 @@ struct SpecEntry {
   std::shared_ptr<CodeChain> Chain;
   std::shared_ptr<EntryStats> Use;
   uint64_t Ordinal = 0; ///< == Chain->Ordinal
+};
+
+/// The CLOCK residency book of one cache view: per region, the entries
+/// resident in the view, the CLOCK hand and their emitted instructions,
+/// bounded by one budget. RegionExecutionCore::admit and displaced are
+/// its only writers, under the caller's serialization.
+struct ResidencyBook {
+  struct Region {
+    std::vector<std::shared_ptr<SpecEntry>> Records;
+    size_t Hand = 0; ///< CLOCK hand
+    uint64_t Instrs = 0;
+  };
+  ChainBudget Budget;
+  std::vector<Region> Regions; ///< by region ordinal, grown on first admit
+
+  size_t entries(size_t Ordinal) const {
+    return Ordinal < Regions.size() ? Regions[Ordinal].Records.size() : 0;
+  }
+  uint64_t instrs(size_t Ordinal) const {
+    return Ordinal < Regions.size() ? Regions[Ordinal].Instrs : 0;
+  }
 };
 
 /// Everything the specializer shares across one region's runs.
@@ -210,9 +234,10 @@ struct DispatchSite {
 /// The shared region-execution core.
 class RegionExecutionCore {
 public:
+  /// \p Budget bounds the inline front end's residency book (book()).
   RegionExecutionCore(const ir::Module &M, vm::Program &Prog,
                       const OptFlags &Flags, ChainBudget Budget = {})
-      : M(M), Prog(Prog), Flags(Flags), Budget(Budget) {}
+      : M(M), Prog(Prog), Flags(Flags), Book{Budget, {}} {}
 
   // --- Shared translations ----------------------------------------------------
 
@@ -303,26 +328,31 @@ public:
 
   // --- Capacity + eviction (caller-serialized) --------------------------------
 
-  /// Removes an entry from the front end's cache so the next dispatch on
-  /// its key misses. Called by the core during capacity eviction, once per
-  /// victim, before the victim's chain is marked evicted.
-  using UnpublishFn = std::function<void(const SpecEntry &)>;
+  /// Called once per CLOCK victim, after the victim has left the book: the
+  /// front end unpublishes it from its cache so the next dispatch on its
+  /// key misses, then retires its chain (retireChain) or drops its
+  /// reference to a shared one.
+  using EvictFn = std::function<void(const SpecEntry &)>;
 
-  /// Accounts the just-published \p E against its region's budget and
-  /// evicts CLOCK victims (never \p E itself) until the region fits again.
-  /// Victims are unpublished via \p Unpublish, their chains marked
-  /// evicted, and the region's Evictions counter bumped.
-  void admit(std::shared_ptr<SpecEntry> E, const UnpublishFn &Unpublish);
+  /// The CLOCK sweep. Accounts the just-published \p E in \p B and evicts
+  /// victims (never \p E itself) until E's region fits B's budget again.
+  /// Each victim leaves the book, is counted in its region's Evictions,
+  /// and is handed to \p Evict.
+  void admit(ResidencyBook &B, std::shared_ptr<SpecEntry> E,
+             const EvictFn &Evict);
 
   /// The front end's cache displaced \p E on insert (one-slot or indexed
-  /// same-slot replacement): drop it from the capacity book and mark its
-  /// chain evicted. One-slot policies count this as a region eviction
-  /// (cache_one mismatch replacement), matching the inline runtime's
-  /// historical accounting.
-  void displaced(const std::shared_ptr<SpecEntry> &E, ir::CachePolicy Policy);
+  /// same-slot replacement): drop it from \p B. One-slot policies count
+  /// this as a region eviction (cache_one mismatch replacement), matching
+  /// the inline runtime's historical accounting. The caller retires the
+  /// chain, as for an admit victim.
+  void displaced(ResidencyBook &B, const SpecEntry &E, ir::CachePolicy Policy);
 
-  size_t residentEntries(size_t Ordinal) const;
-  uint64_t residentInstrs(size_t Ordinal) const;
+  /// The inline front end's residency book. A SpecServer keeps one book
+  /// per tenant view instead and leaves this one empty.
+  ResidencyBook &book() { return Book; }
+  size_t residentEntries(size_t Ordinal) const { return Book.entries(Ordinal); }
+  uint64_t residentInstrs(size_t Ordinal) const { return Book.instrs(Ordinal); }
 
   // --- Chain lifecycle --------------------------------------------------------
 
@@ -338,10 +368,10 @@ public:
   size_t liveChains() const { return Chains.size(); }
 
   /// Retires an unpublished chain: marks it evicted so collection can free
-  /// it once drained, and releases its shared translation. Front ends with
-  /// their own publication books (the multi-tenant chain store) call this
-  /// when the last reference drops; admit and displaced call it for the
-  /// core's books. Caller-serialized.
+  /// it once drained, and releases its shared translation. The inline
+  /// front end calls this for its evicted and displaced entries; the
+  /// server, when a chain's last chain-store reference drops.
+  /// Caller-serialized.
   void retireChain(CodeChain &Chain);
 
   // --- Reporting --------------------------------------------------------------
@@ -353,34 +383,21 @@ public:
   std::string printRegion(size_t Ordinal, const ir::Module &Mod) const;
 
 private:
-  /// CLOCK book of resident entries for one region.
-  struct RegionBook {
-    std::vector<std::shared_ptr<SpecEntry>> Records;
-    size_t Hand = 0; ///< CLOCK hand
-    uint64_t Instrs = 0;
-  };
-
   /// A fresh, not yet registered chain of region \p Ordinal with its code
   /// buffer opened: marked dynamic code, then given its simulated address
   /// range (the region code cap, so distinct chains' I-cache footprints
   /// never alias).
   std::shared_ptr<CodeChain> newChain(size_t Ordinal);
 
-  bool overBudget(const RegionBook &B) const {
-    return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
-           (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
-  }
-
   const ir::Module &M;
   vm::Program &Prog;
   OptFlags Flags;
-  ChainBudget Budget;
+  ResidencyBook Book; ///< the inline front end's
   /// Translations of this core's chains, shared by every attached VM.
   std::shared_ptr<vm::SharedTranslations> Shared =
       std::make_shared<vm::SharedTranslations>();
 
   std::vector<std::unique_ptr<RegionState>> Regions;
-  std::vector<RegionBook> Books; ///< parallel to Regions
 
   ChainRegistry Chains;
   std::atomic<uint64_t> ChainCounter{0};

@@ -18,9 +18,10 @@ void DycRuntime::retireSlot(vm::VM &VMRef, Front &F, uint32_t Slot,
                             ir::CachePolicy Policy) {
   if (Slot >= F.Slots.size() || !F.Slots[Slot])
     return;
-  if (F.Slots[Slot]->Chain)
-    VMRef.invalidateDecoded(F.Slots[Slot]->Chain->CO);
-  Core.displaced(F.Slots[Slot], Policy);
+  const SpecEntry &E = *F.Slots[Slot];
+  VMRef.invalidateDecoded(E.Chain->CO);
+  Core.displaced(Core.book(), E, Policy);
+  Core.retireChain(*E.Chain);
   F.Slots[Slot].reset();
 }
 
@@ -29,15 +30,12 @@ void DycRuntime::releaseRegion(vm::VM &VMRef, size_t Ordinal) {
     return;
   Front &F = Fronts[Ordinal];
   for (uint32_t S = 0; S != F.Slots.size(); ++S) {
-    std::shared_ptr<SpecEntry> &E = F.Slots[S];
-    if (!E)
+    if (!F.Slots[S])
       continue;
-    CodeCache &Cache = F.PromoCaches[E->PromoId];
-    Cache.erase(E->Key); // bumps the epoch: inline-cache memos die here
-    if (E->Chain)
-      VMRef.invalidateDecoded(E->Chain->CO);
-    Core.displaced(E, Cache.policy());
-    E.reset();
+    CodeCache &Cache = F.PromoCaches[F.Slots[S]->PromoId];
+    // Bumps the epoch: inline-cache memos of the entry die here.
+    Cache.erase(F.Slots[S]->Key);
+    retireSlot(VMRef, F, S, Cache.policy());
   }
 }
 
@@ -206,17 +204,17 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
 
   // Account the new chain against the region's budget; CLOCK victims are
   // unpublished from their dispatch cache and slot before their chain is
-  // marked evicted. Dropping the VM's predecoded translation here (not
-  // just at the safe point) keeps the translation cache from pinning
-  // memory for chains the registry is about to free.
-  Core.admit(E, [this, &VMRef](const SpecEntry &Victim) {
+  // retired. Dropping the VM's predecoded translation here (not just at
+  // the safe point) keeps the translation cache from pinning memory for
+  // chains the registry is about to free.
+  Core.admit(Core.book(), E, [this, &VMRef](const SpecEntry &Victim) {
     Front &VF = Fronts[Victim.Region];
     VF.PromoCaches[Victim.PromoId].erase(Victim.Key);
     uint32_t VS = static_cast<uint32_t>(Victim.Point);
     if (VS < VF.Slots.size() && VF.Slots[VS].get() == &Victim)
       VF.Slots[VS].reset();
-    if (Victim.Chain)
-      VMRef.invalidateDecoded(Victim.Chain->CO);
+    VMRef.invalidateDecoded(Victim.Chain->CO);
+    Core.retireChain(*Victim.Chain);
   });
 
   E->Use->LastUse.store(Tick, std::memory_order_relaxed);

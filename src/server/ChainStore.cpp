@@ -34,20 +34,16 @@ StoredChain *ChainStore::find(uint64_t DedupKey, uint32_t Ord,
 StoredChain &ChainStore::insert(StoredChain SC) {
   std::list<StoredChain> &Bucket = Buckets[SC.DedupKey];
   Bucket.push_back(std::move(SC));
-  StoredChain &Stored = Bucket.back();
-  ByChain[Stored.Chain.get()] = Stored.DedupKey;
   Count.fetch_add(1, std::memory_order_relaxed);
-  return Stored;
+  return Bucket.back();
 }
 
-std::shared_ptr<CodeChain> ChainStore::release(const CodeChain *Chain) {
-  auto KeyIt = ByChain.find(Chain);
-  if (KeyIt == ByChain.end())
-    return nullptr;
-  auto BIt = Buckets.find(KeyIt->second);
-  assert(BIt != Buckets.end() && "reverse index out of sync");
+std::shared_ptr<CodeChain> ChainStore::release(uint64_t DedupKey,
+                                               const CodeChain &Chain) {
+  auto BIt = Buckets.find(DedupKey);
+  assert(BIt != Buckets.end() && "release of a chain the store never owned");
   for (auto It = BIt->second.begin(); It != BIt->second.end(); ++It) {
-    if (It->Chain.get() != Chain)
+    if (It->Chain.get() != &Chain)
       continue;
     assert(It->Refs > 0 && "release without a publish reference");
     if (--It->Refs > 0)
@@ -56,11 +52,10 @@ std::shared_ptr<CodeChain> ChainStore::release(const CodeChain *Chain) {
     BIt->second.erase(It);
     if (BIt->second.empty())
       Buckets.erase(BIt);
-    ByChain.erase(KeyIt);
     Count.fetch_sub(1, std::memory_order_relaxed);
     return Out;
   }
-  assert(false && "reverse index names a bucket without the chain");
+  assert(false && "release of a chain the store never owned");
   return nullptr;
 }
 

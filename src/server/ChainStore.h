@@ -5,21 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-tenant SpecServer's dedup layer. Every published
-/// specialization is content-addressed by a hash of (region content hash,
-/// promotion point, full cache key, OptFlags fingerprint): two tenants
-/// missing on the same key at the same point produce one generating-
-/// extension run and one CodeChain — the second publication *adopts* the
-/// stored chain into its own cache view instead of compiling.
+/// The SpecServer's dedup layer. Every publication, in every tenant view,
+/// goes through it. Each published specialization is content-addressed
+/// by a hash of (region content hash, promotion point, full cache key,
+/// OptFlags fingerprint): two tenants missing on the same key at the same
+/// point produce one generating-extension run and one CodeChain — the
+/// second publication *adopts* the stored chain into its own cache view
+/// instead of compiling.
 ///
 /// Ownership is refcounted per publication: each tenant cache entry that
 /// references a stored chain holds one publish reference, dropped when
-/// the tenant's CLOCK book evicts (or its one-slot cache displaces) the
+/// the view's CLOCK book evicts (or its one-slot cache displaces) the
 /// entry. The last release removes the entry from the store and returns
 /// the chain so the server can retire it (mark it evicted, release its
-/// shared translation) through the existing eviction safe point —
-/// collection still waits for active executors to drain, exactly as for
-/// single-tenant chains.
+/// shared translation) through the eviction safe point — collection still
+/// waits for active executors to drain.
 ///
 /// Concurrency: every mutation happens under the server's specialization
 /// mutex (publication, eviction, and warm-start load are all serialized
@@ -58,8 +58,7 @@ struct StoredChain {
   bool WarmLoaded = false;
 };
 
-/// The store: DedupKey -> StoredChain, with a reverse index from the
-/// chain object for refcount release at eviction time.
+/// The store: DedupKey -> StoredChain.
 class ChainStore {
 public:
   /// The content address: region content hash, promotion id, the full
@@ -84,11 +83,12 @@ public:
   /// entry. The caller has verified no equal entry exists.
   StoredChain &insert(StoredChain SC);
 
-  /// Drops one publish reference from the entry owning \p Chain. When the
-  /// last reference drops, removes the entry and returns the chain so the
-  /// caller retires it; otherwise (or for chains the store never owned —
-  /// single-tenant code paths) returns null.
-  std::shared_ptr<CodeChain> release(const CodeChain *Chain);
+  /// Drops one publish reference from the stored entry that owns
+  /// \p Chain under \p DedupKey. When the last reference drops, removes
+  /// the entry and returns the chain so the caller retires it; otherwise
+  /// returns null.
+  std::shared_ptr<CodeChain> release(uint64_t DedupKey,
+                                     const CodeChain &Chain);
 
   /// Resident chains (gauge; safe from any thread).
   size_t size() const { return Count.load(std::memory_order_relaxed); }
@@ -99,7 +99,6 @@ public:
 
 private:
   std::unordered_map<uint64_t, std::list<StoredChain>> Buckets;
-  std::unordered_map<const CodeChain *, uint64_t> ByChain;
   std::atomic<size_t> Count{0};
 };
 

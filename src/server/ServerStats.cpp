@@ -7,29 +7,27 @@
 namespace dyc {
 namespace server {
 
-ServerStatsSnapshot ServerStats::snapshot() const {
-  ServerStatsSnapshot S;
-  S.Dispatches = Dispatches.load(std::memory_order_relaxed);
-  S.CacheHits = CacheHits.load(std::memory_order_relaxed);
-  S.CacheMisses = CacheMisses.load(std::memory_order_relaxed);
-  S.Fallbacks = Fallbacks.load(std::memory_order_relaxed);
-  S.FallbacksInFlight = FallbacksInFlight.load(std::memory_order_relaxed);
-  S.FallbacksFailed = FallbacksFailed.load(std::memory_order_relaxed);
-  S.FallbacksNotRequested =
-      FallbacksNotRequested.load(std::memory_order_relaxed);
-  S.JobsEnqueued = JobsEnqueued.load(std::memory_order_relaxed);
-  S.JobsCoalesced = JobsCoalesced.load(std::memory_order_relaxed);
-  S.InlineSpecs = InlineSpecs.load(std::memory_order_relaxed);
-  S.SpecRuns = SpecRuns.load(std::memory_order_relaxed);
-  S.Evictions = Evictions.load(std::memory_order_relaxed);
-  S.ChainsCreated = ChainsCreated.load(std::memory_order_relaxed);
-  S.ChainsCollected = ChainsCollected.load(std::memory_order_relaxed);
-  S.SnapshotsRetired = SnapshotsRetired.load(std::memory_order_relaxed);
-  S.SnapshotsFreed = SnapshotsFreed.load(std::memory_order_relaxed);
-  S.DedupHits = DedupHits.load(std::memory_order_relaxed);
-  S.QuotaRejections = QuotaRejections.load(std::memory_order_relaxed);
-  S.WarmHits = WarmHits.load(std::memory_order_relaxed);
-  return S;
+void ServerStats::addTo(ServerStatsSnapshot &S) const {
+  auto Add = [](uint64_t &To, const std::atomic<uint64_t> &From) {
+    To += From.load(std::memory_order_relaxed);
+  };
+  Add(S.Dispatches, Dispatches);
+  Add(S.CacheHits, CacheHits);
+  Add(S.CacheMisses, CacheMisses);
+  Add(S.Fallbacks, Fallbacks);
+  Add(S.FallbacksInFlight, FallbacksInFlight);
+  Add(S.FallbacksFailed, FallbacksFailed);
+  Add(S.FallbacksNotRequested, FallbacksNotRequested);
+  Add(S.JobsEnqueued, JobsEnqueued);
+  Add(S.JobsCoalesced, JobsCoalesced);
+  Add(S.InlineSpecs, InlineSpecs);
+  Add(S.SpecRuns, SpecRuns);
+  Add(S.Evictions, Evictions);
+  Add(S.ChainsCreated, ChainsCreated);
+  Add(S.SnapshotsFreed, SnapshotsFreed);
+  Add(S.DedupHits, DedupHits);
+  Add(S.QuotaRejections, QuotaRejections);
+  Add(S.WarmHits, WarmHits);
 }
 
 std::string ServerStatsSnapshot::toString() const {

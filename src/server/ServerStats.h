@@ -8,8 +8,10 @@
 /// Service-level counters for the SpecServer. Unlike RegionStats (owned by
 /// the single-threaded runtime and mutated only under the server's
 /// specialization lock), these are touched on every client dispatch, so
-/// every field is a relaxed atomic. snapshot() flattens them into plain
-/// integers for reporting.
+/// every field is a relaxed atomic. Each tenant view of a server owns one
+/// ServerStats ledger (server/Tenant.h), and every event is counted once,
+/// in the ledger of the tenant it happened for; SpecServer::stats()
+/// derives the server-wide snapshot from the ledgers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,11 +41,13 @@ struct ServerStatsSnapshot {
   uint64_t JobsEnqueued = 0;
   uint64_t JobsCoalesced = 0;  ///< misses that joined an in-flight job
   uint64_t InlineSpecs = 0;    ///< nested misses specialized on a worker
-  uint64_t SpecRuns = 0;       ///< generating-extension invocations
+  /// Generating-extension runs and the chains they created; a tenant's
+  /// snapshot also counts its adoptions from the chain store here.
+  uint64_t SpecRuns = 0;
   uint64_t Evictions = 0;      ///< capacity-manager evictions
   uint64_t ChainsCreated = 0;
   uint64_t ChainsCollected = 0; ///< evicted chains freed after draining
-  uint64_t SnapshotsRetired = 0;
+  uint64_t SnapshotsRetired = 0; ///< gauge: snapshots awaiting reclamation
   uint64_t SnapshotsFreed = 0;
   /// Tiered execution (all filled by SpecServer::stats from its
   /// TierController; zero and unrendered when tiering is off).
@@ -63,8 +67,10 @@ struct ServerStatsSnapshot {
   uint64_t PlanBuilds = 0;
   uint64_t PlanHits = 0;
   uint64_t PlanBytes = 0;
-  /// Multi-tenancy (filled by SpecServer::stats / tenantStats when the
-  /// server was built multi-tenant; zero and unrendered otherwise).
+  /// Multi-tenancy. The counters below are filled on every server;
+  /// MultiTenant, which renders them, is set once a client of a tenant
+  /// other than the default tenant 0 is registered (and on every
+  /// tenantStats snapshot).
   bool MultiTenant = false;
   uint64_t Tenants = 0;        ///< gauge: tenants registered so far
   uint64_t DedupHits = 0;      ///< publications served from the chain store
@@ -75,9 +81,11 @@ struct ServerStatsSnapshot {
   std::string toString() const;
 };
 
-/// The live counters. Relaxed ordering throughout: these are statistics,
-/// not synchronization; publication of code and cache state is ordered by
-/// the cache's release stores and the specialization lock.
+/// The live counters of one tenant view. Relaxed ordering throughout:
+/// these are statistics, not synchronization; publication of code and
+/// cache state is ordered by the cache's release stores and the
+/// specialization lock. The snapshot's gauges and ChainsCollected (freed
+/// chains may be shared by tenants) are kept server-wide, not here.
 struct ServerStats {
   std::atomic<uint64_t> Dispatches{0};
   std::atomic<uint64_t> CacheHits{0};
@@ -89,21 +97,16 @@ struct ServerStats {
   std::atomic<uint64_t> JobsEnqueued{0};
   std::atomic<uint64_t> JobsCoalesced{0};
   std::atomic<uint64_t> InlineSpecs{0};
-  std::atomic<uint64_t> SpecRuns{0};
+  std::atomic<uint64_t> SpecRuns{0}; ///< runs and adoptions (two-ledger rule)
   std::atomic<uint64_t> Evictions{0};
-  std::atomic<uint64_t> ChainsCreated{0};
-  std::atomic<uint64_t> ChainsCollected{0};
-  std::atomic<uint64_t> SnapshotsRetired{0};
+  std::atomic<uint64_t> ChainsCreated{0}; ///< runs and adoptions
   std::atomic<uint64_t> SnapshotsFreed{0};
-  /// Multi-tenancy. On the server's global ServerStats these count actual
-  /// events across all tenants; on a TenantState's ServerStats they count
-  /// the tenant's own view (see server/Tenant.h for the two-ledger
-  /// contract). Always zero on single-tenant servers.
   std::atomic<uint64_t> DedupHits{0};
   std::atomic<uint64_t> QuotaRejections{0};
   std::atomic<uint64_t> WarmHits{0};
 
-  ServerStatsSnapshot snapshot() const;
+  /// Adds every counter to the matching field of \p S.
+  void addTo(ServerStatsSnapshot &S) const;
 };
 
 } // namespace server

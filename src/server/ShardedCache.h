@@ -72,8 +72,6 @@ public:
   /// construction, before clients exist.
   size_t addPoint(ir::CachePolicy Policy, uint32_t IndexPos);
 
-  size_t numPoints() const { return Points.size(); }
-
   struct Lookup {
     const CacheRecord *Rec = nullptr;
     unsigned Probes = 1; ///< hash probes (cache_all cost model input)

@@ -32,11 +32,12 @@
 namespace dyc {
 namespace server {
 
-/// Identity of a pending specialization. Multi-tenant servers key jobs
-/// per tenant: each tenant publishes into its own cache view, so two
-/// tenants missing on the same (point, key) are two distinct publications
-/// even though the chain store will hand the second one the first's
-/// compiled chain. Single-tenant servers leave Tenant at 0.
+struct TenantState;
+
+/// Identity of a pending specialization. Jobs are keyed per tenant: each
+/// tenant publishes into its own cache view, so two tenants missing on
+/// the same (point, key) are two distinct publications even though the
+/// chain store will hand the second one the first's compiled chain.
 struct JobKey {
   uint32_t Tenant = 0;
   size_t Point = 0;
@@ -60,6 +61,7 @@ struct JobKey {
 /// worker can rebuild the specializer's inputs without re-decoding.
 struct SpecJob {
   JobKey Id;
+  TenantState *View = nullptr; ///< the view of tenant Id.Tenant; publishes
   uint32_t RegionOrd = 0;
   uint32_t PromoId = 0;
   std::vector<Word> BakedVals; ///< site baked values ({} for native entries)

@@ -24,12 +24,6 @@ namespace {
 /// very worker that is waiting.
 thread_local bool InSpecWorkerFlag = false;
 
-/// The tenant a specialization run is publishing for: a nested miss on
-/// the server's own VM (whose Tenant id is meaningless) must publish into
-/// the *requesting* tenant's cache view, exactly as a dedicated server's
-/// nested miss would publish into its only cache.
-thread_local TenantState *CurrentSpecTenant = nullptr;
-
 /// Per-thread retained-capacity scratch for dispatch-key composition: the
 /// hit path composes the key and probes the snapshot without allocating.
 thread_local SmallKeyBuf DispatchKeyScratch;
@@ -151,15 +145,17 @@ bool pcsInRange(const std::map<K, uint32_t> &M, uint32_t CodeN) {
   return true;
 }
 
-/// Whether every instruction of a loaded chain has a real opcode and
-/// every control transfer stays in range: branch targets inside the
-/// chain, Dispatch payloads (-(site+1)) naming one of the file's
-/// \p NumSites sites, and ExitRegion resume offsets inside the region
-/// function's \p StaticN static instructions.
+/// Whether every instruction of a loaded chain has a real opcode, every
+/// register operand names a slot of the region's \p NumRegs-register
+/// frame, and every control transfer stays in range: branch targets
+/// inside the chain, Dispatch payloads (-(site+1)) naming one of the
+/// file's \p NumSites sites, and ExitRegion resume offsets inside the
+/// region function's \p StaticN static instructions.
 bool codeInRange(const std::vector<vm::Instr> &Code, uint32_t NumSites,
-                 size_t StaticN) {
+                 size_t StaticN, uint32_t NumRegs) {
   for (const vm::Instr &I : Code) {
-    if (static_cast<unsigned>(I.Opcode) >= vm::NumOps)
+    if (static_cast<unsigned>(I.Opcode) >= vm::NumOps ||
+        !vm::registersInFrame(I, NumRegs))
       return false;
     bool Ok = true;
     switch (I.Opcode) {
@@ -199,13 +195,7 @@ std::vector<uint64_t> identity(uint32_t Ord, uint32_t PromoId,
 SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
                        ServerConfig Cfg)
     : M(M), Flags(Flags), Cfg(std::move(Cfg)),
-      Core(M, Prog, Flags, this->Cfg.Budget), Queue(this->Cfg.QueueCapacity) {
-  // Tiering does not compose with multi-tenancy (per-tenant heat parity is
-  // future work): drop it so no controller is built below. The core never
-  // reads Tier, so its copy of the flags is unaffected.
-  if (this->Cfg.MultiTenant)
-    this->Flags.Tier.Enabled = false;
-
+      Core(M, Prog, Flags), Queue(this->Cfg.QueueCapacity) {
   cogen::bindExternals(M, Prog);
 
   std::vector<bta::RegionInfo> Regions;
@@ -243,20 +233,19 @@ SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
                                       Flags));
   }
 
+  // Global cache points: one per (region, promotion), numbered region by
+  // region; every tenant view registers the same points.
   PointBase.resize(Core.numRegions());
-  for (size_t Ord = 0; Ord != Core.numRegions(); ++Ord) {
-    PointBase[Ord] = Cache.numPoints();
-    for (size_t P = 0; P != Core.numPromos(Ord); ++P) {
-      const bta::PromoPoint &PP = Core.promo(Ord, P);
-      Cache.addPoint(PP.Policy, PP.IndexKeyPos);
-    }
+  for (size_t Ord = 0, Next = 0; Ord != Core.numRegions(); ++Ord) {
+    PointBase[Ord] = Next;
+    Next += Core.numPromos(Ord);
   }
 
-  // Multi-tenant dedup identity: a per-region content hash (the "region
-  // version" of the chain store's content address) over the generic
-  // lowered region code plus its shape, and the OptFlags fingerprint.
-  // Both are fixed for the server's lifetime and validate warm-start
-  // files against a changed module or changed optimization settings.
+  // Dedup identity: a per-region content hash (the "region version" of
+  // the chain store's content address) over the generic lowered region
+  // code plus its shape, and the OptFlags fingerprint. Both are fixed for
+  // the server's lifetime and validate warm-start files against a changed
+  // module or changed optimization settings.
   FlagsFingerprint = this->Flags.fingerprint();
   RegionContentHash.resize(Core.numRegions());
   for (size_t I = 0; I != M.numFunctions(); ++I) {
@@ -302,7 +291,7 @@ SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
 
   // Warm start before workers exist: the site table and chain store are
   // rebuilt at their original indices/ordinals while nothing dispatches.
-  if (this->Cfg.MultiTenant && !this->Cfg.WarmStartPath.empty())
+  if (!this->Cfg.WarmStartPath.empty())
     loadCacheFrom(this->Cfg.WarmStartPath);
 
   unsigned N = this->Cfg.NumWorkers ? this->Cfg.NumWorkers : 1;
@@ -317,21 +306,19 @@ SpecServer::~SpecServer() {
     T.join();
   // Workers are gone and clients must be gone before the server (they hold
   // its hook), so the store is quiescent: serialize it for the next start.
-  if (Cfg.MultiTenant && !Cfg.WarmStartPath.empty())
+  if (!Cfg.WarmStartPath.empty())
     saveCacheTo(Cfg.WarmStartPath);
 }
 
 std::unique_ptr<vm::VM> SpecServer::makeClientVM(uint32_t TenantId) {
   auto V = std::make_unique<vm::VM>(Prog, Cfg.CM, Cfg.IC);
   V->Hook = this;
-  V->Tenant = TenantId;
+  // Register the tenant here, before the VM's first dispatch can name it,
+  // and hand the VM its view: dispatch never looks tenants up.
+  V->HookClient = &tenantState(TenantId);
   Core.attachVM(*V);
   if (Cfg.MemoryImage)
     Cfg.MemoryImage(*V);
-  // Register the tenant here, before the VM's first dispatch can name it:
-  // the dispatch path then only ever resolves tenants under a shared lock.
-  if (Cfg.MultiTenant)
-    tenantState(TenantId);
   return V;
 }
 
@@ -343,15 +330,14 @@ int SpecServer::regionOrdinalOf(const std::string &Name) const {
 }
 
 vm::RuntimeHook::Target SpecServer::enterChain(const CacheRecord &Rec,
-                                               vm::VM *ClientVM) {
+                                               vm::VM &ClientVM) {
   // An adopted record's chain must look freshly compiled to the client
   // that takes it: if this client executed the same physical chain in an
   // earlier residency, stale I-cache lines would hit where a dedicated
   // server's fresh compile (at a never-used address) would miss.
-  if (ClientVM && Rec.Use &&
-      Rec.Use->ColdEntryPending.load(std::memory_order_relaxed) &&
+  if (Rec.Use->ColdEntryPending.load(std::memory_order_relaxed) &&
       Rec.Use->ColdEntryPending.exchange(false, std::memory_order_acq_rel))
-    ClientVM->icache().invalidateRange(
+    ClientVM.icache().invalidateRange(
         Rec.Chain->CO.BaseAddr,
         static_cast<uint64_t>(Rec.Chain->CO.Code.size()) * 4);
   // Count the executor in before handing out the chain: the capacity
@@ -387,7 +373,8 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   // (which try-locks it exclusively) can never free a snapshot or chain
   // out from under a probe.
   std::shared_lock<std::shared_mutex> Gate(DispatchGate);
-  St.Dispatches.fetch_add(1, std::memory_order_relaxed);
+  TenantState &TS = viewOf(ClientVM);
+  TS.St.Dispatches.fetch_add(1, std::memory_order_relaxed);
   uint64_t Now = Tick.fetch_add(1, std::memory_order_relaxed) + 1;
 
   uint32_t Ord, PromoId;
@@ -421,26 +408,16 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     KeyBuf.push_back(Regs[Rg]);
   WordSpan Key = KeyBuf.span();
 
-  if (Cfg.MultiTenant) {
-    // Nested dispatches run on the server's own VM, whose Tenant id means
-    // nothing — the requesting tenant rides the specialization thread.
-    TenantState *TS =
-        InSpecWorkerFlag ? CurrentSpecTenant : findTenant(ClientVM.Tenant);
-    assert(TS && "dispatch from a VM of an unregistered tenant");
-    return dispatchTenant(ClientVM, *TS, Ord, PromoId, P, Point, Key,
-                          BakedWords, Regs, Now);
-  }
-
-  ShardedCache::Lookup L = Cache.lookup(Point, Key);
+  ShardedCache::Lookup L = TS.Cache.lookup(Point, Key);
   runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
   if (L.Rec) {
-    St.CacheHits.fetch_add(1, std::memory_order_relaxed);
+    TS.St.CacheHits.fetch_add(1, std::memory_order_relaxed);
     L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
     L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
     L.Rec->Use->RefBit.store(true, std::memory_order_release);
-    return enterChain(*L.Rec);
+    return enterChain(*L.Rec, ClientVM);
   }
-  St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+  TS.St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
 
   // Materialize owned copies before anything that can re-enter dispatch
   // on this thread (inline nested specialization recomposes the scratch)
@@ -452,10 +429,10 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   if (InSpecWorkerFlag) {
     // Nested miss during a specialization run: specialize inline on this
     // thread (the recursive lock is already held).
-    St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
+    TS.St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<CacheRecord> Rec =
-        specializeAndPublish(Ord, PromoId, Point, KeyVec, Baked, KeyVals);
-    return enterChain(*Rec);
+        specializeAndPublish(TS, Ord, PromoId, Point, KeyVec, Baked, KeyVals);
+    return enterChain(*Rec, ClientVM);
   }
 
   // Tier classification. Without tiering every miss is "hot" (the eager
@@ -478,6 +455,16 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
       Tier->policy().MaxInFlightCompiles != 0 &&
       Queue.pending() >= Tier->policy().MaxInFlightCompiles)
     WantJob = false;
+  // Quota admission: past the tenant's in-flight cap the miss is refused
+  // outright — it neither creates a job nor joins a coalesced one (a join
+  // would let a tenant ride another's compile slot past its own cap) —
+  // and is served by the static fallback.
+  if (WantJob && Cfg.Quota.MaxInFlightCompiles != 0 &&
+      TS.InFlightCompiles.load(std::memory_order_acquire) >=
+          Cfg.Quota.MaxInFlightCompiles) {
+    WantJob = false;
+    TS.St.QuotaRejections.fetch_add(1, std::memory_order_relaxed);
+  }
   // A hot async miss arms OSR watches after the fallback decision, and
   // the watch records keep the full cache key — so that path copies the
   // key into the job instead of moving it.
@@ -486,11 +473,13 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   std::shared_ptr<SpecJob> Shared;
   if (WantJob) {
     auto Job = std::make_unique<SpecJob>();
+    Job->Id.Tenant = TS.Id;
     Job->Id.Point = Point;
     if (ArmOsr)
       Job->Id.Key = KeyVec;
     else
       Job->Id.Key = std::move(KeyVec);
+    Job->View = &TS;
     Job->RegionOrd = Ord;
     Job->PromoId = PromoId;
     Job->BakedVals = Baked; // copied: the fallback path below reads it too
@@ -498,9 +487,10 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     bool Created = false;
     Shared = Queue.submit(std::move(Job), Created);
     if (Created) {
-      St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
+      TS.InFlightCompiles.fetch_add(1, std::memory_order_acq_rel);
+      TS.St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
     } else if (Shared) {
-      St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
+      TS.St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -516,19 +506,20 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
       Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
       Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
       Rec->Use->RefBit.store(true, std::memory_order_release);
-      return enterChain(*Rec);
+      return enterChain(*Rec, ClientVM);
     }
     CompileDead = true; // job abandoned at shutdown
   }
-  // Fallback policy, tiered cold/warm execution, queue shutdown, or a job
-  // abandoned at shutdown: run the statically compiled region.
-  St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
+  // Fallback policy, tiered cold/warm execution, a quota refusal, queue
+  // shutdown, or a job abandoned at shutdown: run the statically compiled
+  // region.
+  TS.St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
   if (!WantJob)
-    St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
+    TS.St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
   else if (Shared && !CompileDead)
-    St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
+    TS.St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
   else
-    St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
+    TS.St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
 
   // Hot async miss: arm back-edge watches so the frame can pick up the
   // chain mid-loop once the background compile lands. (Armed even when
@@ -584,7 +575,7 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
     if (R.Polls < static_cast<uint64_t>(Tier->policy().OsrMinPolls))
       return {};
   }
-  ShardedCache::Lookup L = Cache.lookup(R.Point, R.Key);
+  ShardedCache::Lookup L = viewOf(ClientVM).Cache.lookup(R.Point, R.Key);
   if (!L.Rec)
     return {}; // compile not landed yet; keep spinning
   auto EIt = L.Rec->Chain->OsrEntries.find(R.HeadBlock);
@@ -597,22 +588,20 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
     return {};
   }
   // A mid-loop transfer is a dispatch the frame did not have to take:
-  // charge the probe exactly as the trap path would have, and keep the
-  // usage/executor books identical to enterChain. Not counted in
-  // Dispatches/CacheHits — those mean trap dispatches.
+  // charge the probe exactly as the trap path would have, and enter the
+  // chain through enterChain's books. Not counted in Dispatches/CacheHits
+  // — those mean trap dispatches.
   const bta::PromoPoint &P = Core.promo(R.Ord, R.PromoId);
   runtime::chargeDispatchCost(ClientVM, P.Policy, R.Key.size(), L.Probes);
   uint64_t Now = Tick.fetch_add(1, std::memory_order_relaxed) + 1;
   L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
   L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
   L.Rec->Use->RefBit.store(true, std::memory_order_release);
-  L.Rec->Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
   if (Regs.size() < L.Rec->Chain->CO.NumRegs)
     Regs.resize(L.Rec->Chain->CO.NumRegs);
   if (Tier)
     Tier->noteOsrEntry(R.Ord);
-  Target T;
-  T.CO = &L.Rec->Chain->CO;
+  Target T = enterChain(*L.Rec, ClientVM);
   T.PC = EIt->second;
   OsrTable.erase(It);
   return T;
@@ -623,185 +612,14 @@ void SpecServer::onOsrDrop(vm::VM &, uint64_t Token) {
   OsrTable.erase(Token);
 }
 
-std::shared_ptr<CacheRecord>
-SpecServer::specializeAndPublish(uint32_t Ord, uint32_t PromoId, size_t Point,
-                                 const std::vector<Word> &Key,
-                                 const std::vector<Word> &BakedVals,
-                                 const std::vector<Word> &KeyVals) {
-  std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  // Recheck under the lock: the key may have been published while this
-  // request sat in the queue (or by a concurrent nested run).
-  if (std::shared_ptr<CacheRecord> Existing = Cache.findRecord(Point, Key))
-    return Existing;
-
-  bool Prev = InSpecWorkerFlag;
-  InSpecWorkerFlag = true;
-  std::shared_ptr<CacheRecord> Rec =
-      Core.specializeInto(Ord, *SpecVM, PromoId, Key, BakedVals, KeyVals);
-  InSpecWorkerFlag = Prev;
-  St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
-  St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
-  Rec->Point = Point; // server points are global across regions
-
-  const bta::PromoPoint &P = Core.promo(Ord, PromoId);
-  for (const auto &D : Cache.insert(Rec)) {
-    // One-slot (or indexed same-slot) replacement displaced an older
-    // version; its chain is now unreachable from the cache.
-    Core.displaced(D, P.Policy);
-  }
-  // Account the new chain against its region's budget; CLOCK victims are
-  // unpublished from the sharded cache before their chain is marked
-  // evicted, and the core bumps the victim region's Evictions counter.
-  Core.admit(Rec, [this](const CacheRecord &Victim) {
-    Cache.erase(&Victim);
-    St.Evictions.fetch_add(1, std::memory_order_relaxed);
-  });
-  if (Tier)
-    Tier->noteInstall(Ord);
-  return Rec;
-}
-
-//===----------------------------------------------------------------------===//
-// Multi-tenant path
-//===----------------------------------------------------------------------===//
-
-TenantState &SpecServer::tenantState(uint32_t Id) {
-  {
-    std::shared_lock<std::shared_mutex> L(TenantsMutex);
-    auto It = TenantIndex.find(Id);
-    if (It != TenantIndex.end())
-      return *It->second;
-  }
-  std::unique_lock<std::shared_mutex> L(TenantsMutex);
-  auto It = TenantIndex.find(Id);
-  if (It != TenantIndex.end())
-    return *It->second;
-  Tenants.emplace_back(Id);
-  TenantState &TS = Tenants.back();
-  // Mirror the server's construction-time point registration exactly, so
-  // tenant cache points share the global (region, promo) numbering.
-  for (size_t Ord = 0; Ord != Core.numRegions(); ++Ord)
-    for (size_t P = 0; P != Core.numPromos(Ord); ++P) {
-      const bta::PromoPoint &PP = Core.promo(Ord, P);
-      TS.Cache.addPoint(PP.Policy, PP.IndexKeyPos);
-    }
-  TS.Books.resize(Core.numRegions());
-  TenantIndex[Id] = &TS;
-  return TS;
-}
-
-TenantState *SpecServer::findTenant(uint32_t Id) const {
-  std::shared_lock<std::shared_mutex> L(TenantsMutex);
-  auto It = TenantIndex.find(Id);
-  return It == TenantIndex.end() ? nullptr : It->second;
-}
-
-vm::RuntimeHook::Target
-SpecServer::dispatchTenant(vm::VM &ClientVM, TenantState &TS, uint32_t Ord,
-                           uint32_t PromoId, const bta::PromoPoint &P,
-                           size_t Point, WordSpan Key, size_t BakedWords,
-                           std::vector<Word> &Regs, uint64_t Now) {
-  // From here down this mirrors the single-tenant miss/hit control flow
-  // (minus tiering, which never composes with multi-tenancy) over the
-  // tenant's own cache view, double-counting every ledger event into the
-  // tenant's ServerStats — that ledger must stay bit-identical to a
-  // dedicated single-tenant server replaying the same workload.
-  TS.St.Dispatches.fetch_add(1, std::memory_order_relaxed);
-
-  ShardedCache::Lookup L = TS.Cache.lookup(Point, Key);
-  runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
-  if (L.Rec) {
-    TS.St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-    L.Rec->Use->RefBit.store(true, std::memory_order_release);
-    return enterChain(*L.Rec, &ClientVM);
-  }
-  TS.St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-  St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<Word> Baked(Key.Data, Key.Data + BakedWords);
-  std::vector<Word> KeyVec(Key.begin(), Key.end());
-  std::vector<Word> KeyVals(Key.Data + BakedWords, Key.end());
-
-  if (InSpecWorkerFlag) {
-    TS.St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
-    St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<CacheRecord> Rec = specializeAndPublishTenant(
-        TS, Ord, PromoId, Point, KeyVec, Baked, KeyVals);
-    return enterChain(*Rec, &ClientVM);
-  }
-
-  // Quota admission: past the tenant's in-flight cap the miss is refused
-  // outright — it neither creates a job nor joins a coalesced one (a join
-  // would let a tenant ride another's compile slot past its own cap) —
-  // and is served by the static fallback.
-  bool WantJob = true;
-  if (Cfg.Quota.MaxInFlightCompiles != 0 &&
-      TS.InFlightCompiles.load(std::memory_order_acquire) >=
-          Cfg.Quota.MaxInFlightCompiles) {
-    WantJob = false;
-    TS.St.QuotaRejections.fetch_add(1, std::memory_order_relaxed);
-    St.QuotaRejections.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::shared_ptr<SpecJob> Shared;
-  if (WantJob) {
-    auto Job = std::make_unique<SpecJob>();
-    Job->Id.Tenant = TS.Id;
-    Job->Id.Point = Point;
-    Job->Id.Key = std::move(KeyVec);
-    Job->RegionOrd = Ord;
-    Job->PromoId = PromoId;
-    Job->BakedVals = Baked; // copied: the fallback path below reads it too
-    Job->KeyVals = std::move(KeyVals);
-    bool Created = false;
-    Shared = Queue.submit(std::move(Job), Created);
-    if (Created) {
-      TS.InFlightCompiles.fetch_add(1, std::memory_order_acq_rel);
-      TS.St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
-      St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
-    } else if (Shared) {
-      TS.St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
-      St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  bool CompileDead = false;
-  if (Shared && Cfg.OnMiss == MissPolicy::Block) {
-    ClientVM.chargeDynComp(ClientVM.costModel().SpecCacheInsert);
-    std::shared_ptr<CacheRecord> Rec = Shared->Future.get();
-    if (Rec) {
-      Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-      Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-      Rec->Use->RefBit.store(true, std::memory_order_release);
-      return enterChain(*Rec, &ClientVM);
-    }
-    CompileDead = true; // job abandoned at shutdown
-  }
-  TS.St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  if (!WantJob) {
-    TS.St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
-  } else if (Shared && !CompileDead) {
-    TS.St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    TS.St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
-  }
-  return fallbackTarget(Ord, P, Regs, Baked);
-}
-
-std::shared_ptr<CacheRecord> SpecServer::specializeAndPublishTenant(
+std::shared_ptr<CacheRecord> SpecServer::specializeAndPublish(
     TenantState &TS, uint32_t Ord, uint32_t PromoId, size_t Point,
     const std::vector<Word> &Key, const std::vector<Word> &BakedVals,
     const std::vector<Word> &KeyVals) {
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
   // Recheck under the lock: the key may have been published into this
-  // tenant's view while the request sat in the queue.
+  // view while the request sat in the queue (or by a concurrent nested
+  // run).
   if (std::shared_ptr<CacheRecord> Existing = TS.Cache.findRecord(Point, Key))
     return Existing;
 
@@ -812,7 +630,7 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublishTenant(
   if (SC) {
     // Adoption: another tenant (or the warm-start file) already produced
     // this chain. Publish a fresh record over the shared chain with fresh
-    // usage stats, so the tenant's CLOCK sees exactly what a dedicated
+    // usage stats, so the view's CLOCK sees exactly what a dedicated
     // server's would for a newly compiled chain.
     Rec = std::make_shared<CacheRecord>();
     Rec->Key = Key;
@@ -825,22 +643,18 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublishTenant(
     Rec->Use->ColdEntryPending.store(true, std::memory_order_release);
     Rec->Ordinal = SC->Chain->Ordinal;
     TS.St.DedupHits.fetch_add(1, std::memory_order_relaxed);
-    St.DedupHits.fetch_add(1, std::memory_order_relaxed);
-    if (SC->WarmLoaded) {
+    if (SC->WarmLoaded)
       TS.St.WarmHits.fetch_add(1, std::memory_order_relaxed);
-      St.WarmHits.fetch_add(1, std::memory_order_relaxed);
-    }
   } else {
-    TenantState *PrevTenant = CurrentSpecTenant;
+    // The run's nested misses, on the server's own VM, publish into this
+    // view.
+    void *PrevView = SpecVM->HookClient;
     bool Prev = InSpecWorkerFlag;
-    CurrentSpecTenant = &TS;
+    SpecVM->HookClient = &TS;
     InSpecWorkerFlag = true;
     Rec = Core.specializeInto(Ord, *SpecVM, PromoId, Key, BakedVals, KeyVals);
     InSpecWorkerFlag = Prev;
-    CurrentSpecTenant = PrevTenant;
-    // Global ledger: actual generating-extension runs only.
-    St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
-    St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
+    SpecVM->HookClient = PrevView;
     StoredChain NewSC;
     NewSC.DedupKey = DK;
     NewSC.Ord = Ord;
@@ -850,96 +664,110 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublishTenant(
     NewSC.Chain = Rec->Chain;
     SC = &Store.insert(std::move(NewSC));
   }
-  // Tenant-view ledger: an adoption still counts as a specialization run
-  // and a created chain — the dedicated server this ledger must match
-  // would have compiled.
+  // An adoption still counts as a specialization run and a created chain
+  // in the view's ledger — the dedicated server this ledger must match
+  // would have compiled; stats() takes the adoptions back out.
   TS.St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
   TS.St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
-  SC->Refs++; // this tenant's publish reference
-  Rec->Point = Point;
+  SC->Refs++; // this view's publish reference
+  Rec->Point = Point; // server points are global across regions
 
-  for (const auto &D : TS.Cache.insert(Rec))
-    tenantDisplaced(TS, D);
-  tenantAdmit(TS, Rec);
+  const bta::PromoPoint &P = Core.promo(Ord, PromoId);
+  for (const std::shared_ptr<CacheRecord> &D : TS.Cache.insert(Rec)) {
+    // One-slot (or indexed same-slot) replacement displaced an older
+    // version; its chain is now unreachable from this view.
+    Core.displaced(TS.Book, *D, P.Policy);
+    releaseStoreRef(*D);
+  }
+  // Account the new chain against its region's budget; CLOCK victims are
+  // unpublished from the view's cache and drop their store reference.
+  Core.admit(TS.Book, Rec, [&](const CacheRecord &Victim) {
+    TS.Cache.erase(&Victim);
+    TS.St.Evictions.fetch_add(1, std::memory_order_relaxed);
+    releaseStoreRef(Victim);
+  });
+  if (Tier)
+    Tier->noteInstall(Ord);
   return Rec;
 }
 
-void SpecServer::tenantAdmit(TenantState &TS, std::shared_ptr<CacheRecord> E) {
-  // Core::admit's CLOCK algorithm verbatim, over the tenant's book and the
-  // tenant quota budget, so a tenant's eviction sequence — and therefore
-  // every counter downstream of it — matches a dedicated server with the
-  // same ChainBudget. Victims release their store reference instead of
-  // being retired directly: another tenant may still run the chain.
-  TenantBook &B = TS.Books[E->Region];
-  const CacheRecord *Fresh = E.get();
-  B.Instrs += E->Chain ? E->Chain->Instrs : 0;
-  B.Records.push_back(std::move(E));
-
-  const CapacityBudget &Budget = Cfg.Quota.Budget;
-  auto OverBudget = [&] {
-    return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
-           (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
-  };
-  size_t Guard = 2 * B.Records.size() + 2;
-  while (OverBudget() && B.Records.size() > 1 && Guard--) {
-    if (B.Hand >= B.Records.size())
-      B.Hand = 0;
-    std::shared_ptr<CacheRecord> &Cand = B.Records[B.Hand];
-    if (Cand.get() == Fresh) {
-      ++B.Hand;
-      continue;
-    }
-    if (Cand->Use &&
-        Cand->Use->RefBit.exchange(false, std::memory_order_acq_rel)) {
-      ++B.Hand; // recently used: second chance
-      continue;
-    }
-    TS.Cache.erase(Cand.get());
-    TS.St.Evictions.fetch_add(1, std::memory_order_relaxed);
-    St.Evictions.fetch_add(1, std::memory_order_relaxed);
-    if (Cand->Chain) {
-      B.Instrs -= Cand->Chain->Instrs;
-      releaseStoreRef(Cand->Chain.get());
-    }
-    B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
-    // Hand stays: it now points at the next record.
+TenantState &SpecServer::tenantState(uint32_t Id) {
+  std::unique_lock<std::shared_mutex> L(TenantsMutex);
+  TenantState *&TS = TenantIndex[Id];
+  if (!TS) {
+    TS = &Tenants.emplace_back(Id, Cfg.Budget);
+    for (size_t Ord = 0; Ord != Core.numRegions(); ++Ord)
+      for (size_t P = 0; P != Core.numPromos(Ord); ++P) {
+        const bta::PromoPoint &PP = Core.promo(Ord, P);
+        TS->Cache.addPoint(PP.Policy, PP.IndexKeyPos);
+      }
   }
+  return *TS;
 }
 
-void SpecServer::tenantDisplaced(TenantState &TS,
-                                 const std::shared_ptr<CacheRecord> &E) {
-  // One-slot/indexed replacement: the tenant's cache already dropped the
-  // record; drop it from the book (Core::displaced's bookkeeping) and
-  // release the tenant's store reference. No ServerStats::Evictions bump —
-  // the dedicated server counts displacement only in its region stats.
-  TenantBook &B = TS.Books[E->Region];
-  for (size_t Idx = 0; Idx != B.Records.size(); ++Idx) {
-    if (B.Records[Idx].get() != E.get())
-      continue;
-    B.Instrs -= E->Chain ? E->Chain->Instrs : 0;
-    B.Records.erase(B.Records.begin() + static_cast<long>(Idx));
-    if (B.Hand > Idx)
-      --B.Hand;
-    break;
-  }
-  if (E->Chain)
-    releaseStoreRef(E->Chain.get());
+TenantState *SpecServer::findTenant(uint32_t Id) const {
+  std::shared_lock<std::shared_mutex> L(TenantsMutex);
+  auto It = TenantIndex.find(Id);
+  return It == TenantIndex.end() ? nullptr : It->second;
 }
 
-void SpecServer::releaseStoreRef(const CodeChain *Chain) {
-  if (std::shared_ptr<CodeChain> Last = Store.release(Chain)) {
-    // Last tenant let go: retire the chain exactly as the single-tenant
-    // eviction paths do. Collection still waits for active executors to
-    // drain at the trimQuiescent safe point.
+void SpecServer::releaseStoreRef(const CacheRecord &Rec) {
+  uint64_t DK = ChainStore::dedupKey(RegionContentHash[Rec.Region],
+                                     Rec.PromoId, Rec.Key, FlagsFingerprint);
+  // The last view let go: retire the chain. Collection still waits for
+  // active executors to drain at the trimQuiescent safe point.
+  if (std::shared_ptr<CodeChain> Last = Store.release(DK, *Rec.Chain))
     Core.retireChain(*Last);
+}
+
+ServerStatsSnapshot SpecServer::stats() const {
+  ServerStatsSnapshot S;
+  {
+    // SpecRuns, ChainsCreated and DedupHits change only under the
+    // specialization lock, so the difference below reads consistently;
+    // the plan counters live in the core's per-region stats, guarded by
+    // the same lock.
+    std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
+    std::shared_lock<std::shared_mutex> L(TenantsMutex);
+    for (const TenantState &TS : Tenants) {
+      TS.St.addTo(S);
+      S.SnapshotsRetired += TS.Cache.retiredSnapshots();
+      S.MultiTenant |= TS.Id != 0;
+    }
+    S.Tenants = Tenants.size();
+    // The two-ledger identity: tenant ledgers count adoptions as runs.
+    S.SpecRuns -= S.DedupHits;
+    S.ChainsCreated -= S.DedupHits;
+    for (size_t I = 0; I != Core.numRegions(); ++I) {
+      const runtime::RegionStats &RS = Core.stats(I);
+      S.PlanBuilds += RS.PlanBuilds;
+      S.PlanHits += RS.PlanHits;
+      S.PlanBytes += RS.PlanBytes;
+    }
   }
+  S.ChainsCollected = ChainsCollected.load(std::memory_order_relaxed);
+  S.StoreChains = Store.size();
+  S.CompileQueueDepth = Queue.pending();
+  if (Tier) {
+    S.TierEnabled = true;
+    tier::TierCounters T = Tier->totals();
+    S.ColdExecs = T.ColdExecs;
+    S.WarmExecs = T.WarmExecs;
+    S.WarmPromotions = T.WarmPromotions;
+    S.HotPromotions = T.HotPromotions;
+    S.HotInstalls = T.HotInstalls;
+    S.OsrEntries = T.OsrEntries;
+    S.OsrPolls = T.OsrPolls;
+  }
+  return S;
 }
 
 ServerStatsSnapshot SpecServer::tenantStats(uint32_t TenantId) const {
+  ServerStatsSnapshot S;
   TenantState *TS = findTenant(TenantId);
   if (!TS)
-    return ServerStatsSnapshot();
-  ServerStatsSnapshot S = TS->St.snapshot();
+    return S;
+  TS->St.addTo(S);
   S.SnapshotsRetired = TS->Cache.retiredSnapshots();
   S.MultiTenant = true;
   S.Tenants = 1;
@@ -958,20 +786,13 @@ void SpecServer::workerLoop() {
     if (Cfg.HoldCompiles)
       while (Cfg.HoldCompiles->load(std::memory_order_acquire))
         std::this_thread::sleep_for(std::chrono::microseconds(100));
-    std::shared_ptr<CacheRecord> Rec;
-    if (Cfg.MultiTenant) {
-      TenantState *TS = findTenant(Job->Id.Tenant);
-      assert(TS && "queued job for an unregistered tenant");
-      Rec = specializeAndPublishTenant(*TS, Job->RegionOrd, Job->PromoId,
-                                       Job->Id.Point, Job->Id.Key,
-                                       Job->BakedVals, Job->KeyVals);
-      // Release the tenant's in-flight slot before the future resolves: a
-      // blocked client's next miss must deterministically see it free.
-      TS->InFlightCompiles.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      Rec = specializeAndPublish(Job->RegionOrd, Job->PromoId, Job->Id.Point,
-                                 Job->Id.Key, Job->BakedVals, Job->KeyVals);
-    }
+    TenantState &TS = *Job->View;
+    std::shared_ptr<CacheRecord> Rec =
+        specializeAndPublish(TS, Job->RegionOrd, Job->PromoId, Job->Id.Point,
+                             Job->Id.Key, Job->BakedVals, Job->KeyVals);
+    // Release the tenant's in-flight slot before the future resolves: a
+    // blocked client's next miss must deterministically see it free.
+    TS.InFlightCompiles.fetch_sub(1, std::memory_order_acq_rel);
     // Publish before unregistering: a misser either finds the job
     // in-flight (and joins this future) or misses it and re-probes the
     // cache, which already holds the record.
@@ -993,8 +814,8 @@ bool SpecServer::trimQuiescent(size_t *SnapshotsFreed, size_t *ChainsFreed) {
   std::unique_lock<std::shared_mutex> Gate(DispatchGate, std::try_to_lock);
   if (!Gate.owns_lock())
     return false; // dispatches in flight; reclamation must wait
-  size_t Snaps = Cache.trimGraveyard();
-  if (Cfg.MultiTenant) {
+  size_t Snaps = 0;
+  {
     std::shared_lock<std::shared_mutex> TL(TenantsMutex);
     for (TenantState &TS : Tenants) {
       size_t TenantSnaps = TS.Cache.trimGraveyard();
@@ -1003,8 +824,7 @@ bool SpecServer::trimQuiescent(size_t *SnapshotsFreed, size_t *ChainsFreed) {
     }
   }
   size_t Freed = Core.collectChains();
-  St.SnapshotsFreed.fetch_add(Snaps, std::memory_order_relaxed);
-  St.ChainsCollected.fetch_add(Freed, std::memory_order_relaxed);
+  ChainsCollected.fetch_add(Freed, std::memory_order_relaxed);
   if (SnapshotsFreed)
     *SnapshotsFreed = Snaps;
   if (ChainsFreed)
@@ -1029,24 +849,26 @@ runtime::RegionStats SpecServer::regionStats(size_t Ordinal) const {
     RS.HotInstalls = T.HotInstalls;
     RS.OsrEntries = T.OsrEntries;
     RS.OsrPolls = T.OsrPolls;
-  } else {
-    // Untiered servers report hard zeros for the tier block — the tier
-    // controller is the only writer of these fields (regression-tested).
-    RS.TierEnabled = false;
-    RS.ColdExecs = RS.WarmExecs = RS.WarmPromotions = RS.HotPromotions = 0;
-    RS.HotInstalls = RS.OsrEntries = RS.OsrPolls = 0;
   }
   return RS;
 }
 
 size_t SpecServer::residentEntries(size_t Ordinal) const {
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  return Core.residentEntries(Ordinal);
+  std::shared_lock<std::shared_mutex> L(TenantsMutex);
+  size_t N = 0;
+  for (const TenantState &TS : Tenants)
+    N += TS.Book.entries(Ordinal);
+  return N;
 }
 
 uint64_t SpecServer::residentInstrs(size_t Ordinal) const {
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  return Core.residentInstrs(Ordinal);
+  std::shared_lock<std::shared_mutex> L(TenantsMutex);
+  uint64_t N = 0;
+  for (const TenantState &TS : Tenants)
+    N += TS.Book.instrs(Ordinal);
+  return N;
 }
 
 uint64_t SpecServer::specOverheadCycles() const {
@@ -1059,8 +881,6 @@ uint64_t SpecServer::specOverheadCycles() const {
 //===----------------------------------------------------------------------===//
 
 bool SpecServer::saveCacheTo(const std::string &Path) const {
-  if (!Cfg.MultiTenant)
-    return false;
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
   WarmWriter W;
   W.u64(WarmMagic);
@@ -1106,8 +926,6 @@ bool SpecServer::saveCacheTo(const std::string &Path) const {
 }
 
 bool SpecServer::loadCacheFrom(const std::string &Path) {
-  if (!Cfg.MultiTenant)
-    return false;
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
   std::ifstream In(Path, std::ios::binary);
   if (!In)
@@ -1178,7 +996,8 @@ bool SpecServer::loadCacheFrom(const std::string &Path) {
             .Code.size();
     if (!Seen.insert(identity(L.SC.Ord, L.SC.PromoId, L.SC.Key)).second ||
         !R.bytes(L.Code.data(), CodeN * sizeof(vm::Instr)) ||
-        !codeInRange(L.Code, NumSites, StaticN) ||
+        !codeInRange(L.Code, NumSites, StaticN,
+                     Core.regionNumRegs(L.SC.Ord)) ||
         !R.pairMap(L.ExitStubs) || !R.pairMap(L.DispatchStubs) ||
         !R.pairMap(L.OsrEntries) || !pcsInRange(L.ExitStubs, CodeN) ||
         !pcsInRange(L.DispatchStubs, CodeN) ||

@@ -11,7 +11,12 @@
 /// cache mutation all happen on the one client's thread. The SpecServer
 /// serves many client VMs concurrently over the same core:
 ///
-///  * Dispatch: clients trap into the server; cache hits probe an
+///  * Tenant views: every client VM belongs to a tenant (makeClientVM(),
+///    without an id, to the default tenant 0) and dispatches through that
+///    tenant's view (server/Tenant.h): its own cache, ledger, residency
+///    book and admission gauge. A single-tenant server is the case where
+///    every client is tenant 0; there is no other path.
+///  * Dispatch: clients trap into the server; cache hits probe the view's
 ///    immutable published snapshot with no lock (ShardedCache) and jump
 ///    straight into generated code.
 ///  * Miss path: the miss becomes a SpecJob on a bounded queue, deduped
@@ -24,10 +29,14 @@
 ///    server's own VM (whose memory image must equal the clients' — the
 ///    workload Setup functions are deterministic for exactly this
 ///    reason). Every run emits into a fresh CodeChain, so published code
-///    is immutable and eviction can never dangle a branch.
-///  * Capacity: per-region entry/instruction budgets with CLOCK eviction
-///    (the core's capacity books). Evicted chains drain via the VM's
-///    onDynamicCodeExit callback before they are freed.
+///    is immutable and eviction can never dangle a branch. Publication
+///    goes through the content-addressed ChainStore, so a tenant missing
+///    on a key another tenant (or a warm-start file) already compiled
+///    adopts that chain instead of recompiling.
+///  * Capacity: per-view, per-region entry/instruction budgets
+///    (ServerConfig::Budget) with the core's CLOCK sweep. Evicted chains
+///    drain via the VM's onDynamicCodeExit callback before they are
+///    freed.
 ///
 /// All specialization serializes on one recursive mutex: the generating
 /// extension may re-enter the server (static calls at specialize time can
@@ -73,7 +82,8 @@ struct ServerConfig {
   unsigned NumWorkers = 2;
   size_t QueueCapacity = 64; ///< pending jobs before producers block
   MissPolicy OnMiss = MissPolicy::Block;
-  CapacityBudget Budget; ///< per-region generated-code bounds (0 = unbounded)
+  /// Per-region generated-code bounds of each tenant view (0 = unbounded).
+  CapacityBudget Budget;
   /// Applied to the server's specialization VM at construction and to
   /// every VM from makeClientVM(). Must be deterministic: specialize-time
   /// static loads read the server VM's memory, so its image must be
@@ -87,20 +97,12 @@ struct ServerConfig {
   /// default) means never hold.
   std::shared_ptr<std::atomic<bool>> HoldCompiles;
 
-  /// Multi-tenancy (server/Tenant.h). When set, dispatch resolves the
-  /// client VM's Tenant id to that tenant's cache view, publications are
-  /// deduplicated across tenants through the content-addressed chain
-  /// store, Quota governs per-tenant admission and residency, and the
-  /// server-wide Budget above is unused (the tenant books replace the
-  /// core's capacity book). Tiering does not compose with multi-tenancy —
-  /// per-tenant heat parity is future work — so the constructor disables
-  /// it.
-  bool MultiTenant = false;
+  /// Per-tenant admission (server/Tenant.h).
   TenantQuota Quota;
-  /// Warm-start file (multi-tenant only): if non-empty, the constructor
-  /// loads the chain store from it (silently skipping a missing or
-  /// version-mismatched file) and the destructor serializes the store
-  /// back to it after the workers quiesce.
+  /// Warm-start file: if non-empty, the constructor loads the chain store
+  /// from it (silently skipping a missing or version-mismatched file) and
+  /// the destructor serializes the store back to it after the workers
+  /// quiesce.
   std::string WarmStartPath;
 };
 
@@ -115,10 +117,10 @@ public:
   SpecServer &operator=(const SpecServer &) = delete;
 
   /// A fresh VM over the shared program, hooked to this server, with the
-  /// configured memory image applied. Callable from any thread. On a
-  /// multi-tenant server \p TenantId names the tenant whose cache view
-  /// the VM dispatches through; the tenant is registered here (before any
-  /// dispatch can name it), so the dispatch path never creates tenants.
+  /// configured memory image applied. Callable from any thread.
+  /// \p TenantId names the tenant whose view the VM dispatches through
+  /// (0, the default view, without one); the tenant is registered here
+  /// and its view stored on the VM, so dispatch never looks tenants up.
   std::unique_ptr<vm::VM> makeClientVM(uint32_t TenantId);
   std::unique_ptr<vm::VM> makeClientVM() { return makeClientVM(0); }
 
@@ -151,47 +153,11 @@ public:
   bool trimQuiescent(size_t *SnapshotsFreed = nullptr,
                      size_t *ChainsFreed = nullptr);
 
-  ServerStatsSnapshot stats() const {
-    ServerStatsSnapshot S = St.snapshot();
-    S.SnapshotsRetired = Cache.retiredSnapshots(); // currently in graveyard
-    S.CompileQueueDepth = Queue.pending();
-    if (Tier) {
-      S.TierEnabled = true;
-      tier::TierCounters T = Tier->totals();
-      S.ColdExecs = T.ColdExecs;
-      S.WarmExecs = T.WarmExecs;
-      S.WarmPromotions = T.WarmPromotions;
-      S.HotPromotions = T.HotPromotions;
-      S.HotInstalls = T.HotInstalls;
-      S.OsrEntries = T.OsrEntries;
-      S.OsrPolls = T.OsrPolls;
-    } else {
-      // Untiered servers report hard zeros: the tier block above is the
-      // only writer of these fields, so force them rather than trusting
-      // whatever path produced the snapshot (regression-tested).
-      S.TierEnabled = false;
-      S.ColdExecs = S.WarmExecs = S.WarmPromotions = S.HotPromotions = 0;
-      S.HotInstalls = S.OsrEntries = S.OsrPolls = 0;
-    }
-    {
-      // Plan counters live in the core's per-region stats (single-threaded,
-      // guarded by the specialization lock), so sum them under it.
-      std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-      for (size_t I = 0; I != Core.numRegions(); ++I) {
-        const runtime::RegionStats &RS = Core.stats(I);
-        S.PlanBuilds += RS.PlanBuilds;
-        S.PlanHits += RS.PlanHits;
-        S.PlanBytes += RS.PlanBytes;
-      }
-    }
-    if (Cfg.MultiTenant) {
-      S.MultiTenant = true;
-      std::shared_lock<std::shared_mutex> L(TenantsMutex);
-      S.Tenants = Tenants.size();
-      S.StoreChains = Store.size();
-    }
-    return S;
-  }
+  /// Server-wide figures, derived from the tenant ledgers: sums, except
+  /// that SpecRuns and ChainsCreated leave out the adoptions (DedupHits),
+  /// so they count generating-extension runs; ChainsCollected and the
+  /// gauges are server-wide.
+  ServerStatsSnapshot stats() const;
 
   /// One tenant's view of the server, from its own ledger: the counters a
   /// dedicated single-tenant server replaying the tenant's workload would
@@ -206,25 +172,24 @@ public:
     std::shared_lock<std::shared_mutex> L(TenantsMutex);
     return Tenants.size();
   }
-  /// Chains resident in the cross-tenant store (multi-tenant only).
+  /// Chains resident in the cross-tenant store.
   size_t storeChains() const { return Store.size(); }
   /// Interned dispatch sites (thread-safe).
   size_t numSites() const { return Core.numSites(); }
   /// Entries in the core's shared translation table (thread-safe).
   size_t sharedTranslations() const { return Core.sharedTranslations(); }
 
-  /// Serializes the chain store to \p Path (multi-tenant only; call at
-  /// quiescence — after drain(), with no client mid-run). Returns false
-  /// on I/O failure or on a single-tenant server.
+  /// Serializes the chain store to \p Path (call at quiescence — after
+  /// drain(), with no client mid-run). Returns false on I/O failure.
   bool saveCacheTo(const std::string &Path) const;
-  /// Loads a chain store serialized by saveCacheTo into this server.
-  /// Multi-tenant only, and only before any specialization has happened
-  /// (the site table must be empty so the file's interned dispatch sites
-  /// replay at their original indices). Validates the checksum, format
-  /// version, instruction encoding, module fingerprint, OptFlags
-  /// fingerprint, every region/promotion reference, every entry and stub
-  /// PC, and in chain code every opcode, branch target, dispatch site and
-  /// exit offset; rejects duplicate sites and chains. Returns false —
+  /// Loads a chain store serialized by saveCacheTo into this server, only
+  /// before any specialization has happened (the site table must be
+  /// empty so the file's interned dispatch sites replay at their original
+  /// indices). Validates the checksum, format version, instruction
+  /// encoding, module fingerprint, OptFlags fingerprint, every
+  /// region/promotion reference, every entry and stub PC, and in chain
+  /// code every opcode, register operand, branch target, dispatch site
+  /// and exit offset; rejects duplicate sites and chains. Returns false —
   /// loading nothing — on any failure. Loaded chains enter the store
   /// unreferenced; tenants adopt them on first miss (counted as WarmHits).
   bool loadCacheFrom(const std::string &Path);
@@ -234,10 +199,11 @@ public:
 
   /// Copy of the core's per-region specializer counters.
   runtime::RegionStats regionStats(size_t Ordinal) const;
+  /// Entries (and their emitted instructions) resident in region
+  /// \p Ordinal, summed over the tenant views' books.
   size_t residentEntries(size_t Ordinal) const;
   uint64_t residentInstrs(size_t Ordinal) const;
   size_t liveChains() const { return Core.liveChains(); }
-  size_t retiredSnapshots() const { return Cache.retiredSnapshots(); }
   /// Disassembles a region's live code chains in creation order —
   /// bit-identical to the inline front end's dump for the same workload,
   /// since both render the core's chains.
@@ -247,59 +213,41 @@ public:
   uint64_t specOverheadCycles() const;
 
 private:
-  /// Specializes (point, key) and publishes the result, rechecking the
-  /// cache first. Runs under SpecMutex; reentrant for nested misses.
+  /// Specializes (point, key) for tenant view \p TS and publishes the
+  /// result into it, rechecking the view's cache first. Consults the
+  /// chain store before compiling and adopts a stored chain when one
+  /// exists; otherwise runs the generating extension and stores the
+  /// result. Then runs the view's CLOCK book. Under SpecMutex; reentrant
+  /// for nested misses.
   std::shared_ptr<CacheRecord>
-  specializeAndPublish(uint32_t Ord, uint32_t PromoId, size_t Point,
-                       const std::vector<Word> &Key,
+  specializeAndPublish(TenantState &TS, uint32_t Ord, uint32_t PromoId,
+                       size_t Point, const std::vector<Word> &Key,
                        const std::vector<Word> &BakedVals,
                        const std::vector<Word> &KeyVals);
 
-  // --- Multi-tenant path (all no-ops unless Cfg.MultiTenant) ------------------
-
-  /// Finds or registers tenant \p Id (exclusive lock on miss).
+  /// Finds or registers tenant \p Id.
   TenantState &tenantState(uint32_t Id);
   /// Shared-lock probe; null for unregistered tenants.
   TenantState *findTenant(uint32_t Id) const;
+  /// The view a dispatching VM belongs to: the one makeClientVM stored on
+  /// a client, or, on the server's own VM, the view the running
+  /// specialization publishes for.
+  static TenantState &viewOf(vm::VM &M) {
+    assert(M.HookClient && "dispatch from a VM of no tenant");
+    return *static_cast<TenantState *>(M.HookClient);
+  }
 
-  /// The multi-tenant miss/hit continuation of dispatch(): per-tenant
-  /// cache probe, quota admission, job submission against the tenant's
-  /// in-flight gauge, and the Block/Fallback miss policies — mirroring
-  /// the single-tenant control flow so the tenant ledger stays
-  /// bit-identical to a dedicated server's.
-  Target dispatchTenant(vm::VM &ClientVM, TenantState &TS, uint32_t Ord,
-                        uint32_t PromoId, const bta::PromoPoint &P,
-                        size_t Point, WordSpan Key, size_t BakedWords,
-                        std::vector<Word> &Regs, uint64_t Now);
+  /// Drops \p Rec's store reference to its chain; retires the chain
+  /// (marks it evicted, releases its shared translation) when the last
+  /// view lets go. Collection still waits for active executors at the
+  /// safe point.
+  void releaseStoreRef(const CacheRecord &Rec);
 
-  /// The multi-tenant twin of specializeAndPublish: consults the chain
-  /// store first and adopts a deduplicated chain when one exists,
-  /// otherwise runs the generating extension and registers the result;
-  /// publishes into the tenant's cache view and runs the tenant's CLOCK
-  /// book. Under SpecMutex; reentrant for nested misses.
-  std::shared_ptr<CacheRecord>
-  specializeAndPublishTenant(TenantState &TS, uint32_t Ord, uint32_t PromoId,
-                             size_t Point, const std::vector<Word> &Key,
-                             const std::vector<Word> &BakedVals,
-                             const std::vector<Word> &KeyVals);
-
-  /// Tenant mirror of Core.admit: accounts \p E against the tenant's
-  /// per-region budget and CLOCK-evicts victims from the tenant's cache,
-  /// releasing each victim's store reference. Under SpecMutex.
-  void tenantAdmit(TenantState &TS, std::shared_ptr<CacheRecord> E);
-  /// Tenant mirror of Core.displaced for one-slot/indexed replacement.
-  void tenantDisplaced(TenantState &TS,
-                       const std::shared_ptr<CacheRecord> &E);
-  /// Drops one store reference from \p Chain; retires the chain (marks it
-  /// evicted, releases its shared translation) when the last tenant lets
-  /// go. Collection still waits for active executors at the safe point.
-  void releaseStoreRef(const CodeChain *Chain);
-
-  /// Hands out a chain for execution, counting the executor in. With
-  /// \p ClientVM set (the multi-tenant path), the first entry of an
-  /// adopted record invalidates the chain's I-cache range in that client
-  /// so deduplication stays invisible — see EntryStats::ColdEntryPending.
-  Target enterChain(const CacheRecord &Rec, vm::VM *ClientVM = nullptr);
+  /// Hands out a chain for execution, counting the executor in. The
+  /// first entry of an adopted record invalidates the chain's I-cache
+  /// range in \p ClientVM so deduplication stays invisible — see
+  /// EntryStats::ColdEntryPending.
+  Target enterChain(const CacheRecord &Rec, vm::VM &ClientVM);
   Target fallbackTarget(uint32_t Ord, const bta::PromoPoint &P,
                         std::vector<Word> &Regs,
                         const std::vector<Word> &BakedVals);
@@ -325,13 +273,15 @@ private:
   std::vector<cogen::LoweredFunction> FallbackLowered;
 
   /// The shared core: code chains, the generating-extension walk,
-  /// region stats, dispatch sites, capacity books. Constructed over Prog
-  /// before lowering runs; regions are registered in the ctor body.
+  /// region stats, dispatch sites. Constructed over Prog before lowering
+  /// runs; regions are registered in the ctor body.
   runtime::RegionExecutionCore Core;
-  std::unique_ptr<vm::VM> SpecVM; ///< runs generating extensions; under SpecMutex
+  /// Runs generating extensions, under SpecMutex. Its HookClient names
+  /// the view the running specialization publishes for, so a nested miss
+  /// publishes there, as a dedicated server's would into its only cache.
+  std::unique_ptr<vm::VM> SpecVM;
   std::vector<size_t> PointBase;  ///< region ordinal -> first cache point
 
-  ShardedCache Cache;
   JobQueue Queue;
   std::vector<std::thread> Workers;
 
@@ -367,17 +317,17 @@ private:
   std::map<uint64_t, OsrRecord> OsrTable;
   std::atomic<uint64_t> OsrTokens{0};
 
-  // --- Multi-tenancy ----------------------------------------------------------
+  // --- Tenants ----------------------------------------------------------------
 
-  /// Registered tenants. Deque: TenantState is not movable and dispatch
-  /// holds references across the shared lock. Guarded by TenantsMutex
-  /// (registration exclusive, dispatch-time resolution shared).
+  /// Registered tenants. Deque: TenantState is not movable and client VMs
+  /// hold pointers to their views. Guarded by TenantsMutex (registration
+  /// exclusive, enumeration shared).
   mutable std::shared_mutex TenantsMutex;
   std::deque<TenantState> Tenants;
   std::map<uint32_t, TenantState *> TenantIndex;
 
   /// The cross-tenant content-addressed chain store; mutated only under
-  /// SpecMutex (publication, tenant eviction, warm-start load).
+  /// SpecMutex (publication, eviction, warm-start load).
   ChainStore Store;
   /// Per-region content hash (generic lowered code + shape), the "region
   /// version" component of the dedup key and of the warm-start module
@@ -385,7 +335,9 @@ private:
   std::vector<uint64_t> RegionContentHash;
   uint64_t FlagsFingerprint = 0;
 
-  ServerStats St;
+  /// Evicted chains freed at the safe point (server-wide: a freed chain
+  /// may have been shared by several tenants).
+  std::atomic<uint64_t> ChainsCollected{0};
 };
 
 } // namespace server

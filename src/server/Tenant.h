@@ -1,35 +1,40 @@
-//===- server/Tenant.h - Per-tenant state for the multi-tenant SpecServer ---------===//
+//===- server/Tenant.h - Per-tenant views of the SpecServer -----------------------===//
 //
 // Part of the DyC reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One TenantState per tenant of a multi-tenant SpecServer. The contract
-/// that makes multi-tenancy more than namespacing is *per-tenant counter
-/// parity*: a tenant replaying a workload against a shared server must
-/// observe counters bit-identical to a dedicated single-tenant server
-/// replaying the same workload. Three design points follow from it:
+/// One TenantState per tenant of a SpecServer. Every server dispatches,
+/// publishes and evicts through these views; a single-tenant server is
+/// the case where every client is tenant 0, the default view that
+/// SpecServer::makeClientVM() hands out. The contract that makes
+/// multi-tenancy more than namespacing is *per-tenant counter parity*: a
+/// tenant replaying a workload against a shared server must observe
+/// counters bit-identical to a dedicated server replaying the same
+/// workload. Three design points follow from it:
 ///
 ///  * Each tenant owns a full ShardedCache view. Probe counts feed the
 ///    simulated dispatch-cost model (cache_all charges per probe), so a
 ///    shared probing table would perturb every client's cycle counts the
 ///    moment a second tenant inserted anything.
 ///  * Each tenant owns a full ServerStats ledger counting its *view* of
-///    events: an adoption from the chain store bumps the tenant's
-///    SpecRuns/ChainsCreated (a dedicated server would have compiled),
-///    while the server's global ledger counts actual events only — the
-///    difference is exactly the global DedupHits counter.
-///  * Each tenant owns per-region CLOCK books running the same algorithm
-///    as RegionExecutionCore::admit over the same ChainBudget semantics,
-///    so eviction decisions (and Evictions counters) match a dedicated
-///    server byte for byte. The core's global capacity book is bypassed
-///    in multi-tenant mode; chain release is refcounted through the
-///    ChainStore instead.
+///    events, and each event is counted once, there: an adoption from
+///    the chain store bumps the tenant's SpecRuns/ChainsCreated (a
+///    dedicated server would have compiled) and its DedupHits. The
+///    server-wide figures are sums over the ledgers, with the adoptions
+///    (DedupHits) taken back out of SpecRuns and ChainsCreated.
+///  * Each tenant owns a runtime::ResidencyBook over
+///    ServerConfig::Budget, swept by the core's one CLOCK algorithm
+///    (RegionExecutionCore::admit), so eviction decisions — and every
+///    counter downstream of them — match a dedicated server byte for
+///    byte. Victims release their chain-store reference; a chain is
+///    retired when its last reference drops.
 ///
-/// TenantStates live in a deque owned by the server and are created
-/// lazily by makeClientVM — before any dispatch can name the tenant — so
-/// dispatch-time access is a shared-lock map probe.
+/// TenantStates live in a deque owned by the server and are created by
+/// makeClientVM — before any dispatch can name the tenant — which stores
+/// the view's address on the client VM, so dispatch resolves a client's
+/// tenant without a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,49 +45,39 @@
 #include "server/ShardedCache.h"
 
 #include <atomic>
-#include <vector>
 
 namespace dyc {
 namespace server {
 
-/// Per-tenant admission and residency limits. Zeros mean unlimited.
+/// Per-tenant admission limits. Zero means unlimited.
 struct TenantQuota {
   /// Background/blocking compiles a tenant may have unfinished at once;
   /// misses past the cap are refused (counted in QuotaRejections) and
   /// served by the static fallback path.
   uint32_t MaxInFlightCompiles = 0;
-  /// Resident-chain budget per region of the tenant's cache view, with
-  /// RegionExecutionCore::admit semantics (MaxEntries entries,
-  /// MaxInstrs emitted instructions — 4 simulated code bytes each).
-  CapacityBudget Budget;
-};
-
-/// CLOCK book of one region's resident entries in one tenant's view —
-/// the per-tenant mirror of RegionExecutionCore's RegionBook.
-struct TenantBook {
-  std::vector<std::shared_ptr<CacheRecord>> Records;
-  size_t Hand = 0;
-  uint64_t Instrs = 0;
 };
 
 /// Everything the server keeps per tenant. Not movable (ShardedCache owns
 /// mutexes); constructed in place in a deque.
 struct TenantState {
-  explicit TenantState(uint32_t Id) : Id(Id) {}
+  TenantState(uint32_t Id, const CapacityBudget &Budget) : Id(Id) {
+    Book.Budget = Budget;
+  }
   TenantState(const TenantState &) = delete;
   TenantState &operator=(const TenantState &) = delete;
 
   uint32_t Id = 0;
-  /// The tenant's dispatch cache: same point numbering and policies as
-  /// the server's construction-time registration, populated at tenant
-  /// creation before the state is published.
+  /// The tenant's dispatch cache: one point per (region, promotion), in
+  /// the server's global point numbering, registered before the state is
+  /// published.
   ShardedCache Cache;
   /// The tenant-view ledger (see file comment for the two-ledger rule).
   ServerStats St;
   /// Admission gauge for TenantQuota::MaxInFlightCompiles.
   std::atomic<uint32_t> InFlightCompiles{0};
-  /// Per-region CLOCK books over TenantQuota::Budget.
-  std::vector<TenantBook> Books;
+  /// The view's CLOCK residency book; written under the server's
+  /// specialization lock.
+  runtime::ResidencyBook Book;
 };
 
 } // namespace server

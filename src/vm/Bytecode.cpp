@@ -93,6 +93,40 @@ bool isTerminatorLike(Op O) {
   }
 }
 
+bool registersInFrame(const Instr &I, uint32_t NumRegs) {
+  auto Reg = [NumRegs](uint32_t R) { return R < NumRegs; };
+  auto RegOrNone = [&](uint32_t R) { return R == NoReg || Reg(R); };
+  switch (I.Opcode) {
+  case Op::ConstI: case Op::ConstF: case Op::LoadAbs: case Op::StoreAbs:
+  case Op::CondBr:
+    return Reg(I.A);
+  case Op::Mov: case Op::FMov: case Op::Neg: case Op::FNeg: case Op::IToF:
+  case Op::FToI: case Op::Load: case Op::Store:
+  case Op::AddI: case Op::SubI: case Op::MulI: case Op::DivI: case Op::RemI:
+  case Op::AndI: case Op::OrI: case Op::XorI: case Op::ShlI: case Op::ShrI:
+  case Op::FAddI: case Op::FSubI: case Op::FMulI: case Op::FDivI:
+  case Op::CmpEqI: case Op::CmpNeI: case Op::CmpLtI: case Op::CmpLeI:
+  case Op::CmpGtI: case Op::CmpGeI:
+    return Reg(I.A) && Reg(I.B);
+  case Op::Add: case Op::Sub: case Op::Mul: case Op::Div: case Op::Rem:
+  case Op::And: case Op::Or: case Op::Xor: case Op::Shl: case Op::Shr:
+  case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:
+  case Op::CmpEq: case Op::CmpNe: case Op::CmpLt: case Op::CmpLe:
+  case Op::CmpGt: case Op::CmpGe:
+  case Op::FCmpEq: case Op::FCmpNe: case Op::FCmpLt: case Op::FCmpLe:
+  case Op::FCmpGt: case Op::FCmpGe:
+    return Reg(I.A) && Reg(I.B) && Reg(I.C);
+  case Op::Call: case Op::CallExt:
+    return RegOrNone(I.A) && uint64_t(I.B) + I.C <= NumRegs;
+  case Op::Ret:
+    return RegOrNone(I.A);
+  case Op::Br: case Op::EnterRegion: case Op::Dispatch: case Op::ExitRegion:
+  case Op::Halt:
+    return true;
+  }
+  return false; // not an opcode
+}
+
 namespace {
 
 bool hasFloatImm(Op O) {

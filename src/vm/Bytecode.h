@@ -105,6 +105,15 @@ struct Instr {
       : Opcode(O), A(A), B(B), C(C), Imm(Imm) {}
 };
 
+/// Whether every register operand of \p I names a slot of a frame of
+/// \p NumRegs registers: A, B and C wherever the opcode reads or writes
+/// them as registers, the whole Call/CallExt argument window R[B..B+C), and
+/// NoReg only where the opcode takes it (the result of a void Call or
+/// CallExt, the value of a void Ret). Frames index their registers
+/// unchecked, so code from outside the process (a warm-start file) must
+/// pass this before it runs.
+bool registersInFrame(const Instr &I, uint32_t NumRegs);
+
 /// A compiled unit of bytecode. Static code objects hold a lowered function;
 /// the run-time appends generated code for a region to a growing code object.
 struct CodeObject {

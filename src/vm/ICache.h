@@ -55,10 +55,10 @@ public:
   void flush();
 
   /// Invalidates only the lines holding blocks of [Addr, Addr + Bytes).
-  /// Other resident lines are untouched. Used by the multi-tenant server
-  /// to model an adopted (deduplicated) chain as freshly compiled code:
-  /// the adopting client must fetch it cold, exactly as it would a chain
-  /// a dedicated server had just emitted at a never-used address.
+  /// Other resident lines are untouched. Used by the SpecServer to model
+  /// an adopted (deduplicated) chain as freshly compiled code: the
+  /// adopting client must fetch it cold, exactly as it would a chain a
+  /// dedicated server had just emitted at a never-used address.
   void invalidateRange(uint64_t Addr, uint64_t Bytes);
 
   uint64_t hits() const { return Hits; }

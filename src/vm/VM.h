@@ -282,11 +282,10 @@ public:
 
   RuntimeHook *Hook = nullptr;
 
-  /// Which tenant this machine belongs to (multi-tenant SpecServer
-  /// clients; 0 — the default tenant — everywhere else). Purely an
-  /// identity tag the dispatch hook reads: the VM itself never consults
-  /// it, so single-tenant behavior is unchanged.
-  uint32_t Tenant = 0;
+  /// The hook's per-client state, opaque to the VM, which never reads it:
+  /// a SpecServer stores the client's tenant view here, so dispatch
+  /// resolves the tenant without a lock. Null for other hooks.
+  void *HookClient = nullptr;
 
   /// Marks \p Func so calls to it consult RuntimeHook::onGuardedCall. The
   /// flag array is sparse and branch-free to test on the call path; calls

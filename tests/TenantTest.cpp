@@ -157,7 +157,11 @@ void expectLedgerEq(const ServerStatsSnapshot &Tenant,
   EXPECT_EQ(Tenant.QuotaRejections, Dedicated.QuotaRejections) << Label;
 }
 
-TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
+/// Replays one call sequence through a dedicated single-tenant server and
+/// through each of three tenants of one multi-tenant server, every server
+/// bounded by \p MaxEntries resident entries per region (0: unbounded),
+/// and expects every tenant to match the dedicated server bit for bit.
+void expectPerTenantParity(size_t MaxEntries) {
   // Repeats exercise hits, fresh keys exercise compiles and (for g's
   // cache_one) displacement; the whole sequence replays per tenant.
   const std::vector<int64_t> Keys = {3, 5, 7, 3, 9, 5, 11, 3, 13, 7};
@@ -167,6 +171,7 @@ TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
   auto RefCtx = compile(TwoRegionSrc);
   ServerConfig RefCfg;
   RefCfg.NumWorkers = 1;
+  RefCfg.Budget.MaxEntries = MaxEntries;
   auto Ref = RefCtx->buildServer(OptFlags(), std::move(RefCfg));
   auto RefVM = Ref->makeClientVM();
   int RF = Ref->findFunction("f");
@@ -185,6 +190,7 @@ TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
   auto Ctx = compile(TwoRegionSrc);
   ServerConfig Cfg;
   Cfg.NumWorkers = 1;
+  Cfg.Budget.MaxEntries = MaxEntries;
   auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
   int F = Server->findFunction("f");
   int G = Server->findFunction("g");
@@ -213,6 +219,21 @@ TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
     ServerStatsSnapshot TS = Server->tenantStats(T);
     expectLedgerEq(TS, RefStats, Label.c_str());
     TenantSpecRunsTotal += TS.SpecRuns;
+
+    // With one tenant replayed, the server's per-region figures — which
+    // the tenants share — are the dedicated server's: region counters,
+    // evictions included, and the resident set.
+    if (T == 1)
+      for (size_t Ord = 0; Ord != Ref->numRegions(); ++Ord) {
+        runtime::RegionStats Got = Server->regionStats(Ord);
+        runtime::RegionStats Want = Ref->regionStats(Ord);
+        EXPECT_EQ(Got.Evictions, Want.Evictions) << "region " << Ord;
+        EXPECT_EQ(Got.toString(), Want.toString()) << "region " << Ord;
+        EXPECT_EQ(Server->residentEntries(Ord), Ref->residentEntries(Ord))
+            << "region " << Ord;
+        EXPECT_EQ(Server->residentInstrs(Ord), Ref->residentInstrs(Ord))
+            << "region " << Ord;
+      }
   }
 
   // The two-ledger identity: every tenant-view specialization was either
@@ -221,6 +242,15 @@ TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
   EXPECT_EQ(TenantSpecRunsTotal, Global.SpecRuns + Global.DedupHits);
   EXPECT_TRUE(Global.MultiTenant);
   EXPECT_EQ(Global.Tenants, NumTenants);
+}
+
+TEST(Tenant, PerTenantBitParityWithDedicatedServer) {
+  expectPerTenantParity(0);
+  {
+    // A two-entry budget makes both servers evict.
+    SCOPED_TRACE("Budget.MaxEntries = 2");
+    expectPerTenantParity(2);
+  }
 }
 
 TEST(Tenant, DedupOneChainPerUniqueKeyAcrossTenants) {
@@ -262,7 +292,7 @@ TEST(Tenant, RefcountLifecycleUnderEvictionChurn) {
   auto Ctx = compile(SumSrc);
   ServerConfig Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Quota.Budget.MaxEntries = 1; // every fresh key evicts the previous
+  Cfg.Budget.MaxEntries = 1; // every fresh key evicts the previous
   auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
   int F = Server->findFunction("f");
   auto Run = [&](vm::VM &M, int64_t N) {
@@ -354,10 +384,22 @@ TEST(Tenant, QuotaRejectsMissesPastInFlightCap) {
   EXPECT_EQ(Server->tenantStats(1).CacheHits, 2u);
 }
 
-TEST(Tenant, WarmStartRoundTripServesWarmHits) {
-  const std::vector<int64_t> Keys = {3, 5, 7};
-  const size_t Chains = 2 * Keys.size(); // region entry + internal promotion
-  const std::string Path = "tenant_warm_test.dycwarm";
+/// Runs \p Keys on a server that persists its chain store to \p Path,
+/// then on a second one that warm-starts from the file, and expects the
+/// warm run to compile nothing and to leave its client's machine counters
+/// equal to the cold run's. \p MultiTenant builds with buildMultiTenant
+/// and a client of tenant 1, otherwise with buildServer and its default
+/// client (tenant 0).
+void expectWarmRoundTrip(bool MultiTenant, const std::string &Path,
+                         const std::vector<int64_t> &Keys, size_t Chains) {
+  const uint32_t Tenant = MultiTenant ? 1 : 0;
+  auto Build = [&](core::DycContext &Ctx) {
+    ServerConfig Cfg;
+    Cfg.NumWorkers = 1;
+    Cfg.WarmStartPath = Path;
+    return MultiTenant ? Ctx.buildMultiTenant(OptFlags(), std::move(Cfg))
+                       : Ctx.buildServer(OptFlags(), std::move(Cfg));
+  };
   std::remove(Path.c_str());
 
   uint64_t ColdExecCycles = 0, ColdDynComp = 0, ColdInstrs = 0;
@@ -365,12 +407,9 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
   std::vector<int64_t> ColdOut;
   {
     auto Ctx = compile(PromotedSumSrc);
-    ServerConfig Cfg;
-    Cfg.NumWorkers = 1;
-    Cfg.WarmStartPath = Path;
-    auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+    auto Server = Build(*Ctx);
     int F = Server->findFunction("f");
-    auto Client = Server->makeClientVM(1);
+    auto Client = Server->makeClientVM(Tenant);
     for (int64_t N : Keys)
       ColdOut.push_back(
           Client->run(static_cast<uint32_t>(F), {Word::fromInt(N), Word::fromInt(1)}).asInt());
@@ -385,13 +424,10 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
 
   {
     auto Ctx = compile(PromotedSumSrc);
-    ServerConfig Cfg;
-    Cfg.NumWorkers = 1;
-    Cfg.WarmStartPath = Path;
-    auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+    auto Server = Build(*Ctx);
     EXPECT_EQ(Server->storeChains(), Chains); // loaded, unreferenced
     int F = Server->findFunction("f");
-    auto Client = Server->makeClientVM(1);
+    auto Client = Server->makeClientVM(Tenant);
     std::vector<int64_t> WarmOut;
     for (int64_t N : Keys)
       WarmOut.push_back(
@@ -402,7 +438,7 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
     EXPECT_EQ(S.SpecRuns, 0u) << "warm start must not recompile";
     EXPECT_EQ(S.WarmHits, Chains);
     EXPECT_EQ(S.DedupHits, Chains);
-    EXPECT_EQ(Server->tenantStats(1).WarmHits, Chains);
+    EXPECT_EQ(Server->tenantStats(Tenant).WarmHits, Chains);
 
     // The restored chains occupy the original simulated addresses, so the
     // warm client's machine counters are bit-identical to the cold run's.
@@ -412,6 +448,19 @@ TEST(Tenant, WarmStartRoundTripServesWarmHits) {
     EXPECT_EQ(Client->icache().hits(), ColdIHits);
     EXPECT_EQ(Client->icache().misses(), ColdIMisses);
   }
+}
+
+TEST(Tenant, WarmStartRoundTripServesWarmHits) {
+  const std::vector<int64_t> Keys = {3, 5, 7};
+  const size_t Chains = 2 * Keys.size(); // region entry + internal promotion
+  const std::string Path = "tenant_warm_test.dycwarm";
+  {
+    // Every server persists its store, a plain buildServer one included.
+    SCOPED_TRACE("buildServer");
+    expectWarmRoundTrip(false, Path, Keys, Chains);
+  }
+  // The multi-tenant round trip's file feeds the rejection checks below.
+  expectWarmRoundTrip(true, Path, Keys, Chains);
 
   // A truncated or corrupted file must be rejected before any server state
   // changes: no chain enters the store and no site is interned. Every
@@ -506,16 +555,52 @@ struct WarmImage {
   /// Entry, stub, OSR, branch-target and ExitRegion resume PCs.
   std::vector<Field> Pcs;
   std::vector<Field> Counts; ///< length prefixes
+  std::vector<Field> Regs;   ///< register operands of chain code
   std::vector<size_t> DispatchImms; ///< Imm fields of Dispatch instrs
   /// [Off, Off+Len) byte ranges of each site's and each chain's identity
   /// (ids plus value list), for duplicating one record over another.
   std::vector<std::pair<size_t, size_t>> SiteRecs, ChainRecs;
 };
 
+/// Which operands of an \p O instruction name frame registers, read off
+/// the operand formats in vm/Bytecode.h, independently of the loader's
+/// check. A of a Call, CallExt or Ret may also be NoReg (void); the
+/// Call/CallExt argument window R[B..B+C) is checked on its own.
+struct RegOperands {
+  bool A = false, B = false, C = false;
+  bool AMayBeNone = false;
+};
+
+RegOperands regOperands(vm::Op O) {
+  using vm::Op;
+  RegOperands R;
+  switch (O) {
+  case Op::Br: case Op::EnterRegion: case Op::Dispatch: case Op::ExitRegion:
+  case Op::Halt:
+    return R;
+  case Op::Call: case Op::CallExt: case Op::Ret:
+    R.A = R.AMayBeNone = true;
+    return R;
+  case Op::ConstI: case Op::ConstF: case Op::LoadAbs: case Op::StoreAbs:
+  case Op::CondBr:
+    R.A = true;
+    return R;
+  default:
+    break;
+  }
+  // Everything else reads B; the reg-reg binary forms read C too.
+  R.A = R.B = true;
+  R.C = (O >= Op::Add && O <= Op::Shr) || (O >= Op::FAdd && O <= Op::FDiv) ||
+        (O >= Op::CmpEq && O <= Op::CmpGe) ||
+        (O >= Op::FCmpEq && O <= Op::FCmpGe);
+  return R;
+}
+
 /// \p StaticN is the region function's static code size, the bound of
-/// ExitRegion resume offsets (the fuzzed program has one region).
+/// ExitRegion resume offsets, and \p NumRegs its frame size, the bound of
+/// register operands (the fuzzed program has one region).
 WarmImage parseWarm(const std::string &B, uint32_t NumRegions,
-                    uint32_t StaticN) {
+                    uint32_t StaticN, uint32_t NumRegs) {
   WarmImage W;
   if (B.size() < 40)
     return W;
@@ -599,6 +684,13 @@ WarmImage parseWarm(const std::string &B, uint32_t NumRegions,
         W.DispatchImms.push_back(At + offsetof(vm::Instr, Imm));
       if (In.Opcode == vm::Op::ExitRegion)
         W.Pcs.push_back({At + offsetof(vm::Instr, B), StaticN});
+      const RegOperands R = regOperands(In.Opcode);
+      if (R.A)
+        W.Regs.push_back({At + offsetof(vm::Instr, A), NumRegs});
+      if (R.B)
+        W.Regs.push_back({At + offsetof(vm::Instr, B), NumRegs});
+      if (R.C)
+        W.Regs.push_back({At + offsetof(vm::Instr, C), NumRegs});
       C.Code.push_back(In);
     }
     P += CodeN * sizeof(vm::Instr);
@@ -613,9 +705,10 @@ WarmImage parseWarm(const std::string &B, uint32_t NumRegions,
 
 /// Asserts what a loaded warm-start image may contain: region and
 /// promotion ids of real points, no two sites or chains with the same
-/// identity, real opcodes, every entry, stub, OSR and branch-target PC
-/// inside its chain, every Dispatch naming an interned site, and every
-/// ExitRegion resuming inside the region function's static code.
+/// identity, real opcodes, every register operand inside the region's
+/// frame, every entry, stub, OSR and branch-target PC inside its chain,
+/// every Dispatch naming an interned site, and every ExitRegion resuming
+/// inside the region function's static code.
 void expectLoadable(const WarmImage &W, const core::Executable &Ref,
                     const std::string &What) {
   ASSERT_TRUE(W.Ok) << What;
@@ -645,8 +738,23 @@ void expectLoadable(const WarmImage &W, const core::Executable &Ref,
     for (const auto *M : {&C.Exit, &C.Dispatch, &C.Osr})
       for (const auto &KV : *M)
         EXPECT_LT(KV.second, N) << What;
+    const uint32_t NumRegs =
+        C.Ord < Core.numRegions() ? Core.regionNumRegs(C.Ord) : 0;
     for (const vm::Instr &In : C.Code) {
       EXPECT_LT(static_cast<unsigned>(In.Opcode), vm::NumOps) << What;
+      const RegOperands R = regOperands(In.Opcode);
+      if (R.A && !(R.AMayBeNone && In.A == vm::NoReg)) {
+        EXPECT_LT(In.A, NumRegs) << What << ": register operand";
+      }
+      if (R.B) {
+        EXPECT_LT(In.B, NumRegs) << What << ": register operand";
+      }
+      if (R.C) {
+        EXPECT_LT(In.C, NumRegs) << What << ": register operand";
+      }
+      if (In.Opcode == vm::Op::Call || In.Opcode == vm::Op::CallExt) {
+        EXPECT_LE(uint64_t(In.B) + In.C, NumRegs) << What << ": arguments";
+      }
       if (In.Opcode == vm::Op::ExitRegion) {
         EXPECT_LT(In.B, StaticN) << What << ": exit resume offset";
       }
@@ -665,12 +773,13 @@ void expectLoadable(const WarmImage &W, const core::Executable &Ref,
   }
 }
 
-// Warm-start reader fuzzer: 200 seeded mutations of a saved file — byte
-// flips, truncations, out-of-range ids, PCs and length prefixes, and one
-// record's identity copied over another's — each resealed with a fresh
-// checksum so it reaches the range checks. loadCacheFrom must either
-// reject the file and leave the chain store and site table untouched, or
-// load all of it, with every id and PC in range.
+// Warm-start reader fuzzer: 240 seeded mutations of a saved file — byte
+// flips, truncations, out-of-range ids, PCs, length prefixes and register
+// operands, and one record's identity copied over another's — each
+// resealed with a fresh checksum so it reaches the range checks.
+// loadCacheFrom must either reject the file and leave the chain store and
+// site table untouched, or load all of it, with every id, PC and register
+// in range.
 TEST(Tenant, WarmStartReaderFuzz) {
   const std::string Path = "tenant_warm_fuzz.dycwarm";
   const std::string Bad = "tenant_warm_fuzz_bad.dycwarm";
@@ -697,12 +806,14 @@ TEST(Tenant, WarmStartReaderFuzz) {
   const uint32_t StaticN = static_cast<uint32_t>(
       Ref->Prog.function(static_cast<uint32_t>(Ref->findFunction("f")))
           .Code.size());
+  const uint32_t NumRegs = Ref->RT->core().regionNumRegs(0);
   const std::string Orig = readFile(Path);
-  const WarmImage Base = parseWarm(Orig, NumRegions, StaticN);
+  const WarmImage Base = parseWarm(Orig, NumRegions, StaticN, NumRegs);
   ASSERT_TRUE(Base.Ok);
   ASSERT_EQ(Base.Sites.size(), 4u);
   ASSERT_EQ(Base.Chains.size(), 8u);
   ASSERT_FALSE(Base.DispatchImms.empty());
+  ASSERT_FALSE(Base.Regs.empty());
   expectLoadable(Base, *Ref, "unmutated");
 
   std::mt19937_64 Rng(0xD1C5EED);
@@ -711,10 +822,10 @@ TEST(Tenant, WarmStartReaderFuzz) {
     return Pick(3) == 0 ? 0xffffffffu : Bound + static_cast<uint32_t>(Pick(4));
   };
   unsigned Accepted = 0, Rejected = 0;
-  for (unsigned Iter = 0; Iter != 200; ++Iter) {
+  for (unsigned Iter = 0; Iter != 240; ++Iter) {
     std::string M = Orig;
     std::string What = "mutation " + std::to_string(Iter);
-    switch (Iter % 6) {
+    switch (Iter % 7) {
     case 0: { // byte flip
       size_t At = Pick(M.size() - 8);
       M[At] = static_cast<char>(M[At] ^ (1u << Pick(8)));
@@ -761,6 +872,12 @@ TEST(Tenant, WarmStartReaderFuzz) {
       What += ": duplicate record at " + std::to_string(To.first);
       break;
     }
+    case 6: { // register operand outside the frame
+      const WarmImage::Field &Fd = Base.Regs[Pick(Base.Regs.size())];
+      writeU32At(M, Fd.Off, OutOfRange(Fd.Bound));
+      What += ": register at " + std::to_string(Fd.Off);
+      break;
+    }
     }
     if (M.size() >= 8)
       resealChecksum(M);
@@ -776,13 +893,13 @@ TEST(Tenant, WarmStartReaderFuzz) {
       continue;
     }
     ++Accepted;
-    const WarmImage In = parseWarm(M, NumRegions, StaticN);
+    const WarmImage In = parseWarm(M, NumRegions, StaticN, NumRegs);
     ASSERT_TRUE(In.Ok) << What << ": loaded a file that does not parse";
     EXPECT_EQ(Server->storeChains(), In.Chains.size()) << What;
     EXPECT_EQ(Server->numSites(), In.Sites.size()) << What;
     ASSERT_TRUE(Server->saveCacheTo(Out)) << What;
-    expectLoadable(parseWarm(readFile(Out), NumRegions, StaticN), *Ref,
-                   What);
+    expectLoadable(parseWarm(readFile(Out), NumRegions, StaticN, NumRegs),
+                   *Ref, What);
   }
   // Both outcomes must occur, or the mutations are not reaching the
   // checks they are meant to probe.
