@@ -241,10 +241,7 @@ struct FunctionLowering {
           if (!Consts.count(U))
             MarkUse(U);
       } else {
-        std::vector<Reg> Uses;
-        I.appendUses(Uses);
-        for (Reg U : Uses)
-          MarkUse(U);
+        I.forEachUse(MarkUse);
       }
       if (I.definesReg()) {
         Consts.erase(I.Dst);

@@ -4,39 +4,81 @@
 
 #include "support/Support.h"
 
-#include <cctype>
 #include <cstdlib>
+#include <cstring>
 
 namespace dyc {
 namespace frontend {
 
 namespace {
 
-struct Keyword {
-  const char *Text;
-  TokKind Kind;
-};
+bool isDigit(char C) { return static_cast<unsigned char>(C - '0') < 10; }
+bool isAlpha(char C) {
+  return static_cast<unsigned char>((C | 0x20) - 'a') < 26;
+}
+bool isIdentStart(char C) { return isAlpha(C) || C == '_'; }
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
 
-const Keyword Keywords[] = {
-    {"int", TokKind::KwInt},
-    {"double", TokKind::KwDouble},
-    {"void", TokKind::KwVoid},
-    {"if", TokKind::KwIf},
-    {"else", TokKind::KwElse},
-    {"while", TokKind::KwWhile},
-    {"for", TokKind::KwFor},
-    {"return", TokKind::KwReturn},
-    {"break", TokKind::KwBreak},
-    {"continue", TokKind::KwContinue},
-    {"extern", TokKind::KwExtern},
-    {"pure", TokKind::KwPure},
-    {"make_static", TokKind::KwMakeStatic},
-    {"make_dynamic", TokKind::KwMakeDynamic},
-    {"cache_all", TokKind::KwCacheAll},
-    {"cache_one", TokKind::KwCacheOne},
-    {"cache_one_unchecked", TokKind::KwCacheOneUnchecked},
-    {"cache_indexed", TokKind::KwCacheIndexed},
-};
+/// The keyword spelled \p W, or Ident.
+TokKind classifyWord(std::string_view W) {
+  using TK = TokKind;
+  switch (W[0]) {
+  case 'b':
+    return W == "break" ? TK::KwBreak : TK::Ident;
+  case 'c':
+    return W == "continue"              ? TK::KwContinue
+           : W == "cache_all"           ? TK::KwCacheAll
+           : W == "cache_one"           ? TK::KwCacheOne
+           : W == "cache_one_unchecked" ? TK::KwCacheOneUnchecked
+           : W == "cache_indexed"       ? TK::KwCacheIndexed
+                                        : TK::Ident;
+  case 'd':
+    return W == "double" ? TK::KwDouble : TK::Ident;
+  case 'e':
+    return W == "else" ? TK::KwElse : W == "extern" ? TK::KwExtern : TK::Ident;
+  case 'f':
+    return W == "for" ? TK::KwFor : TK::Ident;
+  case 'i':
+    return W == "int" ? TK::KwInt : W == "if" ? TK::KwIf : TK::Ident;
+  case 'm':
+    return W == "make_static"    ? TK::KwMakeStatic
+           : W == "make_dynamic" ? TK::KwMakeDynamic
+                                 : TK::Ident;
+  case 'p':
+    return W == "pure" ? TK::KwPure : TK::Ident;
+  case 'r':
+    return W == "return" ? TK::KwReturn : TK::Ident;
+  case 'v':
+    return W == "void" ? TK::KwVoid : TK::Ident;
+  case 'w':
+    return W == "while" ? TK::KwWhile : TK::Ident;
+  default:
+    return TK::Ident;
+  }
+}
+
+/// strtoll's value for a run of decimal digits: saturates at INT64_MAX.
+int64_t decimalValue(std::string_view Digits) {
+  const uint64_t Max = INT64_MAX;
+  uint64_t V = 0;
+  for (char D : Digits) {
+    uint64_t Digit = static_cast<uint64_t>(D - '0');
+    if (V > (Max - Digit) / 10)
+      return INT64_MAX;
+    V = V * 10 + Digit;
+  }
+  return static_cast<int64_t>(V);
+}
+
+/// strtod of \p Text alone (the source is not terminated after it).
+double floatValue(std::string_view Text) {
+  char Buf[64];
+  if (Text.size() >= sizeof(Buf))
+    return std::strtod(std::string(Text).c_str(), nullptr);
+  std::memcpy(Buf, Text.data(), Text.size());
+  Buf[Text.size()] = '\0';
+  return std::strtod(Buf, nullptr);
+}
 
 } // namespace
 
@@ -100,145 +142,95 @@ const char *tokKindName(TokKind K) {
   return "<bad-token>";
 }
 
-std::vector<Token> lex(const std::string &Source,
+std::vector<Token> lex(std::string_view Source,
                        std::vector<std::string> &Errors) {
   std::vector<Token> Toks;
-  size_t I = 0, N = Source.size();
-  unsigned Line = 1, Col = 1;
-
-  auto Advance = [&](size_t K = 1) {
-    for (size_t J = 0; J != K && I < N; ++J, ++I) {
-      if (Source[I] == '\n') {
-        ++Line;
-        Col = 1;
-      } else {
-        ++Col;
-      }
-    }
-  };
-  auto Peek = [&](size_t K = 0) -> char {
-    return I + K < N ? Source[I + K] : '\0';
-  };
-  auto Push = [&](TokKind K, std::string Text, size_t Len) {
-    Token T;
+  // MiniC runs at three to five source bytes per token.
+  Toks.reserve(Source.size() / 3 + 16);
+  const char *P = Source.data();
+  const char *const End = P + Source.size();
+  unsigned Line = 1;
+  auto At = [&](const char *Q) -> char { return Q < End ? *Q : '\0'; };
+  auto Push = [&](TokKind K, const char *Start) -> Token & {
+    Token &T = Toks.emplace_back();
     T.Kind = K;
-    T.Text = std::move(Text);
+    T.Text = std::string_view(Start, static_cast<size_t>(P - Start));
     T.Line = Line;
-    T.Col = Col;
-    Toks.push_back(std::move(T));
-    Advance(Len);
+    return T;
   };
 
-  while (I < N) {
-    char C = Peek();
+  while (P < End) {
+    const char *Start = P;
+    char C = *P;
     // Whitespace.
     if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      Advance();
-      continue;
-    }
-    // Comments.
-    if (C == '/' && Peek(1) == '/') {
-      while (I < N && Peek() != '\n')
-        Advance();
-      continue;
-    }
-    if (C == '/' && Peek(1) == '*') {
-      Advance(2);
-      while (I < N && !(Peek() == '*' && Peek(1) == '/'))
-        Advance();
-      if (I >= N)
-        Errors.push_back(formatString("line %u: unterminated comment", Line));
-      else
-        Advance(2);
+      Line += C == '\n';
+      ++P;
       continue;
     }
     // Identifiers and keywords.
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Start = I;
-      size_t Len = 0;
-      while (I + Len < N &&
-             (std::isalnum(static_cast<unsigned char>(Source[I + Len])) ||
-              Source[I + Len] == '_'))
-        ++Len;
-      std::string Text = Source.substr(Start, Len);
-      TokKind K = TokKind::Ident;
-      for (const Keyword &KW : Keywords)
-        if (Text == KW.Text) {
-          K = KW.Kind;
-          break;
-        }
-      Push(K, std::move(Text), Len);
+    if (isIdentStart(C)) {
+      while (++P < End && isIdentChar(*P)) {
+      }
+      std::string_view Word(Start, static_cast<size_t>(P - Start));
+      Push(classifyWord(Word), Start);
       continue;
     }
+    char Next = At(P + 1);
     // Numbers.
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '.' && std::isdigit(static_cast<unsigned char>(Peek(1))))) {
-      size_t Len = 0;
+    if (isDigit(C) || (C == '.' && isDigit(Next))) {
       bool IsFloat = false;
-      while (I + Len < N) {
-        char D = Source[I + Len];
-        if (std::isdigit(static_cast<unsigned char>(D))) {
-          ++Len;
+      while (P < End) {
+        char D = *P;
+        if (isDigit(D)) {
+          ++P;
         } else if (D == '.' && !IsFloat) {
           IsFloat = true;
-          ++Len;
+          ++P;
         } else if ((D == 'e' || D == 'E') &&
-                   (std::isdigit(
-                        static_cast<unsigned char>(Peek(Len + 1))) ||
-                    ((Peek(Len + 1) == '+' || Peek(Len + 1) == '-') &&
-                     std::isdigit(
-                         static_cast<unsigned char>(Peek(Len + 2)))))) {
+                   (isDigit(At(P + 1)) ||
+                    ((At(P + 1) == '+' || At(P + 1) == '-') &&
+                     isDigit(At(P + 2))))) {
           IsFloat = true;
-          Len += Peek(Len + 1) == '+' || Peek(Len + 1) == '-' ? 2 : 1;
-          while (I + Len < N &&
-                 std::isdigit(static_cast<unsigned char>(Source[I + Len])))
-            ++Len;
+          P += At(P + 1) == '+' || At(P + 1) == '-' ? 2 : 1;
+          while (P < End && isDigit(*P))
+            ++P;
           break;
         } else {
           break;
         }
       }
-      std::string Text = Source.substr(I, Len);
-      Token T;
-      T.Line = Line;
-      T.Col = Col;
-      T.Text = Text;
-      if (IsFloat) {
-        T.Kind = TokKind::FloatLit;
-        T.FloatVal = std::strtod(Text.c_str(), nullptr);
-      } else {
-        T.Kind = TokKind::IntLit;
-        T.IntVal = std::strtoll(Text.c_str(), nullptr, 10);
-      }
-      Toks.push_back(std::move(T));
-      Advance(Len);
+      Token &T = Push(IsFloat ? TokKind::FloatLit : TokKind::IntLit, Start);
+      if (IsFloat)
+        T.FloatVal = floatValue(T.Text);
+      else
+        T.IntVal = decimalValue(T.Text);
       continue;
     }
-    // Multi-character operators.
-    struct Multi {
-      const char *Text;
-      TokKind Kind;
-    };
-    static const Multi Multis[] = {
-        {"@[", TokKind::AtLBracket}, {"==", TokKind::EqEq},
-        {"!=", TokKind::NotEq},      {"<=", TokKind::Le},
-        {">=", TokKind::Ge},         {"&&", TokKind::AmpAmp},
-        {"||", TokKind::PipePipe},   {"<<", TokKind::Shl},
-        {">>", TokKind::Shr},        {"++", TokKind::PlusPlus},
-        {"--", TokKind::MinusMinus},
-    };
-    bool Matched = false;
-    for (const Multi &M : Multis) {
-      if (C == M.Text[0] && Peek(1) == M.Text[1]) {
-        Push(M.Kind, M.Text, 2);
-        Matched = true;
-        break;
-      }
-    }
-    if (Matched)
+    // Comments.
+    if (C == '/' && Next == '/') {
+      const void *NL = std::memchr(P, '\n', static_cast<size_t>(End - P));
+      P = NL ? static_cast<const char *>(NL) : End;
       continue;
-    // Single-character tokens.
-    TokKind K;
+    }
+    if (C == '/' && Next == '*') {
+      P += 2;
+      while (P < End && !(*P == '*' && At(P + 1) == '/')) {
+        Line += *P == '\n';
+        ++P;
+      }
+      if (P >= End)
+        Errors.push_back(formatString("line %u: unterminated comment", Line));
+      else
+        P += 2;
+      continue;
+    }
+    // Operators and punctuation; a two-byte operator consumes Next too.
+    auto Two = [&](TokKind K) {
+      ++P;
+      return K;
+    };
+    TokKind K = TokKind::Eof;
     switch (C) {
     case '(': K = TokKind::LParen; break;
     case ')': K = TokKind::RParen; break;
@@ -250,31 +242,46 @@ std::vector<Token> lex(const std::string &Source,
     case ';': K = TokKind::Semi; break;
     case ':': K = TokKind::Colon; break;
     case '*': K = TokKind::Star; break;
-    case '=': K = TokKind::Assign; break;
-    case '+': K = TokKind::Plus; break;
-    case '-': K = TokKind::Minus; break;
     case '/': K = TokKind::Slash; break;
     case '%': K = TokKind::Percent; break;
-    case '<': K = TokKind::Lt; break;
-    case '>': K = TokKind::Gt; break;
-    case '!': K = TokKind::Bang; break;
-    case '&': K = TokKind::Amp; break;
-    case '|': K = TokKind::Pipe; break;
     case '^': K = TokKind::Caret; break;
+    case '=': K = Next == '=' ? Two(TokKind::EqEq) : TokKind::Assign; break;
+    case '!': K = Next == '=' ? Two(TokKind::NotEq) : TokKind::Bang; break;
+    case '+': K = Next == '+' ? Two(TokKind::PlusPlus) : TokKind::Plus; break;
+    case '-':
+      K = Next == '-' ? Two(TokKind::MinusMinus) : TokKind::Minus;
+      break;
+    case '&': K = Next == '&' ? Two(TokKind::AmpAmp) : TokKind::Amp; break;
+    case '|': K = Next == '|' ? Two(TokKind::PipePipe) : TokKind::Pipe; break;
+    case '<':
+      K = Next == '='   ? Two(TokKind::Le)
+          : Next == '<' ? Two(TokKind::Shl)
+                        : TokKind::Lt;
+      break;
+    case '>':
+      K = Next == '='   ? Two(TokKind::Ge)
+          : Next == '>' ? Two(TokKind::Shr)
+                        : TokKind::Gt;
+      break;
+    case '@':
+      if (Next == '[') {
+        K = Two(TokKind::AtLBracket);
+        break;
+      }
+      [[fallthrough]];
     default:
       Errors.push_back(
           formatString("line %u: unexpected character '%c'", Line, C));
-      Advance();
+      ++P;
       continue;
     }
-    Push(K, std::string(1, C), 1);
+    ++P;
+    Push(K, Start);
   }
 
-  Token Eof;
+  Token &Eof = Toks.emplace_back();
   Eof.Kind = TokKind::Eof;
   Eof.Line = Line;
-  Eof.Col = Col;
-  Toks.push_back(Eof);
   return Toks;
 }
 

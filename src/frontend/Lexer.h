@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dyc {
@@ -46,19 +47,19 @@ enum class TokKind : uint8_t {
   PlusPlus, MinusMinus,
 };
 
-/// One token with source position (1-based line/column).
+/// One token with its 1-based source line. Text views the source, so
+/// tokens are valid only while the source is.
 struct Token {
-  TokKind Kind = TokKind::Eof;
-  std::string Text;
+  std::string_view Text;
   int64_t IntVal = 0;
   double FloatVal = 0;
   unsigned Line = 0;
-  unsigned Col = 0;
+  TokKind Kind = TokKind::Eof;
 };
 
 /// Tokenizes \p Source. On a lexical error, appends a message to
 /// \p Errors and skips the offending character.
-std::vector<Token> lex(const std::string &Source,
+std::vector<Token> lex(std::string_view Source,
                        std::vector<std::string> &Errors);
 
 const char *tokKindName(TokKind K);

@@ -5,8 +5,6 @@
 #include "frontend/Parser.h"
 #include "ir/IRBuilder.h"
 
-#include <map>
-
 namespace dyc {
 namespace frontend {
 
@@ -35,23 +33,82 @@ struct TValue {
   MTy Ty = MTy::Int;
 };
 
+/// The variables in scope: one binding per symbol, plus an undo log.
+/// Declaring a name saves the binding it shadows; leaving a scope restores
+/// every binding saved since the scope was entered.
+class ScopeTable {
+public:
+  struct VarInfo {
+    Reg R = ir::NoReg;
+    MTy Ty = MTy::Int;
+  };
+
+  explicit ScopeTable(uint32_t NumSymbols) : Bindings(NumSymbols) {}
+
+  void push() { Marks.push_back(Log.size()); }
+  void pop() {
+    for (size_t Mark = Marks.back(); Log.size() != Mark; Log.pop_back())
+      Bindings[Log.back().Name] = Log.back().Prev;
+    Marks.pop_back();
+  }
+
+  /// Binds \p Name in the innermost scope; false if that scope already
+  /// declares it (the new binding replaces the old one anyway).
+  bool declare(Symbol Name, VarInfo V) {
+    Binding &B = Bindings[Name];
+    bool Fresh = B.Depth != Marks.size();
+    Log.push_back({Name, B});
+    B = {V, static_cast<uint32_t>(Marks.size())};
+    return Fresh;
+  }
+
+  const VarInfo *lookup(Symbol Name) const {
+    const Binding &B = Bindings[Name];
+    return B.Depth ? &B.Var : nullptr;
+  }
+
+private:
+  struct Binding {
+    VarInfo Var;
+    uint32_t Depth = 0; ///< of the declaring scope; 0 if unbound
+  };
+  struct Undo {
+    Symbol Name;
+    Binding Prev;
+  };
+
+  std::vector<Binding> Bindings; ///< by Symbol
+  std::vector<Undo> Log;
+  std::vector<size_t> Marks; ///< Log size at each open scope's entry
+};
+
+/// The first module function and the first external with a name (-1 if
+/// none), as Module::findFunction / findExternal would answer.
+struct CalleeOf {
+  int Func = -1;
+  int Ext = -1;
+};
+
 class FunctionLowering {
 public:
   FunctionLowering(const ProgramAST &P, ir::Module &M, ir::Function &F,
-                   const FuncDecl &D, std::vector<std::string> &Errors)
-      : P(P), M(M), F(F), D(D), B(F), Errors(Errors) {}
+                   const FuncDecl &D, ScopeTable &Scopes,
+                   const std::vector<CalleeOf> &Callees,
+                   std::vector<std::string> &Errors)
+      : P(P), M(M), F(F), D(D), B(F), Scopes(Scopes), Callees(Callees),
+        Errors(Errors) {}
 
   void run() {
     BlockId Entry = F.newBlock("entry");
     B.setInsertPoint(Entry);
-    pushScope();
+    Scopes.push();
     for (const ParamDecl &PD : D.Params) {
-      Reg R = F.newReg(irTypeOf(PD.Ty), PD.Name);
+      Reg R = F.newReg(irTypeOf(PD.Ty), P.name(PD.Name));
       declare(PD.Name, R, PD.Ty, D.Line);
     }
     F.NumParams = static_cast<uint32_t>(D.Params.size());
     lowerStmt(*D.Body);
-    popScope();
+    Scopes.pop();
     if (!terminated()) {
       if (D.RetTy == MTy::Void) {
         B.ret();
@@ -69,28 +126,17 @@ private:
                                   F.Name.c_str(), Msg.c_str()));
   }
 
-  // --- Scopes ---------------------------------------------------------------
-  struct VarInfo {
-    Reg R;
-    MTy Ty;
-  };
-
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-
-  void declare(const std::string &Name, Reg R, MTy Ty, unsigned Line) {
-    if (Scopes.back().count(Name))
-      error(Line, "redeclaration of '" + Name + "'");
-    Scopes.back()[Name] = {R, Ty};
+  /// "\p What 'name'".
+  std::string named(const char *What, Symbol Name) const {
+    return std::string(What) + " '" + std::string(P.name(Name)) + "'";
   }
 
-  const VarInfo *lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
-    }
-    return nullptr;
+  // --- Scopes ---------------------------------------------------------------
+  using VarInfo = ScopeTable::VarInfo;
+
+  void declare(Symbol Name, Reg R, MTy Ty, unsigned Line) {
+    if (!Scopes.declare(Name, {R, Ty}))
+      error(Line, named("redeclaration of", Name));
   }
 
   /// True if \p S contains a `continue` that binds to the enclosing loop
@@ -103,7 +149,7 @@ private:
     case Stmt::For:
       return false; // binds to the inner loop
     case Stmt::Block:
-      for (const StmtPtr &Inner : S.Stmts)
+      for (const Stmt *Inner : S.Stmts)
         if (bodyHasContinue(*Inner))
           return true;
       return false;
@@ -139,9 +185,9 @@ private:
     case Expr::FloatLit:
       return {B.constF(E.FloatVal), MTy::Double};
     case Expr::Var: {
-      const VarInfo *V = lookup(E.Name);
+      const VarInfo *V = Scopes.lookup(E.Name);
       if (!V) {
-        error(E.Line, "use of undeclared variable '" + E.Name + "'");
+        error(E.Line, named("use of undeclared variable", E.Name));
         return {B.constI(0), MTy::Int};
       }
       return {V->R, V->Ty};
@@ -282,14 +328,15 @@ private:
   }
 
   TValue lowerCall(const Expr &E) {
-    int FnIdx = M.findFunction(E.Name);
-    int ExtIdx = FnIdx < 0 ? M.findExternal(E.Name) : -1;
+    int FnIdx = Callees[E.Name].Func;
+    int ExtIdx = FnIdx < 0 ? Callees[E.Name].Ext : -1;
     if (FnIdx < 0 && ExtIdx < 0) {
-      error(E.Line, "call to undeclared function '" + E.Name + "'");
+      error(E.Line, named("call to undeclared function", E.Name));
       return {B.constI(0), MTy::Int};
     }
 
     std::vector<Reg> Args;
+    Args.reserve(E.Args.size());
     bool Pure;
     MTy RetTy;
     if (FnIdx >= 0) {
@@ -299,7 +346,7 @@ private:
               : Callee.RetTy == ir::Type::I64 ? MTy::Int
                                               : MTy::Void;
       if (E.Args.size() != Callee.NumParams) {
-        error(E.Line, "wrong number of arguments to '" + E.Name + "'");
+        error(E.Line, named("wrong number of arguments to", E.Name));
         return {B.constI(0), MTy::Int};
       }
       for (size_t I = 0; I != E.Args.size(); ++I) {
@@ -311,7 +358,7 @@ private:
           error(E.Line, "double argument passed to int parameter");
         Args.push_back(V.R);
       }
-      Reg R = B.call(M, FnIdx, Args, Pure);
+      Reg R = B.call(M, FnIdx, std::move(Args), Pure);
       return {R, RetTy};
     }
 
@@ -319,16 +366,16 @@ private:
     Pure = Decl.Pure;
     RetTy = Decl.RetTy == ir::Type::F64 ? MTy::Double : MTy::Int;
     if (E.Args.size() != Decl.NumArgs) {
-      error(E.Line, "wrong number of arguments to '" + E.Name + "'");
+      error(E.Line, named("wrong number of arguments to", E.Name));
       return {B.constI(0), MTy::Int};
     }
-    for (const ExprPtr &A : E.Args) {
+    for (const Expr *A : E.Args) {
       TValue V = lowerExpr(*A);
       // Externals in this project take doubles.
       V = coerce(V, MTy::Double, E.Line);
       Args.push_back(V.R);
     }
-    Reg R = B.callExt(M, ExtIdx, Args, Pure);
+    Reg R = B.callExt(M, ExtIdx, std::move(Args), Pure);
     return {R, RetTy};
   }
 
@@ -342,19 +389,19 @@ private:
     }
     switch (S.K) {
     case Stmt::Block: {
-      pushScope();
-      for (const StmtPtr &Inner : S.Stmts) {
+      Scopes.push();
+      for (const Stmt *Inner : S.Stmts) {
         if (terminated()) {
           BlockId Dead = F.newBlock("dead");
           B.setInsertPoint(Dead);
         }
         lowerStmt(*Inner);
       }
-      popScope();
+      Scopes.pop();
       return;
     }
     case Stmt::Decl: {
-      Reg R = F.newReg(irTypeOf(S.DeclTy), S.Name);
+      Reg R = F.newReg(irTypeOf(S.DeclTy), P.name(S.Name));
       declare(S.Name, R, S.DeclTy, S.Line);
       if (S.Init) {
         TValue V = lowerExpr(*S.Init);
@@ -368,10 +415,10 @@ private:
     }
     case Stmt::Assign: {
       if (S.LHS->K == Expr::Var) {
-        const VarInfo *V = lookup(S.LHS->Name);
+        const VarInfo *V = Scopes.lookup(S.LHS->Name);
         if (!V) {
-          error(S.Line, "assignment to undeclared variable '" +
-                            S.LHS->Name + "'");
+          error(S.Line, named("assignment to undeclared variable",
+                              S.LHS->Name));
           return;
         }
         TValue RHS = lowerExpr(*S.RHS);
@@ -436,7 +483,7 @@ private:
       return;
     }
     case Stmt::For: {
-      pushScope(); // the for-init declaration scopes over the loop
+      Scopes.push(); // the for-init declaration scopes over the loop
       if (S.ForInit)
         lowerStmt(*S.ForInit);
       BlockId Header = F.newBlock("for.head");
@@ -478,7 +525,7 @@ private:
         }
       }
       B.setInsertPoint(Exit);
-      popScope();
+      Scopes.pop();
       return;
     }
     case Stmt::Return: {
@@ -515,19 +562,19 @@ private:
     case Stmt::MakeStatic:
     case Stmt::MakeDynamic: {
       std::vector<Reg> Regs;
-      for (const std::string &Name : S.Vars) {
-        const VarInfo *V = lookup(Name);
+      Regs.reserve(S.Vars.size());
+      for (Symbol Name : S.Vars) {
+        const VarInfo *V = Scopes.lookup(Name);
         if (!V) {
-          error(S.Line, "annotation names undeclared variable '" + Name +
-                            "'");
+          error(S.Line, named("annotation names undeclared variable", Name));
           continue;
         }
         Regs.push_back(V->R);
       }
       if (S.K == Stmt::MakeStatic)
-        B.makeStatic(Regs, S.Policy);
+        B.makeStatic(std::move(Regs), S.Policy);
       else
-        B.makeDynamic(Regs);
+        B.makeDynamic(std::move(Regs));
       return;
     }
     }
@@ -554,8 +601,9 @@ private:
   ir::Function &F;
   const FuncDecl &D;
   ir::IRBuilder B;
+  ScopeTable &Scopes;
+  const std::vector<CalleeOf> &Callees; ///< by Symbol
   std::vector<std::string> &Errors;
-  std::vector<std::map<std::string, VarInfo>> Scopes;
   /// Innermost-first stack of (continue target, break target) blocks.
   struct LoopTargets {
     BlockId Continue;
@@ -569,37 +617,42 @@ private:
 ir::Module lowerProgram(const ProgramAST &P,
                         std::vector<std::string> &Errors) {
   ir::Module M;
+  std::vector<CalleeOf> Callees(P.Syms.size());
   for (const ExternDeclAST &E : P.Externs) {
     ir::ExternalDecl D;
-    D.Name = E.Name;
+    D.Name = P.name(E.Name);
     D.NumArgs = static_cast<unsigned>(E.ArgTys.size());
     D.Pure = E.Pure;
     D.RetTy = irTypeOf(E.RetTy);
-    M.declareExternal(std::move(D));
+    int Idx = M.declareExternal(std::move(D));
+    if (Callees[E.Name].Ext < 0)
+      Callees[E.Name].Ext = Idx;
   }
   // Predeclare every function (headers only) so calls resolve regardless of
   // definition order.
   for (const FuncDecl &FD : P.Funcs) {
     ir::Function F;
-    F.Name = FD.Name;
+    F.Name = P.name(FD.Name);
     F.RetTy = irTypeOf(FD.RetTy);
     F.Pure = FD.Pure;
     for (const ParamDecl &PD : FD.Params)
-      F.newReg(irTypeOf(PD.Ty), PD.Name);
+      F.newReg(irTypeOf(PD.Ty), P.name(PD.Name));
     F.NumParams = static_cast<uint32_t>(FD.Params.size());
-    M.addFunction(std::move(F));
+    int Idx = M.addFunction(std::move(F));
+    if (Callees[FD.Name].Func < 0)
+      Callees[FD.Name].Func = Idx;
   }
   // Lower bodies into fresh Function objects, then swap in (the
   // predeclared stubs only carried the signature).
+  ScopeTable Scopes(P.Syms.size());
   for (const FuncDecl &FD : P.Funcs) {
-    int Idx = M.findFunction(FD.Name);
     ir::Function F;
-    F.Name = FD.Name;
+    F.Name = P.name(FD.Name);
     F.RetTy = irTypeOf(FD.RetTy);
     F.Pure = FD.Pure;
-    FunctionLowering L(P, M, F, FD, Errors);
+    FunctionLowering L(P, M, F, FD, Scopes, Callees, Errors);
     L.run();
-    M.function(Idx) = std::move(F);
+    M.function(Callees[FD.Name].Func) = std::move(F);
   }
   return M;
 }

@@ -4,6 +4,9 @@
 
 #include "support/Support.h"
 
+#include <cstring>
+#include <new>
+
 namespace dyc {
 namespace frontend {
 
@@ -18,26 +21,91 @@ const char *mtyName(MTy T) {
   return "<bad-type>";
 }
 
+Symbol SymbolTable::intern(std::string_view Name) {
+  uint32_t H = 2166136261u; // FNV-1a
+  for (char C : Name)
+    H = (H ^ static_cast<unsigned char>(C)) * 16777619u;
+  if (Slots.empty()) {
+    Slots.assign(256, 0);
+    Entries.reserve(128);
+  }
+  size_t Mask = Slots.size() - 1;
+  size_t I = H & Mask;
+  for (; Slots[I]; I = (I + 1) & Mask) {
+    const Entry &E = Entries[Slots[I] - 1];
+    if (E.Hash == H && std::string_view(E.Data, E.Len) == Name)
+      return Slots[I] - 1;
+  }
+  char *Copy = static_cast<char *>(Chars.allocate(Name.size(), 1));
+  if (!Name.empty())
+    std::memcpy(Copy, Name.data(), Name.size());
+  Entries.push_back({Copy, static_cast<uint32_t>(Name.size()), H});
+  Slots[I] = size();
+  if (2 * Entries.size() > Slots.size())
+    rehash();
+  return size() - 1;
+}
+
+void SymbolTable::rehash() {
+  Slots.assign(2 * Slots.size(), 0);
+  size_t Mask = Slots.size() - 1;
+  for (uint32_t S = 0; S != size(); ++S) {
+    size_t I = Entries[S].Hash & Mask;
+    while (Slots[I])
+      I = (I + 1) & Mask;
+    Slots[I] = S + 1;
+  }
+}
+
 namespace {
+
+/// A child list under construction in the arena. A full array is left
+/// behind, not freed, so a list of N elements costs under 2N slots of
+/// arena and no heap call.
+template <class T> class ListBuilder {
+public:
+  void push(BumpArena &A, const T &V) {
+    if (Size == Cap) {
+      Cap = Cap ? 2 * Cap : 4;
+      T *Grown = static_cast<T *>(A.allocate(Cap * sizeof(T), alignof(T)));
+      if (Size)
+        std::memcpy(static_cast<void *>(Grown), Data, Size * sizeof(T));
+      Data = Grown;
+    }
+    new (Data + Size++) T(V);
+  }
+  std::span<const T> list() const { return {Data, Size}; }
+
+private:
+  static_assert(std::is_trivially_copyable_v<T>);
+  T *Data = nullptr;
+  size_t Size = 0;
+  size_t Cap = 0;
+};
 
 class Parser {
 public:
-  Parser(std::vector<Token> Toks, std::vector<std::string> &Errors)
-      : Toks(std::move(Toks)), Errors(Errors) {}
+  Parser(std::vector<Token> Toks, ProgramAST &P,
+         std::vector<std::string> &Errors)
+      : Toks(std::move(Toks)), P(P), Errors(Errors) {}
 
-  ProgramAST parse() {
-    ProgramAST P;
+  void parse() {
+    ListBuilder<ExternDeclAST> Externs;
+    ListBuilder<FuncDecl> Funcs;
     while (!at(TokKind::Eof)) {
       size_t Before = Pos;
       if (at(TokKind::KwExtern)) {
-        parseExtern(P);
+        Externs.push(P.Arena, parseExtern());
       } else {
-        parseFunction(P);
+        FuncDecl F;
+        if (parseFunction(F))
+          Funcs.push(P.Arena, F);
       }
       if (Pos == Before)
         advance(); // ensure progress after an error
     }
-    return P;
+    P.Externs = Externs.list();
+    P.Funcs = Funcs.list();
   }
 
 private:
@@ -67,6 +135,14 @@ private:
     Errors.push_back(formatString("line %u: %s", cur().Line, Msg.c_str()));
   }
 
+  /// The current token's text as a name (an identifier where the grammar
+  /// is followed).
+  Symbol curName() { return P.Syms.intern(cur().Text); }
+
+  template <class T> T *make() {
+    return new (P.Arena.allocate(sizeof(T), alignof(T))) T();
+  }
+
   bool atType() const {
     return at(TokKind::KwInt) || at(TokKind::KwDouble) || at(TokKind::KwVoid);
   }
@@ -89,85 +165,91 @@ private:
     return Base;
   }
 
-  void parseExtern(ProgramAST &P) {
+  ExternDeclAST parseExtern() {
     ExternDeclAST D;
     D.Line = cur().Line;
     expect(TokKind::KwExtern);
     D.Pure = accept(TokKind::KwPure);
     D.RetTy = parseType();
-    D.Name = cur().Text;
+    D.Name = curName();
     expect(TokKind::Ident);
     expect(TokKind::LParen);
+    ListBuilder<MTy> ArgTys;
     if (!at(TokKind::RParen)) {
       do {
-        D.ArgTys.push_back(parseType());
+        ArgTys.push(P.Arena, parseType());
         // Optional parameter name in the prototype.
         if (at(TokKind::Ident))
           advance();
       } while (accept(TokKind::Comma));
     }
+    D.ArgTys = ArgTys.list();
     expect(TokKind::RParen);
     expect(TokKind::Semi);
-    P.Externs.push_back(std::move(D));
+    return D;
   }
 
-  void parseFunction(ProgramAST &P) {
-    FuncDecl F;
+  /// Parses a definition into \p F; false if it has no name.
+  bool parseFunction(FuncDecl &F) {
     F.Line = cur().Line;
     F.Pure = accept(TokKind::KwPure);
     F.RetTy = parseType();
-    F.Name = cur().Text;
+    F.Name = curName();
     if (!expect(TokKind::Ident))
-      return;
+      return false;
     expect(TokKind::LParen);
+    ListBuilder<ParamDecl> Params;
     if (!at(TokKind::RParen)) {
       do {
         ParamDecl PD;
         PD.Ty = parseType();
-        PD.Name = cur().Text;
+        PD.Name = curName();
         expect(TokKind::Ident);
-        F.Params.push_back(std::move(PD));
+        Params.push(P.Arena, PD);
       } while (accept(TokKind::Comma));
     }
+    F.Params = Params.list();
     expect(TokKind::RParen);
     F.Body = parseBlock();
-    P.Funcs.push_back(std::move(F));
+    return true;
   }
 
-  StmtPtr makeStmt(Stmt::Kind K) {
-    auto S = std::make_unique<Stmt>();
+  Stmt *makeStmt(Stmt::Kind K) {
+    Stmt *S = make<Stmt>();
     S->K = K;
     S->Line = cur().Line;
     return S;
   }
 
-  StmtPtr parseBlock() {
-    auto S = makeStmt(Stmt::Block);
+  Stmt *parseBlock() {
+    Stmt *S = makeStmt(Stmt::Block);
     expect(TokKind::LBrace);
+    ListBuilder<Stmt *> Stmts;
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
       size_t Before = Pos;
-      if (StmtPtr Inner = parseStmt())
-        S->Stmts.push_back(std::move(Inner));
+      if (Stmt *Inner = parseStmt())
+        Stmts.push(P.Arena, Inner);
       if (Pos == Before)
         advance();
     }
+    S->Stmts = Stmts.list();
     expect(TokKind::RBrace);
     return S;
   }
 
   /// simple := decl | assignment | expr — without the trailing ';'
   /// (shared by statements and for-headers).
-  StmtPtr parseSimple() {
+  Stmt *parseSimple() {
     if (atType()) {
-      auto S = makeStmt(Stmt::Decl);
+      Stmt *S = makeStmt(Stmt::Decl);
       S->DeclTy = parseType();
-      S->Name = cur().Text;
+      S->Name = curName();
       expect(TokKind::Ident);
       if (accept(TokKind::Assign))
         S->Init = parseExpr();
       return S;
     }
-    ExprPtr E = parseExpr();
+    Expr *E = parseExpr();
     if (!E)
       return nullptr;
     if (accept(TokKind::Assign)) {
@@ -175,8 +257,8 @@ private:
         error("assignment target must be a variable or an element");
         return nullptr;
       }
-      auto S = makeStmt(Stmt::Assign);
-      S->LHS = std::move(E);
+      Stmt *S = makeStmt(Stmt::Assign);
+      S->LHS = E;
       S->RHS = parseExpr();
       return S;
     }
@@ -188,38 +270,38 @@ private:
         error("++/-- applies only to variables");
         return nullptr;
       }
-      auto S = makeStmt(Stmt::Assign);
-      auto RHS = std::make_unique<Expr>();
+      Stmt *S = makeStmt(Stmt::Assign);
+      Expr *RHS = make<Expr>();
       RHS->K = Expr::Binary;
       RHS->Line = S->Line;
       RHS->BOp = Inc ? BinOp::Add : BinOp::Sub;
-      auto V = std::make_unique<Expr>();
+      Expr *V = make<Expr>();
       V->K = Expr::Var;
       V->Name = E->Name;
       V->Line = S->Line;
-      auto One = std::make_unique<Expr>();
+      Expr *One = make<Expr>();
       One->K = Expr::IntLit;
       One->IntVal = 1;
       One->Line = S->Line;
-      RHS->L = std::move(V);
-      RHS->R = std::move(One);
-      S->LHS = std::move(E);
-      S->RHS = std::move(RHS);
+      RHS->L = V;
+      RHS->R = One;
+      S->LHS = E;
+      S->RHS = RHS;
       return S;
     }
-    auto S = makeStmt(Stmt::ExprSt);
-    S->E = std::move(E);
+    Stmt *S = makeStmt(Stmt::ExprSt);
+    S->E = E;
     return S;
   }
 
-  StmtPtr parseStmt() {
+  Stmt *parseStmt() {
     if (at(TokKind::LBrace))
       return parseBlock();
     if (accept(TokKind::Semi))
       return makeStmt(Stmt::Block); // empty statement
 
     if (at(TokKind::KwIf)) {
-      auto S = makeStmt(Stmt::If);
+      Stmt *S = makeStmt(Stmt::If);
       advance();
       expect(TokKind::LParen);
       S->Cond = parseExpr();
@@ -230,7 +312,7 @@ private:
       return S;
     }
     if (at(TokKind::KwWhile)) {
-      auto S = makeStmt(Stmt::While);
+      Stmt *S = makeStmt(Stmt::While);
       advance();
       expect(TokKind::LParen);
       S->Cond = parseExpr();
@@ -239,7 +321,7 @@ private:
       return S;
     }
     if (at(TokKind::KwFor)) {
-      auto S = makeStmt(Stmt::For);
+      Stmt *S = makeStmt(Stmt::For);
       advance();
       expect(TokKind::LParen);
       if (!at(TokKind::Semi))
@@ -255,19 +337,19 @@ private:
       return S;
     }
     if (at(TokKind::KwBreak)) {
-      auto S = makeStmt(Stmt::Break);
+      Stmt *S = makeStmt(Stmt::Break);
       advance();
       expect(TokKind::Semi);
       return S;
     }
     if (at(TokKind::KwContinue)) {
-      auto S = makeStmt(Stmt::Continue);
+      Stmt *S = makeStmt(Stmt::Continue);
       advance();
       expect(TokKind::Semi);
       return S;
     }
     if (at(TokKind::KwReturn)) {
-      auto S = makeStmt(Stmt::Return);
+      Stmt *S = makeStmt(Stmt::Return);
       advance();
       if (!at(TokKind::Semi))
         S->E = parseExpr();
@@ -276,13 +358,15 @@ private:
     }
     if (at(TokKind::KwMakeStatic) || at(TokKind::KwMakeDynamic)) {
       bool IsStatic = at(TokKind::KwMakeStatic);
-      auto S = makeStmt(IsStatic ? Stmt::MakeStatic : Stmt::MakeDynamic);
+      Stmt *S = makeStmt(IsStatic ? Stmt::MakeStatic : Stmt::MakeDynamic);
       advance();
       expect(TokKind::LParen);
+      ListBuilder<Symbol> Vars;
       do {
-        S->Vars.push_back(cur().Text);
+        Vars.push(P.Arena, curName());
         expect(TokKind::Ident);
       } while (accept(TokKind::Comma));
+      S->Vars = Vars.list();
       if (IsStatic && accept(TokKind::Colon)) {
         if (accept(TokKind::KwCacheAll))
           S->Policy = ir::CachePolicy::CacheAll;
@@ -300,15 +384,15 @@ private:
       return S;
     }
 
-    StmtPtr S = parseSimple();
+    Stmt *S = parseSimple();
     expect(TokKind::Semi);
     return S;
   }
 
   // --- Expressions, precedence climbing -------------------------------------
 
-  ExprPtr makeExpr(Expr::Kind K) {
-    auto E = std::make_unique<Expr>();
+  Expr *makeExpr(Expr::Kind K) {
+    Expr *E = make<Expr>();
     E->K = K;
     E->Line = cur().Line;
     return E;
@@ -356,32 +440,32 @@ private:
     }
   }
 
-  ExprPtr parseExpr(int MinPrec = 0) {
-    ExprPtr L = parseUnary();
+  Expr *parseExpr(int MinPrec = 0) {
+    Expr *L = parseUnary();
     while (true) {
       int Prec = precedenceOf(cur().Kind);
       if (Prec < 0 || Prec < MinPrec)
         return L;
       BinOp Op = binOpOf(cur().Kind);
-      auto E = makeExpr(Expr::Binary);
+      Expr *E = makeExpr(Expr::Binary);
       advance();
       E->BOp = Op;
-      E->L = std::move(L);
+      E->L = L;
       E->R = parseExpr(Prec + 1); // left-associative
-      L = std::move(E);
+      L = E;
     }
   }
 
-  ExprPtr parseUnary() {
+  Expr *parseUnary() {
     if (at(TokKind::Minus)) {
-      auto E = makeExpr(Expr::Unary);
+      Expr *E = makeExpr(Expr::Unary);
       advance();
       E->UOp = UnOp::Neg;
       E->L = parseUnary();
       return E;
     }
     if (at(TokKind::Bang)) {
-      auto E = makeExpr(Expr::Unary);
+      Expr *E = makeExpr(Expr::Unary);
       advance();
       E->UOp = UnOp::Not;
       E->L = parseUnary();
@@ -391,7 +475,7 @@ private:
     if (at(TokKind::LParen)) {
       TokKind Next = Toks[Pos + 1].Kind;
       if (Next == TokKind::KwInt || Next == TokKind::KwDouble) {
-        auto E = makeExpr(Expr::Cast);
+        Expr *E = makeExpr(Expr::Cast);
         advance(); // '('
         E->CastTo = parseType();
         expect(TokKind::RParen);
@@ -402,83 +486,74 @@ private:
     return parsePostfix();
   }
 
-  ExprPtr parsePostfix() {
-    ExprPtr E = parsePrimary();
-    while (true) {
-      if (at(TokKind::LBracket) || at(TokKind::AtLBracket)) {
-        bool Static = at(TokKind::AtLBracket);
-        auto Idx = makeExpr(Expr::Index);
-        advance();
-        Idx->StaticIndex = Static;
-        Idx->L = std::move(E);
-        Idx->R = parseExpr();
-        expect(TokKind::RBracket);
-        E = std::move(Idx);
-        continue;
-      }
-      return E;
+  Expr *parsePostfix() {
+    Expr *E = parsePrimary();
+    while (at(TokKind::LBracket) || at(TokKind::AtLBracket)) {
+      bool Static = at(TokKind::AtLBracket);
+      Expr *Idx = makeExpr(Expr::Index);
+      advance();
+      Idx->StaticIndex = Static;
+      Idx->L = E;
+      Idx->R = parseExpr();
+      expect(TokKind::RBracket);
+      E = Idx;
     }
+    return E;
   }
 
-  ExprPtr parsePrimary() {
+  Expr *parsePrimary() {
     if (at(TokKind::IntLit)) {
-      auto E = makeExpr(Expr::IntLit);
+      Expr *E = makeExpr(Expr::IntLit);
       E->IntVal = cur().IntVal;
       advance();
       return E;
     }
     if (at(TokKind::FloatLit)) {
-      auto E = makeExpr(Expr::FloatLit);
+      Expr *E = makeExpr(Expr::FloatLit);
       E->FloatVal = cur().FloatVal;
       advance();
       return E;
     }
     if (at(TokKind::Ident)) {
-      std::string Name = cur().Text;
-      unsigned Line = cur().Line;
+      Expr *E = makeExpr(Expr::Var);
+      E->Name = curName();
       advance();
       if (accept(TokKind::LParen)) {
-        auto E = std::make_unique<Expr>();
         E->K = Expr::Call;
-        E->Name = std::move(Name);
-        E->Line = Line;
+        ListBuilder<Expr *> Args;
         if (!at(TokKind::RParen)) {
           do {
-            E->Args.push_back(parseExpr());
+            Args.push(P.Arena, parseExpr());
           } while (accept(TokKind::Comma));
         }
+        E->Args = Args.list();
         expect(TokKind::RParen);
-        return E;
       }
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Var;
-      E->Name = std::move(Name);
-      E->Line = Line;
       return E;
     }
     if (accept(TokKind::LParen)) {
-      ExprPtr E = parseExpr();
+      Expr *E = parseExpr();
       expect(TokKind::RParen);
       return E;
     }
     error(formatString("expected an expression, found %s",
                        tokKindName(cur().Kind)));
-    auto E = makeExpr(Expr::IntLit);
-    return E;
+    return makeExpr(Expr::IntLit);
   }
 
   std::vector<Token> Toks;
+  ProgramAST &P;
   std::vector<std::string> &Errors;
   size_t Pos = 0;
 };
 
 } // namespace
 
-ProgramAST parseProgram(const std::string &Source,
+ProgramAST parseProgram(std::string_view Source,
                         std::vector<std::string> &Errors) {
-  std::vector<Token> Toks = lex(Source, Errors);
-  Parser P(std::move(Toks), Errors);
-  return P.parse();
+  ProgramAST P;
+  Parser(lex(Source, Errors), P, Errors).parse();
+  return P;
 }
 
 } // namespace frontend

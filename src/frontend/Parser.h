@@ -20,8 +20,9 @@ namespace dyc {
 namespace frontend {
 
 /// Parses \p Source; on error, messages are appended to \p Errors and the
-/// partial AST is still returned.
-ProgramAST parseProgram(const std::string &Source,
+/// partial AST is still returned. The AST keeps no reference to
+/// \p Source.
+ProgramAST parseProgram(std::string_view Source,
                         std::vector<std::string> &Errors);
 
 } // namespace frontend

@@ -5,19 +5,26 @@
 namespace dyc {
 namespace ir {
 
-Reg Function::newReg(Type Ty, const std::string &Name) {
+Reg Function::newReg(Type Ty, std::string_view Name) {
   assert(Ty != Type::Void && "registers cannot be void");
   RegTypes.push_back(Ty);
-  RegNames.push_back(Name.empty()
-                         ? formatString("t%zu", RegTypes.size() - 1)
-                         : Name);
+  NameChars += Name;
+  NameEnd.push_back(static_cast<uint32_t>(NameChars.size()));
   return static_cast<Reg>(RegTypes.size() - 1);
 }
 
-BlockId Function::newBlock(const std::string &Name) {
+std::string Function::regName(Reg R) const {
+  assert(R < RegTypes.size() && "register out of range");
+  uint32_t Begin = R ? NameEnd[R - 1] : 0;
+  if (Begin == NameEnd[R])
+    return "t" + std::to_string(R);
+  return NameChars.substr(Begin, NameEnd[R] - Begin);
+}
+
+BlockId Function::newBlock(std::string_view Name) {
   Blocks.emplace_back();
-  Blocks.back().Name =
-      Name.empty() ? formatString("bb%zu", Blocks.size() - 1) : Name;
+  Blocks.back().Name = Name.empty() ? formatString("bb%zu", Blocks.size() - 1)
+                                    : std::string(Name);
   return static_cast<BlockId>(Blocks.size() - 1);
 }
 

@@ -18,6 +18,7 @@
 #include "ir/Instruction.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dyc {
@@ -60,11 +61,12 @@ public:
   /// time. This is a potentially unsafe programmer assertion, as in DyC.
   bool Pure = false;
 
-  /// Creates a fresh register of type \p Ty with debug name \p Name.
-  Reg newReg(Type Ty, const std::string &Name = "");
+  /// Creates a fresh register of type \p Ty with debug name \p Name;
+  /// without one, regName calls it `tN`.
+  Reg newReg(Type Ty, std::string_view Name = {});
 
   /// Creates a new block; returns its id.
-  BlockId newBlock(const std::string &Name = "");
+  BlockId newBlock(std::string_view Name = {});
 
   BasicBlock &block(BlockId Id) {
     assert(Id < Blocks.size() && "block id out of range");
@@ -83,10 +85,8 @@ public:
     return RegTypes[R];
   }
 
-  const std::string &regName(Reg R) const {
-    assert(R < RegNames.size() && "register out of range");
-    return RegNames[R];
-  }
+  /// \p R's debug name, or `tN` for an unnamed register N.
+  std::string regName(Reg R) const;
 
   /// True if any block contains a MakeStatic annotation — i.e., DyC will
   /// build dynamic regions for this function.
@@ -99,7 +99,10 @@ public:
 
 private:
   std::vector<Type> RegTypes;
-  std::vector<std::string> RegNames;
+  /// Register R's debug name is NameChars[NameEnd[R - 1], NameEnd[R])
+  /// (from 0 for R = 0); empty if it has none.
+  std::vector<uint32_t> NameEnd;
+  std::string NameChars;
 };
 
 } // namespace ir

@@ -23,7 +23,7 @@ Instruction &IRBuilder::append(Instruction I) {
   return B.Instrs.back();
 }
 
-Reg IRBuilder::constI(int64_t V, const std::string &Name) {
+Reg IRBuilder::constI(int64_t V, std::string_view Name) {
   Instruction I;
   I.Op = Opcode::ConstI;
   I.Ty = Type::I64;
@@ -32,7 +32,7 @@ Reg IRBuilder::constI(int64_t V, const std::string &Name) {
   return append(std::move(I)).Dst;
 }
 
-Reg IRBuilder::constF(double V, const std::string &Name) {
+Reg IRBuilder::constF(double V, std::string_view Name) {
   Instruction I;
   I.Op = Opcode::ConstF;
   I.Ty = Type::F64;
@@ -41,21 +41,21 @@ Reg IRBuilder::constF(double V, const std::string &Name) {
   return append(std::move(I)).Dst;
 }
 
-Reg IRBuilder::binary(Opcode Op, Reg A, Reg B, const std::string &Name) {
+Reg IRBuilder::binary(Opcode Op, Reg A, Reg B, std::string_view Name) {
   Type Ty = resultTypeOf(Op);
   Reg Dst = F.newReg(Ty, Name);
   append(makeBinary(Op, Ty, Dst, A, B));
   return Dst;
 }
 
-Reg IRBuilder::unary(Opcode Op, Reg A, const std::string &Name) {
+Reg IRBuilder::unary(Opcode Op, Reg A, std::string_view Name) {
   Type Ty = resultTypeOf(Op);
   Reg Dst = F.newReg(Ty, Name);
   append(makeUnary(Op, Ty, Dst, A));
   return Dst;
 }
 
-Reg IRBuilder::mov(Reg Src, const std::string &Name) {
+Reg IRBuilder::mov(Reg Src, std::string_view Name) {
   Type Ty = F.regType(Src);
   Reg Dst = F.newReg(Ty, Name);
   append(makeUnary(Opcode::Mov, Ty, Dst, Src));
@@ -68,7 +68,7 @@ void IRBuilder::movTo(Reg Dst, Reg Src) {
 }
 
 Reg IRBuilder::load(Reg Addr, int64_t Off, Type Ty, bool Static,
-                    const std::string &Name) {
+                    std::string_view Name) {
   Instruction I;
   I.Op = Opcode::Load;
   I.Ty = Ty;
@@ -89,13 +89,13 @@ void IRBuilder::store(Reg Addr, int64_t Off, Reg Val) {
 }
 
 Reg IRBuilder::call(const Module &M, int Callee,
-                    const std::vector<Reg> &Args, bool Static,
-                    const std::string &Name) {
+                    std::vector<Reg> Args, bool Static,
+                    std::string_view Name) {
   const Function &CF = M.function(Callee);
   Instruction I;
   I.Op = Opcode::Call;
   I.Callee = Callee;
-  I.Args = Args;
+  I.Args = std::move(Args);
   I.StaticCall = Static;
   if (CF.RetTy != Type::Void) {
     I.Ty = CF.RetTy;
@@ -105,13 +105,13 @@ Reg IRBuilder::call(const Module &M, int Callee,
 }
 
 Reg IRBuilder::callExt(const Module &M, int Callee,
-                       const std::vector<Reg> &Args, bool Static,
-                       const std::string &Name) {
+                       std::vector<Reg> Args, bool Static,
+                       std::string_view Name) {
   const ExternalDecl &D = M.external(Callee);
   Instruction I;
   I.Op = Opcode::CallExt;
   I.Callee = Callee;
-  I.Args = Args;
+  I.Args = std::move(Args);
   I.StaticCall = Static;
   if (D.RetTy != Type::Void) {
     I.Ty = D.RetTy;
@@ -143,18 +143,18 @@ void IRBuilder::ret(Reg V) {
   append(std::move(I));
 }
 
-void IRBuilder::makeStatic(const std::vector<Reg> &Vars, CachePolicy Policy) {
+void IRBuilder::makeStatic(std::vector<Reg> Vars, CachePolicy Policy) {
   Instruction I;
   I.Op = Opcode::MakeStatic;
-  I.AnnotVars = Vars;
+  I.AnnotVars = std::move(Vars);
   I.Policy = Policy;
   append(std::move(I));
 }
 
-void IRBuilder::makeDynamic(const std::vector<Reg> &Vars) {
+void IRBuilder::makeDynamic(std::vector<Reg> Vars) {
   Instruction I;
   I.Op = Opcode::MakeDynamic;
-  I.AnnotVars = Vars;
+  I.AnnotVars = std::move(Vars);
   append(std::move(I));
 }
 

@@ -28,15 +28,15 @@ public:
   BlockId insertPoint() const { return Cur; }
   Function &function() { return F; }
 
-  Reg constI(int64_t V, const std::string &Name = "");
-  Reg constF(double V, const std::string &Name = "");
+  Reg constI(int64_t V, std::string_view Name = {});
+  Reg constF(double V, std::string_view Name = {});
 
   /// Two-operand arithmetic/compare; the result type is inferred from the
   /// opcode.
-  Reg binary(Opcode Op, Reg A, Reg B, const std::string &Name = "");
+  Reg binary(Opcode Op, Reg A, Reg B, std::string_view Name = {});
 
-  Reg unary(Opcode Op, Reg A, const std::string &Name = "");
-  Reg mov(Reg Src, const std::string &Name = "");
+  Reg unary(Opcode Op, Reg A, std::string_view Name = {});
+  Reg mov(Reg Src, std::string_view Name = {});
 
   /// Copies \p Src into the existing register \p Dst (used for assignments
   /// to named variables in the non-SSA IR).
@@ -45,22 +45,22 @@ public:
   /// Loads Mem[Addr + Off]; \p Static is the `@` annotation; \p Ty is the
   /// loaded value's type.
   Reg load(Reg Addr, int64_t Off, Type Ty, bool Static = false,
-           const std::string &Name = "");
+           std::string_view Name = {});
   void store(Reg Addr, int64_t Off, Reg Val);
 
   /// Calls module function \p Callee; Dst is NoReg for void calls.
-  Reg call(const Module &M, int Callee, const std::vector<Reg> &Args,
-           bool Static = false, const std::string &Name = "");
-  Reg callExt(const Module &M, int Callee, const std::vector<Reg> &Args,
-              bool Static = false, const std::string &Name = "");
+  Reg call(const Module &M, int Callee, std::vector<Reg> Args,
+           bool Static = false, std::string_view Name = {});
+  Reg callExt(const Module &M, int Callee, std::vector<Reg> Args,
+              bool Static = false, std::string_view Name = {});
 
   void br(BlockId Target);
   void condBr(Reg Cond, BlockId T, BlockId FBlk);
   void ret(Reg V = NoReg);
 
-  void makeStatic(const std::vector<Reg> &Vars,
+  void makeStatic(std::vector<Reg> Vars,
                   CachePolicy Policy = CachePolicy::CacheAll);
-  void makeDynamic(const std::vector<Reg> &Vars);
+  void makeDynamic(std::vector<Reg> Vars);
 
 private:
   Instruction &append(Instruction I);

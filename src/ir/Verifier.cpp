@@ -58,11 +58,10 @@ struct Checker {
   bool regOk(Reg R) const { return R < F.numRegs(); }
 
   bool checkInstr(size_t B, size_t Idx, const Instruction &I) {
-    std::vector<Reg> Uses;
-    I.appendUses(Uses);
-    for (Reg U : Uses)
-      if (!regOk(U))
-        return fail(B, Idx, "use of out-of-range register");
+    bool UsesOk = true;
+    I.forEachUse([&](Reg U) { UsesOk &= regOk(U); });
+    if (!UsesOk)
+      return fail(B, Idx, "use of out-of-range register");
     if (I.Dst != NoReg && !regOk(I.Dst))
       return fail(B, Idx, "out-of-range destination register");
     if (I.Dst != NoReg && I.Ty == Type::Void)

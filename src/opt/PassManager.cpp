@@ -31,14 +31,11 @@ unsigned runStaticOptimizations(ir::Function &F, const ir::Module &M) {
     }
     Count(runCopyPropagation(F, RD));
 
-    // Coalescing renames definitions, so DCE rebuilds liveness after it
-    // changed something. (Conservative: no block's live-in or live-out
-    // set changes; see docs/INTERNALS.md section 2.)
+    // Coalescing renames only block-local temporaries, so no block's
+    // live-in or live-out set changes and DCE reads the same Liveness
+    // (docs/INTERNALS.md section 2).
     analysis::Liveness LV(F, G);
-    bool Coalesced = runCoalesceMoves(F, LV);
-    Count(Coalesced);
-    if (Coalesced)
-      LV = analysis::Liveness(F, G);
+    Count(runCoalesceMoves(F, LV));
     Count(runDeadCodeElim(F, M, LV));
 
     Count(runSimplifyCFG(F));

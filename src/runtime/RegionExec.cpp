@@ -20,12 +20,6 @@ void ChainRegistry::add(std::shared_ptr<CodeChain> Chain) {
   Map[&Chain->CO] = std::move(Chain);
 }
 
-std::shared_ptr<CodeChain> ChainRegistry::find(const vm::CodeObject *CO) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  auto It = Map.find(CO);
-  return It == Map.end() ? nullptr : It->second;
-}
-
 void ChainRegistry::releaseExecutor(const vm::CodeObject *CO) const {
   std::shared_lock<std::shared_mutex> Lock(Mutex);
   auto It = Map.find(CO);
@@ -124,10 +118,6 @@ RegionStats &RegionExecutionCore::statsMutable(size_t Ordinal) {
 //===----------------------------------------------------------------------===//
 // Dispatch sites
 //===----------------------------------------------------------------------===//
-
-DispatchSite RegionExecutionCore::siteInfo(size_t Idx) const {
-  return siteRef(Idx);
-}
 
 const DispatchSite &RegionExecutionCore::siteRef(size_t Idx) const {
   // The lock only orders this read against a concurrent internSite: deque

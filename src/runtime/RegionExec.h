@@ -31,7 +31,7 @@
 /// Concurrency contract: specializeInto / admit / displaced and the
 /// resident/disassembly accessors must be serialized by the caller (the
 /// server holds its specialization lock; the inline runtime is
-/// single-threaded). internSite / siteInfo and the chain registry are
+/// single-threaded). internSite / siteRef and the chain registry are
 /// internally thread-safe — clients resolve sites and release executors
 /// while workers specialize.
 ///
@@ -114,9 +114,6 @@ struct CodeChain {
 class ChainRegistry {
 public:
   void add(std::shared_ptr<CodeChain> Chain);
-
-  /// Chain owning \p CO, or null.
-  std::shared_ptr<CodeChain> find(const vm::CodeObject *CO) const;
 
   /// Convenience for the exit callback: decrement without copying the
   /// shared_ptr. No-op for unknown CodeObjects.
@@ -283,8 +280,6 @@ public:
 
   // --- Dispatch sites (thread-safe) -------------------------------------------
 
-  DispatchSite siteInfo(size_t Idx) const;
-
   /// Borrowed reference to an interned site — the dispatch fast path's
   /// copy-free accessor. Sites are immutable once interned and live in a
   /// deque, so the reference stays valid for the core's lifetime; the
@@ -358,9 +353,6 @@ public:
 
   void releaseExecutor(const vm::CodeObject *CO) const {
     Chains.releaseExecutor(CO);
-  }
-  std::shared_ptr<CodeChain> findChain(const vm::CodeObject *CO) const {
-    return Chains.find(CO);
   }
   /// Frees drained evicted chains; the caller must guarantee no client can
   /// be entering them (inline: between VM runs; server: dispatch gate).

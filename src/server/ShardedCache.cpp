@@ -237,12 +237,6 @@ void ShardedCache::erase(const CacheRecord *Rec) {
   republish(P);
 }
 
-size_t ShardedCache::entries(size_t Point) const {
-  assert(Point < Points.size() && "bad cache point");
-  std::lock_guard<std::mutex> Lock(stripeFor(Point));
-  return Points[Point].Records.size();
-}
-
 size_t ShardedCache::trimGraveyard() {
   // Lock every stripe (fixed order; no other path takes two at once).
   for (std::mutex &M : Stripes)

@@ -107,9 +107,6 @@ public:
   /// No-op if the record was already displaced.
   void erase(const CacheRecord *Rec);
 
-  /// Live records at \p Point (writer-side count).
-  size_t entries(size_t Point) const;
-
   /// Frees retired snapshots. The caller must guarantee no reader is
   /// inside lookup() (the server checks its in-flight dispatch count).
   /// Returns the number freed.

@@ -55,11 +55,6 @@ void JobQueue::shutdown() {
   NotFull.notify_all();
 }
 
-size_t JobQueue::depth() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Ready.size();
-}
-
 size_t JobQueue::pending() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return InFlight.size();

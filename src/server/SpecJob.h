@@ -97,8 +97,6 @@ public:
   /// Wakes everyone; pop() returns null once the queue drains.
   void shutdown();
 
-  size_t depth() const;
-
   /// Jobs created but not yet finished (queued or being specialized).
   size_t pending() const;
 

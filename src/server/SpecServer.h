@@ -168,10 +168,6 @@ public:
   /// Zeroes if the tenant was never registered.
   ServerStatsSnapshot tenantStats(uint32_t TenantId) const;
 
-  size_t numTenants() const {
-    std::shared_lock<std::shared_mutex> L(TenantsMutex);
-    return Tenants.size();
-  }
   /// Chains resident in the cross-tenant store.
   size_t storeChains() const { return Store.size(); }
   /// Interned dispatch sites (thread-safe).

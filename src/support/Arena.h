@@ -53,6 +53,10 @@ public:
   explicit BumpArena(size_t ChunkBytes = 1 << 16) : ChunkBytes(ChunkBytes) {}
   BumpArena(const BumpArena &) = delete;
   BumpArena &operator=(const BumpArena &) = delete;
+  /// Moving takes the chunks along; what was allocated stays where it is.
+  /// Not while a Scope is open on the source.
+  BumpArena(BumpArena &&) = default;
+  BumpArena &operator=(BumpArena &&) = default;
 
   void *allocate(size_t Bytes, size_t Align);
   void deallocate(void *, size_t) {} ///< reclaimed by Scope / reset()

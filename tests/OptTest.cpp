@@ -233,9 +233,9 @@ TEST(RoundSchedule, FoldedBranchAndCoalesceInOneRound) {
 
 TEST(RoundSchedule, CoalescingKeepsBlockBoundaryLiveness) {
   // Coalescing renames a temporary's block-local definition; no register
-  // enters or leaves a block's live-in or live-out set. So DCE would see
-  // the same liveness had it reused the one CoalesceMoves read; the round
-  // schedule rebuilds it anyway.
+  // enters or leaves a block's live-in or live-out set. So DCE sees the
+  // same liveness when it reuses the one CoalesceMoves read, which is what
+  // the round schedule does.
   size_t Coalesced = 0;
   for (const workloads::Workload &W : workloads::allWorkloads()) {
     ir::Module M = reftest::lowerForOptimizer(W.Source);
