@@ -13,16 +13,6 @@ using namespace ir;
 
 namespace {
 
-bool isUnaryOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov: case Opcode::Neg: case Opcode::FNeg:
-  case Opcode::IToF: case Opcode::FToI:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Zero/copy-propagation candidacy (section 2.2.7): one static operand on
 /// an operation a special value could reduce to a move or clear.
 bool zcpCandidate(Opcode Op, bool AStatic, bool BStatic) {

@@ -100,10 +100,9 @@ public:
 
   /// op(A, B): folded now when both sides are plan literals, else a
   /// derived expression captured at the current step. evalPureOp fails
-  /// only for integer division by zero, so that test guards.
+  /// only where the op table's fault condition holds, so that test guards.
   bool fold(Opcode Op, PlanRef A, PlanRef B, PlanRef &Out) {
-    if ((Op == Opcode::Div || Op == Opcode::Rem) &&
-        eqBits(B, Word::fromInt(0)))
+    if (ir::opcodeInfo(Op).Fault == OpFault::ZeroB && eqBits(B, zeroBWord()))
       return false;
     Word W;
     if (A.K == PlanRef::Lit && B.K == PlanRef::Lit &&

@@ -99,7 +99,7 @@ struct PlanRef {
 /// concrete domain would have read them.
 struct PlanExpr {
   enum Kind : uint8_t {
-    Pure, ///< evalPureOp(Op, A, B) — guarded against Div/Rem-by-zero
+    Pure, ///< evalPureOp(Op, A, B) — guarded against the op's fault
     Log2, ///< log2OfPow2(A.asInt()) — guarded by a Pow2Ge2 branch
   } K = Pure;
   ir::Opcode Op = ir::Opcode::Mov;

@@ -15,36 +15,10 @@ namespace v = vm;
 
 v::Op vmOpOf(Opcode Op) {
   switch (Op) {
-  case Opcode::Add: return v::Op::Add;
-  case Opcode::Sub: return v::Op::Sub;
-  case Opcode::Mul: return v::Op::Mul;
-  case Opcode::Div: return v::Op::Div;
-  case Opcode::Rem: return v::Op::Rem;
-  case Opcode::And: return v::Op::And;
-  case Opcode::Or: return v::Op::Or;
-  case Opcode::Xor: return v::Op::Xor;
-  case Opcode::Shl: return v::Op::Shl;
-  case Opcode::Shr: return v::Op::Shr;
-  case Opcode::Neg: return v::Op::Neg;
-  case Opcode::FAdd: return v::Op::FAdd;
-  case Opcode::FSub: return v::Op::FSub;
-  case Opcode::FMul: return v::Op::FMul;
-  case Opcode::FDiv: return v::Op::FDiv;
-  case Opcode::FNeg: return v::Op::FNeg;
-  case Opcode::CmpEq: return v::Op::CmpEq;
-  case Opcode::CmpNe: return v::Op::CmpNe;
-  case Opcode::CmpLt: return v::Op::CmpLt;
-  case Opcode::CmpLe: return v::Op::CmpLe;
-  case Opcode::CmpGt: return v::Op::CmpGt;
-  case Opcode::CmpGe: return v::Op::CmpGe;
-  case Opcode::FCmpEq: return v::Op::FCmpEq;
-  case Opcode::FCmpNe: return v::Op::FCmpNe;
-  case Opcode::FCmpLt: return v::Op::FCmpLt;
-  case Opcode::FCmpLe: return v::Op::FCmpLe;
-  case Opcode::FCmpGt: return v::Op::FCmpGt;
-  case Opcode::FCmpGe: return v::Op::FCmpGe;
-  case Opcode::IToF: return v::Op::IToF;
-  case Opcode::FToI: return v::Op::FToI;
+#define DYC_PURE(Name, Mnemonic, Shape, OpTy, ResTy, Cost, Fault, Msg, Value)  \
+  case Opcode::Name:                                                           \
+    return v::Op::Name;
+#include "support/OpTable.def"
   default:
     fatal("opcode has no reg-reg VM form");
   }
@@ -52,27 +26,12 @@ v::Op vmOpOf(Opcode Op) {
 
 v::Op immFormOf(Opcode Op) {
   switch (Op) {
-  case Opcode::Add: return v::Op::AddI;
-  case Opcode::Sub: return v::Op::SubI;
-  case Opcode::Mul: return v::Op::MulI;
-  case Opcode::Div: return v::Op::DivI;
-  case Opcode::Rem: return v::Op::RemI;
-  case Opcode::And: return v::Op::AndI;
-  case Opcode::Or: return v::Op::OrI;
-  case Opcode::Xor: return v::Op::XorI;
-  case Opcode::Shl: return v::Op::ShlI;
-  case Opcode::Shr: return v::Op::ShrI;
-  case Opcode::CmpEq: return v::Op::CmpEqI;
-  case Opcode::CmpNe: return v::Op::CmpNeI;
-  case Opcode::CmpLt: return v::Op::CmpLtI;
-  case Opcode::CmpLe: return v::Op::CmpLeI;
-  case Opcode::CmpGt: return v::Op::CmpGtI;
-  case Opcode::CmpGe: return v::Op::CmpGeI;
-  case Opcode::FAdd: return v::Op::FAddI;
-  case Opcode::FSub: return v::Op::FSubI;
-  case Opcode::FMul: return v::Op::FMulI;
-  case Opcode::FDiv: return v::Op::FDivI;
-  default: return v::Op::Halt;
+#define DYC_IMM(Name, Mnemonic, Shape, RegForm, Cost, Fault, Msg)              \
+  case Opcode::RegForm:                                                        \
+    return v::Op::Name;
+#include "support/OpTable.def"
+  default:
+    return v::Op::Halt;
   }
 }
 
@@ -99,20 +58,10 @@ Opcode mirrorCompare(Opcode Op) {
 
 namespace {
 
+/// A pure operation of the op table with two operands.
 bool isBinaryArith(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add: case Opcode::Sub: case Opcode::Mul: case Opcode::Div:
-  case Opcode::Rem: case Opcode::And: case Opcode::Or: case Opcode::Xor:
-  case Opcode::Shl: case Opcode::Shr:
-  case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul: case Opcode::FDiv:
-  case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-  case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-  case Opcode::FCmpEq: case Opcode::FCmpNe: case Opcode::FCmpLt:
-  case Opcode::FCmpLe: case Opcode::FCmpGt: case Opcode::FCmpGe:
-    return true;
-  default:
-    return false;
-  }
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  return Info.Pure && !Info.Unary;
 }
 
 struct FunctionLowering {
@@ -211,8 +160,6 @@ struct FunctionLowering {
 
     for (size_t Idx = 0; Idx != BB.Instrs.size(); ++Idx) {
       const Instruction &I = BB.Instrs[Idx];
-      bool FloatOp = I.Op == Opcode::FAdd || I.Op == Opcode::FSub ||
-                     I.Op == Opcode::FMul || I.Op == Opcode::FDiv;
       if (isBinaryArith(I.Op) && immFormOf(I.Op) != v::Op::Halt) {
         bool C2 = Consts.count(I.Src2) != 0;
         bool C1 = Consts.count(I.Src1) != 0;
@@ -220,7 +167,7 @@ struct FunctionLowering {
         if (C2) {
           FoldSrc2[Idx] = 1;
         } else if (C1 && (isCommutativeOpcode(I.Op) ||
-                          (!FloatOp && mirrorCompare(I.Op) != I.Op))) {
+                          mirrorCompare(I.Op) != I.Op)) {
           FoldSrc1[Idx] = 1;
         }
         if (!FoldSrc1[Idx])
@@ -285,12 +232,6 @@ struct FunctionLowering {
                 I.Src1});
         }
         break;
-      case Opcode::Neg:
-      case Opcode::FNeg:
-      case Opcode::IToF:
-      case Opcode::FToI:
-        emit({vmOpOf(I.Op), I.Dst, I.Src1});
-        break;
       case Opcode::Load:
         if (FoldSrc1[Idx])
           emit({v::Op::LoadAbs, I.Dst, 0, 0,
@@ -352,8 +293,12 @@ struct FunctionLowering {
       case Opcode::MakeDynamic:
         continue;
       default: {
+        assert(opcodeInfo(I.Op).Pure && "unhandled opcode in lowering");
+        if (opcodeInfo(I.Op).Unary) {
+          emit({vmOpOf(I.Op), I.Dst, I.Src1});
+          break;
+        }
         // Binary arithmetic / comparison.
-        assert(isBinaryArith(I.Op) && "unhandled opcode in lowering");
         if (FoldSrc2[Idx]) {
           int64_t Imm = static_cast<int64_t>(Consts[I.Src2].Val.Bits);
           // Strength-reduce constant power-of-two multiply/divide/

@@ -72,8 +72,9 @@ LoweredFunction lowerFunction(const ir::Function &F, const ir::Module &M,
 /// library, asserting that indices line up.
 void bindExternals(const ir::Module &M, vm::Program &Prog);
 
-/// The IR-to-VM encoding tables, shared by this lowering and the run-time
-/// emitter (runtime/Deferral.h), so both encode an operation alike.
+/// The IR-to-VM encoding tables, expanded from the op table and shared by
+/// this lowering and the run-time emitter (runtime/Deferral.h), so both
+/// encode an operation alike.
 vm::Op vmOpOf(ir::Opcode Op);    ///< reg-reg form; fatals if none
 vm::Op immFormOf(ir::Opcode Op); ///< reg-immediate form; vm::Op::Halt if none
 bool isCommutativeOpcode(ir::Opcode Op);

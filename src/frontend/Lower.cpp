@@ -178,7 +178,19 @@ private:
   }
 
   // --- Expressions -------------------------------------------------------------
+  /// Lowers \p E where its value is needed: a void call has none, so it
+  /// is reported and stands in as int 0.
   TValue lowerExpr(const Expr &E) {
+    TValue V = lowerExprOrVoid(E);
+    if (V.Ty != MTy::Void)
+      return V;
+    assert(E.K == Expr::Call && "only a call can be void");
+    error(E.Line, named("value of void function", E.Name) + " used");
+    return {B.constI(0), MTy::Int};
+  }
+
+  /// Lowers \p E, which may be a void call (an expression statement).
+  TValue lowerExprOrVoid(const Expr &E) {
     switch (E.K) {
     case Expr::IntLit:
       return {B.constI(E.IntVal), MTy::Int};
@@ -546,7 +558,7 @@ private:
       return;
     }
     case Stmt::ExprSt:
-      lowerExpr(*S.E);
+      lowerExprOrVoid(*S.E);
       return;
     case Stmt::Break:
     case Stmt::Continue: {
@@ -629,8 +641,18 @@ ir::Module lowerProgram(const ProgramAST &P,
       Callees[E.Name].Ext = Idx;
   }
   // Predeclare every function (headers only) so calls resolve regardless of
-  // definition order.
-  for (const FuncDecl &FD : P.Funcs) {
+  // definition order. A second definition of a name is reported and not
+  // lowered.
+  std::vector<uint8_t> Redefined(P.Funcs.size(), 0);
+  for (size_t FI = 0; FI != P.Funcs.size(); ++FI) {
+    const FuncDecl &FD = P.Funcs[FI];
+    if (Callees[FD.Name].Func >= 0) {
+      Errors.push_back(formatString("line %u: redefinition of function '%s'",
+                                    FD.Line,
+                                    std::string(P.name(FD.Name)).c_str()));
+      Redefined[FI] = 1;
+      continue;
+    }
     ir::Function F;
     F.Name = P.name(FD.Name);
     F.RetTy = irTypeOf(FD.RetTy);
@@ -638,14 +660,15 @@ ir::Module lowerProgram(const ProgramAST &P,
     for (const ParamDecl &PD : FD.Params)
       F.newReg(irTypeOf(PD.Ty), P.name(PD.Name));
     F.NumParams = static_cast<uint32_t>(FD.Params.size());
-    int Idx = M.addFunction(std::move(F));
-    if (Callees[FD.Name].Func < 0)
-      Callees[FD.Name].Func = Idx;
+    Callees[FD.Name].Func = M.addFunction(std::move(F));
   }
   // Lower bodies into fresh Function objects, then swap in (the
   // predeclared stubs only carried the signature).
   ScopeTable Scopes(P.Syms.size());
-  for (const FuncDecl &FD : P.Funcs) {
+  for (size_t FI = 0; FI != P.Funcs.size(); ++FI) {
+    if (Redefined[FI])
+      continue;
+    const FuncDecl &FD = P.Funcs[FI];
     ir::Function F;
     F.Name = P.name(FD.Name);
     F.RetTy = irTypeOf(FD.RetTy);

@@ -20,13 +20,14 @@
 namespace dyc {
 namespace ir {
 
-/// Evaluates \p Op on \p A (and \p B for binary forms). Returns false when
-/// the operation cannot be evaluated (division by zero, or a non-evaluable
-/// opcode).
+/// Evaluates \p Op on \p A (and \p B for binary forms) as the op table
+/// defines it, so the value is the one the VM computes. Returns false when
+/// the operation faults on these operands (its table fault condition holds:
+/// division by zero) or is not evaluable.
 bool evalPureOp(Opcode Op, Word A, Word B, Word &Out);
 
-/// True for opcodes evalPureOp can handle given constant operands
-/// (arithmetic, compares, conversions, moves — not loads/calls/control).
+/// True for opcodes evalPureOp can handle given constant operands: Mov and
+/// the op table's pure operations (not loads, calls or control).
 bool isEvaluableOp(Opcode Op);
 
 } // namespace ir

@@ -6,13 +6,10 @@ namespace dyc {
 namespace ir {
 
 Type resultTypeOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul: case Opcode::FDiv:
-  case Opcode::FNeg: case Opcode::IToF: case Opcode::ConstF:
+  if (Op == Opcode::ConstF)
     return Type::F64;
-  default:
-    return Type::I64;
-  }
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  return Info.Pure ? Info.ResultTy : Type::I64;
 }
 
 Instruction &IRBuilder::append(Instruction I) {

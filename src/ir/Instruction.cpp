@@ -24,54 +24,6 @@ const char *cachePolicyName(CachePolicy P) {
   return "<bad-policy>";
 }
 
-const char *opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstI: return "consti";
-  case Opcode::ConstF: return "constf";
-  case Opcode::Mov: return "mov";
-  case Opcode::Add: return "add";
-  case Opcode::Sub: return "sub";
-  case Opcode::Mul: return "mul";
-  case Opcode::Div: return "div";
-  case Opcode::Rem: return "rem";
-  case Opcode::And: return "and";
-  case Opcode::Or: return "or";
-  case Opcode::Xor: return "xor";
-  case Opcode::Shl: return "shl";
-  case Opcode::Shr: return "shr";
-  case Opcode::Neg: return "neg";
-  case Opcode::FAdd: return "fadd";
-  case Opcode::FSub: return "fsub";
-  case Opcode::FMul: return "fmul";
-  case Opcode::FDiv: return "fdiv";
-  case Opcode::FNeg: return "fneg";
-  case Opcode::CmpEq: return "cmpeq";
-  case Opcode::CmpNe: return "cmpne";
-  case Opcode::CmpLt: return "cmplt";
-  case Opcode::CmpLe: return "cmple";
-  case Opcode::CmpGt: return "cmpgt";
-  case Opcode::CmpGe: return "cmpge";
-  case Opcode::FCmpEq: return "fcmpeq";
-  case Opcode::FCmpNe: return "fcmpne";
-  case Opcode::FCmpLt: return "fcmplt";
-  case Opcode::FCmpLe: return "fcmple";
-  case Opcode::FCmpGt: return "fcmpgt";
-  case Opcode::FCmpGe: return "fcmpge";
-  case Opcode::IToF: return "itof";
-  case Opcode::FToI: return "ftoi";
-  case Opcode::Load: return "load";
-  case Opcode::Store: return "store";
-  case Opcode::Call: return "call";
-  case Opcode::CallExt: return "callext";
-  case Opcode::Br: return "br";
-  case Opcode::CondBr: return "condbr";
-  case Opcode::Ret: return "ret";
-  case Opcode::MakeStatic: return "make_static";
-  case Opcode::MakeDynamic: return "make_dynamic";
-  }
-  return "<bad-opcode>";
-}
-
 bool Instruction::isSideEffectFree() const {
   switch (Op) {
   case Opcode::Store:
@@ -104,13 +56,6 @@ std::string Instruction::toString() const {
   case Opcode::ConstF:
     return formatString("%s = constf %g", R(Dst).c_str(),
                         Word{(uint64_t)Imm}.asFloat());
-  case Opcode::Mov:
-  case Opcode::Neg:
-  case Opcode::FNeg:
-  case Opcode::IToF:
-  case Opcode::FToI:
-    return formatString("%s = %s %s", R(Dst).c_str(), opcodeName(Op),
-                        R(Src1).c_str());
   case Opcode::Load:
     return formatString("%s = load%s [%s + %lld]", R(Dst).c_str(),
                         StaticLoad ? "@" : "", R(Src1).c_str(),
@@ -146,6 +91,9 @@ std::string Instruction::toString() const {
     return S;
   }
   default:
+    if (isUnaryOp(Op))
+      return formatString("%s = %s %s", R(Dst).c_str(), opcodeName(Op),
+                          R(Src1).c_str());
     return formatString("%s = %s %s, %s", R(Dst).c_str(), opcodeName(Op),
                         R(Src1).c_str(), R(Src2).c_str());
   }

@@ -22,6 +22,7 @@
 #ifndef DYC_IR_INSTRUCTION_H
 #define DYC_IR_INSTRUCTION_H
 
+#include "support/OpTable.h"
 #include "support/Support.h"
 
 #include <cstdint>
@@ -68,17 +69,12 @@ enum class Opcode : uint8_t {
   ConstF, ///< Dst <- bitcast double Imm
   Mov,    ///< Dst <- Src1 (type from the register)
 
-  // Integer arithmetic.
-  Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Neg,
-
-  // Floating-point arithmetic.
-  FAdd, FSub, FMul, FDiv, FNeg,
-
-  // Comparisons (I64 result).
-  CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
-  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
-
-  IToF, FToI,
+  // The op table's pure operations (support/OpTable.def), in its order:
+  // Dst <- op(Src1, Src2), or op(Src1) for the unary ones. Integer and
+  // floating arithmetic, comparisons (I64 result) and conversions.
+#define DYC_PURE(Name, Mnemonic, Shape, OpTy, ResTy, Cost, Fault, Msg, Value)  \
+  Name,
+#include "support/OpTable.def"
 
   Load,  ///< Dst <- Mem[Src1 + Imm]; StaticLoad bit = `@` annotation
   Store, ///< Mem[Src1 + Imm] <- Src2
@@ -94,7 +90,66 @@ enum class Opcode : uint8_t {
   MakeDynamic, ///< annotation: demote AnnotVars to dynamic
 };
 
-const char *opcodeName(Opcode Op);
+/// What the op table says about an IR opcode. The fields past Name keep
+/// their defaults for the opcodes that are not one of its pure operations.
+struct OpcodeInfo {
+  const char *Name = nullptr;
+  bool Pure = false;    ///< one of the op table's pure operations
+  bool Unary = false;   ///< a pure operation of Src1 alone
+  bool Compare = false; ///< a pure comparison (I64 result, 0 or 1)
+  Type OperandTy = Type::Void;
+  Type ResultTy = Type::Void;
+  OpFault Fault = OpFault::Never;
+};
+
+namespace detail {
+
+constexpr bool isCompareRow(Opcode Op) {
+  switch (Op) {
+#define DYC_CMP(Name, Mnemonic, Shape, OpTy, Cost, Value) case Opcode::Name:
+#include "support/OpTable.def"
+    return true;
+  default:
+    return false;
+  }
+}
+
+inline constexpr OpcodeInfo OpcodeInfos[] = {
+    {"consti"},
+    {"constf"},
+    {"mov"},
+#define DYC_PURE(Name, Mnemonic, Shape, OpTy, ResTy, Cost, Fault, Msg, Value)  \
+  {Mnemonic, true, OpShape::Shape == OpShape::RR, isCompareRow(Opcode::Name),  \
+   Type::OpTy, Type::ResTy, OpFault::Fault},
+#include "support/OpTable.def"
+    {"load"},
+    {"store"},
+    {"call"},
+    {"callext"},
+    {"br"},
+    {"condbr"},
+    {"ret"},
+    {"make_static"},
+    {"make_dynamic"},
+};
+constexpr size_t NumOpcodes = sizeof(OpcodeInfos) / sizeof(OpcodeInfos[0]);
+static_assert(NumOpcodes == static_cast<size_t>(Opcode::MakeDynamic) + 1);
+inline constexpr OpcodeInfo BadOpcode{"<bad-opcode>"};
+
+} // namespace detail
+
+inline const OpcodeInfo &opcodeInfo(Opcode Op) {
+  size_t K = static_cast<size_t>(Op);
+  return K < detail::NumOpcodes ? detail::OpcodeInfos[K] : detail::BadOpcode;
+}
+
+inline const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
+
+/// True for the opcodes that read Src1 alone: Mov and the unary pure
+/// operations.
+inline bool isUnaryOp(Opcode Op) {
+  return Op == Opcode::Mov || opcodeInfo(Op).Unary;
+}
 
 /// One IR instruction. A single struct covers every opcode; unused fields
 /// stay at their defaults.

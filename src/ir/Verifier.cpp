@@ -7,43 +7,6 @@ namespace ir {
 
 namespace {
 
-/// Expected operand/result typing per opcode.
-bool isIntBinary(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add: case Opcode::Sub: case Opcode::Mul: case Opcode::Div:
-  case Opcode::Rem: case Opcode::And: case Opcode::Or: case Opcode::Xor:
-  case Opcode::Shl: case Opcode::Shr:
-  case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-  case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isFloatBinary(Opcode Op) {
-  switch (Op) {
-  case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul: case Opcode::FDiv:
-  case Opcode::FCmpEq: case Opcode::FCmpNe: case Opcode::FCmpLt:
-  case Opcode::FCmpLe: case Opcode::FCmpGt: case Opcode::FCmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isCompare(Opcode Op) {
-  switch (Op) {
-  case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-  case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-  case Opcode::FCmpEq: case Opcode::FCmpNe: case Opcode::FCmpLt:
-  case Opcode::FCmpLe: case Opcode::FCmpGt: case Opcode::FCmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
 struct Checker {
   const Function &F;
   const Module &M;
@@ -56,6 +19,10 @@ struct Checker {
   }
 
   bool regOk(Reg R) const { return R < F.numRegs(); }
+
+  /// The type of operand \p R; Void for NoReg or an out-of-range register
+  /// (a void call's missing value), which no typed operand accepts.
+  Type tyOf(Reg R) const { return regOk(R) ? F.regType(R) : Type::Void; }
 
   bool checkInstr(size_t B, size_t Idx, const Instruction &I) {
     bool UsesOk = true;
@@ -79,31 +46,15 @@ struct Checker {
         return fail(B, Idx, "constf must produce f64");
       break;
     case Opcode::Mov:
-      if (F.regType(I.Src1) != I.Ty)
+      if (tyOf(I.Src1) != I.Ty)
         return fail(B, Idx, "mov type mismatch");
       break;
-    case Opcode::Neg:
-      if (I.Ty != Type::I64 || F.regType(I.Src1) != Type::I64)
-        return fail(B, Idx, "neg must be i64");
-      break;
-    case Opcode::FNeg:
-      if (I.Ty != Type::F64 || F.regType(I.Src1) != Type::F64)
-        return fail(B, Idx, "fneg must be f64");
-      break;
-    case Opcode::IToF:
-      if (I.Ty != Type::F64 || F.regType(I.Src1) != Type::I64)
-        return fail(B, Idx, "itof types");
-      break;
-    case Opcode::FToI:
-      if (I.Ty != Type::I64 || F.regType(I.Src1) != Type::F64)
-        return fail(B, Idx, "ftoi types");
-      break;
     case Opcode::Load:
-      if (F.regType(I.Src1) != Type::I64)
+      if (tyOf(I.Src1) != Type::I64)
         return fail(B, Idx, "load address must be i64");
       break;
     case Opcode::Store:
-      if (F.regType(I.Src1) != Type::I64)
+      if (tyOf(I.Src1) != Type::I64)
         return fail(B, Idx, "store address must be i64");
       if (!regOk(I.Src2))
         return fail(B, Idx, "store value register out of range");
@@ -137,7 +88,7 @@ struct Checker {
     case Opcode::CondBr:
       if (I.TrueSucc >= F.numBlocks() || I.FalseSucc >= F.numBlocks())
         return fail(B, Idx, "condbr to out-of-range block");
-      if (F.regType(I.Src1) != Type::I64)
+      if (tyOf(I.Src1) != Type::I64)
         return fail(B, Idx, "condbr condition must be i64");
       break;
     case Opcode::Ret:
@@ -145,7 +96,7 @@ struct Checker {
         if (I.Src1 != NoReg)
           return fail(B, Idx, "void function returns a value");
       } else {
-        if (I.Src1 == NoReg || F.regType(I.Src1) != F.RetTy)
+        if (I.Src1 == NoReg || tyOf(I.Src1) != F.RetTy)
           return fail(B, Idx, "return value type mismatch");
       }
       break;
@@ -155,19 +106,26 @@ struct Checker {
         if (!regOk(R))
           return fail(B, Idx, "annotation names out-of-range register");
       break;
-    default:
-      if (isIntBinary(I.Op)) {
-        if (F.regType(I.Src1) != Type::I64 ||
-            F.regType(I.Src2) != Type::I64)
-          return fail(B, Idx, "integer operands expected");
-      } else if (isFloatBinary(I.Op)) {
-        if (F.regType(I.Src1) != Type::F64 ||
-            F.regType(I.Src2) != Type::F64)
-          return fail(B, Idx, "floating operands expected");
+    default: {
+      // The op table's pure operations, typed by its columns.
+      const OpcodeInfo &Info = opcodeInfo(I.Op);
+      if (Info.Unary) {
+        if (I.Ty != Info.ResultTy || tyOf(I.Src1) != Info.OperandTy)
+          return fail(B, Idx,
+                      Info.OperandTy == Info.ResultTy
+                          ? formatString("%s must be %s", Info.Name,
+                                         typeName(Info.ResultTy))
+                          : formatString("%s types", Info.Name));
+      } else if (Info.Pure) {
+        if (tyOf(I.Src1) != Info.OperandTy || tyOf(I.Src2) != Info.OperandTy)
+          return fail(B, Idx, Info.OperandTy == Type::F64
+                                  ? "floating operands expected"
+                                  : "integer operands expected");
+        if (Info.Compare && I.Ty != Type::I64)
+          return fail(B, Idx, "compare must produce i64");
       }
-      if (isCompare(I.Op) && I.Ty != Type::I64)
-        return fail(B, Idx, "compare must produce i64");
       break;
+    }
     }
     return true;
   }

@@ -32,16 +32,6 @@ bool knownConstant(const Function &F, const analysis::ReachingDefs &RD,
   return true;
 }
 
-bool isUnaryOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov: case Opcode::Neg: case Opcode::FNeg:
-  case Opcode::IToF: case Opcode::FToI:
-    return true;
-  default:
-    return false;
-  }
-}
-
 } // namespace
 
 FoldResult runConstantFold(Function &F, const analysis::ReachingDefs &RD) {

@@ -300,9 +300,9 @@ void DeferralEngineT<Dom>::emitDynamic(const cogen::SetupOp &Op,
   }
 
   // Dynamic constant folding: propagation can turn both operands into
-  // constants. The fold fails only for integer division by zero.
+  // constants. The fold fails only where the op's fault condition holds.
   if (ir::isEvaluableOp(Op.Op) && A.IsConst &&
-      (isUnaryOpcode(Op.Op) || B.IsConst)) {
+      (ir::isUnaryOp(Op.Op) || B.IsConst)) {
     Value Out;
     if (D.fold(Op.Op, A.C, B.C, Out)) {
       D.charge(Charge::EvalOp);
@@ -416,22 +416,6 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
     else if (A.R != Dst)
       D.emit({Ty == ir::Type::F64 ? vm::Op::FMov : vm::Op::Mov, Dst, A.R});
     return;
-  case Opcode::Neg:
-  case Opcode::FNeg:
-  case Opcode::IToF:
-  case Opcode::FToI: {
-    Value Out;
-    if (A.IsConst && D.fold(Op, A.C, Value(), Out)) {
-      emitConst(Dst, Out, Ty);
-      return;
-    }
-    D.emit({cogen::vmOpOf(Op), Dst,
-            regOf(A,
-                  Ty == ir::Type::F64 && Op != Opcode::FToI ? ir::Type::F64
-                                                            : ir::Type::I64,
-                  GX.Scratch0)});
-    return;
-  }
   case Opcode::Load:
     if (A.IsConst) {
       D.charge(Charge::EmitHole);
@@ -455,6 +439,20 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
     break;
   }
 
+  const ir::OpcodeInfo &Info = ir::opcodeInfo(Op);
+  if (Info.Unary) {
+    if (!A.IsConst) {
+      D.emit({cogen::vmOpOf(Op), Dst, A.R});
+      return;
+    }
+    // No unary operation has a fault condition, so a constant folds.
+    Value Out;
+    [[maybe_unused]] bool Folded = D.fold(Op, A.C, Value(), Out);
+    assert(Folded && "unary fold failed");
+    emitConst(Dst, Out, Ty);
+    return;
+  }
+
   // Binary arithmetic / comparison.
   if (A.IsConst && B.IsConst) {
     Value Out;
@@ -462,10 +460,10 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
       emitConst(Dst, Out, Ty);
       return;
     }
-    // Unfoldable (division by zero): emit faithfully so the fault
-    // happens at run time, as it would have in static code.
-    uint32_t RA = regOf(A, ir::Type::I64, GX.Scratch0);
-    uint32_t RB = regOf(B, ir::Type::I64, GX.Scratch1);
+    // Unfoldable (the operation's fault condition holds): emit faithfully
+    // so the fault happens at run time, as it would have in static code.
+    uint32_t RA = regOf(A, Info.OperandTy, GX.Scratch0);
+    uint32_t RB = regOf(B, Info.OperandTy, GX.Scratch1);
     D.emit({cogen::vmOpOf(Op), Dst, RA, RB});
     return;
   }
@@ -476,11 +474,7 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
       D.emitImm({IF, Dst, A.R}, B.C, 0);
       return;
     }
-    bool FloatOperand = Op == Opcode::FCmpEq || Op == Opcode::FCmpNe ||
-                        Op == Opcode::FCmpLt || Op == Opcode::FCmpLe ||
-                        Op == Opcode::FCmpGt || Op == Opcode::FCmpGe;
-    uint32_t RB = regOf(B, FloatOperand ? ir::Type::F64 : ir::Type::I64,
-                        GX.Scratch1);
+    uint32_t RB = regOf(B, Info.OperandTy, GX.Scratch1);
     D.emit({cogen::vmOpOf(Op), Dst, A.R, RB});
     return;
   }
@@ -494,9 +488,7 @@ void DeferralEngineT<Dom>::emitResolved(ir::Opcode Op, ir::Type Ty,
       emitResolved(Mirrored, Ty, Dst, B, A, Imm);
       return;
     }
-    bool FloatOperand = Op == Opcode::FSub || Op == Opcode::FDiv;
-    uint32_t RA = regOf(A, FloatOperand ? ir::Type::F64 : ir::Type::I64,
-                        GX.Scratch0);
+    uint32_t RA = regOf(A, Info.OperandTy, GX.Scratch0);
     D.emit({cogen::vmOpOf(Op), Dst, RA, B.R});
     return;
   }

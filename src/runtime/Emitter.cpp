@@ -5,18 +5,7 @@
 namespace dyc {
 namespace runtime {
 
-using ir::Opcode;
 namespace v = vm;
-
-bool isUnaryOpcode(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov: case Opcode::Neg: case Opcode::FNeg:
-  case Opcode::IToF: case Opcode::FToI:
-    return true;
-  default:
-    return false;
-  }
-}
 
 void Concrete::emit(v::Instr I) {
   if (Buf.Code.size() >= MaxInstrs)

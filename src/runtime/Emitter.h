@@ -144,10 +144,6 @@ inline uint64_t &statOf(RegionStats &S, Stat K) {
   return S.MaterializedDeferred;
 }
 
-/// True for the opcodes the emitter treats as single-operand (fold with
-/// only A resolved).
-bool isUnaryOpcode(ir::Opcode Op);
-
 /// The emit-time value domain: encodes into one code chain's buffer.
 class Concrete {
 public:

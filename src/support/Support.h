@@ -72,8 +72,9 @@ struct Word {
 /// one overflowing quotient, INT64_MIN / -1, wraps to INT64_MIN, and its
 /// remainder is 0. Callers check for a zero divisor first: that is a guest
 /// fault, not a value. Every place the host evaluates guest arithmetic —
-/// both VM engines, ir::evalPureOp (constant folding and the specializer)
-/// and address formation — goes through these.
+/// the op table's values (support/OpTable.def), which both VM engines and
+/// ir::evalPureOp (constant folding and the specializer) compute, and
+/// address formation — goes through these.
 inline int64_t wrapAdd(int64_t A, int64_t B) {
   return static_cast<int64_t>(static_cast<uint64_t>(A) +
                               static_cast<uint64_t>(B));

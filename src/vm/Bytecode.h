@@ -22,6 +22,7 @@
 #ifndef DYC_VM_BYTECODE_H
 #define DYC_VM_BYTECODE_H
 
+#include "support/OpTable.h"
 #include "support/Support.h"
 
 #include <cstdint>
@@ -31,59 +32,13 @@
 namespace dyc {
 namespace vm {
 
-/// Bytecode operations. Register operands name slots in the current frame;
-/// branch targets are absolute instruction indices within the current code
-/// object.
+/// Bytecode operations, one per row of the op table (support/OpTable.def),
+/// in its order; the table gives each one's operands and meaning. Register
+/// operands name slots in the current frame; branch targets are absolute
+/// instruction indices within the current code object.
 enum class Op : uint8_t {
-  // Constants and moves.
-  ConstI, ///< A <- Imm (signed integer)
-  ConstF, ///< A <- Imm (bit pattern of a double)
-  Mov,    ///< A <- R[B] (integer move)
-  FMov,   ///< A <- R[B] (floating move; costs as much as FMul on the Alpha)
-
-  // Integer arithmetic, register-register.
-  Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Neg,
-
-  // Integer arithmetic, register-immediate.
-  AddI, SubI, MulI, DivI, RemI, AndI, OrI, XorI, ShlI, ShrI,
-
-  // Floating-point arithmetic.
-  FAdd, FSub, FMul, FDiv, FNeg,
-  FAddI, FSubI, FMulI, FDivI, ///< Imm holds the bit pattern of a double.
-
-  // Comparisons; result is 0/1 in an integer register.
-  CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
-  CmpEqI, CmpNeI, CmpLtI, CmpLeI, CmpGtI, CmpGeI,
-  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
-
-  // Conversions.
-  IToF, FToI,
-
-  // Memory (word-addressed; one Word per cell).
-  Load,     ///< A <- Mem[R[B] + Imm]
-  LoadAbs,  ///< A <- Mem[Imm]
-  Store,    ///< Mem[R[B] + Imm] <- R[A]
-  StoreAbs, ///< Mem[Imm] <- R[A]
-
-  // Calls. Imm = callee index; args are R[B]..R[B+C-1], copied to the
-  // callee's R[0..C); the return value lands in R[A].
-  Call,
-  CallExt, ///< Imm = external-function index.
-
-  // Control flow.
-  Br,     ///< pc <- B
-  CondBr, ///< pc <- (R[A] != 0) ? B : C
-  Ret,    ///< return R[A]; A == NoReg returns void.
-
-  // DyC run-time interface.
-  EnterRegion, ///< Imm = region id. Traps to the run-time, which dispatches
-               ///< through the region-entry cache and may invoke the
-               ///< specializer; execution resumes in generated code.
-  Dispatch,    ///< Imm = dispatch-descriptor id. Emitted at dynamic-to-static
-               ///< promotion points inside generated code.
-  ExitRegion,  ///< B = resume offset in the function's static code.
-
-  Halt, ///< Stop the machine (top-level driver use only).
+#define DYC_OP(Name, Mnemonic, Shape, Cost) Name,
+#include "support/OpTable.def"
 };
 
 /// Number of distinct opcodes.

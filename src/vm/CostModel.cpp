@@ -21,57 +21,13 @@ uint32_t CostModel::costOf(const Instr &I, bool InDynCode) const {
 }
 
 uint32_t CostModel::baseCostOf(const Instr &I) const {
+  // Each row names the field that prices it. EnterRegion and Dispatch cost
+  // 0 here: the run-time charges them according to the dispatch policy.
   switch (I.Opcode) {
-  case Op::ConstI:
-  case Op::Mov:
-  case Op::Add: case Op::Sub: case Op::And: case Op::Or: case Op::Xor:
-  case Op::Shl: case Op::Shr: case Op::Neg:
-  case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI: case Op::XorI:
-  case Op::ShlI: case Op::ShrI:
-  case Op::CmpEq: case Op::CmpNe: case Op::CmpLt: case Op::CmpLe:
-  case Op::CmpGt: case Op::CmpGe:
-  case Op::CmpEqI: case Op::CmpNeI: case Op::CmpLtI: case Op::CmpLeI:
-  case Op::CmpGtI: case Op::CmpGeI:
-    return IntAlu;
-  case Op::ConstF:
-    return IntAlu; // materialize bit pattern
-  case Op::FMov:
-    return FpMov;
-  case Op::Mul: case Op::MulI:
-    return IntMul;
-  case Op::Div: case Op::Rem: case Op::DivI: case Op::RemI:
-    return IntDiv;
-  case Op::FAdd: case Op::FSub: case Op::FNeg:
-  case Op::FAddI: case Op::FSubI:
-    return FpAdd;
-  case Op::FMul: case Op::FMulI:
-    return FpMul;
-  case Op::FDiv: case Op::FDivI:
-    return FpDiv;
-  case Op::FCmpEq: case Op::FCmpNe: case Op::FCmpLt: case Op::FCmpLe:
-  case Op::FCmpGt: case Op::FCmpGe:
-    return FpAdd;
-  case Op::IToF: case Op::FToI:
-    return Conv;
-  case Op::Load: case Op::LoadAbs:
-    return LoadHit;
-  case Op::Store: case Op::StoreAbs:
-    return StoreCost;
-  case Op::Call: case Op::CallExt:
-    return CallCost;
-  case Op::Br:
-    return BranchCost;
-  case Op::CondBr:
-    return CondBranchCost;
-  case Op::Ret:
-    return RetCost;
-  case Op::EnterRegion:
-  case Op::Dispatch:
-    return 0; // charged by the run-time according to the dispatch policy
-  case Op::ExitRegion:
-    return BranchCost;
-  case Op::Halt:
-    return 0;
+#define DYC_OP(Name, Mnemonic, Shape, Cost)                                    \
+  case Op::Name:                                                               \
+    return Cost;
+#include "support/OpTable.def"
   }
   return IntAlu;
 }

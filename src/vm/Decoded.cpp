@@ -9,13 +9,8 @@ namespace vm {
 
 namespace {
 
-// The direct-mapped part of DOp mirrors Op one-to-one.
-static_assert(static_cast<uint16_t>(DOp::ConstI) ==
-              static_cast<uint16_t>(Op::ConstI));
-static_assert(static_cast<uint16_t>(DOp::ShrI) ==
-              static_cast<uint16_t>(Op::ShrI));
-static_assert(static_cast<uint16_t>(DOp::FCmpGe) ==
-              static_cast<uint16_t>(Op::FCmpGe));
+// The direct-mapped part of DOp mirrors Op one-to-one: both are expanded
+// from the op table.
 static_assert(static_cast<uint16_t>(DOp::Halt) ==
               static_cast<uint16_t>(Op::Halt));
 
@@ -28,29 +23,19 @@ bool endsBlock(Op O) {
 bool isConstLike(Op O) { return O == Op::ConstI || O == Op::ConstF; }
 bool isMovLike(Op O) { return O == Op::Mov || O == Op::FMov; }
 
-/// Compare kind 0..5 = Eq,Ne,Lt,Le,Gt,Ge for the fused compare-and-branch
-/// handlers; -1 if \p O is not a reg-imm integer compare.
-int cmpImmKind(Op O) {
+/// The fused compare-and-branch handler for a compare \p O of the op
+/// table, or DOp::NumHandlers if \p O is not a compare.
+DOp compareBranchHandler(Op O) {
   switch (O) {
-  case Op::CmpEqI: return 0;
-  case Op::CmpNeI: return 1;
-  case Op::CmpLtI: return 2;
-  case Op::CmpLeI: return 3;
-  case Op::CmpGtI: return 4;
-  case Op::CmpGeI: return 5;
-  default: return -1;
-  }
-}
-
-int cmpRegKind(Op O) {
-  switch (O) {
-  case Op::CmpEq: return 0;
-  case Op::CmpNe: return 1;
-  case Op::CmpLt: return 2;
-  case Op::CmpLe: return 3;
-  case Op::CmpGt: return 4;
-  case Op::CmpGe: return 5;
-  default: return -1;
+#define DYC_CMP(Name, Mnemonic, Shape, OpTy, Cost, Value)                      \
+  case Op::Name:                                                               \
+    return DOp::CmpCondBr;
+#define DYC_CMPI(Name, Mnemonic, Shape, RegForm, Cost)                         \
+  case Op::Name:                                                               \
+    return DOp::CmpICondBr;
+#include "support/OpTable.def"
+  default:
+    return DOp::NumHandlers;
   }
 }
 
@@ -71,8 +56,6 @@ DecodedInstr decodeOne(const Instr &I, const CostModel &CM, bool InDynCode) {
   D.B = I.B;
   D.C = I.C;
   D.Imm = I.Imm;
-  if (O == Op::ShlI || O == Op::ShrI)
-    D.Imm = I.Imm & 63; // pre-resolve the shift-amount mask
   D.Cost = CM.costOf(I, InDynCode);
   return D;
 }
@@ -178,7 +161,7 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
       const Instr &X = CO.Code[K];
       const Instr &Y = CO.Code[K + 1];
       DecodedInstr &D = DC->Instrs[K];
-      int Kind;
+      DOp Fused;
       if (isConstLike(X.Opcode) && isConstLike(Y.Opcode)) {
         D.H = static_cast<uint16_t>(DOp::ConstIConstI);
       } else if (isConstLike(X.Opcode) && Y.Opcode == Op::Add) {
@@ -186,13 +169,10 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
       } else if (isMovLike(X.Opcode) && Y.Opcode == Op::Br) {
         D.H = static_cast<uint16_t>(DOp::MovBr);
       } else if (Y.Opcode == Op::CondBr && Y.A == X.A &&
-                 (Kind = cmpImmKind(X.Opcode)) >= 0) {
-        D.H = static_cast<uint16_t>(DOp::CmpICondBr);
-        D.X = static_cast<uint16_t>(Kind);
-      } else if (Y.Opcode == Op::CondBr && Y.A == X.A &&
-                 (Kind = cmpRegKind(X.Opcode)) >= 0) {
-        D.H = static_cast<uint16_t>(DOp::CmpCondBr);
-        D.X = static_cast<uint16_t>(Kind);
+                 (Fused = compareBranchHandler(X.Opcode)) !=
+                     DOp::NumHandlers) {
+        D.H = static_cast<uint16_t>(Fused);
+        D.X = static_cast<uint16_t>(X.Opcode);
       } else if (isConstLike(X.Opcode) && (Y.Opcode == Op::Dispatch ||
                                            Y.Opcode == Op::EnterRegion)) {
         // The specializer materializes the promoted key's constants

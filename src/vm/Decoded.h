@@ -60,29 +60,19 @@ namespace dyc {
 namespace vm {
 
 /// Decoded handler opcodes. The first block mirrors Op one-to-one (same
-/// order); quickened superinstructions follow.
+/// order, expanded from the same op table); quickened superinstructions
+/// follow.
 enum class DOp : uint16_t {
-  ConstI, ConstF, Mov, FMov,
-  Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Neg,
-  AddI, SubI, MulI, DivI, RemI, AndI, OrI, XorI, ShlI, ShrI,
-  FAdd, FSub, FMul, FDiv, FNeg, FAddI, FSubI, FMulI, FDivI,
-  CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
-  CmpEqI, CmpNeI, CmpLtI, CmpLeI, CmpGtI, CmpGeI,
-  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
-  IToF, FToI,
-  Load, LoadAbs, Store, StoreAbs,
-  Call, CallExt,
-  Br, CondBr, Ret,
-  EnterRegion, Dispatch, ExitRegion,
-  Halt,
+#define DYC_OP(Name, Mnemonic, Shape, Cost) Name,
+#include "support/OpTable.def"
   // --- Superinstructions (each executes two original instructions) ------
   ConstIConstI, ///< back-to-back constant materializations (hole-patched
                 ///< ConstI runs from the Emitter)
   ConstIAdd,    ///< ConstI into a scratch register feeding an Add
   MovBr,        ///< register copy falling into an unconditional branch
-  CmpICondBr,   ///< reg-imm compare feeding CondBr; X holds the compare
-                ///< kind (0..5 = Eq,Ne,Lt,Le,Gt,Ge)
-  CmpCondBr,    ///< reg-reg compare feeding CondBr; X as above
+  CmpICondBr,   ///< reg-imm compare feeding CondBr; X holds its Op
+  CmpCondBr,    ///< reg-reg compare (integer or floating) feeding CondBr;
+                ///< X as above
   ConstIDispatch, ///< constant materialization falling into the region
                   ///< trap (the promoted key's last ConstI before a
                   ///< Dispatch/EnterRegion)
@@ -95,12 +85,12 @@ enum class DOp : uint16_t {
 /// stays parallel to the bytecode, so mid-stream entry is always valid).
 struct DecodedInstr {
   uint16_t H = 0; ///< DOp
-  uint16_t X = 0; ///< handler-specific extra (fused compare kind)
+  uint16_t X = 0; ///< handler-specific extra (a fused compare's Op)
   uint32_t A = 0;
   uint32_t B = 0;
   uint32_t C = 0;
   uint32_t Cost = 0; ///< CostModel::costOf(I, IsDynamicCode)
-  int64_t Imm = 0;   ///< shift immediates pre-masked to 0..63
+  int64_t Imm = 0;
 };
 
 /// One I-cache line segment of a block: \p Count consecutive instruction

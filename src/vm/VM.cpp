@@ -2,9 +2,9 @@
 //
 // Two execution engines share this file:
 //
-//  * Legacy — the original fetch/decode/charge-per-instruction switch loop,
-//    kept verbatim as stepOne() both as the reference semantics and as the
-//    slow path of the fast engine.
+//  * Legacy — the fetch/decode/charge-per-instruction switch loop in
+//    stepOne(), the accounting reference and the slow path of the fast
+//    engine.
 //
 //  * Predecoded — executes the DecodedCache translation of each code
 //    object: cycles, fuel, and I-cache probes are charged once per
@@ -13,6 +13,11 @@
 //    computed-goto when DYC_THREADED_DISPATCH is on, a dense switch
 //    otherwise. Both engines produce bit-identical counters; the parity
 //    test (tests/InterpParityTest.cpp) enforces this on every workload.
+//
+// Neither engine states an operation's value: both expand their pure-op
+// handlers from the op table (support/OpTable.def) and compute through
+// the opsem functions the IR's evaluator uses too, and both run calls,
+// returns and the region traps through one helper each.
 //
 // Handler-safety rules for the predecoded engine:
 //  - copy any DecodedInstr fields you need into locals before invoking a
@@ -43,6 +48,22 @@ Word *mapWords(size_t Words) {
   if (P == MAP_FAILED)
     fatal(formatString("cannot map %zu words of VM memory", Words));
   return static_cast<Word *>(P);
+}
+
+/// The value of the op table's comparison \p O on \p A and \p B: the
+/// fused compare-and-branch handlers carry the compare's Op.
+inline Word compareValue(Op O, Word A, Word B) {
+  switch (O) {
+#define DYC_CMP(Name, Mnemonic, Shape, OpTy, Cost, Value)                      \
+  case Op::Name:                                                               \
+    return opsem::Name(A, B);
+#define DYC_CMPI(Name, Mnemonic, Shape, RegForm, Cost)                         \
+  case Op::Name:                                                               \
+    return opsem::RegForm(A, B);
+#include "support/OpTable.def"
+  default:
+    return Word();
+  }
 }
 
 } // namespace
@@ -225,6 +246,120 @@ Word VM::runLegacy(size_t BaseDepth) {
   return LastResult;
 }
 
+//===----------------------------------------------------------------------===//
+// The control operations both engines share. Each acts on the innermost
+// frame, whose PC holds the instruction's own pc on entry.
+//===----------------------------------------------------------------------===//
+
+[[gnu::always_inline]] inline void VM::call(uint32_t RetReg, uint32_t ArgBase,
+                                            uint32_t NArgs, int64_t Imm) {
+  Frame &Fr = Frames.back();
+  if (Frames.size() > 4096)
+    machineError("call stack overflow", Fr);
+  uint32_t Callee = static_cast<uint32_t>(Imm);
+  if (Callee >= Prog.numFunctions())
+    machineError("call to nonexistent function", Fr);
+  ++Fr.PC; // the return pc
+  // The caller's register *buffer* is stable even if the hook below
+  // re-enters the VM and Frames reallocates (the vector object moves, its
+  // heap storage does not) — so the argument copy reads through ArgPtr,
+  // and Fr is never touched past this point.
+  const Word *ArgPtr = Fr.Regs.data() + ArgBase;
+  if (Hook && callGuard(Callee)) [[unlikely]] {
+    Callee = Hook->onGuardedCall(*this, Callee, ArgPtr, NArgs);
+    if (FuncStats.size() < Prog.numFunctions()) [[unlikely]]
+      FuncStats.resize(Prog.numFunctions());
+  }
+  Frame NF;
+  NF.FuncCode = NF.CurCode = &Prog.function(Callee);
+  NF.FuncIdx = Callee;
+  NF.Regs.assign(NF.FuncCode->NumRegs, Word());
+  for (uint32_t K = 0; K != NArgs; ++K)
+    NF.Regs[K] = ArgPtr[K];
+  NF.RetReg = RetReg;
+  NF.StartCycles = ExecCycles;
+  ++FuncStats[Callee].Calls;
+  if (HasOnCall)
+    OnCall(Callee, NF.Regs.data(), NArgs);
+  Frames.push_back(std::move(NF));
+}
+
+[[gnu::always_inline]] inline void VM::callExt(uint32_t RetReg,
+                                               uint32_t ArgBase,
+                                               uint32_t NArgs, int64_t Imm) {
+  std::vector<Word> &R = Frames.back().Regs;
+  const ExternalFunction &E = Prog.Externals.get(static_cast<unsigned>(Imm));
+  assert(NArgs == E.NumArgs && "external call arity mismatch");
+  Word ArgBuf[8];
+  assert(NArgs <= 8 && "too many external arguments");
+  for (uint32_t K = 0; K != NArgs; ++K)
+    ArgBuf[K] = R[ArgBase + K];
+  ExecCycles += E.CostCycles;
+  Word Res = E.Fn(ArgBuf);
+  if (RetReg != NoReg)
+    R[RetReg] = Res;
+}
+
+[[gnu::always_inline]] inline bool VM::ret(uint32_t ValReg,
+                                           size_t BaseDepth) {
+  Frame &Fr = Frames.back();
+  Word Res = ValReg == NoReg ? Word() : Fr.Regs[ValReg];
+  FuncStats[Fr.FuncIdx].InclusiveCycles += ExecCycles - Fr.StartCycles;
+  uint32_t RetReg = Fr.RetReg;
+  if (Hook && Fr.CurCode->IsDynamicCode)
+    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  Frames.pop_back();
+  if (!OsrWatches.empty()) [[unlikely]]
+    dropOsrWatches(Frames.size());
+  if (Frames.size() == BaseDepth) {
+    LastResult = Res;
+    return true;
+  }
+  if (RetReg != NoReg)
+    Frames.back().Regs[RetReg] = Res;
+  return false;
+}
+
+[[gnu::always_inline]] inline void VM::regionTrap(int64_t PointId) {
+  Frame &Fr = Frames.back();
+  if (!Hook)
+    machineError("region trap with no run-time attached", Fr);
+  if (Fr.CurCode->IsDynamicCode)
+    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  // A re-dispatch supersedes any OSR watch armed for this frame.
+  if (!OsrWatches.empty()) [[unlikely]]
+    dropOsrWatches(Frames.size() - 1);
+  RuntimeHook::Target T = Hook->dispatch(*this, PointId, Frames.back().Regs);
+  // The hook may have re-entered the VM (static calls during
+  // specialization) and emitted or evicted code; re-derive the frame.
+  Frame &Fr2 = Frames.back();
+  if (!T.CO)
+    machineError("run-time returned no target", Fr2);
+  Fr2.CurCode = T.CO;
+  Fr2.PC = T.PC;
+  Fr2.Interpret = T.Interpret;
+}
+
+[[gnu::always_inline]] inline void VM::exitRegion(uint32_t Resume) {
+  Frame &Fr = Frames.back();
+  if (Hook && Fr.CurCode->IsDynamicCode)
+    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  if (!OsrWatches.empty()) [[unlikely]]
+    dropOsrWatches(Frames.size() - 1);
+  Frame &Fr2 = Frames.back();
+  Fr2.CurCode = Fr2.FuncCode;
+  Fr2.PC = Resume;
+  Fr2.Interpret = false;
+}
+
+// The second operand of a pure operation, by its op-table shape: none for
+// RR, R[C] for RRR, the immediate's bit pattern for RRI and RRF. \p D is an
+// Instr or a DecodedInstr.
+#define DYC_OPERAND_B_RR(R, D) Word()
+#define DYC_OPERAND_B_RRR(R, D) R[(D).C]
+#define DYC_OPERAND_B_RRI(R, D) Word{static_cast<uint64_t>((D).Imm)}
+#define DYC_OPERAND_B_RRF(R, D) Word{static_cast<uint64_t>((D).Imm)}
+
 void VM::stepOne(size_t BaseDepth) {
   Frame &Fr = Frames.back();
   const CodeObject &CO = *Fr.CurCode;
@@ -253,99 +388,21 @@ void VM::stepOne(size_t BaseDepth) {
     R[I.A] = R[I.B];
     break;
 
-  case Op::Add: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), R[I.C].asInt())); break;
-  case Op::Sub: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), R[I.C].asInt())); break;
-  case Op::Mul: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), R[I.C].asInt())); break;
-  case Op::Div:
-    if (R[I.C].asInt() == 0)
-      machineError("integer divide by zero", Fr);
-    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), R[I.C].asInt()));
-    break;
-  case Op::Rem:
-    if (R[I.C].asInt() == 0)
-      machineError("integer remainder by zero", Fr);
-    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), R[I.C].asInt()));
-    break;
-  case Op::And: R[I.A] = Word::fromInt(R[I.B].asInt() & R[I.C].asInt()); break;
-  case Op::Or:  R[I.A] = Word::fromInt(R[I.B].asInt() | R[I.C].asInt()); break;
-  case Op::Xor: R[I.A] = Word::fromInt(R[I.B].asInt() ^ R[I.C].asInt()); break;
-  case Op::Shl:
-    R[I.A] = Word::fromInt(R[I.B].asInt() << (R[I.C].asInt() & 63));
-    break;
-  case Op::Shr:
-    R[I.A] = Word::fromInt(R[I.B].asInt() >> (R[I.C].asInt() & 63));
-    break;
-  case Op::Neg: R[I.A] = Word::fromInt(wrapNeg(R[I.B].asInt())); break;
-
-  case Op::AddI: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), I.Imm)); break;
-  case Op::SubI: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), I.Imm)); break;
-  case Op::MulI: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), I.Imm)); break;
-  case Op::DivI:
-    if (I.Imm == 0)
-      machineError("integer divide by zero immediate", Fr);
-    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), I.Imm));
-    break;
-  case Op::RemI:
-    if (I.Imm == 0)
-      machineError("integer remainder by zero immediate", Fr);
-    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), I.Imm));
-    break;
-  case Op::AndI: R[I.A] = Word::fromInt(R[I.B].asInt() & I.Imm); break;
-  case Op::OrI:  R[I.A] = Word::fromInt(R[I.B].asInt() | I.Imm); break;
-  case Op::XorI: R[I.A] = Word::fromInt(R[I.B].asInt() ^ I.Imm); break;
-  case Op::ShlI: R[I.A] = Word::fromInt(R[I.B].asInt() << (I.Imm & 63)); break;
-  case Op::ShrI: R[I.A] = Word::fromInt(R[I.B].asInt() >> (I.Imm & 63)); break;
-
-  case Op::FAdd: R[I.A] = Word::fromFloat(R[I.B].asFloat() + R[I.C].asFloat()); break;
-  case Op::FSub: R[I.A] = Word::fromFloat(R[I.B].asFloat() - R[I.C].asFloat()); break;
-  case Op::FMul: R[I.A] = Word::fromFloat(R[I.B].asFloat() * R[I.C].asFloat()); break;
-  case Op::FDiv: R[I.A] = Word::fromFloat(R[I.B].asFloat() / R[I.C].asFloat()); break;
-  case Op::FNeg: R[I.A] = Word::fromFloat(-R[I.B].asFloat()); break;
-
-  case Op::FAddI:
-    R[I.A] = Word::fromFloat(R[I.B].asFloat() +
-                             Word{(uint64_t)I.Imm}.asFloat());
-    break;
-  case Op::FSubI:
-    R[I.A] = Word::fromFloat(R[I.B].asFloat() -
-                             Word{(uint64_t)I.Imm}.asFloat());
-    break;
-  case Op::FMulI:
-    R[I.A] = Word::fromFloat(R[I.B].asFloat() *
-                             Word{(uint64_t)I.Imm}.asFloat());
-    break;
-  case Op::FDivI:
-    R[I.A] = Word::fromFloat(R[I.B].asFloat() /
-                             Word{(uint64_t)I.Imm}.asFloat());
-    break;
-
-  case Op::CmpEq: R[I.A] = Word::fromInt(R[I.B].asInt() == R[I.C].asInt()); break;
-  case Op::CmpNe: R[I.A] = Word::fromInt(R[I.B].asInt() != R[I.C].asInt()); break;
-  case Op::CmpLt: R[I.A] = Word::fromInt(R[I.B].asInt() <  R[I.C].asInt()); break;
-  case Op::CmpLe: R[I.A] = Word::fromInt(R[I.B].asInt() <= R[I.C].asInt()); break;
-  case Op::CmpGt: R[I.A] = Word::fromInt(R[I.B].asInt() >  R[I.C].asInt()); break;
-  case Op::CmpGe: R[I.A] = Word::fromInt(R[I.B].asInt() >= R[I.C].asInt()); break;
-
-  case Op::CmpEqI: R[I.A] = Word::fromInt(R[I.B].asInt() == I.Imm); break;
-  case Op::CmpNeI: R[I.A] = Word::fromInt(R[I.B].asInt() != I.Imm); break;
-  case Op::CmpLtI: R[I.A] = Word::fromInt(R[I.B].asInt() <  I.Imm); break;
-  case Op::CmpLeI: R[I.A] = Word::fromInt(R[I.B].asInt() <= I.Imm); break;
-  case Op::CmpGtI: R[I.A] = Word::fromInt(R[I.B].asInt() >  I.Imm); break;
-  case Op::CmpGeI: R[I.A] = Word::fromInt(R[I.B].asInt() >= I.Imm); break;
-
-  case Op::FCmpEq: R[I.A] = Word::fromInt(R[I.B].asFloat() == R[I.C].asFloat()); break;
-  case Op::FCmpNe: R[I.A] = Word::fromInt(R[I.B].asFloat() != R[I.C].asFloat()); break;
-  case Op::FCmpLt: R[I.A] = Word::fromInt(R[I.B].asFloat() <  R[I.C].asFloat()); break;
-  case Op::FCmpLe: R[I.A] = Word::fromInt(R[I.B].asFloat() <= R[I.C].asFloat()); break;
-  case Op::FCmpGt: R[I.A] = Word::fromInt(R[I.B].asFloat() >  R[I.C].asFloat()); break;
-  case Op::FCmpGe: R[I.A] = Word::fromInt(R[I.B].asFloat() >= R[I.C].asFloat()); break;
-
-  case Op::IToF:
-    R[I.A] = Word::fromFloat(static_cast<double>(R[I.B].asInt()));
-    break;
-  case Op::FToI:
-    R[I.A] = Word::fromInt(wrapFToI(R[I.B].asFloat()));
-    break;
+    // The op table's pure operations: A <- Fn(R[B], operand B).
+#define DYC_STEP(Name, Shape, Fn, Fault, Msg)                                  \
+  case Op::Name: {                                                             \
+    Word Y = DYC_OPERAND_B_##Shape(R, I);                                      \
+    if (opFaults(OpFault::Fault, Y)) [[unlikely]]                              \
+      machineError(Msg, Fr);                                                   \
+    R[I.A] = opsem::Fn(R[I.B], Y);                                             \
+    break;                                                                     \
+  }
+#define DYC_PURE(Name, Mnemonic, Shape, OpTy, ResTy, Cost, Fault, Msg, Value)  \
+  DYC_STEP(Name, Shape, Name, Fault, Msg)
+#define DYC_IMM(Name, Mnemonic, Shape, RegForm, Cost, Fault, Msg)              \
+  DYC_STEP(Name, Shape, RegForm, Fault, Msg)
+#include "support/OpTable.def"
+#undef DYC_STEP
 
   case Op::Load:
     R[I.A] = mem(wrapAdd(R[I.B].asInt(), I.Imm), Fr);
@@ -360,52 +417,12 @@ void VM::stepOne(size_t BaseDepth) {
     mem(I.Imm, Fr) = R[I.A];
     break;
 
-  case Op::Call: {
-    if (Frames.size() > 4096)
-      machineError("call stack overflow", Fr);
-    uint32_t Callee = static_cast<uint32_t>(I.Imm);
-    if (Callee >= Prog.numFunctions())
-      machineError("call to nonexistent function", Fr);
-    Fr.PC = NextPC;
-    // The caller's register *buffer* is stable even if the hook below
-    // re-enters the VM and Frames reallocates (the vector object moves,
-    // its heap storage does not) — so the argument copy reads through
-    // ArgPtr, and Fr/R are never touched past this point.
-    const Word *ArgPtr = R.data() + I.B;
-    if (Hook && callGuard(Callee)) [[unlikely]] {
-      Callee = Hook->onGuardedCall(*this, Callee, ArgPtr, I.C);
-      if (FuncStats.size() < Prog.numFunctions()) [[unlikely]]
-        FuncStats.resize(Prog.numFunctions());
-    }
-    Frame NF;
-    NF.FuncCode = NF.CurCode = &Prog.function(Callee);
-    NF.FuncIdx = Callee;
-    NF.Regs.assign(NF.FuncCode->NumRegs, Word());
-    for (uint32_t K = 0; K != I.C; ++K)
-      NF.Regs[K] = ArgPtr[K];
-    NF.RetReg = I.A;
-    NF.StartCycles = ExecCycles;
-    ++FuncStats[Callee].Calls;
-    if (HasOnCall)
-      OnCall(Callee, NF.Regs.data(), I.C);
-    Frames.push_back(std::move(NF));
+  case Op::Call:
+    call(I.A, I.B, I.C, I.Imm);
     return;
-  }
-
-  case Op::CallExt: {
-    const ExternalFunction &E =
-        Prog.Externals.get(static_cast<unsigned>(I.Imm));
-    assert(I.C == E.NumArgs && "external call arity mismatch");
-    Word ArgBuf[8];
-    assert(I.C <= 8 && "too many external arguments");
-    for (uint32_t K = 0; K != I.C; ++K)
-      ArgBuf[K] = R[I.B + K];
-    ExecCycles += E.CostCycles;
-    Word Res = E.Fn(ArgBuf);
-    if (I.A != NoReg)
-      R[I.A] = Res;
+  case Op::CallExt:
+    callExt(I.A, I.B, I.C, I.Imm);
     break;
-  }
 
   case Op::Br:
     NextPC = I.B;
@@ -414,55 +431,16 @@ void VM::stepOne(size_t BaseDepth) {
     NextPC = R[I.A].asInt() != 0 ? I.B : I.C;
     break;
 
-  case Op::Ret: {
-    Word Res = I.A == NoReg ? Word() : R[I.A];
-    FuncStats[Fr.FuncIdx].InclusiveCycles += ExecCycles - Fr.StartCycles;
-    uint32_t RetReg = Fr.RetReg;
-    if (Hook && Fr.CurCode->IsDynamicCode)
-      Hook->onDynamicCodeExit(*this, Fr.CurCode);
-    Frames.pop_back();
-    if (!OsrWatches.empty()) [[unlikely]]
-      dropOsrWatches(Frames.size());
-    if (Frames.size() == BaseDepth) {
-      LastResult = Res;
-      return;
-    }
-    if (RetReg != NoReg)
-      Frames.back().Regs[RetReg] = Res;
+  case Op::Ret:
+    ret(I.A, BaseDepth);
     return;
-  }
-
   case Op::EnterRegion:
-  case Op::Dispatch: {
-    if (!Hook)
-      machineError("region trap with no run-time attached", Fr);
-    if (Fr.CurCode->IsDynamicCode)
-      Hook->onDynamicCodeExit(*this, Fr.CurCode);
-    // A re-dispatch supersedes any OSR watch armed for this frame.
-    if (!OsrWatches.empty()) [[unlikely]]
-      dropOsrWatches(Frames.size() - 1);
-    RuntimeHook::Target T = Hook->dispatch(*this, I.Imm, Fr.Regs);
-    if (!T.CO)
-      machineError("run-time returned no target", Fr);
-    // The hook may have re-entered the VM (static calls during
-    // specialization); re-establish the frame reference.
-    Frame &Fr2 = Frames.back();
-    Fr2.CurCode = T.CO;
-    Fr2.PC = T.PC;
-    Fr2.Interpret = T.Interpret;
+  case Op::Dispatch:
+    regionTrap(I.Imm);
     return;
-  }
-
-  case Op::ExitRegion: {
-    if (Hook && Fr.CurCode->IsDynamicCode)
-      Hook->onDynamicCodeExit(*this, Fr.CurCode);
-    if (!OsrWatches.empty()) [[unlikely]]
-      dropOsrWatches(Frames.size() - 1);
-    Fr.CurCode = Fr.FuncCode;
-    Fr.PC = I.B;
-    Fr.Interpret = false;
+  case Op::ExitRegion:
+    exitRegion(I.B);
     return;
-  }
 
   case Op::Halt:
     machineError("halt executed", Fr);
@@ -540,20 +518,8 @@ const char *VM::dispatchMode() {
 Word VM::runPredecoded(size_t BaseDepth) {
 #if DYC_USE_CGOTO
   static const void *const HTable[] = {
-      &&L_ConstI,  &&L_ConstF,  &&L_Mov,     &&L_FMov,    &&L_Add,
-      &&L_Sub,     &&L_Mul,     &&L_Div,     &&L_Rem,     &&L_And,
-      &&L_Or,      &&L_Xor,     &&L_Shl,     &&L_Shr,     &&L_Neg,
-      &&L_AddI,    &&L_SubI,    &&L_MulI,    &&L_DivI,    &&L_RemI,
-      &&L_AndI,    &&L_OrI,     &&L_XorI,    &&L_ShlI,    &&L_ShrI,
-      &&L_FAdd,    &&L_FSub,    &&L_FMul,    &&L_FDiv,    &&L_FNeg,
-      &&L_FAddI,   &&L_FSubI,   &&L_FMulI,   &&L_FDivI,   &&L_CmpEq,
-      &&L_CmpNe,   &&L_CmpLt,   &&L_CmpLe,   &&L_CmpGt,   &&L_CmpGe,
-      &&L_CmpEqI,  &&L_CmpNeI,  &&L_CmpLtI,  &&L_CmpLeI,  &&L_CmpGtI,
-      &&L_CmpGeI,  &&L_FCmpEq,  &&L_FCmpNe,  &&L_FCmpLt,  &&L_FCmpLe,
-      &&L_FCmpGt,  &&L_FCmpGe,  &&L_IToF,    &&L_FToI,    &&L_Load,
-      &&L_LoadAbs, &&L_Store,   &&L_StoreAbs, &&L_Call,   &&L_CallExt,
-      &&L_Br,      &&L_CondBr,  &&L_Ret,     &&L_EnterRegion,
-      &&L_Dispatch, &&L_ExitRegion, &&L_Halt,
+#define DYC_OP(Name, Mnemonic, Shape, Cost) &&L_##Name,
+#include "support/OpTable.def"
       &&L_ConstIConstI, &&L_ConstIAdd, &&L_MovBr, &&L_CmpICondBr,
       &&L_CmpCondBr, &&L_ConstIDispatch};
   static_assert(sizeof(HTable) / sizeof(HTable[0]) ==
@@ -639,234 +605,23 @@ restart_frame:
           NEXT();
         }
 
-        CASE(Add) {
-          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), R[IP->C].asInt()));
-          NEXT();
-        }
-        CASE(Sub) {
-          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), R[IP->C].asInt()));
-          NEXT();
-        }
-        CASE(Mul) {
-          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), R[IP->C].asInt()));
-          NEXT();
-        }
-        CASE(Div) {
-          if (R[IP->C].asInt() == 0) {
-            SETPC();
-            machineError("integer divide by zero", Fr);
-          }
-          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), R[IP->C].asInt()));
-          NEXT();
-        }
-        CASE(Rem) {
-          if (R[IP->C].asInt() == 0) {
-            SETPC();
-            machineError("integer remainder by zero", Fr);
-          }
-          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), R[IP->C].asInt()));
-          NEXT();
-        }
-        CASE(And) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() & R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(Or) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() | R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(Xor) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() ^ R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(Shl) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() << (R[IP->C].asInt() & 63));
-          NEXT();
-        }
-        CASE(Shr) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() >> (R[IP->C].asInt() & 63));
-          NEXT();
-        }
-        CASE(Neg) {
-          R[IP->A] = Word::fromInt(wrapNeg(R[IP->B].asInt()));
-          NEXT();
-        }
-
-        CASE(AddI) {
-          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), IP->Imm));
-          NEXT();
-        }
-        CASE(SubI) {
-          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), IP->Imm));
-          NEXT();
-        }
-        CASE(MulI) {
-          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), IP->Imm));
-          NEXT();
-        }
-        CASE(DivI) {
-          if (IP->Imm == 0) {
-            SETPC();
-            machineError("integer divide by zero immediate", Fr);
-          }
-          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), IP->Imm));
-          NEXT();
-        }
-        CASE(RemI) {
-          if (IP->Imm == 0) {
-            SETPC();
-            machineError("integer remainder by zero immediate", Fr);
-          }
-          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), IP->Imm));
-          NEXT();
-        }
-        CASE(AndI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() & IP->Imm);
-          NEXT();
-        }
-        CASE(OrI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() | IP->Imm);
-          NEXT();
-        }
-        CASE(XorI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() ^ IP->Imm);
-          NEXT();
-        }
-        CASE(ShlI) {
-          // shift amount pre-masked at decode time
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() << IP->Imm);
-          NEXT();
-        }
-        CASE(ShrI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() >> IP->Imm);
-          NEXT();
-        }
-
-        CASE(FAdd) {
-          R[IP->A] = Word::fromFloat(R[IP->B].asFloat() + R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FSub) {
-          R[IP->A] = Word::fromFloat(R[IP->B].asFloat() - R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FMul) {
-          R[IP->A] = Word::fromFloat(R[IP->B].asFloat() * R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FDiv) {
-          R[IP->A] = Word::fromFloat(R[IP->B].asFloat() / R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FNeg) {
-          R[IP->A] = Word::fromFloat(-R[IP->B].asFloat());
-          NEXT();
-        }
-
-        CASE(FAddI) {
-          R[IP->A] = Word::fromFloat(
-              R[IP->B].asFloat() + Word{(uint64_t)IP->Imm}.asFloat());
-          NEXT();
-        }
-        CASE(FSubI) {
-          R[IP->A] = Word::fromFloat(
-              R[IP->B].asFloat() - Word{(uint64_t)IP->Imm}.asFloat());
-          NEXT();
-        }
-        CASE(FMulI) {
-          R[IP->A] = Word::fromFloat(
-              R[IP->B].asFloat() * Word{(uint64_t)IP->Imm}.asFloat());
-          NEXT();
-        }
-        CASE(FDivI) {
-          R[IP->A] = Word::fromFloat(
-              R[IP->B].asFloat() / Word{(uint64_t)IP->Imm}.asFloat());
-          NEXT();
-        }
-
-        CASE(CmpEq) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() == R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(CmpNe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() != R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(CmpLt) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() < R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(CmpLe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() <= R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(CmpGt) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() > R[IP->C].asInt());
-          NEXT();
-        }
-        CASE(CmpGe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() >= R[IP->C].asInt());
-          NEXT();
-        }
-
-        CASE(CmpEqI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() == IP->Imm);
-          NEXT();
-        }
-        CASE(CmpNeI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() != IP->Imm);
-          NEXT();
-        }
-        CASE(CmpLtI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() < IP->Imm);
-          NEXT();
-        }
-        CASE(CmpLeI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() <= IP->Imm);
-          NEXT();
-        }
-        CASE(CmpGtI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() > IP->Imm);
-          NEXT();
-        }
-        CASE(CmpGeI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() >= IP->Imm);
-          NEXT();
-        }
-
-        CASE(FCmpEq) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() == R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FCmpNe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() != R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FCmpLt) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() < R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FCmpLe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() <= R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FCmpGt) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() > R[IP->C].asFloat());
-          NEXT();
-        }
-        CASE(FCmpGe) {
-          R[IP->A] = Word::fromInt(R[IP->B].asFloat() >= R[IP->C].asFloat());
-          NEXT();
-        }
-
-        CASE(IToF) {
-          R[IP->A] = Word::fromFloat(static_cast<double>(R[IP->B].asInt()));
-          NEXT();
-        }
-        CASE(FToI) {
-          R[IP->A] = Word::fromInt(wrapFToI(R[IP->B].asFloat()));
-          NEXT();
-        }
+        // The op table's pure operations: A <- Fn(R[B], operand B).
+#define DYC_RUN(Name, Shape, Fn, Fault, Msg)                                   \
+  CASE(Name) {                                                                 \
+    Word Y = DYC_OPERAND_B_##Shape(R, *IP);                                    \
+    if (opFaults(OpFault::Fault, Y)) [[unlikely]] {                            \
+      SETPC();                                                                 \
+      machineError(Msg, Fr);                                                   \
+    }                                                                          \
+    R[IP->A] = opsem::Fn(R[IP->B], Y);                                         \
+    NEXT();                                                                    \
+  }
+#define DYC_PURE(Name, Mnemonic, Shape, OpTy, ResTy, Cost, Fault, Msg, Value)  \
+  DYC_RUN(Name, Shape, Name, Fault, Msg)
+#define DYC_IMM(Name, Mnemonic, Shape, RegForm, Cost, Fault, Msg)              \
+  DYC_RUN(Name, Shape, RegForm, Fault, Msg)
+#include "support/OpTable.def"
+#undef DYC_RUN
 
         CASE(Load) {
           SETPC();
@@ -891,50 +646,11 @@ restart_frame:
 
         CASE(Call) {
           SETPC();
-          if (Frames.size() > 4096)
-            machineError("call stack overflow", Fr);
-          uint32_t Callee = static_cast<uint32_t>(IP->Imm);
-          if (Callee >= Prog.numFunctions())
-            machineError("call to nonexistent function", Fr);
-          uint32_t ArgBase = IP->B;
-          uint32_t NArgs = IP->C;
-          uint32_t RetReg = IP->A;
-          Fr.PC = static_cast<uint32_t>(IP - Instrs) + 1;
-          // R is the frame's stable register buffer; the hook may re-enter
-          // the VM and move the Frame object, but not its heap storage.
-          const Word *ArgPtr = R + ArgBase;
-          if (Hook && callGuard(Callee)) [[unlikely]] {
-            Callee = Hook->onGuardedCall(*this, Callee, ArgPtr, NArgs);
-            if (FuncStats.size() < Prog.numFunctions()) [[unlikely]]
-              FuncStats.resize(Prog.numFunctions());
-          }
-          Frame NF;
-          NF.FuncCode = NF.CurCode = &Prog.function(Callee);
-          NF.FuncIdx = Callee;
-          NF.Regs.assign(NF.FuncCode->NumRegs, Word());
-          for (uint32_t K = 0; K != NArgs; ++K)
-            NF.Regs[K] = ArgPtr[K];
-          NF.RetReg = RetReg;
-          NF.StartCycles = ExecCycles;
-          ++FuncStats[Callee].Calls;
-          if (HasOnCall)
-            OnCall(Callee, NF.Regs.data(), NArgs);
-          Frames.push_back(std::move(NF));
+          call(IP->A, IP->B, IP->C, IP->Imm);
           goto restart_frame;
         }
-
         CASE(CallExt) {
-          const ExternalFunction &E =
-              Prog.Externals.get(static_cast<unsigned>(IP->Imm));
-          assert(IP->C == E.NumArgs && "external call arity mismatch");
-          Word ArgBuf[8];
-          assert(IP->C <= 8 && "too many external arguments");
-          for (uint32_t K = 0; K != IP->C; ++K)
-            ArgBuf[K] = R[IP->B + K];
-          ExecCycles += E.CostCycles;
-          Word Res = E.Fn(ArgBuf);
-          if (IP->A != NoReg)
-            R[IP->A] = Res;
+          callExt(IP->A, IP->B, IP->C, IP->Imm);
           NEXT();
         }
 
@@ -943,57 +659,19 @@ restart_frame:
 
         CASE(Ret) {
           SETPC();
-          Word Res = IP->A == NoReg ? Word() : R[IP->A];
-          FuncStats[Fr.FuncIdx].InclusiveCycles += ExecCycles - Fr.StartCycles;
-          uint32_t RetReg = Fr.RetReg;
-          if (Hook && CO->IsDynamicCode)
-            Hook->onDynamicCodeExit(*this, CO);
-          Frames.pop_back();
-          if (!OsrWatches.empty()) [[unlikely]]
-            dropOsrWatches(Frames.size());
-          if (Frames.size() == BaseDepth) {
-            LastResult = Res;
-            return Res;
-          }
-          if (RetReg != NoReg)
-            Frames.back().Regs[RetReg] = Res;
+          if (ret(IP->A, BaseDepth))
+            return LastResult;
           goto restart_frame;
         }
-
         CASE(EnterRegion)
         CASE(Dispatch) {
           SETPC();
-          if (!Hook)
-            machineError("region trap with no run-time attached", Fr);
-          int64_t PointId = IP->Imm;
-          if (CO->IsDynamicCode)
-            Hook->onDynamicCodeExit(*this, CO);
-          if (!OsrWatches.empty()) [[unlikely]]
-            dropOsrWatches(Frames.size() - 1);
-          RuntimeHook::Target T =
-              Hook->dispatch(*this, PointId, Frames.back().Regs);
-          if (!T.CO)
-            machineError("run-time returned no target", Frames.back());
-          // The hook may have re-entered the VM and emitted or evicted
-          // code; re-derive the frame and translation from scratch.
-          Frame &Fr2 = Frames.back();
-          Fr2.CurCode = T.CO;
-          Fr2.PC = T.PC;
-          Fr2.Interpret = T.Interpret;
+          regionTrap(IP->Imm);
           goto restart_frame;
         }
-
         CASE(ExitRegion) {
           SETPC();
-          uint32_t Resume = IP->B;
-          if (Hook && CO->IsDynamicCode)
-            Hook->onDynamicCodeExit(*this, CO);
-          if (!OsrWatches.empty()) [[unlikely]]
-            dropOsrWatches(Frames.size() - 1);
-          Frame &Fr2 = Frames.back();
-          Fr2.CurCode = Fr2.FuncCode;
-          Fr2.PC = Resume;
-          Fr2.Interpret = false;
+          exitRegion(IP->B);
           goto restart_frame;
         }
 
@@ -1022,58 +700,24 @@ restart_frame:
           BRANCH(IP[1].B);
         }
         CASE(CmpICondBr) {
-          int64_t L = R[IP->B].asInt();
-          int64_t Rhs = IP->Imm;
-          bool V;
-          switch (IP->X) {
-          case 0: V = L == Rhs; break;
-          case 1: V = L != Rhs; break;
-          case 2: V = L < Rhs; break;
-          case 3: V = L <= Rhs; break;
-          case 4: V = L > Rhs; break;
-          default: V = IP->X == 5 ? L >= Rhs : false; break;
-          }
-          R[IP->A] = Word::fromInt(V);
-          BRANCH(V ? IP[1].B : IP[1].C);
+          Word V = compareValue(static_cast<Op>(IP->X), R[IP->B],
+                                DYC_OPERAND_B_RRI(R, *IP));
+          R[IP->A] = V;
+          BRANCH(V.asInt() != 0 ? IP[1].B : IP[1].C);
         }
         CASE(CmpCondBr) {
-          int64_t L = R[IP->B].asInt();
-          int64_t Rhs = R[IP->C].asInt();
-          bool V;
-          switch (IP->X) {
-          case 0: V = L == Rhs; break;
-          case 1: V = L != Rhs; break;
-          case 2: V = L < Rhs; break;
-          case 3: V = L <= Rhs; break;
-          case 4: V = L > Rhs; break;
-          default: V = IP->X == 5 ? L >= Rhs : false; break;
-          }
-          R[IP->A] = Word::fromInt(V);
-          BRANCH(V ? IP[1].B : IP[1].C);
+          Word V = compareValue(static_cast<Op>(IP->X), R[IP->B],
+                                DYC_OPERAND_B_RRR(R, *IP));
+          R[IP->A] = V;
+          BRANCH(V.asInt() != 0 ? IP[1].B : IP[1].C);
         }
         CASE(ConstIDispatch) {
           // The promoted key's last constant materialization falling into
-          // the region trap. Same body as Dispatch above (a goto into
-          // that block would jump past its declarations), reading the
-          // trap slot's operands from IP[1]; the key register is written
-          // into the frame storage the hook reads.
+          // the region trap, whose operands are in IP[1]; the key register
+          // is written into the frame storage the hook reads.
           R[IP->A] = Word{static_cast<uint64_t>(IP->Imm)};
           Fr.PC = static_cast<uint32_t>(IP + 1 - Instrs);
-          if (!Hook)
-            machineError("region trap with no run-time attached", Fr);
-          int64_t PointId = IP[1].Imm;
-          if (CO->IsDynamicCode)
-            Hook->onDynamicCodeExit(*this, CO);
-          if (!OsrWatches.empty()) [[unlikely]]
-            dropOsrWatches(Frames.size() - 1);
-          RuntimeHook::Target T =
-              Hook->dispatch(*this, PointId, Frames.back().Regs);
-          if (!T.CO)
-            machineError("run-time returned no target", Frames.back());
-          Frame &Fr2 = Frames.back();
-          Fr2.CurCode = T.CO;
-          Fr2.PC = T.PC;
-          Fr2.Interpret = T.Interpret;
+          regionTrap(IP[1].Imm);
           goto restart_frame;
         }
 
@@ -1106,6 +750,10 @@ restart_frame:
 #undef NEXT
 #undef NEXT2
 #undef BRANCH
+#undef DYC_OPERAND_B_RR
+#undef DYC_OPERAND_B_RRR
+#undef DYC_OPERAND_B_RRI
+#undef DYC_OPERAND_B_RRF
 
 } // namespace vm
 } // namespace dyc

@@ -350,6 +350,25 @@ private:
   Word runLegacy(size_t BaseDepth);
   Word runPredecoded(size_t BaseDepth);
 
+  /// The control operations, written once for both engines and inlined
+  /// into each (defined in VM.cpp, their only user). Each acts on the
+  /// innermost frame, whose PC must be the instruction's own pc.
+  /// Call: checks the callee and pushes its frame; the caller resumes at
+  /// PC + 1.
+  inline void call(uint32_t RetReg, uint32_t ArgBase, uint32_t NArgs,
+                   int64_t Imm);
+  /// CallExt: runs external function \p Imm on R[ArgBase..+NArgs).
+  inline void callExt(uint32_t RetReg, uint32_t ArgBase, uint32_t NArgs,
+                      int64_t Imm);
+  /// Ret: pops the frame; true if it was the run's outermost, whose value
+  /// is then LastResult.
+  inline bool ret(uint32_t ValReg, size_t BaseDepth);
+  /// EnterRegion/Dispatch: traps to the run-time and moves the frame to
+  /// the target it returns.
+  inline void regionTrap(int64_t PointId);
+  /// ExitRegion: resumes the function's static code at \p Resume.
+  inline void exitRegion(uint32_t Resume);
+
   /// Checks the armed watches against the innermost frame's current
   /// position; on a match asks Hook->onOsrPoll and, if it answers with a
   /// target, transfers the frame. Returns true when a transfer happened

@@ -487,7 +487,13 @@ const BadProgram BadPrograms[] = {
   {"int* f(double x) { return x; }",
    {"line 1: in 'f': cannot assign double to int*"}},
   {"void g() { }\nint h(int a) { return a; }\nint f() { return h(g()); }",
-   {"IR verification failed: f: bb0[1]: use of out-of-range register"}},
+   {"line 3: in 'f': value of void function 'g' used"}},
+  {"void g() { }\nint f() { if (g()) { return 1; } return 0; }",
+   {"line 2: in 'f': value of void function 'g' used"}},
+  {"void g() { }\nint f() { return g() + 1; }",
+   {"line 2: in 'f': value of void function 'g' used"}},
+  {"int f() { return 1; }\nint f() { return 2; }",
+   {"line 2: redefinition of function 'f'"}},
   {"int g() { return u; }\nint h() { return v; }",
    {"line 1: in 'g': use of undeclared variable 'u'",
     "line 2: in 'h': use of undeclared variable 'v'"}},

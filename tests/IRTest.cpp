@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 using namespace dyc;
 using namespace dyc::ir;
@@ -73,6 +74,59 @@ TEST(VerifierTest, CatchesTypeMismatches) {
   F.block(0).Instrs.push_back(R);
   int Idx = M.addFunction(std::move(F));
   EXPECT_NE(verifyFunction(M.function(Idx), M), "");
+}
+
+// The verifier's type classes come from the op table; their messages are
+// the ones the hand-written classes gave. A missing operand (NoReg where a
+// value is needed, as a void call leaves) is a type error, not a read out
+// of range.
+TEST(VerifierTest, TypeClassMessagesAndMissingOperands) {
+  auto Verify = [](Instruction I) {
+    Module M;
+    Function F;
+    F.Name = "f";
+    F.RetTy = Type::Void;
+    F.newReg(Type::I64); // r0
+    F.newReg(Type::F64); // r1
+    F.newReg(Type::I64); // r2
+    F.newReg(Type::F64); // r3
+    F.newBlock();
+    F.newBlock();
+    F.block(0).Instrs.push_back(I);
+    if (!I.isTerminator()) {
+      Instruction R;
+      R.Op = Opcode::Ret;
+      F.block(0).Instrs.push_back(R);
+    }
+    Instruction R;
+    R.Op = Opcode::Ret;
+    F.block(1).Instrs.push_back(R);
+    int Idx = M.addFunction(std::move(F));
+    return verifyFunction(M.function(Idx), M);
+  };
+  EXPECT_EQ(Verify(makeBinary(Opcode::Add, Type::I64, 2, 0, 1)),
+            "f: bb0[0]: integer operands expected");
+  EXPECT_EQ(Verify(makeBinary(Opcode::FMul, Type::F64, 3, 1, 0)),
+            "f: bb0[0]: floating operands expected");
+  EXPECT_EQ(Verify(makeBinary(Opcode::FCmpLt, Type::F64, 3, 1, 1)),
+            "f: bb0[0]: compare must produce i64");
+  EXPECT_EQ(Verify(makeUnary(Opcode::Neg, Type::I64, 2, 1)),
+            "f: bb0[0]: neg must be i64");
+  EXPECT_EQ(Verify(makeUnary(Opcode::FNeg, Type::F64, 3, 0)),
+            "f: bb0[0]: fneg must be f64");
+  EXPECT_EQ(Verify(makeUnary(Opcode::IToF, Type::F64, 3, 1)),
+            "f: bb0[0]: itof types");
+  EXPECT_EQ(Verify(makeUnary(Opcode::FToI, Type::I64, 2, 0)),
+            "f: bb0[0]: ftoi types");
+  EXPECT_EQ(Verify(makeBinary(Opcode::Sub, Type::I64, 2, 0, 2)), "");
+  EXPECT_EQ(Verify(makeBinary(Opcode::Add, Type::I64, 2, 0, NoReg)),
+            "f: bb0[0]: integer operands expected");
+  Instruction C;
+  C.Op = Opcode::CondBr;
+  C.Src1 = NoReg;
+  C.TrueSucc = 1;
+  C.FalseSucc = 1;
+  EXPECT_EQ(Verify(C), "f: bb0[0]: condbr condition must be i64");
 }
 
 TEST(VerifierTest, CatchesBadBranchTargets) {
@@ -194,6 +248,65 @@ TEST(ConstEvalTest, MatchesCppSemantics) {
   ASSERT_TRUE(
       evalPureOp(Opcode::FToI, Word::fromFloat(0x1p62), Word(), Out));
   EXPECT_EQ(Out.asInt(), INT64_C(1) << 62);
+
+  // One worked result per pure operation, written out by hand rather than
+  // taken from the op table whose value expressions they check.
+  struct Case {
+    Opcode Op;
+    Word A, B, Want;
+  };
+  auto I = [](int64_t V) { return Word::fromInt(V); };
+  auto F = [](double V) { return Word::fromFloat(V); };
+  const double NaN = std::nan("");
+  const Case Cases[] = {
+      {Opcode::Add, I(7), I(-3), I(4)},
+      {Opcode::Sub, I(7), I(10), I(-3)},
+      {Opcode::Mul, I(-7), I(6), I(-42)},
+      {Opcode::Div, I(7), I(-2), I(-3)},
+      {Opcode::Rem, I(7), I(-2), I(1)},
+      {Opcode::And, I(12), I(10), I(8)},
+      {Opcode::Or, I(12), I(10), I(14)},
+      {Opcode::Xor, I(12), I(10), I(6)},
+      {Opcode::Shl, I(3), I(4), I(48)},
+      {Opcode::Shr, I(-64), I(3), I(-8)}, // arithmetic shift
+      {Opcode::Neg, I(5), Word(), I(-5)},
+      {Opcode::FAdd, F(1.5), F(2.25), F(3.75)},
+      {Opcode::FSub, F(1.5), F(2.25), F(-0.75)},
+      {Opcode::FMul, F(1.5), F(-4.0), F(-6.0)},
+      {Opcode::FDiv, F(1.0), F(4.0), F(0.25)},
+      {Opcode::FDiv, F(1.0), F(0.0), F(HUGE_VAL)}, // a value, not a fault
+      {Opcode::FNeg, F(2.5), Word(), F(-2.5)},
+      {Opcode::CmpEq, I(3), I(3), I(1)},
+      {Opcode::CmpNe, I(3), I(3), I(0)},
+      {Opcode::CmpLt, I(-1), I(0), I(1)},
+      {Opcode::CmpLe, I(1), I(0), I(0)},
+      {Opcode::CmpGt, I(1), I(0), I(1)},
+      {Opcode::CmpGe, I(-1), I(0), I(0)},
+      {Opcode::FCmpEq, F(0.5), F(0.5), I(1)},
+      {Opcode::FCmpEq, F(NaN), F(NaN), I(0)},
+      {Opcode::FCmpNe, F(0.5), F(0.5), I(0)},
+      {Opcode::FCmpNe, F(NaN), F(NaN), I(1)},
+      {Opcode::FCmpLt, F(-0.5), F(0.5), I(1)},
+      {Opcode::FCmpLe, F(0.75), F(0.5), I(0)},
+      {Opcode::FCmpGt, F(0.75), F(0.5), I(1)},
+      {Opcode::FCmpGe, F(0.25), F(0.5), I(0)},
+      {Opcode::IToF, I(-3), Word(), F(-3.0)},
+      {Opcode::FToI, F(2.9), Word(), I(2)},
+  };
+  std::set<Opcode> Covered;
+  for (const Case &C : Cases) {
+    ASSERT_TRUE(evalPureOp(C.Op, C.A, C.B, Out)) << opcodeName(C.Op);
+    EXPECT_EQ(Out.Bits, C.Want.Bits) << opcodeName(C.Op);
+    Covered.insert(C.Op);
+  }
+  // Every evaluable opcode but Mov is one of the 30 pure operations.
+  for (unsigned K = 0; K <= static_cast<unsigned>(Opcode::MakeDynamic); ++K) {
+    Opcode Op = static_cast<Opcode>(K);
+    if (isEvaluableOp(Op) && Op != Opcode::Mov) {
+      EXPECT_TRUE(Covered.count(Op)) << opcodeName(Op) << " has no case";
+    }
+  }
+  EXPECT_EQ(Covered.size(), 30u);
 }
 
 TEST(ModuleTest, LookupAndDuplicates) {

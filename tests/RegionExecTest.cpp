@@ -104,6 +104,34 @@ TEST(RegionExecCore, GoldenDisassemblySingleWayUnroll) {
   EXPECT_EQ(Dis, Golden) << "actual:\n" << Dis;
 }
 
+// A static double on the left of a floating compare whose right side is
+// dynamic: the compare cannot take an immediate or be mirrored, so the
+// constant is materialized in its operand class, as a constf (the op table
+// gives fcmplt f64 operands).
+TEST(RegionExecCore, GoldenDisassemblyStaticFloatCompareOperand) {
+  auto Ctx = compile("int g(double k, double x) {\n"
+                     "  make_static(k);\n"
+                     "  int r = 0;\n"
+                     "  if (k < x) { r = 1; }\n"
+                     "  return r;\n"
+                     "}");
+  auto E = Ctx->buildDynamic();
+  int F = E->findFunction("g");
+  EXPECT_EQ(E->Machine->run(F, {Word::fromFloat(2.5), Word::fromFloat(3.0)})
+                .asInt(),
+            1);
+  std::string Dis = E->RT->disassembleRegion(0);
+  const char *Golden =
+      "; code object 'g.chain1': 6 instructions, 8 regs\n"
+      "    0:  constf r6, 2.5\n"
+      "    1:  fcmplt r4, r6, r1\n"
+      "    2:  condbr r4, @3, @4\n"
+      "    3:  exit_region resume @1\n"
+      "    4:  consti r6, 0\n"
+      "    5:  ret r6\n";
+  EXPECT_EQ(Dis, Golden) << "actual:\n" << Dis;
+}
+
 // Golden output of a multi-way unrolling: an interpreter-style loop whose
 // static pc can revisit a value emits a real backward branch through the
 // memoized (context, statics) entry instead of unrolling forever.

@@ -223,145 +223,142 @@ TEST(ProgramTest, AddressAllocationDisjoint) {
 }
 
 TEST(VMExec, DifferentialAgainstConstEval) {
-  // Property: for every evaluable opcode and random operands, executing
-  // the operation on the VM produces exactly what the shared evaluator
-  // (used by the constant folder and the specializer) computes. This is
-  // the consistency that makes compile-time folding sound.
+  // Property: for every pure operation, its register form, its immediate
+  // form and (for compares) the fused compare-and-branch handlers produce
+  // exactly what the shared evaluator (used by the constant folder and the
+  // specializer) computes, in both engines. This is the consistency that
+  // makes compile-time folding sound.
   struct OpPair {
     ir::Opcode IROp;
-    Op VMOp;
+    Op RegOp;
+    Op ImmOp; ///< Op::Halt: no immediate form
     bool Unary;
+    bool FloatOperands;
+    bool Compare;
   };
   const OpPair Pairs[] = {
-      {ir::Opcode::Add, Op::Add, false}, {ir::Opcode::Sub, Op::Sub, false},
-      {ir::Opcode::Mul, Op::Mul, false}, {ir::Opcode::Div, Op::Div, false},
-      {ir::Opcode::Rem, Op::Rem, false}, {ir::Opcode::And, Op::And, false},
-      {ir::Opcode::Or, Op::Or, false},   {ir::Opcode::Xor, Op::Xor, false},
-      {ir::Opcode::Shl, Op::Shl, false}, {ir::Opcode::Shr, Op::Shr, false},
-      {ir::Opcode::Neg, Op::Neg, true},
-      {ir::Opcode::FAdd, Op::FAdd, false},
-      {ir::Opcode::FSub, Op::FSub, false},
-      {ir::Opcode::FMul, Op::FMul, false},
-      {ir::Opcode::FDiv, Op::FDiv, false},
-      {ir::Opcode::FNeg, Op::FNeg, true},
-      {ir::Opcode::CmpLt, Op::CmpLt, false},
-      {ir::Opcode::CmpGe, Op::CmpGe, false},
-      {ir::Opcode::FCmpLe, Op::FCmpLe, false},
-      {ir::Opcode::IToF, Op::IToF, true},
-      {ir::Opcode::FToI, Op::FToI, true},
+      {ir::Opcode::Add, Op::Add, Op::AddI, false, false, false},
+      {ir::Opcode::Sub, Op::Sub, Op::SubI, false, false, false},
+      {ir::Opcode::Mul, Op::Mul, Op::MulI, false, false, false},
+      {ir::Opcode::Div, Op::Div, Op::DivI, false, false, false},
+      {ir::Opcode::Rem, Op::Rem, Op::RemI, false, false, false},
+      {ir::Opcode::And, Op::And, Op::AndI, false, false, false},
+      {ir::Opcode::Or, Op::Or, Op::OrI, false, false, false},
+      {ir::Opcode::Xor, Op::Xor, Op::XorI, false, false, false},
+      {ir::Opcode::Shl, Op::Shl, Op::ShlI, false, false, false},
+      {ir::Opcode::Shr, Op::Shr, Op::ShrI, false, false, false},
+      {ir::Opcode::Neg, Op::Neg, Op::Halt, true, false, false},
+      {ir::Opcode::FAdd, Op::FAdd, Op::FAddI, false, true, false},
+      {ir::Opcode::FSub, Op::FSub, Op::FSubI, false, true, false},
+      {ir::Opcode::FMul, Op::FMul, Op::FMulI, false, true, false},
+      {ir::Opcode::FDiv, Op::FDiv, Op::FDivI, false, true, false},
+      {ir::Opcode::FNeg, Op::FNeg, Op::Halt, true, true, false},
+      {ir::Opcode::CmpEq, Op::CmpEq, Op::CmpEqI, false, false, true},
+      {ir::Opcode::CmpNe, Op::CmpNe, Op::CmpNeI, false, false, true},
+      {ir::Opcode::CmpLt, Op::CmpLt, Op::CmpLtI, false, false, true},
+      {ir::Opcode::CmpLe, Op::CmpLe, Op::CmpLeI, false, false, true},
+      {ir::Opcode::CmpGt, Op::CmpGt, Op::CmpGtI, false, false, true},
+      {ir::Opcode::CmpGe, Op::CmpGe, Op::CmpGeI, false, false, true},
+      {ir::Opcode::FCmpEq, Op::FCmpEq, Op::Halt, false, true, true},
+      {ir::Opcode::FCmpNe, Op::FCmpNe, Op::Halt, false, true, true},
+      {ir::Opcode::FCmpLt, Op::FCmpLt, Op::Halt, false, true, true},
+      {ir::Opcode::FCmpLe, Op::FCmpLe, Op::Halt, false, true, true},
+      {ir::Opcode::FCmpGt, Op::FCmpGt, Op::Halt, false, true, true},
+      {ir::Opcode::FCmpGe, Op::FCmpGe, Op::Halt, false, true, true},
+      {ir::Opcode::IToF, Op::IToF, Op::Halt, true, false, false},
+      {ir::Opcode::FToI, Op::FToI, Op::Halt, true, true, false},
   };
+  size_t ImmForms = 0;
+  for (const OpPair &P : Pairs)
+    ImmForms += P.ImmOp != Op::Halt;
+  EXPECT_EQ(sizeof(Pairs) / sizeof(Pairs[0]), 30u);
+  EXPECT_EQ(ImmForms, 20u);
+
+  // Operands: random values plus the edges where guest arithmetic wraps
+  // (INT64_MAX + 1, -INT64_MIN, INT64_MIN / -1) or a host float-to-int
+  // cast would be undefined (NaN, infinities, out of range).
   DeterministicRNG RNG(0xd1ff);
-  for (const OpPair &P : Pairs) {
-    for (int Trial = 0; Trial != 50; ++Trial) {
-      Word A{RNG.next()}, B{RNG.next()};
-      bool IsFloat = P.IROp == ir::Opcode::FAdd ||
-                     P.IROp == ir::Opcode::FSub ||
-                     P.IROp == ir::Opcode::FMul ||
-                     P.IROp == ir::Opcode::FDiv ||
-                     P.IROp == ir::Opcode::FNeg ||
-                     P.IROp == ir::Opcode::FCmpLe ||
-                     P.IROp == ir::Opcode::FToI;
-      if (IsFloat) {
-        A = Word::fromFloat(RNG.nextDouble() * 200 - 100);
-        B = Word::fromFloat(RNG.nextDouble() * 200 - 100);
-      } else {
-        A = Word::fromInt(static_cast<int64_t>(RNG.nextBelow(2000)) - 1000);
-        B = Word::fromInt(static_cast<int64_t>(RNG.nextBelow(2000)) - 1000);
-      }
-      if (P.IROp == ir::Opcode::FToI)
-        A = Word::fromFloat(RNG.nextDouble() * 1000 - 500);
-      Word Expected;
-      if (!ir::evalPureOp(P.IROp, A, B, Expected))
-        continue; // division by zero etc: unfoldable by design
-      MiniProgram MP({P.Unary ? Instr{P.VMOp, 2, 0}
-                              : Instr{P.VMOp, 2, 0, 1},
-                      {Op::Ret, 2}},
-                     3);
-      VM M(MP.P);
-      Word Got = M.run(MP.Func, {A, B});
-      EXPECT_EQ(Got.Bits, Expected.Bits)
-          << ir::opcodeName(P.IROp) << " A=" << A.Bits << " B=" << B.Bits;
-    }
+  std::vector<Word> IntVals, FloatVals;
+  for (int64_t V : {INT64_MIN, INT64_MIN + 1, int64_t(-1), int64_t(0),
+                    int64_t(1), int64_t(63), int64_t(64), INT64_MAX})
+    IntVals.push_back(Word::fromInt(V));
+  for (double V : {0.0, -0.0, 1.5, -2.5, HUGE_VAL, -HUGE_VAL, std::nan(""),
+                   1e20, -1e20, -0x1p63, 0x1p63})
+    FloatVals.push_back(Word::fromFloat(V));
+  for (int Trial = 0; Trial != 12; ++Trial) {
+    IntVals.push_back(
+        Word::fromInt(static_cast<int64_t>(RNG.nextBelow(2000)) - 1000));
+    FloatVals.push_back(Word::fromFloat(RNG.nextDouble() * 200 - 100));
   }
 
-  // Integer edge operands, where guest arithmetic wraps (INT64_MAX + 1,
-  // -INT64_MIN, INT64_MIN / -1): both engines, the register and immediate
-  // forms, and the fused ConstI+Add superinstruction agree with the
-  // evaluator bit for bit.
-  struct IntOp {
-    ir::Opcode IROp;
-    Op RegOp;
-    Op ImmOp;
-  };
-  const IntOp IntOps[] = {
-      {ir::Opcode::Add, Op::Add, Op::AddI},
-      {ir::Opcode::Sub, Op::Sub, Op::SubI},
-      {ir::Opcode::Mul, Op::Mul, Op::MulI},
-      {ir::Opcode::Div, Op::Div, Op::DivI},
-      {ir::Opcode::Rem, Op::Rem, Op::RemI},
-      {ir::Opcode::And, Op::And, Op::AndI},
-      {ir::Opcode::Or, Op::Or, Op::OrI},
-      {ir::Opcode::Xor, Op::Xor, Op::XorI},
-      {ir::Opcode::Shl, Op::Shl, Op::ShlI},
-      {ir::Opcode::Shr, Op::Shr, Op::ShrI},
-      {ir::Opcode::CmpLt, Op::CmpLt, Op::CmpLtI},
-      {ir::Opcode::CmpGe, Op::CmpGe, Op::CmpGeI},
-  };
-  const int64_t Edges[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX};
   const VM::EngineKind Engines[] = {VM::EngineKind::Legacy,
                                     VM::EngineKind::Predecoded};
   auto Run = [](std::vector<Instr> Code, VM::EngineKind E,
                 const std::vector<Word> &Args) {
-    MiniProgram MP(std::move(Code), 3);
+    MiniProgram MP(std::move(Code), 4);
     VM M(MP.P);
     M.Engine = E;
     return M.run(MP.Func, Args);
   };
+  // A compare feeding a CondBr on its result (fused in the predecoded
+  // engine): returns the compare's value plus 10 if the branch was taken,
+  // plus 20 if not.
+  auto CompareAndBranch = [](Instr Cmp) {
+    return std::vector<Instr>{Cmp,
+                              {Op::CondBr, 2, 2, 4},
+                              {Op::AddI, 3, 2, 0, 10},
+                              {Op::Ret, 3},
+                              {Op::AddI, 3, 2, 0, 20},
+                              {Op::Ret, 3}};
+  };
   for (VM::EngineKind E : Engines) {
     const char *EngineName =
         E == VM::EngineKind::Legacy ? "legacy" : "predecoded";
-    for (int64_t AV : Edges) {
-      Word A = Word::fromInt(AV), Expected;
-      ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Neg, A, Word(), Expected));
-      EXPECT_EQ(Run({{Op::Neg, 2, 0}, {Op::Ret, 2}}, E, {A}).Bits,
-                Expected.Bits)
-          << "neg A=" << AV << " " << EngineName;
-      for (int64_t BV : Edges) {
-        Word B = Word::fromInt(BV);
-        for (const IntOp &P : IntOps) {
+    for (const OpPair &P : Pairs) {
+      const std::vector<Word> &Vals = P.FloatOperands ? FloatVals : IntVals;
+      for (Word A : Vals) {
+        for (Word B : Vals) {
+          Word Expected;
           if (!ir::evalPureOp(P.IROp, A, B, Expected))
             continue; // division by zero: a fault, not a value
-          EXPECT_EQ(Run({{P.RegOp, 2, 0, 1}, {Op::Ret, 2}}, E, {A, B}).Bits,
-                    Expected.Bits)
-              << ir::opcodeName(P.IROp) << " A=" << AV << " B=" << BV << " "
-              << EngineName;
-          EXPECT_EQ(Run({{P.ImmOp, 2, 0, 0, BV}, {Op::Ret, 2}}, E, {A}).Bits,
-                    Expected.Bits)
-              << ir::opcodeName(P.IROp) << " immediate A=" << AV
-              << " B=" << BV << " " << EngineName;
-          if (P.RegOp == Op::Add) {
-            Word Fused = Run(
-                {{Op::ConstI, 1, 0, 0, BV}, {Op::Add, 2, 0, 1}, {Op::Ret, 2}},
-                E, {A});
-            EXPECT_EQ(Fused.Bits, Expected.Bits)
-                << "consti+add A=" << AV << " B=" << BV << " " << EngineName;
+          std::string What = std::string(ir::opcodeName(P.IROp)) +
+                             " A=" + std::to_string(A.Bits) +
+                             " B=" + std::to_string(B.Bits) + " " + EngineName;
+          Instr Reg = P.Unary ? Instr{P.RegOp, 2, 0} : Instr{P.RegOp, 2, 0, 1};
+          EXPECT_EQ(Run({Reg, {Op::Ret, 2}}, E, {A, B}).Bits, Expected.Bits)
+              << What;
+          Instr Imm{P.ImmOp, 2, 0, 0, static_cast<int64_t>(B.Bits)};
+          if (P.ImmOp != Op::Halt) {
+            EXPECT_EQ(Run({Imm, {Op::Ret, 2}}, E, {A}).Bits, Expected.Bits)
+                << "immediate " << What;
+          }
+          if (!P.Compare)
+            continue;
+          int64_t Want = Expected.asInt() + (Expected.asInt() ? 10 : 20);
+          EXPECT_EQ(Run(CompareAndBranch(Reg), E, {A, B}).asInt(), Want)
+              << "compare-and-branch " << What;
+          if (P.ImmOp != Op::Halt) {
+            EXPECT_EQ(Run(CompareAndBranch(Imm), E, {A}).asInt(), Want)
+                << "immediate compare-and-branch " << What;
           }
         }
+        if (P.Unary)
+          break; // B is not read
       }
     }
-    // Float-to-int edge operands, where a host cast would be undefined:
-    // NaN and out-of-range values convert to INT64_MIN in both engines and
-    // the evaluator; -2^63 itself is in range.
-    const double FEdges[] = {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e20, -1e20,
-                             0x1p63, -0x1p63};
-    for (double FV : FEdges) {
-      Word A = Word::fromFloat(FV), Expected;
-      ASSERT_TRUE(ir::evalPureOp(ir::Opcode::FToI, A, Word(), Expected));
-      EXPECT_EQ(Expected.asInt(), INT64_MIN) << "ftoi " << FV;
-      EXPECT_EQ(Run({{Op::FToI, 2, 0}, {Op::Ret, 2}}, E, {A}).Bits,
-                Expected.Bits)
-          << "ftoi A=" << FV << " " << EngineName;
-    }
+    // The fused ConstI+Add superinstruction.
+    for (Word A : IntVals)
+      for (Word B : IntVals) {
+        Word Expected;
+        ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Add, A, B, Expected));
+        Word Fused = Run({{Op::ConstI, 1, 0, 0, B.asInt()},
+                          {Op::Add, 2, 0, 1},
+                          {Op::Ret, 2}},
+                         E, {A});
+        EXPECT_EQ(Fused.Bits, Expected.Bits)
+            << "consti+add A=" << A.asInt() << " B=" << B.asInt() << " "
+            << EngineName;
+      }
   }
 }
 
@@ -448,6 +445,175 @@ TEST(VMMemory, UntouchedPagesCostNothing) {
                               << " bytes for 16 VMs";
   for (int I = 0; I != 16; ++I)
     EXPECT_EQ(VMs[I]->memory()[1000 + I].asInt(), I + 1);
+}
+
+/// The instruction set as it stood before the op table described it: one
+/// row per opcode, recorded from the hand-written switches. Each row gives
+/// the opcode's number and mnemonic, the text, base cost, dynamic-code cost
+/// and smallest valid frame of one sample instruction (A = r3, B = r5,
+/// C = r7, Imm = 9, or 2.5 where Imm holds a double), and whether the
+/// opcode ends a block.
+struct PinnedOp {
+  Op O;
+  unsigned Number;
+  const char *Name;
+  bool FloatImm;
+  const char *Text;
+  uint32_t BaseCost;
+  uint32_t DynCost;
+  bool Terminator;
+  uint32_t MinFrame;
+};
+
+struct PinnedOpcode {
+  ir::Opcode O;
+  unsigned Number;
+  const char *Name;
+  bool Evaluable;
+};
+
+TEST(ISAPin, EveryOpcodeMatchesTheRecordedInstructionSet) {
+  const PinnedOp Ops[] = {
+      {Op::ConstI, 0, "consti", false, "consti r3, 9", 1, 2, false, 4},
+      {Op::ConstF, 1, "constf", true, "constf r3, 2.5", 1, 2, false, 4},
+      {Op::Mov, 2, "mov", false, "mov r3, r5", 1, 2, false, 6},
+      {Op::FMov, 3, "fmov", false, "fmov r3, r5", 4, 6, false, 6},
+      {Op::Add, 4, "add", false, "add r3, r5, r7", 1, 2, false, 8},
+      {Op::Sub, 5, "sub", false, "sub r3, r5, r7", 1, 2, false, 8},
+      {Op::Mul, 6, "mul", false, "mul r3, r5, r7", 8, 10, false, 8},
+      {Op::Div, 7, "div", false, "div r3, r5, r7", 40, 42, false, 8},
+      {Op::Rem, 8, "rem", false, "rem r3, r5, r7", 40, 42, false, 8},
+      {Op::And, 9, "and", false, "and r3, r5, r7", 1, 2, false, 8},
+      {Op::Or, 10, "or", false, "or r3, r5, r7", 1, 2, false, 8},
+      {Op::Xor, 11, "xor", false, "xor r3, r5, r7", 1, 2, false, 8},
+      {Op::Shl, 12, "shl", false, "shl r3, r5, r7", 1, 2, false, 8},
+      {Op::Shr, 13, "shr", false, "shr r3, r5, r7", 1, 2, false, 8},
+      {Op::Neg, 14, "neg", false, "neg r3, r5", 1, 2, false, 6},
+      {Op::AddI, 15, "addi", false, "addi r3, r5, 9", 1, 2, false, 6},
+      {Op::SubI, 16, "subi", false, "subi r3, r5, 9", 1, 2, false, 6},
+      {Op::MulI, 17, "muli", false, "muli r3, r5, 9", 8, 10, false, 6},
+      {Op::DivI, 18, "divi", false, "divi r3, r5, 9", 40, 42, false, 6},
+      {Op::RemI, 19, "remi", false, "remi r3, r5, 9", 40, 42, false, 6},
+      {Op::AndI, 20, "andi", false, "andi r3, r5, 9", 1, 2, false, 6},
+      {Op::OrI, 21, "ori", false, "ori r3, r5, 9", 1, 2, false, 6},
+      {Op::XorI, 22, "xori", false, "xori r3, r5, 9", 1, 2, false, 6},
+      {Op::ShlI, 23, "shli", false, "shli r3, r5, 9", 1, 2, false, 6},
+      {Op::ShrI, 24, "shri", false, "shri r3, r5, 9", 1, 2, false, 6},
+      {Op::FAdd, 25, "fadd", false, "fadd r3, r5, r7", 4, 6, false, 8},
+      {Op::FSub, 26, "fsub", false, "fsub r3, r5, r7", 4, 6, false, 8},
+      {Op::FMul, 27, "fmul", false, "fmul r3, r5, r7", 4, 6, false, 8},
+      {Op::FDiv, 28, "fdiv", false, "fdiv r3, r5, r7", 30, 32, false, 8},
+      {Op::FNeg, 29, "fneg", false, "fneg r3, r5", 4, 6, false, 6},
+      {Op::FAddI, 30, "faddi", true, "faddi r3, r5, 2.5", 4, 6, false, 6},
+      {Op::FSubI, 31, "fsubi", true, "fsubi r3, r5, 2.5", 4, 6, false, 6},
+      {Op::FMulI, 32, "fmuli", true, "fmuli r3, r5, 2.5", 4, 6, false, 6},
+      {Op::FDivI, 33, "fdivi", true, "fdivi r3, r5, 2.5", 30, 32, false, 6},
+      {Op::CmpEq, 34, "cmpeq", false, "cmpeq r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpNe, 35, "cmpne", false, "cmpne r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpLt, 36, "cmplt", false, "cmplt r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpLe, 37, "cmple", false, "cmple r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpGt, 38, "cmpgt", false, "cmpgt r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpGe, 39, "cmpge", false, "cmpge r3, r5, r7", 1, 2, false, 8},
+      {Op::CmpEqI, 40, "cmpeqi", false, "cmpeqi r3, r5, 9", 1, 2, false, 6},
+      {Op::CmpNeI, 41, "cmpnei", false, "cmpnei r3, r5, 9", 1, 2, false, 6},
+      {Op::CmpLtI, 42, "cmplti", false, "cmplti r3, r5, 9", 1, 2, false, 6},
+      {Op::CmpLeI, 43, "cmplei", false, "cmplei r3, r5, 9", 1, 2, false, 6},
+      {Op::CmpGtI, 44, "cmpgti", false, "cmpgti r3, r5, 9", 1, 2, false, 6},
+      {Op::CmpGeI, 45, "cmpgei", false, "cmpgei r3, r5, 9", 1, 2, false, 6},
+      {Op::FCmpEq, 46, "fcmpeq", false, "fcmpeq r3, r5, r7", 4, 6, false, 8},
+      {Op::FCmpNe, 47, "fcmpne", false, "fcmpne r3, r5, r7", 4, 6, false, 8},
+      {Op::FCmpLt, 48, "fcmplt", false, "fcmplt r3, r5, r7", 4, 6, false, 8},
+      {Op::FCmpLe, 49, "fcmple", false, "fcmple r3, r5, r7", 4, 6, false, 8},
+      {Op::FCmpGt, 50, "fcmpgt", false, "fcmpgt r3, r5, r7", 4, 6, false, 8},
+      {Op::FCmpGe, 51, "fcmpge", false, "fcmpge r3, r5, r7", 4, 6, false, 8},
+      {Op::IToF, 52, "itof", false, "itof r3, r5", 4, 6, false, 6},
+      {Op::FToI, 53, "ftoi", false, "ftoi r3, r5", 4, 6, false, 6},
+      {Op::Load, 54, "load", false, "load r3, [r5 + 9]", 2, 3, false, 6},
+      {Op::LoadAbs, 55, "loadabs", false, "loadabs r3, [9]", 2, 3, false, 4},
+      {Op::Store, 56, "store", false, "store [r5 + 9], r3", 1, 2, false, 6},
+      {Op::StoreAbs, 57, "storeabs", false, "storeabs [9], r3", 1, 2, false, 4},
+      {Op::Call, 58, "call", false, "call r3, fn9, args r5..+7", 10, 12, false, 12},
+      {Op::CallExt, 59, "callext", false, "callext r3, ext9, args r5..+7", 10, 12, false, 12},
+      {Op::Br, 60, "br", false, "br @5", 1, 2, true, 0},
+      {Op::CondBr, 61, "condbr", false, "condbr r3, @5, @7", 2, 3, true, 4},
+      {Op::Ret, 62, "ret", false, "ret r3", 5, 7, true, 4},
+      {Op::EnterRegion, 63, "enter_region", false, "enter_region region9", 0, 0, true, 0},
+      {Op::Dispatch, 64, "dispatch", false, "dispatch point9", 0, 0, true, 0},
+      {Op::ExitRegion, 65, "exit_region", false, "exit_region resume @5", 1, 2, true, 0},
+      {Op::Halt, 66, "halt", false, "halt", 0, 0, true, 0},
+  };
+  ASSERT_EQ(sizeof(Ops) / sizeof(Ops[0]), size_t(NumOps));
+  const CostModel CM;
+  for (unsigned K = 0; K != NumOps; ++K) {
+    const PinnedOp &P = Ops[K];
+    SCOPED_TRACE(P.Name);
+    EXPECT_EQ(static_cast<unsigned>(P.O), P.Number);
+    EXPECT_EQ(P.Number, K);
+    EXPECT_STREQ(opName(P.O), P.Name);
+    Instr I{P.O, 3, 5, 7,
+            P.FloatImm ? static_cast<int64_t>(Word::fromFloat(2.5).Bits) : 9};
+    EXPECT_EQ(toString(I), P.Text);
+    EXPECT_EQ(CM.baseCostOf(I), P.BaseCost);
+    EXPECT_EQ(CM.costOf(I, true), P.DynCost);
+    EXPECT_EQ(isTerminatorLike(P.O), P.Terminator);
+    EXPECT_TRUE(registersInFrame(I, P.MinFrame));
+    if (P.MinFrame > 0) {
+      EXPECT_FALSE(registersInFrame(I, P.MinFrame - 1));
+    }
+  }
+
+  const PinnedOpcode Opcodes[] = {
+      {ir::Opcode::ConstI, 0, "consti", false},
+      {ir::Opcode::ConstF, 1, "constf", false},
+      {ir::Opcode::Mov, 2, "mov", true},
+      {ir::Opcode::Add, 3, "add", true},
+      {ir::Opcode::Sub, 4, "sub", true},
+      {ir::Opcode::Mul, 5, "mul", true},
+      {ir::Opcode::Div, 6, "div", true},
+      {ir::Opcode::Rem, 7, "rem", true},
+      {ir::Opcode::And, 8, "and", true},
+      {ir::Opcode::Or, 9, "or", true},
+      {ir::Opcode::Xor, 10, "xor", true},
+      {ir::Opcode::Shl, 11, "shl", true},
+      {ir::Opcode::Shr, 12, "shr", true},
+      {ir::Opcode::Neg, 13, "neg", true},
+      {ir::Opcode::FAdd, 14, "fadd", true},
+      {ir::Opcode::FSub, 15, "fsub", true},
+      {ir::Opcode::FMul, 16, "fmul", true},
+      {ir::Opcode::FDiv, 17, "fdiv", true},
+      {ir::Opcode::FNeg, 18, "fneg", true},
+      {ir::Opcode::CmpEq, 19, "cmpeq", true},
+      {ir::Opcode::CmpNe, 20, "cmpne", true},
+      {ir::Opcode::CmpLt, 21, "cmplt", true},
+      {ir::Opcode::CmpLe, 22, "cmple", true},
+      {ir::Opcode::CmpGt, 23, "cmpgt", true},
+      {ir::Opcode::CmpGe, 24, "cmpge", true},
+      {ir::Opcode::FCmpEq, 25, "fcmpeq", true},
+      {ir::Opcode::FCmpNe, 26, "fcmpne", true},
+      {ir::Opcode::FCmpLt, 27, "fcmplt", true},
+      {ir::Opcode::FCmpLe, 28, "fcmple", true},
+      {ir::Opcode::FCmpGt, 29, "fcmpgt", true},
+      {ir::Opcode::FCmpGe, 30, "fcmpge", true},
+      {ir::Opcode::IToF, 31, "itof", true},
+      {ir::Opcode::FToI, 32, "ftoi", true},
+      {ir::Opcode::Load, 33, "load", false},
+      {ir::Opcode::Store, 34, "store", false},
+      {ir::Opcode::Call, 35, "call", false},
+      {ir::Opcode::CallExt, 36, "callext", false},
+      {ir::Opcode::Br, 37, "br", false},
+      {ir::Opcode::CondBr, 38, "condbr", false},
+      {ir::Opcode::Ret, 39, "ret", false},
+      {ir::Opcode::MakeStatic, 40, "make_static", false},
+      {ir::Opcode::MakeDynamic, 41, "make_dynamic", false},
+  };
+  for (const PinnedOpcode &P : Opcodes) {
+    SCOPED_TRACE(P.Name);
+    EXPECT_EQ(static_cast<unsigned>(P.O), P.Number);
+    EXPECT_STREQ(ir::opcodeName(P.O), P.Name);
+    EXPECT_EQ(ir::isEvaluableOp(P.O), P.Evaluable);
+  }
+  EXPECT_EQ(static_cast<unsigned>(ir::Opcode::MakeDynamic) + 1,
+            sizeof(Opcodes) / sizeof(Opcodes[0]));
 }
 
 TEST(DisassemblerTest, RendersKnownForms) {
