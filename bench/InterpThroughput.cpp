@@ -3,16 +3,21 @@
 // Host interpretation throughput of the two VM execution engines. For each
 // workload, builds the dynamic configuration twice — once pinned to the
 // legacy per-instruction switch loop, once to the predecoded superblock
-// engine — runs the same region-invocation sequence through both, and
-// reports simulated-instructions-per-host-second and host ns per simulated
-// instruction. Parity of the simulated counters is the parity test's job
-// (tests/InterpParityTest.cpp); this binary measures only host speed.
+// engine — warms both with one invocation, and then times the same
+// region-invocation batch on each engine in several repetitions,
+// INTERLEAVED between the two engines so a machine-load phase hits both.
+// Each engine keeps its minimum ns per simulated instruction (the
+// repetition least disturbed by scheduler noise); the spread column is
+// the slowest repetition over the fastest, minus one, so a reader can
+// tell a real move from noise. Parity of the simulated counters is the
+// parity test's job (tests/InterpParityTest.cpp); this binary measures
+// only host speed.
 //
 // Flags:
-//   --quick        shrink the measured invocation counts (CI smoke)
+//   --quick        shorter and fewer repetitions (CI smoke)
 //   --json FILE    write the measurements as JSON (BENCH_interp.json)
-//   --check        exit nonzero if the predecoded engine is slower than
-//                  the legacy engine on any measured workload
+//   --check        exit nonzero if the predecoded engine's minimum is
+//                  slower than the legacy engine's on any workload
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,60 +58,82 @@ double nowSeconds() {
       .count();
 }
 
-struct EngineRun {
-  uint64_t SimInstrs = 0; ///< simulated instructions in the timed segment
-  double Seconds = 0;     ///< host wall-clock of the timed segment
-  double InstrsPerSec() const { return Seconds > 0 ? SimInstrs / Seconds : 0; }
-  double NsPerInstr() const {
-    return SimInstrs ? Seconds * 1e9 / SimInstrs : 0;
+/// One engine's timing: its fastest and slowest repetition, in host ns
+/// per simulated instruction.
+struct EngineTiming {
+  double MinNs = 0;
+  double MaxNs = 0;
+
+  void add(unsigned RepIdx, double Ns) {
+    MinNs = RepIdx == 0 ? Ns : std::min(MinNs, Ns);
+    MaxNs = RepIdx == 0 ? Ns : std::max(MaxNs, Ns);
+  }
+  double instrsPerSec() const { return MinNs > 0 ? 1e9 / MinNs : 0; }
+  double spread() const { return MinNs > 0 ? MaxNs / MinNs - 1 : 0; }
+};
+
+/// One engine's live configuration, kept across repetitions so the two
+/// engines' timed batches can interleave.
+struct EngineDriver {
+  core::DycContext Ctx;
+  std::unique_ptr<core::Executable> E;
+  WorkloadSetup S;
+  int FI = -1;
+  uint64_t SimInstrs = 0; ///< simulated instructions in one batch
+  EngineTiming Timing;
+
+  /// Builds \p W fresh, pins \p Engine and warms the dispatch caches
+  /// with one invocation (specialization happens there).
+  EngineDriver(const Workload &W, vm::VM::EngineKind Engine) {
+    core::compileWorkload(W, Ctx);
+    E = Ctx.buildDynamic();
+    E->Machine->Engine = Engine;
+    S = W.Setup(*E->Machine);
+    FI = E->findFunction(W.RegionFunc);
+    if (FI < 0)
+      fatal(W.Name + ": region function not found");
+    E->Machine->run(static_cast<uint32_t>(FI), S.RegionArgs);
+  }
+
+  /// Times \p Invokes invocations; returns the host seconds.
+  double batch(uint64_t Invokes) {
+    uint64_t I0 = E->Machine->instrsExecuted();
+    double T0 = nowSeconds();
+    for (uint64_t I = 0; I != Invokes; ++I)
+      E->Machine->run(static_cast<uint32_t>(FI), S.RegionArgs);
+    double Secs = nowSeconds() - T0;
+    SimInstrs = E->Machine->instrsExecuted() - I0;
+    return Secs;
+  }
+
+  /// One timed repetition of \p Invokes invocations.
+  void rep(unsigned RepIdx, uint64_t Invokes) {
+    double Secs = batch(Invokes);
+    Timing.add(RepIdx, Secs * 1e9 / std::max<uint64_t>(SimInstrs, 1));
   }
 };
 
-/// Builds \p W fresh, pins \p Engine, warms the dispatch caches with one
-/// invocation (specialization happens there), then times \p Invokes more.
-EngineRun runEngine(const Workload &W, vm::VM::EngineKind Engine,
-                    uint64_t Invokes) {
-  core::DycContext Ctx;
-  core::compileWorkload(W, Ctx);
-  auto E = Ctx.buildDynamic();
-  E->Machine->Engine = Engine;
-  WorkloadSetup S = W.Setup(*E->Machine);
-  int FI = E->findFunction(W.RegionFunc);
-  if (FI < 0)
-    fatal(W.Name + ": region function not found");
-
-  E->Machine->run(static_cast<uint32_t>(FI), S.RegionArgs); // warmup
-
-  EngineRun R;
-  uint64_t I0 = E->Machine->instrsExecuted();
-  double T0 = nowSeconds();
-  for (uint64_t I = 0; I != Invokes; ++I)
-    E->Machine->run(static_cast<uint32_t>(FI), S.RegionArgs);
-  R.Seconds = nowSeconds() - T0;
-  R.SimInstrs = E->Machine->instrsExecuted() - I0;
-  return R;
-}
-
-/// Scales the invocation count so the legacy engine's timed segment lasts
-/// at least \p TargetSeconds — both engines then run the same count.
-uint64_t calibrate(const Workload &W, double TargetSeconds) {
+/// Scales the invocation count so one legacy repetition lasts at least
+/// \p TargetSeconds — both engines then run the same count.
+uint64_t calibrate(EngineDriver &Legacy, double TargetSeconds) {
   const uint64_t Probe = 16;
-  EngineRun R = runEngine(W, vm::VM::EngineKind::Legacy, Probe);
-  if (R.Seconds <= 0)
+  double Secs = Legacy.batch(Probe);
+  if (Secs <= 0)
     return Probe;
-  double Scale = TargetSeconds / (R.Seconds / Probe);
+  double Scale = TargetSeconds / (Secs / Probe);
   return std::clamp<uint64_t>(static_cast<uint64_t>(Scale), Probe, 50000);
 }
 
 struct Row {
   std::string Name;
   uint64_t Invocations = 0;
-  EngineRun Legacy, Predecoded;
+  uint64_t SimInstrs = 0; ///< simulated instructions in one batch
+  EngineTiming Legacy, Predecoded;
   double Speedup = 0;
 };
 
-void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
-               bool CheckPassed) {
+void writeJson(const char *Path, const std::vector<Row> &Rows, unsigned Reps,
+               bool Check, bool CheckPassed) {
   FILE *F = std::fopen(Path, "w");
   if (!F) {
     std::fprintf(stderr, "cannot open %s\n", Path);
@@ -113,6 +141,7 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
   }
   std::fprintf(F, "{\n  \"bench\": \"interp_throughput\",\n");
   std::fprintf(F, "  \"dispatch\": \"%s\",\n", vm::VM::dispatchMode());
+  std::fprintf(F, "  \"reps\": %u,\n", Reps);
   std::fprintf(F, "  \"workloads\": [\n");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
@@ -120,15 +149,16 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
                  "    {\"name\": \"%s\", \"invocations\": %llu,\n"
                  "     \"sim_instrs\": %llu,\n"
                  "     \"legacy\": {\"host_instrs_per_sec\": %.0f, "
-                 "\"ns_per_instr\": %.3f},\n"
+                 "\"ns_per_instr\": %.3f, \"spread\": %.3f},\n"
                  "     \"predecoded\": {\"host_instrs_per_sec\": %.0f, "
-                 "\"ns_per_instr\": %.3f},\n"
+                 "\"ns_per_instr\": %.3f, \"spread\": %.3f},\n"
                  "     \"speedup\": %.3f}%s\n",
                  R.Name.c_str(), (unsigned long long)R.Invocations,
-                 (unsigned long long)R.Predecoded.SimInstrs,
-                 R.Legacy.InstrsPerSec(), R.Legacy.NsPerInstr(),
-                 R.Predecoded.InstrsPerSec(), R.Predecoded.NsPerInstr(),
-                 R.Speedup, I + 1 == Rows.size() ? "" : ",");
+                 (unsigned long long)R.SimInstrs, R.Legacy.instrsPerSec(),
+                 R.Legacy.MinNs, R.Legacy.spread(),
+                 R.Predecoded.instrsPerSec(), R.Predecoded.MinNs,
+                 R.Predecoded.spread(), R.Speedup,
+                 I + 1 == Rows.size() ? "" : ",");
   }
   std::fprintf(F, "  ],\n  \"check\": %s,\n  \"check_passed\": %s\n}\n",
                Check ? "true" : "false", CheckPassed ? "true" : "false");
@@ -146,40 +176,55 @@ int main(int Argc, char **Argv) {
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 
-  // The acceptance pair (dotproduct, pnmconvol) plus one float-heavy
-  // kernel and one application with deep call structure.
+  // The acceptance pair (dotproduct, pnmconvol), one float-heavy kernel,
+  // and the two interpreters-as-applications (dinero's deep call
+  // structure, mipsi's dispatch loop).
   const std::vector<std::string> Names = {"dotproduct", "pnmconvol",
-                                          "chebyshev", "dinero"};
-  double Target = Quick ? 0.05 : 0.4;
+                                          "chebyshev", "dinero", "mipsi"};
+  // Many short repetitions rather than one long run: the minimum needs
+  // only one repetition per engine to land in a quiet window.
+  const double Target = Quick ? 0.02 : 0.08;
+  const unsigned Reps = Quick ? 5 : 9;
 
-  std::printf("VM interpretation throughput (dispatch: %s)\n",
-              vm::VM::dispatchMode());
-  std::printf("%-12s %10s %14s %14s %9s %9s %8s\n", "workload", "invokes",
-              "legacy i/s", "predec i/s", "ns/i(L)", "ns/i(P)", "speedup");
+  std::printf("VM interpretation throughput (dispatch: %s; min of %u "
+              "interleaved repetitions)\n",
+              vm::VM::dispatchMode(), Reps);
+  std::printf("%-12s %10s %14s %14s %9s %9s %9s %9s %8s\n", "workload",
+              "invokes", "legacy i/s", "predec i/s", "ns/i(L)", "ns/i(P)",
+              "spread(L)", "spread(P)", "speedup");
 
   std::vector<Row> Rows;
   bool CheckPassed = true;
   for (const std::string &Name : Names) {
     const Workload &W = workloads::workloadByName(Name);
+    EngineDriver Legacy(W, vm::VM::EngineKind::Legacy);
+    EngineDriver Predecoded(W, vm::VM::EngineKind::Predecoded);
     Row R;
     R.Name = Name;
-    R.Invocations = calibrate(W, Target);
-    R.Legacy = runEngine(W, vm::VM::EngineKind::Legacy, R.Invocations);
-    R.Predecoded = runEngine(W, vm::VM::EngineKind::Predecoded, R.Invocations);
-    R.Speedup = R.Legacy.Seconds > 0 && R.Predecoded.Seconds > 0
-                    ? R.Predecoded.InstrsPerSec() / R.Legacy.InstrsPerSec()
-                    : 0;
+    R.Invocations = calibrate(Legacy, Target);
+    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+      Legacy.rep(Rep, R.Invocations);
+      Predecoded.rep(Rep, R.Invocations);
+    }
+    R.SimInstrs = Predecoded.SimInstrs;
+    R.Legacy = Legacy.Timing;
+    R.Predecoded = Predecoded.Timing;
+    R.Speedup = R.Predecoded.MinNs > 0 ? R.Legacy.MinNs / R.Predecoded.MinNs
+                                       : 0;
     if (R.Speedup < 1.0)
       CheckPassed = false;
-    std::printf("%-12s %10llu %14.0f %14.0f %9.3f %9.3f %7.2fx\n",
+    std::printf("%-12s %10llu %14.0f %14.0f %9.3f %9.3f %8.1f%% %8.1f%% "
+                "%7.2fx\n",
                 Name.c_str(), (unsigned long long)R.Invocations,
-                R.Legacy.InstrsPerSec(), R.Predecoded.InstrsPerSec(),
-                R.Legacy.NsPerInstr(), R.Predecoded.NsPerInstr(), R.Speedup);
+                R.Legacy.instrsPerSec(), R.Predecoded.instrsPerSec(),
+                R.Legacy.MinNs, R.Predecoded.MinNs,
+                100 * R.Legacy.spread(), 100 * R.Predecoded.spread(),
+                R.Speedup);
     Rows.push_back(std::move(R));
   }
 
   if (Json)
-    writeJson(Json, Rows, Check, CheckPassed);
+    writeJson(Json, Rows, Reps, Check, CheckPassed);
 
   if (Check && !CheckPassed) {
     std::fprintf(stderr,

@@ -377,18 +377,56 @@ LoweredFunction lowerFunction(const ir::Function &F, const ir::Module &M,
   return R;
 }
 
+namespace {
+
+/// The host functions a module's externals bind to.
+const vm::ExternalRegistry &hostCatalog() {
+  static const vm::ExternalRegistry Catalog = [] {
+    vm::ExternalRegistry R;
+    R.addStandardMath();
+    return R;
+  }();
+  return Catalog;
+}
+
+} // namespace
+
+bool checkExternals(const ir::Module &M, std::vector<std::string> &Errors) {
+  const vm::ExternalRegistry &Catalog = hostCatalog();
+  bool Ok = true;
+  for (size_t E = 0; E != M.numExternals(); ++E) {
+    const ExternalDecl &D = M.external(static_cast<int>(E));
+    std::string Where = D.Line ? formatString("line %u: ", D.Line) : "";
+    int Idx = Catalog.find(D.Name);
+    if (Idx < 0) {
+      Errors.push_back(Where + "no host implementation for external '" +
+                       D.Name + "'");
+      Ok = false;
+      continue;
+    }
+    unsigned HostArgs = Catalog.get(static_cast<unsigned>(Idx)).NumArgs;
+    if (HostArgs != D.NumArgs) {
+      Errors.push_back(Where +
+                       formatString("external '%s' is declared with %u "
+                                    "parameter%s, but its host "
+                                    "implementation takes %u",
+                                    D.Name.c_str(), D.NumArgs,
+                                    D.NumArgs == 1 ? "" : "s", HostArgs));
+      Ok = false;
+    }
+  }
+  return Ok;
+}
+
 void bindExternals(const ir::Module &M, vm::Program &Prog) {
-  vm::ExternalRegistry Catalog;
-  Catalog.addStandardMath();
+  const vm::ExternalRegistry &Catalog = hostCatalog();
   for (size_t E = 0; E != M.numExternals(); ++E) {
     const ExternalDecl &D = M.external(static_cast<int>(E));
     int Idx = Catalog.find(D.Name);
-    if (Idx < 0)
-      fatal("no host implementation for external '" + D.Name + "'");
+    assert(Idx >= 0 && "external without a host implementation");
     const vm::ExternalFunction &Impl =
         Catalog.get(static_cast<unsigned>(Idx));
-    if (Impl.NumArgs != D.NumArgs)
-      fatal("arity mismatch binding external '" + D.Name + "'");
+    assert(Impl.NumArgs == D.NumArgs && "external arity mismatch");
     unsigned Bound = Prog.Externals.add(Impl);
     assert(Bound == E && "external indices must mirror the module");
     (void)Bound;

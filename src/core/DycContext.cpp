@@ -17,7 +17,8 @@ int Executable::regionOrdinalOf(const std::string &Name) const {
 
 bool DycContext::compile(const std::string &Source,
                          std::vector<std::string> &Errors) {
-  if (!frontend::compileMiniC(Source, M, Errors))
+  if (!frontend::compileMiniC(Source, M, Errors) ||
+      !cogen::checkExternals(M, Errors))
     return false;
   // Normalize before optimizing so the static and dynamic compiles share
   // one CFG in which every make_static heads a block.

@@ -636,6 +636,7 @@ ir::Module lowerProgram(const ProgramAST &P,
     D.NumArgs = static_cast<unsigned>(E.ArgTys.size());
     D.Pure = E.Pure;
     D.RetTy = irTypeOf(E.RetTy);
+    D.Line = E.Line;
     int Idx = M.declareExternal(std::move(D));
     if (Callees[E.Name].Ext < 0)
       Callees[E.Name].Ext = Idx;

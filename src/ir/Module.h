@@ -28,6 +28,7 @@ struct ExternalDecl {
   unsigned NumArgs = 0;
   bool Pure = false;
   Type RetTy = Type::F64;
+  unsigned Line = 0; ///< source line of the declaration; 0 if built by hand
 };
 
 /// A translation unit.

@@ -120,7 +120,6 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
     DC->Instrs[I] = decodeOne(CO.Code[I], CM, CO.IsDynamicCode);
 
   // --- Superblocks with cost sums and I-cache line segments.
-  const uint32_t LineBytes = IC.BlockBytes ? IC.BlockBytes : 32;
   DC->BlockOf.assign(N, -1);
   size_t I = 0;
   while (I < N) {
@@ -135,17 +134,14 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
     B.First = static_cast<uint32_t>(I);
     B.Count = static_cast<uint32_t>(J - I);
     B.SegBegin = static_cast<uint32_t>(DC->Segs.size());
-    uint64_t CurLine = ~0ULL;
     for (size_t K = I; K != J; ++K) {
       B.CostSum += DC->Instrs[K].Cost;
-      uint64_t Addr = CO.addrOf(K);
-      uint64_t Line = Addr / LineBytes;
-      if (Line != CurLine) {
-        DC->Segs.push_back({Addr, 1});
-        CurLine = Line;
-      } else {
+      DecodedLineSeg Seg = lineSegOf(IC, CO.addrOf(K));
+      if (DC->Segs.size() != B.SegBegin && DC->Segs.back().Set == Seg.Set &&
+          DC->Segs.back().Tag == Seg.Tag)
         ++DC->Segs.back().Count;
-      }
+      else
+        DC->Segs.push_back(Seg);
     }
     B.SegEnd = static_cast<uint32_t>(DC->Segs.size());
     DC->BlockOf[I] = static_cast<int32_t>(DC->Blocks.size());

@@ -16,11 +16,11 @@
 ///    Mov before Br, hole-patched ConstI runs, compare-and-branch); and
 ///
 ///  * basic-block "superblocks" — per-block cycle sums, instruction
-///    counts, and I-cache line-touch segments, so the hot loop charges
-///    cycles, checks fuel, and probes the ICache once per block while
-///    reproducing the per-instruction engine's counters bit-identically
-///    (ICache::accessRun replays each line segment's access sequence
-///    exactly).
+///    counts, and I-cache line segments whose set index and tag are split
+///    from the address at translation time under the VM's I-cache
+///    geometry, so the hot loop checks fuel once per block and charges
+///    its cycles and fetches in one step (ICache::chargeBlock) while
+///    reproducing the per-instruction engine's counters bit-identically.
 ///
 /// Invalidation contract: translations are keyed by the CodeObject's
 /// simulated BaseAddr — Program::allocCodeAddr never reuses addresses, so
@@ -93,15 +93,9 @@ struct DecodedInstr {
   int64_t Imm = 0;
 };
 
-/// One I-cache line segment of a block: \p Count consecutive instruction
-/// fetches that all land on the line holding \p Addr.
-struct DecodedLineSeg {
-  uint64_t Addr = 0;
-  uint32_t Count = 0;
-};
-
 /// One straight-line superblock: [First, First + Count) instructions with
-/// their total cycle cost and I-cache touch list precomputed.
+/// their total cycle cost and I-cache line segments (DecodedLineSeg, in
+/// vm/ICache.h) precomputed.
 struct DecodedBlock {
   uint32_t First = 0;
   uint32_t Count = 0;
@@ -125,11 +119,11 @@ struct DecodedCode {
 };
 
 /// Builds the translation of \p CO under \p CM and the I-cache geometry
-/// \p IC (line segmentation), treating \p ExtraLeaders as additional block
-/// leaders. \p Recycle, if non-null, donates its heap buffers: the
-/// translation is rebuilt in place so steady-state re-translation (chain
-/// eviction and re-specialization) reuses capacity instead of
-/// reallocating.
+/// \p IC (each line segment's set and tag), treating \p ExtraLeaders as
+/// additional block leaders. \p Recycle, if non-null, donates its heap
+/// buffers: the translation is rebuilt in place so steady-state
+/// re-translation (chain eviction and re-specialization) reuses capacity
+/// instead of reallocating.
 std::unique_ptr<DecodedCode>
 buildDecoded(const CodeObject &CO, const CostModel &CM,
              const ICacheConfig &IC, std::vector<uint32_t> ExtraLeaders,
@@ -146,9 +140,8 @@ class SharedTranslations {
 public:
   /// Whether a VM configured with \p CM and \p IC may connect. The first
   /// caller fixes the table's configuration and later callers must match
-  /// it: a translation carries precomputed costs and I-cache line
-  /// segments, so a differently configured VM keeps translating for
-  /// itself.
+  /// it: a translation carries precomputed costs and I-cache sets and
+  /// tags, so a differently configured VM keeps translating for itself.
   bool admits(const CostModel &CM, const ICacheConfig &IC) {
     std::unique_lock<std::shared_mutex> L(Mu);
     if (!Config)

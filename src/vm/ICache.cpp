@@ -15,7 +15,7 @@ ICache::ICache(const ICacheConfig &Config) : Cfg(Config) {
   uint32_t NumBlocks = Cfg.SizeBytes / Cfg.BlockBytes;
   if (NumBlocks == 0 || NumBlocks % Cfg.Assoc != 0)
     fatal("I-cache geometry does not divide evenly into sets");
-  NumSets = NumBlocks / Cfg.Assoc;
+  NumSets = Cfg.numSets();
   if (NumSets & (NumSets - 1))
     fatal("I-cache set count must be a power of two");
   Lines.resize(static_cast<size_t>(NumSets) * Cfg.Assoc);
@@ -55,30 +55,18 @@ bool ICache::access(uint64_t Addr) {
   return false;
 }
 
-bool ICache::accessRun(uint64_t Addr, uint32_t Count) {
-  if (!Cfg.Enabled) {
-    Hits += Count;
-    return true;
+uint32_t ICache::chargeByFetch(const DecodedLineSeg *First,
+                               const DecodedLineSeg *Last) {
+  uint64_t MissesBefore = Misses;
+  uint32_t Shift = static_cast<uint32_t>(__builtin_ctz(NumSets));
+  for (const DecodedLineSeg *S = First; S != Last; ++S) {
+    uint64_t Addr = ((S->Tag << Shift) | S->Set) * Cfg.BlockBytes;
+    for (uint32_t F = 0; F != S->Count; ++F)
+      access(Addr);
   }
-  bool Hit = access(Addr);
-  if (Count > 1) {
-    // The remaining Count-1 fetches hit the line access() just installed
-    // or refreshed; replay their clock ticks and recency in one step.
-    Clock += Count - 1;
-    Hits += Count - 1;
-    uint64_t Block = Addr / Cfg.BlockBytes;
-    uint32_t Set = static_cast<uint32_t>(Block & (NumSets - 1));
-    uint64_t Tag = Block >> __builtin_ctz(NumSets);
-    Line *SetBase = &Lines[static_cast<size_t>(Set) * Cfg.Assoc];
-    for (uint32_t W = 0; W != Cfg.Assoc; ++W) {
-      Line &L = SetBase[W];
-      if (resident(L) && L.Tag == Tag) {
-        L.LastUse = Clock;
-        break;
-      }
-    }
-  }
-  return Hit;
+  // Only a segment's first fetch can miss: the rest find the line it
+  // just touched.
+  return static_cast<uint32_t>(Misses - MissesBefore);
 }
 
 void ICache::flush() { ++Epoch; }

@@ -30,10 +30,36 @@ struct ICacheConfig {
   uint32_t Assoc = 1;
   bool Enabled = true;
 
+  /// Sets in this geometry (ICache's constructor requires a power of two).
+  uint32_t numSets() const { return SizeBytes / BlockBytes / Assoc; }
+
   bool operator==(const ICacheConfig &) const = default;
 };
 
-/// LRU set-associative instruction cache.
+/// One I-cache line segment of a translated basic block: \p Count
+/// consecutive instruction fetches that all land on the line with set
+/// index \p Set and tag \p Tag. The translation splits each line's
+/// address once (lineSegOf); in a direct-mapped cache ICache::chargeBlock
+/// then charges the whole segment with one compare.
+struct DecodedLineSeg {
+  uint64_t Tag = 0;
+  uint32_t Set = 0;
+  uint32_t Count = 0;
+};
+static_assert(sizeof(DecodedLineSeg) == 16, "two segments per 32 bytes");
+
+/// The one-fetch segment of \p Addr under \p Cfg: the same set and tag
+/// split that ICache::access makes on every fetch.
+inline DecodedLineSeg lineSegOf(const ICacheConfig &Cfg, uint64_t Addr) {
+  uint64_t Block = Addr / Cfg.BlockBytes;
+  uint32_t Sets = Cfg.numSets();
+  return {Block >> __builtin_ctz(Sets),
+          static_cast<uint32_t>(Block & (Sets - 1)), 1};
+}
+
+/// LRU set-associative instruction cache. The legacy engine charges each
+/// fetch through access(); the predecoded engine charges each basic block
+/// through chargeBlock(), over line segments its translation split once.
 class ICache {
 public:
   explicit ICache(const ICacheConfig &Config = ICacheConfig());
@@ -41,14 +67,36 @@ public:
   /// Simulates a fetch from \p Addr. Returns true on hit.
   bool access(uint64_t Addr);
 
-  /// Simulates \p Count back-to-back fetches from the single cache line
-  /// holding \p Addr, bit-identically to \p Count access(Addr) calls: the
-  /// first fetch may miss; the rest are guaranteed hits (the line was just
-  /// touched and nothing intervened), so they are folded into one counter
-  /// update plus an LRU refresh. The predecoded engine uses this to charge
-  /// a basic block's fetches per line segment instead of per instruction.
-  /// Returns true if the first fetch hit.
-  bool accessRun(uint64_t Addr, uint32_t Count);
+  /// Charges the fetches of one translated basic block: the line
+  /// segments [\p First, \p Last), \p Instrs fetches in all, in fetch
+  /// order. The counters, the resident lines and the LRU order end
+  /// exactly as \p Instrs access() calls would leave them: a segment's
+  /// first fetch may miss, and the rest hit the line it just touched.
+  /// Returns the number of segments whose first fetch missed; the
+  /// predecoded engine charges the block's execution cost plus that many
+  /// miss penalties in one step. Only the direct-mapped geometry has a
+  /// fast path; associative and disabled caches replay the access() calls.
+  uint32_t chargeBlock(const DecodedLineSeg *First, const DecodedLineSeg *Last,
+                       uint32_t Instrs) {
+    if (Cfg.Assoc != 1 || !Cfg.Enabled) [[unlikely]]
+      return chargeByFetch(First, Last);
+    // Direct-mapped: the set's one line is always the victim and no
+    // recency is ever read, so a line costs one tag-and-epoch compare
+    // and the LRU clock stays untouched.
+    uint32_t Missed = 0;
+    for (const DecodedLineSeg *S = First; S != Last; ++S) {
+      Line &L = Lines[S->Set];
+      if (!resident(L) || L.Tag != S->Tag) {
+        L.Valid = true;
+        L.Epoch = Epoch;
+        L.Tag = S->Tag;
+        ++Missed;
+      }
+    }
+    Hits += Instrs - Missed;
+    Misses += Missed;
+    return Missed;
+  }
 
   /// Invalidates every line (flushed after dynamic code generation; the
   /// coherence cost itself is part of the specializer's emit cost).
@@ -84,6 +132,11 @@ private:
   bool resident(const Line &L) const {
     return L.Valid && L.Epoch == Epoch;
   }
+
+  /// chargeBlock for associative and disabled geometries: access() once
+  /// per fetch, at the address of each segment's line.
+  uint32_t chargeByFetch(const DecodedLineSeg *First,
+                         const DecodedLineSeg *Last);
 
   ICacheConfig Cfg;
   uint32_t NumSets;

@@ -7,8 +7,9 @@
 //    engine.
 //
 //  * Predecoded — executes the DecodedCache translation of each code
-//    object: cycles, fuel, and I-cache probes are charged once per
-//    superblock (ICache::accessRun replays the per-instruction access
+//    object: cycles, fuel, and I-cache fetches are charged once per
+//    superblock (ICache::chargeBlock, over line segments whose set and tag
+//    the translation precomputed, replays the per-instruction access
 //    order exactly), and dispatch runs over pre-resolved handlers —
 //    computed-goto when DYC_THREADED_DISPATCH is on, a dense switch
 //    otherwise. Both engines produce bit-identical counters; the parity
@@ -574,12 +575,11 @@ restart_frame:
           goto restart_frame;
         }
         InstrsExecuted += B.Count;
-        for (uint32_t S = B.SegBegin; S != B.SegEnd; ++S) {
-          const DecodedLineSeg &Seg = DC->Segs[S];
-          if (!IC.accessRun(Seg.Addr, Seg.Count))
-            ExecCycles += CM.ICacheMissPenalty;
-        }
-        ExecCycles += B.CostSum;
+        const DecodedLineSeg *Segs = DC->Segs.data();
+        uint32_t Missed =
+            IC.chargeBlock(Segs + B.SegBegin, Segs + B.SegEnd, B.Count);
+        ExecCycles +=
+            B.CostSum + static_cast<uint64_t>(Missed) * CM.ICacheMissPenalty;
 
         const DecodedInstr *IP = Instrs + B.First;
         const DecodedInstr *const BlockEnd = IP + B.Count;

@@ -230,11 +230,33 @@ TEST(Lowering, CallsStageArgumentsContiguously) {
   EXPECT_EQ(M.run(FIdx, {Word::fromInt(10)}).asInt(), 10 + 5 - 20);
 }
 
-TEST(Lowering, BindExternalsChecksNames) {
+// bindExternals assumes what checkExternals reports: one error per
+// declaration without a host function of the declared arity.
+TEST(Lowering, CheckExternalsReportsNameAndArity) {
   ir::Module M;
+  M.declareExternal({"cos", 1, true, ir::Type::F64});
   M.declareExternal({"no_such_external", 1, true, ir::Type::F64});
+  M.declareExternal({"pow", 1, true, ir::Type::F64});
+  M.declareExternal({"sqrt", 0, true, ir::Type::F64, /*Line=*/7});
+  std::vector<std::string> Errors;
+  EXPECT_FALSE(cogen::checkExternals(M, Errors));
+  EXPECT_EQ(Errors,
+            (std::vector<std::string>{
+                "no host implementation for external 'no_such_external'",
+                "external 'pow' is declared with 1 parameter, but its host "
+                "implementation takes 2",
+                "line 7: external 'sqrt' is declared with 0 parameters, but "
+                "its host implementation takes 1"}));
+
+  ir::Module Good;
+  Good.declareExternal({"cos", 1, true, ir::Type::F64});
+  Good.declareExternal({"pow", 2, true, ir::Type::F64});
+  Errors.clear();
+  EXPECT_TRUE(cogen::checkExternals(Good, Errors));
+  EXPECT_TRUE(Errors.empty());
   vm::Program Prog;
-  EXPECT_DEATH(cogen::bindExternals(M, Prog), "no host implementation");
+  cogen::bindExternals(Good, Prog);
+  EXPECT_EQ(Prog.Externals.size(), 2u);
 }
 
 } // namespace

@@ -5,16 +5,19 @@
 // and inclusive cycles, I-cache hits and misses — is bit-identical to the
 // legacy per-instruction switch loop. These tests run every Table 3
 // workload through both engines (fresh context and VM each, identical
-// inputs) and compare the complete observable state, including an
-// eviction + re-specialization sequence that exercises translation-cache
-// invalidation (Emitter Version bumps, unpublish callbacks, BaseAddr
-// keying).
+// inputs) under six I-cache geometries, and compare the complete
+// observable state, including an eviction + re-specialization sequence
+// that exercises translation-cache invalidation (Emitter Version bumps,
+// unpublish callbacks, BaseAddr keying).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Harness.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <ostream>
 
 using namespace dyc;
 using workloads::Workload;
@@ -41,14 +44,14 @@ uint64_t hashRange(vm::VM &M, int64_t Base, int64_t Len) {
   return hashWords(M.memory().data() + Base, static_cast<size_t>(Len));
 }
 
-/// Compiles \p W fresh, builds the dynamic configuration, pins \p Engine,
-/// and invokes the region function \p Invokes times on the workload's own
-/// inputs.
+/// Compiles \p W fresh, builds the dynamic configuration under the
+/// I-cache geometry \p IC, pins \p Engine, and invokes the region function
+/// \p Invokes times on the workload's own inputs.
 RunTrace traceWorkload(const Workload &W, vm::VM::EngineKind Engine,
-                       uint64_t Invokes) {
+                       uint64_t Invokes, const vm::ICacheConfig &IC) {
   core::DycContext Ctx;
   core::compileWorkload(W, Ctx);
-  auto E = Ctx.buildDynamic();
+  auto E = Ctx.buildDynamic(OptFlags(), vm::CostModel(), IC);
   E->Machine->Engine = Engine;
   WorkloadSetup S = W.Setup(*E->Machine);
   int FI = E->findFunction(W.RegionFunc);
@@ -86,25 +89,79 @@ void expectIdentical(const RunTrace &L, const RunTrace &P,
   EXPECT_EQ(L.MemHash, P.MemHash) << What << ": output memory";
 }
 
-class InterpParity : public ::testing::TestWithParam<std::string> {};
+// The I-cache geometry axis, the default first. The predecoded engine
+// charges each block through ICache::chargeBlock, whose direct-mapped
+// fast path works on the sets and tags its translation split under the
+// VM's geometry; the legacy engine's per-fetch access() is the oracle.
+struct Geometry {
+  const char *Name;
+  vm::ICacheConfig IC;
+};
 
-TEST_P(InterpParity, CountersBitIdenticalOnWorkload) {
-  const Workload &W = workloads::workloadByName(GetParam());
-  uint64_t Invokes = std::min<uint64_t>(W.RegionInvocations, 40);
-  RunTrace L = traceWorkload(W, vm::VM::EngineKind::Legacy, Invokes);
-  RunTrace P = traceWorkload(W, vm::VM::EngineKind::Predecoded, Invokes);
-  expectIdentical(L, P, W.Name);
+vm::ICacheConfig geometry(uint32_t SizeBytes, uint32_t BlockBytes,
+                          uint32_t Assoc, bool Enabled = true) {
+  vm::ICacheConfig IC;
+  IC.SizeBytes = SizeBytes;
+  IC.BlockBytes = BlockBytes;
+  IC.Assoc = Assoc;
+  IC.Enabled = Enabled;
+  return IC;
 }
 
-std::vector<std::string> workloadNames() {
-  std::vector<std::string> Names;
+const Geometry Geometries[] = {
+    // 8 KB direct-mapped, 32-byte lines.
+    {"default", vm::ICacheConfig()},
+    // pnmconvol's generated code has straight-line blocks of hundreds of
+    // instructions, more lines than this cache has sets, so a block
+    // evicts its own lines.
+    {"1KB_direct", geometry(1024, 32, 1)},
+    // The same footprint pressure with LRU choices to make.
+    {"1KB_2way", geometry(1024, 32, 2)},
+    {"4KB_2way", geometry(4096, 32, 2)},
+    {"8KB_4way_64B", geometry(8192, 64, 4)},
+    {"disabled", geometry(8192, 32, 1, /*Enabled=*/false)},
+};
+
+/// One Table 3 program under one geometry.
+struct ParityCase {
+  std::string Workload;
+  size_t Geometry; ///< index into Geometries
+};
+
+/// Prints the program's quoted name, then the geometry unless it is the
+/// default, so a program's default-geometry case is named as a plain
+/// per-program case.
+void PrintTo(const ParityCase &C, std::ostream *OS) {
+  *OS << '"' << C.Workload << '"';
+  if (C.Geometry != 0)
+    *OS << " under " << Geometries[C.Geometry].Name;
+}
+
+class InterpParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(InterpParity, CountersBitIdenticalOnWorkload) {
+  const Workload &W = workloads::workloadByName(GetParam().Workload);
+  const Geometry &G = Geometries[GetParam().Geometry];
+  uint64_t Invokes = std::min<uint64_t>(W.RegionInvocations, 40);
+  RunTrace L = traceWorkload(W, vm::VM::EngineKind::Legacy, Invokes, G.IC);
+  RunTrace P = traceWorkload(W, vm::VM::EngineKind::Predecoded, Invokes, G.IC);
+  expectIdentical(L, P, W.Name + " under " + G.Name);
+  if (G.IC.Enabled)
+    EXPECT_GT(P.ICacheMisses, 0u);
+  else
+    EXPECT_EQ(P.ICacheMisses, 0u);
+}
+
+std::vector<ParityCase> parityCases() {
+  std::vector<ParityCase> Cases;
   for (const Workload &W : workloads::allWorkloads())
-    Names.push_back(W.Name);
-  return Names;
+    for (size_t G = 0; G != std::size(Geometries); ++G)
+      Cases.push_back({W.Name, G});
+  return Cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Table3, InterpParity,
-                         ::testing::ValuesIn(workloadNames()));
+                         ::testing::ValuesIn(parityCases()));
 
 // Eviction + re-specialization: a tight chain budget forces CLOCK eviction
 // and unpublish (which eagerly invalidates translations), and revisiting

@@ -38,6 +38,37 @@ double dot(double* a, double* b, int n) {
 }
 )";
 
+// An extern the host does not implement, or declares with the wrong
+// arity, is a compile error (dycc exits 1 with it) instead of an abort
+// when an executable binds the module's externals.
+TEST(Pipeline, UnboundExternalsAreCompileErrors) {
+  struct Case {
+    const char *Src;
+    std::vector<std::string> Errors;
+  };
+  const Case Cases[] = {
+      {"extern int nosuch(int); int f(int x) { return nosuch(x); }",
+       {"line 1: no host implementation for external 'nosuch'"}},
+      {"extern double sqrt(double, double);\n"
+       "double f(double x) { return sqrt(x, x); }",
+       {"line 1: external 'sqrt' is declared with 2 parameters, but its "
+        "host implementation takes 1"}},
+      {"extern double cos(double);\n"
+       "extern double nosuch(double);\n"
+       "extern double pow(double);\n"
+       "double f(double x) { return cos(x) + nosuch(x) + pow(x); }",
+       {"line 2: no host implementation for external 'nosuch'",
+        "line 3: external 'pow' is declared with 1 parameter, but its host "
+        "implementation takes 2"}},
+  };
+  for (const Case &C : Cases) {
+    DycContext Ctx;
+    std::vector<std::string> Errors;
+    EXPECT_FALSE(Ctx.compile(C.Src, Errors)) << C.Src;
+    EXPECT_EQ(Errors, C.Errors) << C.Src;
+  }
+}
+
 TEST(Pipeline, DotProductSpecializes) {
   auto Ctx = compileOk(DotSource);
   auto StaticE = Ctx->buildStatic();

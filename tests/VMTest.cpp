@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <unistd.h>
 
 using namespace dyc;
@@ -213,6 +214,80 @@ TEST(ICacheTest, WorkingSetLargerThanCacheThrashes) {
     for (uint64_t A = 0; A < 16384; A += 32)
       C.access(A);
   EXPECT_EQ(C.hits(), 0u);
+}
+
+// chargeBlock charges a block's line segments in one call; per-fetch
+// access() is its oracle. Random segment lists over a footprint four
+// times the cache (conflicts, self-eviction within a block, associative
+// LRU choices), with flush() and invalidateRange() applied to both caches
+// between blocks.
+TEST(ICacheTest, ChargeBlockMatchesPerFetchAccess) {
+  auto geometry = [](uint32_t Size, uint32_t Line, uint32_t Assoc,
+                     bool Enabled) {
+    ICacheConfig Cfg;
+    Cfg.SizeBytes = Size;
+    Cfg.BlockBytes = Line;
+    Cfg.Assoc = Assoc;
+    Cfg.Enabled = Enabled;
+    return Cfg;
+  };
+  const ICacheConfig Geometries[] = {
+      geometry(8192, 32, 1, true), geometry(1024, 32, 1, true),
+      geometry(4096, 32, 2, true), geometry(8192, 64, 4, true),
+      geometry(256, 32, 8, true),  geometry(8192, 32, 1, false),
+  };
+  std::mt19937_64 Rng(21);
+  for (const ICacheConfig &Cfg : Geometries) {
+    SCOPED_TRACE(::testing::Message()
+                 << Cfg.SizeBytes << " B, " << Cfg.BlockBytes << " B lines, "
+                 << Cfg.Assoc << "-way" << (Cfg.Enabled ? "" : ", disabled"));
+    ICache Blocks(Cfg), Fetches(Cfg);
+    const uint64_t FootprintLines = 4ull * Cfg.SizeBytes / Cfg.BlockBytes;
+    std::vector<DecodedLineSeg> Segs;
+    for (int Block = 0; Block != 2000; ++Block) {
+      Segs.clear();
+      uint32_t Instrs = 0;
+      uint32_t ExpectMissed = 0;
+      size_t NumSegs = 1 + Rng() % 40;
+      for (size_t S = 0; S != NumSegs; ++S) {
+        uint64_t Addr = (Rng() % FootprintLines) * Cfg.BlockBytes +
+                        Rng() % Cfg.BlockBytes;
+        DecodedLineSeg Seg = lineSegOf(Cfg, Addr);
+        Seg.Count = 1 + static_cast<uint32_t>(Rng() % (Cfg.BlockBytes / 4));
+        Segs.push_back(Seg);
+        Instrs += Seg.Count;
+        for (uint32_t F = 0; F != Seg.Count; ++F)
+          if (!Fetches.access(Addr) && F == 0)
+            ++ExpectMissed;
+      }
+      EXPECT_EQ(Blocks.chargeBlock(Segs.data(), Segs.data() + Segs.size(),
+                                   Instrs),
+                ExpectMissed)
+          << "block " << Block;
+      ASSERT_EQ(Blocks.hits(), Fetches.hits()) << "block " << Block;
+      ASSERT_EQ(Blocks.misses(), Fetches.misses()) << "block " << Block;
+      switch (Rng() % 16) {
+      case 0:
+        Blocks.flush();
+        Fetches.flush();
+        break;
+      case 1: {
+        uint64_t Addr = Rng() % (FootprintLines * Cfg.BlockBytes);
+        uint64_t Bytes = Rng() % (2ull * Cfg.SizeBytes);
+        Blocks.invalidateRange(Addr, Bytes);
+        Fetches.invalidateRange(Addr, Bytes);
+        break;
+      }
+      default:
+        break;
+      }
+    }
+    if (Cfg.Enabled)
+      EXPECT_GT(Fetches.misses(), 0u);
+    else
+      EXPECT_EQ(Fetches.misses(), 0u);
+    EXPECT_GT(Fetches.hits(), 0u);
+  }
 }
 
 TEST(ProgramTest, AddressAllocationDisjoint) {
