@@ -15,6 +15,7 @@
 
 #include "core/Harness.h"
 #include "runtime/CodeCache.h"
+#include "runtime/RegionExec.h"
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +25,14 @@
 using namespace dyc;
 
 namespace {
+
+/// A published entry for \p Key, as the run-time's caches hold them.
+std::shared_ptr<runtime::SpecEntry> entry(std::vector<Word> Key) {
+  auto E = std::make_shared<runtime::SpecEntry>();
+  E->Key = std::move(Key);
+  E->Hash = hashWords(E->Key);
+  return E;
+}
 
 void reportPolicyCosts() {
   printf("Dispatch-cost study (section 4.4.3)\n\n");
@@ -62,19 +71,18 @@ void reportPolicyCosts() {
   // Double-hash probe behavior under load (the mipsi-collision effect).
   printf("\ndouble-hash table probe statistics:\n");
   for (size_t N : {8u, 64u, 512u, 4096u}) {
-    DoubleHashTable T;
+    runtime::CodeCache C(ir::CachePolicy::CacheAll);
     DeterministicRNG RNG(0xd15b);
     std::vector<std::vector<Word>> Keys;
     for (size_t I = 0; I != N; ++I) {
       Keys.push_back({Word::fromInt(static_cast<int64_t>(RNG.next())),
                       Word::fromInt(static_cast<int64_t>(I))});
-      T.insert(Keys.back(), static_cast<uint32_t>(I));
+      C.insert(entry(Keys.back()));
     }
-    uint64_t Probes0 = T.totalProbes(), Lookups0 = T.totalLookups();
+    uint64_t Probes = 0;
     for (const auto &K : Keys)
-      (void)T.lookup(K);
-    double Avg = static_cast<double>(T.totalProbes() - Probes0) /
-                 static_cast<double>(T.totalLookups() - Lookups0);
+      Probes += C.lookup(K).Probes;
+    double Avg = static_cast<double>(Probes) / static_cast<double>(N);
     vm::CostModel CM2;
     printf("  %5zu entries: %.2f probes/lookup -> ~%u cycles/dispatch\n",
            N, Avg,
@@ -88,7 +96,7 @@ void BM_CacheAllLookup(benchmark::State &State) {
   DeterministicRNG RNG(77);
   for (int I = 0; I != 256; ++I) {
     Keys.push_back({Word::fromInt(static_cast<int64_t>(RNG.next()))});
-    C.insert(Keys.back(), static_cast<uint32_t>(I));
+    C.insert(entry(Keys.back()));
   }
   size_t I = 0;
   for (auto _ : State) {
@@ -100,7 +108,7 @@ BENCHMARK(BM_CacheAllLookup);
 void BM_CacheOneUncheckedLookup(benchmark::State &State) {
   runtime::CodeCache C(ir::CachePolicy::CacheOneUnchecked);
   std::vector<Word> Key = {Word::fromInt(42)};
-  C.insert(Key, 7);
+  C.insert(entry(Key));
   for (auto _ : State) {
     benchmark::DoNotOptimize(C.lookup(Key));
   }

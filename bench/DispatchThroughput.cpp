@@ -11,6 +11,12 @@
 //   miss                   — fresh key every call: probe, specialize,
 //                            publish (specialization dominates)
 //
+// The three paths are timed in several repetitions, INTERLEAVED so a
+// machine-load phase hits all of them. Each path keeps its minimum ns per
+// dispatch (the repetition least disturbed by scheduler noise); the spread
+// columns are the slowest repetition over the fastest, minus one, so a
+// reader can tell a real move from noise.
+//
 // The hit paths must perform ZERO heap allocations per dispatch; this TU
 // replaces the global allocation functions with counting versions and the
 // timed loops assert on the delta. Simulated counters are out of scope
@@ -18,16 +24,17 @@
 // this binary measures only host speed.
 //
 // Flags:
-//   --quick        shrink the measured dispatch counts (CI smoke)
+//   --quick        shorter and fewer repetitions (CI smoke)
 //   --json FILE    write the measurements as JSON (BENCH_dispatch.json)
 //   --check        exit nonzero if cache_all's inline-cached hit path is
-//                  slower than 2x its hash-probe path, or if either hit
-//                  path allocated
+//                  slower than 2x its hash-probe path (minima), or if
+//                  either hit path allocated
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/DycContext.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -102,14 +109,22 @@ double nowSeconds() {
       .count();
 }
 
+/// One path's timing over the repetitions: its fastest and slowest, in
+/// host ns per dispatch.
 struct PathRun {
-  uint64_t Dispatches = 0;
-  double Seconds = 0;
-  uint64_t Allocs = 0; ///< heap allocations during the timed segment
-  double PerSec() const { return Seconds > 0 ? Dispatches / Seconds : 0; }
-  double NsPer() const {
-    return Dispatches ? Seconds * 1e9 / Dispatches : 0;
+  uint64_t Dispatches = 0; ///< per repetition
+  double MinNs = 0;
+  double MaxNs = 0;
+  uint64_t Allocs = 0; ///< heap allocations during the timed segments
+
+  void add(unsigned Rep, double Seconds, uint64_t NewAllocs) {
+    double Ns = Dispatches ? Seconds * 1e9 / Dispatches : 0;
+    MinNs = Rep == 0 ? Ns : std::min(MinNs, Ns);
+    MaxNs = Rep == 0 ? Ns : std::max(MaxNs, Ns);
+    Allocs += NewAllocs;
   }
+  double PerSec() const { return MinNs > 0 ? 1e9 / MinNs : 0; }
+  double spread() const { return MinNs > 0 ? MaxNs / MinNs - 1 : 0; }
 };
 
 /// One compiled region per policy, plus a register file sized for its
@@ -161,45 +176,39 @@ Built buildFor(const std::string &Policy) {
   return B;
 }
 
-/// Times \p N monomorphic dispatches on an already-published key. Two
-/// warm-up dispatches first: the first may miss and specialize, the second
+/// Times one repetition of R.Dispatches monomorphic dispatches on an
+/// already-published key. Two warm-up dispatches first: the first may miss
+/// and specialize (the miss path may have displaced the key), the second
 /// reaches steady state (retained key scratch sized, inline cache
 /// memoized). Intentionally never releases executors — ActiveRefs just
 /// grows, which is harmless and keeps the loop pure dispatch.
-PathRun timeHits(Built &B, bool ICOn, uint64_t N) {
+void timeHits(Built &B, bool ICOn, unsigned Rep, PathRun &R) {
   B.E->RT->setInlineCacheEnabled(ICOn);
   B.setKey(5);
   B.dispatch();
   B.dispatch();
-  PathRun R;
-  R.Dispatches = N;
   uint64_t A0 = heapAllocs();
   double T0 = nowSeconds();
-  for (uint64_t I = 0; I != N; ++I)
+  for (uint64_t I = 0; I != R.Dispatches; ++I)
     B.dispatch();
-  R.Seconds = nowSeconds() - T0;
-  R.Allocs = heapAllocs() - A0;
-  return R;
+  R.add(Rep, nowSeconds() - T0, heapAllocs() - A0);
 }
 
-/// Times \p N dispatches on never-seen keys: every one misses, specializes,
-/// and publishes (except under cache_one_unchecked, where any resident
-/// entry serves any key — there this measures the policy's actual behavior
-/// on fresh keys, which is a hit). Keys stay below the cache_indexed
-/// direct-array range so that policy is measured on its primary plane.
-PathRun timeMisses(Built &B, uint64_t N, uint64_t FirstKey) {
+/// Times one repetition of R.Dispatches dispatches on never-seen keys:
+/// every one misses, specializes, and publishes (except under
+/// cache_one_unchecked, where any resident entry serves any key — there
+/// this measures the policy's actual behavior on fresh keys, which is a
+/// hit). Keys stay below the cache_indexed direct-array range so that
+/// policy is measured on its primary plane.
+void timeMisses(Built &B, uint64_t FirstKey, unsigned Rep, PathRun &R) {
   B.E->RT->setInlineCacheEnabled(true);
-  PathRun R;
-  R.Dispatches = N;
   uint64_t A0 = heapAllocs();
   double T0 = nowSeconds();
-  for (uint64_t I = 0; I != N; ++I) {
+  for (uint64_t I = 0; I != R.Dispatches; ++I) {
     B.setKey(FirstKey + I);
     B.dispatch();
   }
-  R.Seconds = nowSeconds() - T0;
-  R.Allocs = heapAllocs() - A0;
-  return R;
+  R.add(Rep, nowSeconds() - T0, heapAllocs() - A0);
 }
 
 struct Row {
@@ -211,8 +220,8 @@ struct Row {
   }
 };
 
-void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
-               bool CheckPassed) {
+void writeJson(const char *Path, const std::vector<Row> &Rows, unsigned Reps,
+               bool Check, bool CheckPassed) {
   FILE *F = std::fopen(Path, "w");
   if (!F) {
     std::fprintf(stderr, "cannot open %s\n", Path);
@@ -222,12 +231,13 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
     std::fprintf(F,
                  "     \"%s\": {\"dispatches\": %llu, "
                  "\"dispatches_per_sec\": %.0f, \"ns_per_dispatch\": %.2f, "
-                 "\"heap_allocs\": %llu}%s\n",
+                 "\"spread\": %.3f, \"heap_allocs\": %llu}%s\n",
                  Name, (unsigned long long)R.Dispatches, R.PerSec(),
-                 R.NsPer(), (unsigned long long)R.Allocs, Tail);
+                 R.MinNs, R.spread(), (unsigned long long)R.Allocs, Tail);
   };
   std::fprintf(F, "{\n  \"bench\": \"dispatch_throughput\",\n");
   std::fprintf(F, "  \"dispatch\": \"%s\",\n", vm::VM::dispatchMode());
+  std::fprintf(F, "  \"reps\": %u,\n", Reps);
   std::fprintf(F, "  \"policies\": [\n");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
@@ -256,16 +266,21 @@ int main(int Argc, char **Argv) {
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 
-  uint64_t HitN = Quick ? 200000 : 2000000;
-  uint64_t MissN = Quick ? 500 : 5000;
+  // Many short repetitions rather than one long run: the minimum needs
+  // only one repetition per path to land in a quiet window.
+  const unsigned Reps = Quick ? 7 : 9;
+  const uint64_t HitN = Quick ? 300000 : 1000000; // per repetition
+  const uint64_t MissN = Quick ? 100 : 500;       // per repetition
 
   const char *Policies[] = {"cache_all", "cache_one", "cache_one_unchecked",
                             "cache_indexed"};
 
-  std::printf("Dispatch throughput (host dispatches/sec; dispatch: %s)\n",
-              vm::VM::dispatchMode());
-  std::printf("%-20s %14s %14s %12s %8s %7s %7s\n", "policy", "hit IC on",
-              "hit IC off", "miss", "IC gain", "alloc+", "alloc-");
+  std::printf("Dispatch throughput (host dispatches/sec; dispatch: %s; min "
+              "of %u interleaved repetitions)\n",
+              vm::VM::dispatchMode(), Reps);
+  std::printf("%-20s %12s %12s %10s %8s %7s %7s %7s %7s %7s\n", "policy",
+              "hit IC on", "hit IC off", "miss", "IC gain", "sprd+", "sprd-",
+              "sprdM", "alloc+", "alloc-");
 
   std::vector<Row> Rows;
   bool CheckPassed = true;
@@ -273,9 +288,13 @@ int main(int Argc, char **Argv) {
     Built B = buildFor(Policy);
     Row R;
     R.Policy = Policy;
-    R.HitICOn = timeHits(B, true, HitN);
-    R.HitICOff = timeHits(B, false, HitN);
-    R.Miss = timeMisses(B, MissN, /*FirstKey=*/100);
+    R.HitICOn.Dispatches = R.HitICOff.Dispatches = HitN;
+    R.Miss.Dispatches = MissN;
+    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+      timeHits(B, true, Rep, R.HitICOn);
+      timeHits(B, false, Rep, R.HitICOff);
+      timeMisses(B, /*FirstKey=*/100 + Rep * MissN, Rep, R.Miss);
+    }
     R.ICHits = B.E->RT->inlineCacheHits();
 
     // The monomorphic hit path must never touch the heap, with the inline
@@ -287,15 +306,18 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Policy, "cache_all") == 0 && R.ICSpeedup() < 2.0)
       CheckPassed = false;
 
-    std::printf("%-20s %14.0f %14.0f %12.0f %7.2fx %7llu %7llu\n", Policy,
-                R.HitICOn.PerSec(), R.HitICOff.PerSec(), R.Miss.PerSec(),
-                R.ICSpeedup(), (unsigned long long)R.HitICOn.Allocs,
+    std::printf("%-20s %12.0f %12.0f %10.0f %7.2fx %6.1f%% %6.1f%% %6.1f%% "
+                "%7llu %7llu\n",
+                Policy, R.HitICOn.PerSec(), R.HitICOff.PerSec(),
+                R.Miss.PerSec(), R.ICSpeedup(), 100 * R.HitICOn.spread(),
+                100 * R.HitICOff.spread(), 100 * R.Miss.spread(),
+                (unsigned long long)R.HitICOn.Allocs,
                 (unsigned long long)R.HitICOff.Allocs);
     Rows.push_back(std::move(R));
   }
 
   if (Json)
-    writeJson(Json, Rows, Check, CheckPassed);
+    writeJson(Json, Rows, Reps, Check, CheckPassed);
 
   if (Check && !CheckPassed) {
     std::fprintf(stderr,

@@ -379,6 +379,24 @@ LoweredFunction lowerFunction(const ir::Function &F, const ir::Module &M,
 
 namespace {
 
+/// A declaration's type as MiniC spells it (pointers lower to int).
+const char *sourceTypeName(ir::Type T) {
+  switch (T) {
+  case ir::Type::Void:
+    return "void";
+  case ir::Type::I64:
+    return "int";
+  case ir::Type::F64:
+    return "double";
+  }
+  return "?";
+}
+
+/// The IR type of what a host function returns.
+ir::Type resultType(const vm::ExternalFunction &F) {
+  return F.Result == vm::ExtResult::Double ? ir::Type::F64 : ir::Type::I64;
+}
+
 /// The host functions a module's externals bind to.
 const vm::ExternalRegistry &hostCatalog() {
   static const vm::ExternalRegistry Catalog = [] {
@@ -404,14 +422,26 @@ bool checkExternals(const ir::Module &M, std::vector<std::string> &Errors) {
       Ok = false;
       continue;
     }
-    unsigned HostArgs = Catalog.get(static_cast<unsigned>(Idx)).NumArgs;
-    if (HostArgs != D.NumArgs) {
+    const vm::ExternalFunction &Host =
+        Catalog.get(static_cast<unsigned>(Idx));
+    if (Host.NumArgs != D.NumArgs) {
       Errors.push_back(Where +
                        formatString("external '%s' is declared with %u "
                                     "parameter%s, but its host "
                                     "implementation takes %u",
                                     D.Name.c_str(), D.NumArgs,
-                                    D.NumArgs == 1 ? "" : "s", HostArgs));
+                                    D.NumArgs == 1 ? "" : "s", Host.NumArgs));
+      Ok = false;
+      continue;
+    }
+    ir::Type HostTy = resultType(Host);
+    if (HostTy != D.RetTy) {
+      Errors.push_back(Where + formatString("external '%s' is declared to "
+                                            "return %s, but its host "
+                                            "implementation returns %s",
+                                            D.Name.c_str(),
+                                            sourceTypeName(D.RetTy),
+                                            sourceTypeName(HostTy)));
       Ok = false;
     }
   }
@@ -427,6 +457,7 @@ void bindExternals(const ir::Module &M, vm::Program &Prog) {
     const vm::ExternalFunction &Impl =
         Catalog.get(static_cast<unsigned>(Idx));
     assert(Impl.NumArgs == D.NumArgs && "external arity mismatch");
+    assert(resultType(Impl) == D.RetTy && "external return type mismatch");
     unsigned Bound = Prog.Externals.add(Impl);
     assert(Bound == E && "external indices must mirror the module");
     (void)Bound;

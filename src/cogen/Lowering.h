@@ -69,14 +69,14 @@ LoweredFunction lowerFunction(const ir::Function &F, const ir::Module &M,
                               const std::string &CodeName = "");
 
 /// Checks that every external \p M declares names a host function of the
-/// same arity; appends one error per bad declaration to \p Errors and
-/// returns false if there is any. DycContext::compile reports these, so
-/// bindExternals may assume them.
+/// same arity and return type; appends one error per bad declaration to
+/// \p Errors and returns false if there is any. DycContext::compile
+/// reports these, so bindExternals may assume them.
 bool checkExternals(const ir::Module &M, std::vector<std::string> &Errors);
 
 /// Registers the module's externals into \p Prog from the standard
-/// library, asserting that each one exists with the declared arity
-/// (checkExternals) and that indices line up.
+/// library, asserting that each one exists with the declared arity and
+/// return type (checkExternals) and that indices line up.
 void bindExternals(const ir::Module &M, vm::Program &Prog);
 
 /// The IR-to-VM encoding tables, expanded from the op table and shared by

@@ -2,146 +2,210 @@
 
 #include "runtime/CodeCache.h"
 
+#include "runtime/RegionExec.h"
+
+#include <utility>
+
 namespace dyc {
 namespace runtime {
 
-CodeCache::CodeCache(const CodeCache &O)
-    : Policy(O.Policy), IndexPos(O.IndexPos), Table(O.Table),
-      HasOne(O.HasOne), OneKey(O.OneKey), OneValue(O.OneValue),
-      Indexed(O.Indexed), IndexedCount(O.IndexedCount), Epoch(O.Epoch),
-      Lookups(O.Lookups.load(std::memory_order_relaxed)) {}
+namespace {
 
-CodeCache &CodeCache::operator=(const CodeCache &O) {
-  Policy = O.Policy;
-  IndexPos = O.IndexPos;
-  Table = O.Table;
-  HasOne = O.HasOne;
-  OneKey = O.OneKey;
-  OneValue = O.OneValue;
-  Indexed = O.Indexed;
-  IndexedCount = O.IndexedCount;
-  Epoch = O.Epoch;
-  Lookups.store(O.Lookups.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  return *this;
+/// Prime capacities, each the largest prime below a power of two, so the
+/// double-hash step (always smaller than the capacity) walks a full cycle.
+const size_t PrimeCaps[] = {
+    13,        31,        61,        127,        251,        509,
+    1021,      2039,      4093,      8191,       16381,      32749,
+    65521,     131071,    262139,    524287,     1048573,    2097143,
+    4194301,   8388593,   16777213,  33554393,   67108859,   134217689,
+    268435399, 536870909, 1073741789, 2147483647, 4294967291u};
+
+/// The smallest capacity that holds \p N entries at no more than half
+/// load. Chosen from the live entries, so a table that fills with
+/// tombstones is rebuilt at its own size instead of growing without bound;
+/// without erasure it is the next capacity up at every growth point.
+size_t capacityFor(size_t N) {
+  for (size_t P : PrimeCaps)
+    if (P >= 2 * N)
+      return P;
+  fatal("dispatch cache: too many entries");
+}
+
+uint64_t secondaryHash(uint64_t H) {
+  // A distinct mix so the step is independent of the home slot.
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdULL;
+  H ^= H >> 33;
+  return H;
+}
+
+constexpr size_t NoSlot = ~size_t(0);
+
+} // namespace
+
+bool CodeCache::hashed(WordSpan Key) const {
+  if (Policy == ir::CachePolicy::CacheAll)
+    return true;
+  if (Policy != ir::CachePolicy::CacheIndexed)
+    return false;
+  assert(IndexPos < Key.size() && "indexed cache needs its index key");
+  return Key[IndexPos].Bits >= MaxIndexedKey;
+}
+
+size_t CodeCache::slotOf(WordSpan Key, unsigned &Probes) const {
+  // An unallocated table probes like a fresh one: one empty slot.
+  Probes = 1;
+  if (Table.empty())
+    return NoSlot;
+  uint64_t H = hashWords(Key);
+  size_t Cap = Table.size();
+  size_t Idx = H % Cap;
+  size_t Step = 1 + secondaryHash(H) % (Cap - 1);
+  for (size_t I = 0; I != Cap; ++I, Idx = (Idx + Step) % Cap) {
+    Probes = static_cast<unsigned>(I + 1);
+    const Slot &S = Table[Idx];
+    if (!S.E) {
+      if (!S.Deleted)
+        return NoSlot;
+    } else if (S.E->Hash == H && WordSpan(S.E->Key) == Key) {
+      return Idx;
+    }
+  }
+  return NoSlot;
+}
+
+const std::shared_ptr<SpecEntry> *CodeCache::resident(WordSpan Key,
+                                                      unsigned &Probes) const {
+  Probes = 0;
+  switch (Policy) {
+  case ir::CachePolicy::CacheAll:
+    break;
+  case ir::CachePolicy::CacheOne:
+    return One && WordSpan(One->Key) == Key ? &One : nullptr;
+  case ir::CachePolicy::CacheOneUnchecked:
+    // A resident entry is used without comparing keys.
+    return &One;
+  case ir::CachePolicy::CacheIndexed: {
+    if (hashed(Key))
+      break; // out-of-range index: the checked hash path, cache_all cost
+    uint64_t Idx = Key[IndexPos].Bits;
+    return Idx < Indexed.size() ? &Indexed[Idx] : nullptr;
+  }
+  }
+  size_t I = slotOf(Key, Probes);
+  return I == NoSlot ? nullptr : &Table[I].E;
+}
+
+CacheResult CodeCache::lookup(WordSpan Key) const {
+  CacheResult R;
+  if (const std::shared_ptr<SpecEntry> *E = resident(Key, R.Probes))
+    R.Entry = E->get();
+  return R;
+}
+
+std::shared_ptr<SpecEntry> CodeCache::find(WordSpan Key) const {
+  unsigned Probes = 0;
+  const std::shared_ptr<SpecEntry> *E = resident(Key, Probes);
+  return E ? *E : nullptr;
 }
 
 size_t CodeCache::entries() const {
   switch (Policy) {
   case ir::CachePolicy::CacheAll:
-    return Table.size();
+    return Live;
   case ir::CachePolicy::CacheIndexed:
-    return IndexedCount + Table.size();
+    return IndexedCount + Live;
   default:
-    return HasOne ? 1 : 0;
+    return One ? 1 : 0;
   }
 }
 
-CacheResult CodeCache::lookup(WordSpan Key) const {
-  Lookups.fetch_add(1, std::memory_order_relaxed);
-  CacheResult R;
-  switch (Policy) {
-  case ir::CachePolicy::CacheAll: {
-    uint32_t V = Table.lookup(Key, &R.Probes);
-    R.Hit = V != DoubleHashTable::NotFound;
-    R.Value = R.Hit ? V : 0;
-    return R;
-  }
-  case ir::CachePolicy::CacheOne:
-    R.Hit = HasOne && OneKey == Key;
-    R.Value = R.Hit ? OneValue : 0;
-    return R;
-  case ir::CachePolicy::CacheOneUnchecked:
-    // A resident entry is used without comparing keys.
-    R.Hit = HasOne;
-    R.Value = R.Hit ? OneValue : 0;
-    return R;
-  case ir::CachePolicy::CacheIndexed: {
-    assert(IndexPos < Key.size() && "indexed cache needs its index key");
-    uint64_t Idx = Key[IndexPos].Bits;
-    if (Idx >= MaxIndexedKey) {
-      // Out-of-range index value: safe fallback to the checked hash path
-      // (full-key comparison, cache_all dispatch cost).
-      uint32_t V = Table.lookup(Key, &R.Probes);
-      R.Hit = V != DoubleHashTable::NotFound;
-      R.Value = R.Hit ? V : 0;
-      return R;
-    }
-    if (Idx >= Indexed.size() || Indexed[Idx] == NotPresent)
-      return R;
-    R.Hit = true;
-    R.Value = Indexed[Idx];
-    return R;
-  }
-  }
-  return R;
-}
-
-bool CodeCache::insert(WordSpan Key, uint32_t Value, uint32_t *DisplacedOut) {
+std::shared_ptr<SpecEntry> CodeCache::insert(std::shared_ptr<SpecEntry> E) {
+  assert(E->Hash == hashWords(E->Key) && "entry hash must cover its key");
   ++Epoch;
-  if (DisplacedOut)
-    *DisplacedOut = NoValue;
-  if (Policy == ir::CachePolicy::CacheAll) {
-    uint32_t Old = DoubleHashTable::NotFound;
-    Table.insert(Key, Value, &Old);
-    if (DisplacedOut && Old != DoubleHashTable::NotFound)
-      *DisplacedOut = Old;
-    return false;
-  }
-  if (Policy == ir::CachePolicy::CacheIndexed) {
-    uint64_t Idx = Key[IndexPos].Bits;
-    if (Idx >= MaxIndexedKey) {
-      uint32_t Old = DoubleHashTable::NotFound;
-      Table.insert(Key, Value, &Old);
-      if (DisplacedOut && Old != DoubleHashTable::NotFound)
-        *DisplacedOut = Old;
-      return false;
-    }
-    if (Idx >= Indexed.size())
-      Indexed.resize(Idx + 1, NotPresent);
-    if (Indexed[Idx] == NotPresent)
-      ++IndexedCount;
-    else if (DisplacedOut)
-      *DisplacedOut = Indexed[Idx];
-    Indexed[Idx] = Value;
-    return false;
-  }
-  bool Evicted = HasOne && WordSpan(OneKey) != Key;
-  if (HasOne && DisplacedOut)
-    *DisplacedOut = OneValue;
-  HasOne = true;
-  OneKey.assign(Key.begin(), Key.end());
-  OneValue = Value;
-  return Evicted;
+  if (hashed(E->Key))
+    return tableInsert(std::move(E));
+  if (Policy != ir::CachePolicy::CacheIndexed)
+    return std::exchange(One, std::move(E));
+  uint64_t Idx = E->Key[IndexPos].Bits;
+  if (Idx >= Indexed.size())
+    Indexed.resize(Idx + 1);
+  if (!Indexed[Idx])
+    ++IndexedCount;
+  return std::exchange(Indexed[Idx], std::move(E));
 }
 
 void CodeCache::erase(WordSpan Key) {
   ++Epoch;
-  switch (Policy) {
-  case ir::CachePolicy::CacheAll:
-    Table.erase(Key);
-    return;
-  case ir::CachePolicy::CacheIndexed: {
-    uint64_t Idx = Key[IndexPos].Bits;
-    if (Idx >= MaxIndexedKey) {
-      Table.erase(Key);
-      return;
-    }
-    if (Idx < Indexed.size() && Indexed[Idx] != NotPresent) {
-      Indexed[Idx] = NotPresent;
-      --IndexedCount;
+  if (hashed(Key)) {
+    unsigned Probes = 0;
+    size_t I = slotOf(Key, Probes);
+    if (I != NoSlot) {
+      Table[I].E.reset();
+      Table[I].Deleted = true;
+      --Live;
+      ++Tombstones;
     }
     return;
   }
-  case ir::CachePolicy::CacheOne:
-  case ir::CachePolicy::CacheOneUnchecked:
-    if (HasOne && OneKey == Key) {
-      HasOne = false;
-      OneKey.clear();
-      OneValue = 0;
-    }
+  if (Policy != ir::CachePolicy::CacheIndexed) {
+    if (One && WordSpan(One->Key) == Key)
+      One.reset();
     return;
   }
+  uint64_t Idx = Key[IndexPos].Bits;
+  if (Idx < Indexed.size() && Indexed[Idx]) {
+    Indexed[Idx].reset();
+    --IndexedCount;
+  }
+}
+
+std::shared_ptr<SpecEntry>
+CodeCache::tableInsert(std::shared_ptr<SpecEntry> E) {
+  if (Table.empty())
+    Table.resize(PrimeCaps[0]);
+  // Tombstones count toward the load factor: they lengthen probe chains
+  // exactly like live entries until a rehash drops them.
+  if ((Live + Tombstones + 1) * 3 > Table.size() * 2)
+    rehash(capacityFor(Live + 1));
+  return place(std::move(E));
+}
+
+std::shared_ptr<SpecEntry> CodeCache::place(std::shared_ptr<SpecEntry> E) {
+  const uint64_t H = E->Hash;
+  const size_t Cap = Table.size();
+  size_t Idx = H % Cap;
+  const size_t Step = 1 + secondaryHash(H) % (Cap - 1);
+  Slot *Free = nullptr; // the first tombstone, reused if the key is absent
+  for (size_t I = 0; I != Cap; ++I, Idx = (Idx + Step) % Cap) {
+    Slot &S = Table[Idx];
+    if (S.E) {
+      if (S.E->Hash == H && S.E->Key == E->Key)
+        return std::exchange(S.E, std::move(E));
+      continue;
+    }
+    if (!Free)
+      Free = &S;
+    if (!S.Deleted)
+      break;
+  }
+  if (!Free)
+    fatal("dispatch cache: table full despite its load bound");
+  if (Free->Deleted) {
+    Free->Deleted = false;
+    --Tombstones;
+  }
+  Free->E = std::move(E);
+  ++Live;
+  return nullptr;
+}
+
+void CodeCache::rehash(size_t Cap) {
+  std::vector<Slot> Old = std::exchange(Table, std::vector<Slot>(Cap));
+  Live = Tombstones = 0;
+  for (Slot &S : Old)
+    if (S.E)
+      place(std::move(S.E));
 }
 
 } // namespace runtime

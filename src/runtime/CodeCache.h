@@ -6,10 +6,13 @@
 ///
 /// \file
 /// The per-promotion-point caches of dynamically generated code (paper
-/// section 2.2.3). Three policies:
+/// section 2.2.3): the one dispatch cache of both front ends. A cache maps
+/// the tuple of static-variable values at a promotion point to a published
+/// SpecEntry (RegionExec.h), whose Key and Hash the core fills. Four
+/// policies:
 ///
-///  * cache_all (default, safe): double-hashed table mapping the tuple of
-///    static-variable values to generated code (~90 cycles per dispatch).
+///  * cache_all (default, safe): a double-hashed table [Cormen, Leiserson,
+///    Rivest] (~90 cycles per dispatch, rising with the probe count).
 ///  * cache_one: a single entry whose key is checked; a mismatch evicts
 ///    and respecializes.
 ///  * cache_one_unchecked: a single entry returned *without* checking
@@ -23,24 +26,37 @@
 ///    instead of aborting, so an occasional out-of-range value degrades to
 ///    cache_all cost rather than killing the process.
 ///
+/// The table's probe rule is the paper's cost model input: a lookup starts
+/// at Hash % Capacity and steps by an odd-mixed second hash over a prime
+/// capacity, so every slot is reachable; erasure leaves a tombstone that
+/// later probes walk through. The number of slots a lookup inspects is
+/// what the cache_all dispatch charge (section 4.4.3) counts.
+///
+/// A cache keeps no counters: lookup writes nothing, and a copy is a plain
+/// value. The inline runtime mutates its caches in place; the SpecServer
+/// publishes a mutated copy per insert or erase (server/ShardedCache.h),
+/// so the server's table goes through exactly the inline table's history,
+/// tombstones included, and the same keys cost the same probes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYC_RUNTIME_CODECACHE_H
 #define DYC_RUNTIME_CODECACHE_H
 
 #include "ir/Instruction.h"
-#include "support/DoubleHashTable.h"
 
-#include <atomic>
+#include <memory>
+#include <vector>
 
 namespace dyc {
 namespace runtime {
 
+struct SpecEntry;
+
 /// Outcome of a cache probe.
 struct CacheResult {
-  bool Hit = false;
-  uint32_t Value = 0;   ///< generated-code entry PC on hit
-  unsigned Probes = 0;  ///< hash probes performed (cache_all only)
+  const SpecEntry *Entry = nullptr; ///< the published entry; null on a miss
+  unsigned Probes = 0; ///< table slots inspected (hashed lookups only)
 };
 
 /// One promotion point's cache.
@@ -49,8 +65,6 @@ public:
   explicit CodeCache(ir::CachePolicy Policy = ir::CachePolicy::CacheAll,
                      uint32_t IndexPos = 0)
       : Policy(Policy), IndexPos(IndexPos) {}
-  CodeCache(const CodeCache &O);
-  CodeCache &operator=(const CodeCache &O);
 
   ir::CachePolicy policy() const { return Policy; }
 
@@ -60,28 +74,21 @@ public:
   /// Probes for \p Key. Under cache_one_unchecked, any resident entry hits
   /// regardless of key — the unsafety is the point.
   CacheResult lookup(WordSpan Key) const;
-  CacheResult lookup(const std::vector<Word> &Key) const {
-    return lookup(WordSpan(Key));
-  }
 
-  /// Installs \p Key -> \p Value (replaces the resident entry under the
-  /// one-slot policies). Returns true if a live entry with a *different*
-  /// key was evicted to make room (cache_one mismatch replacement); the
-  /// run-time counts these in RegionStats. \p DisplacedOut, if non-null,
-  /// receives the value any pre-existing entry was displaced from (one-slot
-  /// replacement, same-key rebinding, or same-index overwrite) or NoValue —
-  /// the run-time uses it to retire the displaced chain.
-  bool insert(WordSpan Key, uint32_t Value, uint32_t *DisplacedOut = nullptr);
-  bool insert(const std::vector<Word> &Key, uint32_t Value,
-              uint32_t *DisplacedOut = nullptr) {
-    return insert(WordSpan(Key), Value, DisplacedOut);
-  }
+  /// lookup's entry with shared ownership (null on a miss), for a caller
+  /// that must keep it alive past a concurrent unpublication.
+  std::shared_ptr<SpecEntry> find(WordSpan Key) const;
+
+  /// Publishes \p E under E->Key; E->Hash must be hashWords(E->Key).
+  /// Returns the entry it displaced, or null: the resident entry under the
+  /// one-slot policies, the entry of the same key in the table, or the
+  /// entry of the same index word in cache_indexed's array.
+  std::shared_ptr<SpecEntry> insert(std::shared_ptr<SpecEntry> E);
 
   /// Removes \p Key so the next lookup misses (capacity eviction
   /// unpublishing an entry). Under the one-slot policies the resident entry
   /// is dropped only if its key matches.
   void erase(WordSpan Key);
-  void erase(const std::vector<Word> &Key) { erase(WordSpan(Key)); }
 
   /// Mutation epoch: bumped by every insert and erase — the only
   /// operations that can change which entry a key maps to or how many
@@ -90,49 +97,46 @@ public:
   /// both are still exactly what a real lookup would produce.
   uint64_t epoch() const { return Epoch; }
 
-  /// Replays the counter effects of the memoized hit the inline cache just
-  /// short-circuited: one lookup here, and — when the memoized probe ran
-  /// through the hash table (\p UsedTable: cache_all, or the
-  /// cache_indexed out-of-range fallback) — the table's lookup/probe
-  /// counters, so lookups()/totalProbes() stay bit-identical to an
-  /// un-memoized dispatch sequence.
-  /// Single-writer bumps (load + store, no RMW): only the single-client
-  /// inline front end memoizes against a CodeCache, so there is never a
-  /// concurrent writer, and plain atomic stores keep any concurrent stats
-  /// reader race-free at a fraction of a locked add's cost.
-  void noteMemoizedHit(unsigned Probes, bool UsedTable) const {
-    Lookups.store(Lookups.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    if (UsedTable)
-      Table.notePhantomLookup(Probes);
-  }
-
-  uint64_t lookups() const { return Lookups.load(std::memory_order_relaxed); }
-  uint64_t totalProbes() const { return Table.totalProbes(); }
   size_t entries() const;
+
+  /// Slots of the hash table (0 until its first insert).
+  size_t tableCapacity() const { return Table.size(); }
 
   /// cache_indexed keys below this index the direct array; larger keys use
   /// the double-hash fallback path.
   static constexpr size_t MaxIndexedKey = 65536;
 
-  /// Sentinel for insert's DisplacedOut: nothing was displaced.
-  static constexpr uint32_t NoValue = 0xffffffffu;
-
 private:
+  struct Slot {
+    std::shared_ptr<SpecEntry> E; ///< null: never used, or a tombstone
+    bool Deleted = false; ///< tombstone: probe sequences continue through
+  };
+
+  /// Whether \p Key lives in the hash table rather than a direct slot.
+  bool hashed(WordSpan Key) const;
+  /// The index of the table slot holding \p Key, or ~0; \p Probes
+  /// receives the slots inspected.
+  size_t slotOf(WordSpan Key, unsigned &Probes) const;
+  /// Where \p Key's entry is stored under the policy (a null pointer, or a
+  /// pointer to null, if absent); \p Probes as for slotOf, 0 off-table.
+  const std::shared_ptr<SpecEntry> *resident(WordSpan Key,
+                                             unsigned &Probes) const;
+  std::shared_ptr<SpecEntry> tableInsert(std::shared_ptr<SpecEntry> E);
+  /// Stores \p E in its key's slot, or the first free one on its probe
+  /// sequence; returns the entry of the same key it replaced, if any.
+  std::shared_ptr<SpecEntry> place(std::shared_ptr<SpecEntry> E);
+  /// Re-places the live entries into \p Cap slots, dropping tombstones.
+  void rehash(size_t Cap);
+
   ir::CachePolicy Policy;
   uint32_t IndexPos;
-  DoubleHashTable Table; // cache_all, and cache_indexed overflow keys
-  bool HasOne = false;   // one-slot policies
-  std::vector<Word> OneKey;
-  uint32_t OneValue = 0;
-  std::vector<uint32_t> Indexed; // cache_indexed (sentinel = NotPresent)
+  std::vector<Slot> Table; ///< cache_all, and cache_indexed overflow keys
+  size_t Live = 0;         ///< occupied table slots
+  size_t Tombstones = 0;   ///< deleted table slots
+  std::shared_ptr<SpecEntry> One; ///< one-slot policies
+  std::vector<std::shared_ptr<SpecEntry>> Indexed; ///< cache_indexed array
   size_t IndexedCount = 0;
   uint64_t Epoch = 0; ///< bumped on insert/erase (inline-cache validity)
-  /// Relaxed atomic: concurrent readers (the SpecServer's dispatch layer)
-  /// may count lookups while a stats reader aggregates them.
-  mutable std::atomic<uint64_t> Lookups{0};
-
-  static constexpr uint32_t NotPresent = 0xffffffffu;
 };
 
 } // namespace runtime

@@ -22,11 +22,13 @@
 /// passes in: the inline front end's book lives in the core, and every
 /// SpecServer tenant view holds its own.
 ///
-/// What the core does NOT own is the dispatch cache: each front end maps
-/// keys to published SpecEntries its own way (per-promotion CodeCache
-/// inline; lock-free ShardedCache snapshots in the server), tells the core
-/// about displacements so eviction bookkeeping stays identical, and
-/// retires its victims' chains itself.
+/// What the core does NOT own is the dispatch cache, though both front
+/// ends use the same one (runtime/CodeCache.h, one per promotion point):
+/// the inline runtime mutates its caches in place, and the server
+/// publishes copy-on-write copies that clients probe without a lock
+/// (server/ShardedCache.h). Each front end tells the core about
+/// displacements so eviction bookkeeping stays identical, and retires its
+/// victims' chains itself.
 ///
 /// Concurrency contract: specializeInto / admit / displaced and the
 /// resident/disassembly accessors must be serialized by the caller (the
@@ -137,12 +139,9 @@ private:
   std::unordered_map<const vm::CodeObject *, std::shared_ptr<CodeChain>> Map;
 };
 
-/// Per-entry usage counters, shared so hit counts and recency survive the
-/// server's snapshot rebuilds. Touched by concurrent readers.
+/// Per-entry usage state, set by concurrent readers.
 struct EntryStats {
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> LastUse{0}; ///< global dispatch tick of last hit
-  std::atomic<bool> RefBit{false};  ///< CLOCK reference bit
+  std::atomic<bool> RefBit{false}; ///< CLOCK reference bit
   /// Adoption marker: the entry was published over a chain from the
   /// server's chain store instead of a fresh generating-extension run. The
   /// first client to enter it invalidates the chain's range in its
@@ -153,7 +152,7 @@ struct EntryStats {
 };
 
 /// One published specialization: key -> (chain, entry PC). This is the
-/// unit both front-end caches store and the capacity book evicts.
+/// unit the dispatch caches store and the capacity book evicts.
 struct SpecEntry {
   std::vector<Word> Key;
   uint64_t Hash = 0;

@@ -14,28 +14,25 @@ void DycRuntime::addRegion(cogen::GenExtFunction GX) {
   Core.addRegion(std::move(GX));
 }
 
-void DycRuntime::retireSlot(vm::VM &VMRef, Front &F, uint32_t Slot,
-                            ir::CachePolicy Policy) {
-  if (Slot >= F.Slots.size() || !F.Slots[Slot])
-    return;
-  const SpecEntry &E = *F.Slots[Slot];
+void DycRuntime::retire(vm::VM &VMRef, const SpecEntry &E,
+                        ir::CachePolicy Policy) {
   VMRef.invalidateDecoded(E.Chain->CO);
   Core.displaced(Core.book(), E, Policy);
   Core.retireChain(*E.Chain);
-  F.Slots[Slot].reset();
 }
 
 void DycRuntime::releaseRegion(vm::VM &VMRef, size_t Ordinal) {
-  if (Ordinal >= Fronts.size())
+  if (Ordinal >= Fronts.size() || Ordinal >= Core.book().Regions.size())
     return;
-  Front &F = Fronts[Ordinal];
-  for (uint32_t S = 0; S != F.Slots.size(); ++S) {
-    if (!F.Slots[S])
-      continue;
-    CodeCache &Cache = F.PromoCaches[F.Slots[S]->PromoId];
+  // The book holds exactly the region's published entries; copied, since
+  // retiring an entry takes it out of the book.
+  std::vector<std::shared_ptr<SpecEntry>> Resident =
+      Core.book().Regions[Ordinal].Records;
+  for (const std::shared_ptr<SpecEntry> &E : Resident) {
+    CodeCache &Cache = Fronts[Ordinal].PromoCaches[E->PromoId];
     // Bumps the epoch: inline-cache memos of the entry die here.
-    Cache.erase(F.Slots[S]->Key);
-    retireSlot(VMRef, F, S, Cache.policy());
+    Cache.erase(E->Key);
+    retire(VMRef, *E, Cache.policy());
   }
 }
 
@@ -100,21 +97,18 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
     if (Match) {
       chargeDispatchCost(VMRef, Cache.policy(), Memo->KeyWords,
                          Memo->Probes);
-      Cache.noteMemoizedHit(Memo->Probes, Memo->UsedTable);
-      ++Tick;
+      ++F.Lookups;
+      F.Probes += Memo->Probes;
       ++St.Dispatches;
       ++St.CacheHits;
       ++ICHits;
-      SpecEntry *E = Memo->Entry;
+      const SpecEntry *E = Memo->Entry;
       assert(E->Chain && "inline cache memoized a retired entry");
-      // Single-writer recency/ref bumps: this front end is single-client,
-      // so load + store produces exactly fetch_add's values while staying
+      E->Use->RefBit.store(true, std::memory_order_release);
+      // Single-writer executor count: this front end is single-client, so
+      // load + store produces exactly fetch_add's value while staying
       // atomic for concurrent stats readers — and skips the locked RMW
       // that would otherwise dominate the fast path.
-      E->Use->Hits.store(E->Use->Hits.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-      E->Use->LastUse.store(Tick, std::memory_order_relaxed);
-      E->Use->RefBit.store(true, std::memory_order_release);
       E->Chain->ActiveRefs.store(
           E->Chain->ActiveRefs.load(std::memory_order_relaxed) + 1,
           std::memory_order_release);
@@ -138,15 +132,13 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
   CacheResult CR = Cache.lookup(Key);
   chargeDispatchCost(VMRef, Cache.policy(),
                      static_cast<unsigned>(Key.size()), CR.Probes);
+  ++F.Lookups;
+  F.Probes += CR.Probes;
 
-  ++Tick;
   ++St.Dispatches;
-  if (CR.Hit) {
+  if (const SpecEntry *E = CR.Entry) {
     ++St.CacheHits;
-    const std::shared_ptr<SpecEntry> &E = F.Slots[CR.Value];
-    assert(E && E->Chain && "cache hit on a retired slot");
-    E->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-    E->Use->LastUse.store(Tick, std::memory_order_relaxed);
+    assert(E->Chain && "cache hit on a retired entry");
     E->Use->RefBit.store(true, std::memory_order_release);
     E->Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
     // Memoize only real-lookup hits: a hit's probe count is reproducible
@@ -154,14 +146,10 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
     // path's insert is not observed here.
     if (Memo && (P.KeyRegs.size() <= SiteMemo::MaxKeyVals ||
                  Cache.policy() == ir::CachePolicy::CacheOneUnchecked)) {
-      Memo->Entry = E.get();
+      Memo->Entry = E;
       Memo->Epoch = Cache.epoch();
       Memo->KeyWords = static_cast<uint32_t>(Key.size());
       Memo->Probes = CR.Probes;
-      Memo->UsedTable =
-          Cache.policy() == ir::CachePolicy::CacheAll ||
-          (Cache.policy() == ir::CachePolicy::CacheIndexed &&
-           Key[Cache.indexPos()].Bits >= CodeCache::MaxIndexedKey);
       Memo->NumVals = P.KeyRegs.size() <= SiteMemo::MaxKeyVals
                           ? static_cast<uint32_t>(P.KeyRegs.size())
                           : 0; // unchecked: the fast path never compares
@@ -183,41 +171,25 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
                           Key.subspan(BakedWords));
   VMRef.chargeDynComp(VMRef.costModel().SpecCacheInsert);
 
-  // Publish: find a slot, install it in the dispatch cache, retire
-  // whatever the cache displaced (cache_one mismatch replacement).
-  uint32_t Slot = static_cast<uint32_t>(F.Slots.size());
-  for (uint32_t I = 0; I != F.Slots.size(); ++I)
-    if (!F.Slots[I]) {
-      Slot = I;
-      break;
-    }
-  E->Point = Slot;
-  if (Slot == F.Slots.size())
-    F.Slots.push_back(E);
-  else
-    F.Slots[Slot] = E;
-
-  uint32_t Displaced = CodeCache::NoValue;
-  Cache.insert(E->Key, Slot, &Displaced);
-  if (Displaced != CodeCache::NoValue && Displaced != Slot)
-    retireSlot(VMRef, F, Displaced, Cache.policy());
+  // Publish into the dispatch cache; retire whatever it displaced
+  // (cache_one mismatch replacement).
+  if (std::shared_ptr<SpecEntry> D = Cache.insert(E))
+    retire(VMRef, *D, Cache.policy());
 
   // Account the new chain against the region's budget; CLOCK victims are
-  // unpublished from their dispatch cache and slot before their chain is
-  // retired. Dropping the VM's predecoded translation here (not just at
-  // the safe point) keeps the translation cache from pinning memory for
-  // chains the registry is about to free.
+  // unpublished from their dispatch cache before their chain is retired.
+  // Dropping the VM's predecoded translation here (not just at the safe
+  // point) keeps the translation cache from pinning memory for chains the
+  // registry is about to free.
   Core.admit(Core.book(), E, [this, &VMRef](const SpecEntry &Victim) {
-    Front &VF = Fronts[Victim.Region];
-    VF.PromoCaches[Victim.PromoId].erase(Victim.Key);
-    uint32_t VS = static_cast<uint32_t>(Victim.Point);
-    if (VS < VF.Slots.size() && VF.Slots[VS].get() == &Victim)
-      VF.Slots[VS].reset();
+    Fronts[Victim.Region].PromoCaches[Victim.PromoId].erase(Victim.Key);
     VMRef.invalidateDecoded(Victim.Chain->CO);
     Core.retireChain(*Victim.Chain);
   });
 
-  E->Use->LastUse.store(Tick, std::memory_order_relaxed);
+  // The client enters the fresh entry: referenced, as on a hit (and as a
+  // server client blocked on the same miss marks it).
+  E->Use->RefBit.store(true, std::memory_order_release);
   E->Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
   return {&E->Chain->CO, E->EntryPC};
 }
@@ -228,12 +200,8 @@ void DycRuntime::onDynamicCodeExit(vm::VM &, const vm::CodeObject *CO) {
 
 double DycRuntime::avgCacheProbes(size_t Ordinal) const {
   assert(Ordinal < Fronts.size() && "bad region ordinal");
-  uint64_t Lookups = 0, Probes = 0;
-  for (const CodeCache &C : Fronts[Ordinal].PromoCaches) {
-    Lookups += C.lookups();
-    Probes += C.totalProbes();
-  }
-  return Lookups ? static_cast<double>(Probes) / Lookups : 0.0;
+  const Front &F = Fronts[Ordinal];
+  return F.Lookups ? static_cast<double>(F.Probes) / F.Lookups : 0.0;
 }
 
 } // namespace runtime

@@ -11,15 +11,17 @@
 /// shared RegionExecutionCore (RegionExec.h); this class contributes only
 /// what is front-end specific:
 ///
-///  * the per-promotion-point CodeCache (cache_all / cache_one /
-///    cache_one_unchecked / cache_indexed, paper section 2.2.3), mapping
-///    static-value tuples to published specializations, and
+///  * one CodeCache per promotion point (cache_all / cache_one /
+///    cache_one_unchecked / cache_indexed, paper section 2.2.3), mutated
+///    in place, mapping static-value tuples to published SpecEntries,
+///  * a monomorphic inline cache per dispatch site in front of it, and
 ///  * the VM trap handler that composes dispatch keys, charges the paper's
 ///    dispatch costs, and runs the specializer inline on a miss.
 ///
-/// The concurrent front end (server::SpecServer) replaces both with a
-/// sharded lock-free cache and a worker pool, but shares the core — so
-/// generated code, statistics, and eviction behavior are identical by
+/// The concurrent front end (server::SpecServer) probes copies of the same
+/// CodeCache, published copy-on-write, and specializes on a worker pool;
+/// it shares the core — so generated code, statistics, eviction behavior
+/// and the probe counts a dispatch is charged are identical by
 /// construction.
 ///
 //===----------------------------------------------------------------------===//
@@ -103,8 +105,9 @@ public:
     return Core.printRegion(Ordinal, Mod);
   }
 
-  /// Average probes per cache_all lookup across a region's promotion
-  /// points (dispatch-cost reporting).
+  /// Table probes per cache lookup across a region's promotion points
+  /// (dispatch-cost reporting; an inline-cache hit counts the lookup it
+  /// stands for).
   double avgCacheProbes(size_t Ordinal) const;
 
   /// Toggles the per-dispatch-site monomorphic inline caches (on by
@@ -123,7 +126,7 @@ private:
   /// Monomorphic inline cache for one dispatch site (a native region entry
   /// or an interned run-time dispatch stub). Memoizes the last
   /// (promoted values -> published entry) mapping together with the
-  /// counters the real lookup produced; CodeCache::epoch() validates it,
+  /// probe count the real lookup produced; CodeCache::epoch() validates it,
   /// since insert and erase are the only operations that can change what a
   /// key maps to or how many probes a table lookup takes. The raw Entry
   /// pointer is safe because every unpublish path mutates the same cache
@@ -131,7 +134,7 @@ private:
   /// check precedes every dereference.
   struct SiteMemo {
     static constexpr size_t MaxKeyVals = 8;
-    SpecEntry *Entry = nullptr;
+    const SpecEntry *Entry = nullptr;
     uint64_t Epoch = 0;
     const DispatchSite *Site = nullptr; ///< stable: sites are deque-interned
     uint32_t Ord = 0;
@@ -139,27 +142,26 @@ private:
     uint32_t KeyWords = 0;  ///< full key size (baked + promoted)
     uint32_t NumVals = 0;   ///< promoted values memoized below
     unsigned Probes = 0;    ///< table probes the memoized lookup took
-    bool UsedTable = false; ///< memoized lookup ran through the hash table
     bool Resolved = false;  ///< Ord/PromoId/Site decoded once
     Word Vals[MaxKeyVals];
   };
 
-  /// Front-end state for one region: the dispatch caches and the slot
-  /// table their 32-bit values index into.
+  /// Front-end state for one region: the dispatch caches, and the lookup
+  /// and table-probe totals avgCacheProbes reports.
   struct Front {
     std::vector<CodeCache> PromoCaches; ///< index == promo id
-    std::vector<std::shared_ptr<SpecEntry>> Slots;
     std::vector<SiteMemo> PromoMemos; ///< native entries, index == promo id
+    uint64_t Lookups = 0;
+    uint64_t Probes = 0;
   };
 
-  /// Drops a displaced/evicted slot and retires its entry with the core,
-  /// invalidating the VM's predecoded translation of its chain.
-  void retireSlot(vm::VM &VMRef, Front &F, uint32_t Slot,
-                  ir::CachePolicy Policy);
+  /// Retires an entry its cache no longer holds: drops it from the
+  /// residency book and retires its chain with the core, invalidating the
+  /// VM's predecoded translation of it.
+  void retire(vm::VM &VMRef, const SpecEntry &E, ir::CachePolicy Policy);
 
   RegionExecutionCore Core;
   std::vector<Front> Fronts; ///< parallel to the core's regions
-  uint64_t Tick = 0;         ///< dispatch counter (recency for CLOCK)
   std::vector<SiteMemo> SiteMemos; ///< run-time dispatch sites, by index
   SmallKeyBuf KeyScratch; ///< retained-capacity dispatch-key composition
   uint64_t ICHits = 0;    ///< host-level fast-path counter (not simulated)

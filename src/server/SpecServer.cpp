@@ -375,7 +375,6 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   std::shared_lock<std::shared_mutex> Gate(DispatchGate);
   TenantState &TS = viewOf(ClientVM);
   TS.St.Dispatches.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Now = Tick.fetch_add(1, std::memory_order_relaxed) + 1;
 
   uint32_t Ord, PromoId;
   const runtime::DispatchSite *Site = nullptr;
@@ -408,14 +407,12 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     KeyBuf.push_back(Regs[Rg]);
   WordSpan Key = KeyBuf.span();
 
-  ShardedCache::Lookup L = TS.Cache.lookup(Point, Key);
+  runtime::CacheResult L = TS.Cache.lookup(Point, Key);
   runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
-  if (L.Rec) {
+  if (L.Entry) {
     TS.St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-    L.Rec->Use->RefBit.store(true, std::memory_order_release);
-    return enterChain(*L.Rec, ClientVM);
+    L.Entry->Use->RefBit.store(true, std::memory_order_release);
+    return enterChain(*L.Entry, ClientVM);
   }
   TS.St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
 
@@ -503,8 +500,6 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     ClientVM.chargeDynComp(ClientVM.costModel().SpecCacheInsert);
     std::shared_ptr<CacheRecord> Rec = Shared->Future.get();
     if (Rec) {
-      Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-      Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
       Rec->Use->RefBit.store(true, std::memory_order_release);
       return enterChain(*Rec, ClientVM);
     }
@@ -575,11 +570,12 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
     if (R.Polls < static_cast<uint64_t>(Tier->policy().OsrMinPolls))
       return {};
   }
-  ShardedCache::Lookup L = viewOf(ClientVM).Cache.lookup(R.Point, R.Key);
-  if (!L.Rec)
+  runtime::CacheResult L = viewOf(ClientVM).Cache.lookup(R.Point, R.Key);
+  if (!L.Entry)
     return {}; // compile not landed yet; keep spinning
-  auto EIt = L.Rec->Chain->OsrEntries.find(R.HeadBlock);
-  if (EIt == L.Rec->Chain->OsrEntries.end()) {
+  const CacheRecord &Rec = *L.Entry;
+  auto EIt = Rec.Chain->OsrEntries.find(R.HeadBlock);
+  if (EIt == Rec.Chain->OsrEntries.end()) {
     // The chain has no residual pc for this head (the loop unrolled
     // away); this watch can never fire — disarm it. disarmOsr does not
     // notify onOsrDrop, so erasing here is the only cleanup.
@@ -593,15 +589,12 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
   // — those mean trap dispatches.
   const bta::PromoPoint &P = Core.promo(R.Ord, R.PromoId);
   runtime::chargeDispatchCost(ClientVM, P.Policy, R.Key.size(), L.Probes);
-  uint64_t Now = Tick.fetch_add(1, std::memory_order_relaxed) + 1;
-  L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-  L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-  L.Rec->Use->RefBit.store(true, std::memory_order_release);
-  if (Regs.size() < L.Rec->Chain->CO.NumRegs)
-    Regs.resize(L.Rec->Chain->CO.NumRegs);
+  Rec.Use->RefBit.store(true, std::memory_order_release);
+  if (Regs.size() < Rec.Chain->CO.NumRegs)
+    Regs.resize(Rec.Chain->CO.NumRegs);
   if (Tier)
     Tier->noteOsrEntry(R.Ord);
-  Target T = enterChain(*L.Rec, ClientVM);
+  Target T = enterChain(Rec, ClientVM);
   T.PC = EIt->second;
   OsrTable.erase(It);
   return T;
@@ -672,17 +665,16 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublish(
   SC->Refs++; // this view's publish reference
   Rec->Point = Point; // server points are global across regions
 
-  const bta::PromoPoint &P = Core.promo(Ord, PromoId);
-  for (const std::shared_ptr<CacheRecord> &D : TS.Cache.insert(Rec)) {
+  if (std::shared_ptr<CacheRecord> D = TS.Cache.insert(Rec)) {
     // One-slot (or indexed same-slot) replacement displaced an older
     // version; its chain is now unreachable from this view.
-    Core.displaced(TS.Book, *D, P.Policy);
+    Core.displaced(TS.Book, *D, Core.promo(Ord, PromoId).Policy);
     releaseStoreRef(*D);
   }
   // Account the new chain against its region's budget; CLOCK victims are
   // unpublished from the view's cache and drop their store reference.
   Core.admit(TS.Book, Rec, [&](const CacheRecord &Victim) {
-    TS.Cache.erase(&Victim);
+    TS.Cache.erase(Victim);
     TS.St.Evictions.fetch_add(1, std::memory_order_relaxed);
     releaseStoreRef(Victim);
   });

@@ -17,8 +17,8 @@
 ///    book and admission gauge. A single-tenant server is the case where
 ///    every client is tenant 0; there is no other path.
 ///  * Dispatch: clients trap into the server; cache hits probe the view's
-///    immutable published snapshot with no lock (ShardedCache) and jump
-///    straight into generated code.
+///    immutable published copy of the inline runtime's CodeCache with no
+///    lock (ShardedCache) and jump straight into generated code.
 ///  * Miss path: the miss becomes a SpecJob on a bounded queue, deduped
 ///    against in-flight jobs so concurrent misses on one key specialize
 ///    exactly once. The client either blocks on the job's future
@@ -287,7 +287,6 @@ private:
   /// try-locks it exclusively, so it only proceeds at quiescence.
   std::shared_mutex DispatchGate;
 
-  std::atomic<uint64_t> Tick{0}; ///< global dispatch clock (recency)
   std::mutex DrainMutex;
   std::condition_variable DrainCV;
 

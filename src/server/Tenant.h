@@ -14,10 +14,13 @@
 /// counters bit-identical to a dedicated server replaying the same
 /// workload. Three design points follow from it:
 ///
-///  * Each tenant owns a full ShardedCache view. Probe counts feed the
-///    simulated dispatch-cost model (cache_all charges per probe), so a
-///    shared probing table would perturb every client's cycle counts the
-///    moment a second tenant inserted anything.
+///  * Each tenant owns a full ShardedCache view: its own published copy
+///    of every promotion point's CodeCache, fed only the tenant's inserts
+///    and evictions. Probe counts feed the simulated dispatch-cost model
+///    (cache_all charges per probe), so a shared probing table would
+///    perturb every client's cycle counts the moment a second tenant
+///    inserted anything; a private one probes exactly as a dedicated
+///    server's, and as the inline runtime's cache fed the same keys.
 ///  * Each tenant owns a full ServerStats ledger counting its *view* of
 ///    events, and each event is counted once, there: an adoption from
 ///    the chain store bumps the tenant's SpecRuns/ChainsCreated (a

@@ -22,7 +22,7 @@ int ExternalRegistry::find(const std::string &Name) const {
 
 void ExternalRegistry::addStandardMath() {
   auto Unary = [this](const char *Name, double (*F)(double), uint32_t Cost) {
-    add({Name, 1, /*Pure=*/true, Cost,
+    add({Name, 1, ExtResult::Double, /*Pure=*/true, Cost,
          [F](const Word *A) { return Word::fromFloat(F(A[0].asFloat())); }});
   };
   Unary("cos", std::cos, 180);
@@ -32,7 +32,7 @@ void ExternalRegistry::addStandardMath() {
   Unary("floor", std::floor, 6);
   Unary("exp", std::exp, 90);
   Unary("log", std::log, 90);
-  add({"pow", 2, /*Pure=*/true, 120, [](const Word *A) {
+  add({"pow", 2, ExtResult::Double, /*Pure=*/true, 120, [](const Word *A) {
          return Word::fromFloat(std::pow(A[0].asFloat(), A[1].asFloat()));
        }});
 }

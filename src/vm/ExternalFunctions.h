@@ -26,10 +26,16 @@
 namespace dyc {
 namespace vm {
 
-/// One host-implemented function.
+/// What a host function returns: an integer's bits or a double's.
+enum class ExtResult : uint8_t { Int, Double };
+
+/// One host-implemented function. Its arguments are doubles (lowering
+/// coerces them); its result is what Result says, so a declaration must
+/// give the same return type (cogen::checkExternals).
 struct ExternalFunction {
   std::string Name;
   unsigned NumArgs = 0;
+  ExtResult Result = ExtResult::Double;
   /// True if the function is referentially transparent; only pure externals
   /// may be invoked at specialization time.
   bool Pure = true;

@@ -39,8 +39,9 @@ double dot(double* a, double* b, int n) {
 )";
 
 // An extern the host does not implement, or declares with the wrong
-// arity, is a compile error (dycc exits 1 with it) instead of an abort
-// when an executable binds the module's externals.
+// arity or return type, is a compile error (dycc exits 1 with it) instead
+// of an abort when an executable binds the module's externals, or of a
+// double's bits read as an int.
 TEST(Pipeline, UnboundExternalsAreCompileErrors) {
   struct Case {
     const char *Src;
@@ -60,6 +61,14 @@ TEST(Pipeline, UnboundExternalsAreCompileErrors) {
        {"line 2: no host implementation for external 'nosuch'",
         "line 3: external 'pow' is declared with 1 parameter, but its host "
         "implementation takes 2"}},
+      {"extern int sqrt(double); int f(int x) { return sqrt(x); }",
+       {"line 1: external 'sqrt' is declared to return int, but its host "
+        "implementation returns double"}},
+      {"extern double cos(double);\n"
+       "extern void sin(double);\n"
+       "double f(double x) { sin(x); return cos(x); }",
+       {"line 2: external 'sin' is declared to return void, but its host "
+        "implementation returns double"}},
   };
   for (const Case &C : Cases) {
     DycContext Ctx;

@@ -84,6 +84,118 @@ TEST(RegionExecCore, StatsParityInlineVsServer) {
   EXPECT_NE(DisInline.find("f.chain4"), std::string::npos);
 }
 
+//===----------------------------------------------------------------------===//
+// Dispatch parity: both front ends probe one CodeCache per promotion point
+// (the server probes copy-on-write copies of it), so the same key sequence
+// costs a client the same simulated cycles through either.
+//===----------------------------------------------------------------------===//
+
+const char *KeyedSrc = "int f(int n, int x) {\n"
+                       "  make_static(n : cache_all);\n"
+                       "  return x + n * 3;\n"
+                       "}";
+
+/// One client of either front end running f: the inline runtime's own VM,
+/// or a client VM of a one-worker Block server.
+struct KeyedClient {
+  std::unique_ptr<core::DycContext> Ctx;
+  std::unique_ptr<core::Executable> E;
+  std::unique_ptr<server::SpecServer> Server;
+  std::unique_ptr<vm::VM> ServerVM;
+  vm::VM *M = nullptr;
+  int F = -1;
+
+  KeyedClient(bool UseServer, const vm::ICacheConfig &IC,
+              runtime::ChainBudget Budget) {
+    Ctx = compile(KeyedSrc);
+    if (UseServer) {
+      server::ServerConfig Cfg;
+      Cfg.NumWorkers = 1;
+      Cfg.OnMiss = server::MissPolicy::Block;
+      Cfg.IC = IC;
+      Cfg.Budget = Budget;
+      Server = Ctx->buildServer(OptFlags(), std::move(Cfg));
+      ServerVM = Server->makeClientVM();
+      M = ServerVM.get();
+      F = Server->findFunction("f");
+    } else {
+      E = Ctx->buildDynamic(OptFlags(), vm::CostModel(), IC, Budget);
+      M = E->Machine.get();
+      F = E->findFunction("f");
+    }
+  }
+
+  void call(int64_t K, int64_t X) {
+    int64_t N = K * 7919;
+    ASSERT_EQ(M->run(F, {Word::fromInt(N), Word::fromInt(X)}).asInt(),
+              X + N * 3);
+  }
+
+  uint64_t evictions() const {
+    return Server ? Server->regionStats(0).Evictions
+                  : E->RT->stats(0).Evictions;
+  }
+};
+
+// An all-hit pass over keys k * 7919 costs the same through both front
+// ends. The populate pass does differ on purpose: specialization flushes
+// the I-cache of the VM that runs it (UnrollDriver), which inline is the
+// client's and in the server the specialization VM's, so both clients'
+// I-caches are flushed before the measured pass.
+TEST(DispatchParity, AllHitPassCostsTheSameThroughBothFrontEnds) {
+  for (int64_t Keys : {5, 400, 3000}) {
+    uint64_t Exec[2], Misses[2], Instrs[2];
+    for (int S = 0; S != 2; ++S) {
+      KeyedClient C(S == 1, vm::ICacheConfig(), {});
+      for (int64_t K = 0; K != Keys; ++K)
+        C.call(K, K);
+      C.M->flushICache();
+      uint64_t E0 = C.M->execCycles(), M0 = C.M->icache().misses(),
+               I0 = C.M->instrsExecuted();
+      for (int64_t K = 0; K != Keys; ++K)
+        C.call(K, 2 * K);
+      Exec[S] = C.M->execCycles() - E0;
+      Misses[S] = C.M->icache().misses() - M0;
+      Instrs[S] = C.M->instrsExecuted() - I0;
+      if (C.Server) {
+        C.Server->drain();
+        EXPECT_EQ(C.Server->tenantStats(0).CacheHits,
+                  static_cast<uint64_t>(Keys));
+      }
+    }
+    EXPECT_EQ(Exec[0], Exec[1]) << Keys << " keys";
+    EXPECT_EQ(Misses[0], Misses[1]) << Keys << " keys";
+    EXPECT_EQ(Instrs[0], Instrs[1]) << Keys << " keys";
+  }
+}
+
+// Churn under a CLOCK budget: 20,000 requests over 128 keys drawn by an
+// LCG, with the I-cache off. Evictions erase entries (tombstones in the
+// table), so probe counts depend on the whole insert/erase history; both
+// front ends must replay it alike, and evict alike.
+TEST(DispatchParity, ChurnCostsAndEvictsTheSameThroughBothFrontEnds) {
+  vm::ICacheConfig Off;
+  Off.Enabled = false;
+  for (size_t Budget : {0, 32, 8}) {
+    uint64_t Exec[2], Evictions[2];
+    for (int S = 0; S != 2; ++S) {
+      KeyedClient C(S == 1, Off, runtime::ChainBudget{Budget, 0});
+      uint64_t Lcg = 0x2545f4914f6cdd1dull;
+      for (int64_t R = 0; R != 20000; ++R) {
+        Lcg = Lcg * 6364136223846793005ull + 1442695040888963407ull;
+        C.call(static_cast<int64_t>((Lcg >> 33) % 128), R);
+      }
+      Exec[S] = C.M->execCycles();
+      Evictions[S] = C.evictions();
+    }
+    EXPECT_EQ(Exec[0], Exec[1]) << "budget " << Budget;
+    EXPECT_EQ(Evictions[0], Evictions[1]) << "budget " << Budget;
+    if (Budget) {
+      EXPECT_GT(Evictions[0], 0u) << "budget " << Budget;
+    }
+  }
+}
+
 // Golden output of a complete (single-way) unrolling: the loop over a
 // static bound disappears entirely; what remains is the residue of the
 // dynamic computation plus the region exit.

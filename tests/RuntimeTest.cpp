@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 using namespace dyc;
 using runtime::CacheResult;
 using runtime::CodeCache;
+using runtime::SpecEntry;
 
 namespace {
 
@@ -17,65 +19,125 @@ std::vector<Word> key(int64_t A, int64_t B = 0) {
   return {Word::fromInt(A), Word::fromInt(B)};
 }
 
+/// A published entry for \p Key; its EntryPC stands for the cached code.
+std::shared_ptr<SpecEntry> entry(std::vector<Word> Key, uint32_t PC) {
+  auto E = std::make_shared<SpecEntry>();
+  E->Key = std::move(Key);
+  E->Hash = hashWords(E->Key);
+  E->EntryPC = PC;
+  return E;
+}
+
+/// The EntryPC a lookup found, or ~0 on a miss.
+uint32_t pcOf(const CacheResult &R) { return R.Entry ? R.Entry->EntryPC : ~0u; }
+
 TEST(CodeCacheTest, CacheAllKeepsEveryVersion) {
   CodeCache C(ir::CachePolicy::CacheAll);
-  EXPECT_FALSE(C.lookup(key(1)).Hit);
-  C.insert(key(1), 100);
-  C.insert(key(2), 200);
-  C.insert(key(3), 300);
-  EXPECT_EQ(C.lookup(key(1)).Value, 100u);
-  EXPECT_EQ(C.lookup(key(2)).Value, 200u);
-  EXPECT_EQ(C.lookup(key(3)).Value, 300u);
+  EXPECT_FALSE(C.lookup(key(1)).Entry);
+  C.insert(entry(key(1), 100));
+  C.insert(entry(key(2), 200));
+  C.insert(entry(key(3), 300));
+  EXPECT_EQ(pcOf(C.lookup(key(1))), 100u);
+  EXPECT_EQ(pcOf(C.lookup(key(2))), 200u);
+  EXPECT_EQ(pcOf(C.lookup(key(3))), 300u);
   EXPECT_EQ(C.entries(), 3u);
+}
+
+// Keys that differ only in word order are different keys; inserting a
+// resident key replaces its entry and hands the old one back.
+TEST(CodeCacheTest, CacheAllReplacesSameKey) {
+  CodeCache C(ir::CachePolicy::CacheAll);
+  EXPECT_EQ(C.entries(), 0u);
+  EXPECT_FALSE(C.insert(entry(key(1, 2), 10)));
+  EXPECT_FALSE(C.insert(entry(key(2, 1), 20)));
+  EXPECT_EQ(pcOf(C.lookup(key(1, 2))), 10u);
+  EXPECT_EQ(pcOf(C.lookup(key(2, 1))), 20u);
+  std::shared_ptr<SpecEntry> Old = C.insert(entry(key(1, 2), 11));
+  ASSERT_TRUE(Old);
+  EXPECT_EQ(Old->EntryPC, 10u);
+  EXPECT_EQ(pcOf(C.lookup(key(1, 2))), 11u);
+  EXPECT_EQ(C.entries(), 2u);
+}
+
+TEST(CodeCacheTest, CacheAllGrowsAndKeepsEntries) {
+  CodeCache C(ir::CachePolicy::CacheAll);
+  DeterministicRNG RNG(9);
+  std::map<uint64_t, uint32_t> Ref;
+  for (uint32_t I = 0; I != 5000; ++I) {
+    uint64_t K = RNG.next();
+    Ref[K] = I;
+    C.insert(entry({Word{K}}, I));
+  }
+  for (const auto &[K, V] : Ref)
+    EXPECT_EQ(pcOf(C.lookup(std::vector<Word>{Word{K}})), V);
+  EXPECT_EQ(C.entries(), Ref.size());
+  // The table stays at no more than 2/3 load.
+  EXPECT_LE(C.entries() * 3, C.tableCapacity() * 2);
+}
+
+// The probe count is the cache_all dispatch charge's input: at least one
+// slot per hashed lookup, one for a miss on an empty table, and none for a
+// direct slot.
+TEST(CodeCacheTest, ProbeCounting) {
+  CodeCache C(ir::CachePolicy::CacheAll);
+  EXPECT_EQ(C.lookup(key(5)).Probes, 1u);
+  C.insert(entry(key(5), 1));
+  CacheResult R = C.lookup(key(5));
+  EXPECT_TRUE(R.Entry);
+  EXPECT_GE(R.Probes, 1u);
+  EXPECT_EQ(C.lookup(key(5)).Probes, R.Probes); // lookup changes nothing
+  CodeCache One(ir::CachePolicy::CacheOne);
+  One.insert(entry(key(5), 1));
+  EXPECT_EQ(One.lookup(key(5)).Probes, 0u);
 }
 
 TEST(CodeCacheTest, CacheOneEvicts) {
   CodeCache C(ir::CachePolicy::CacheOne);
-  C.insert(key(1), 100);
-  EXPECT_TRUE(C.lookup(key(1)).Hit);
-  EXPECT_FALSE(C.lookup(key(2)).Hit); // checked: mismatch misses
-  C.insert(key(2), 200);
-  EXPECT_FALSE(C.lookup(key(1)).Hit); // evicted
-  EXPECT_EQ(C.lookup(key(2)).Value, 200u);
+  C.insert(entry(key(1), 100));
+  EXPECT_TRUE(C.lookup(key(1)).Entry);
+  EXPECT_FALSE(C.lookup(key(2)).Entry); // checked: mismatch misses
+  std::shared_ptr<SpecEntry> Old = C.insert(entry(key(2), 200));
+  ASSERT_TRUE(Old);
+  EXPECT_EQ(Old->EntryPC, 100u);
+  EXPECT_FALSE(C.lookup(key(1)).Entry); // evicted
+  EXPECT_EQ(pcOf(C.lookup(key(2))), 200u);
   EXPECT_EQ(C.entries(), 1u);
 }
 
 TEST(CodeCacheTest, CacheIndexedDirectArray) {
   // Index position 1 (the second key word).
   CodeCache C(ir::CachePolicy::CacheIndexed, 1);
-  EXPECT_FALSE(C.lookup(key(7, 3)).Hit);
-  C.insert(key(7, 3), 300);
-  C.insert(key(7, 250), 900);
-  EXPECT_EQ(C.lookup(key(7, 3)).Value, 300u);
-  EXPECT_EQ(C.lookup(key(7, 250)).Value, 900u);
+  EXPECT_FALSE(C.lookup(key(7, 3)).Entry);
+  C.insert(entry(key(7, 3), 300));
+  C.insert(entry(key(7, 250), 900));
+  EXPECT_EQ(pcOf(C.lookup(key(7, 3))), 300u);
+  EXPECT_EQ(pcOf(C.lookup(key(7, 250))), 900u);
   EXPECT_EQ(C.entries(), 2u);
   // Non-index key words are unchecked invariants (documented unsafety).
-  EXPECT_EQ(C.lookup(key(999, 3)).Value, 300u);
+  EXPECT_EQ(pcOf(C.lookup(key(999, 3))), 300u);
 }
 
 TEST(CodeCacheTest, CacheOneUncheckedNeverChecks) {
   CodeCache C(ir::CachePolicy::CacheOneUnchecked);
-  C.insert(key(1), 100);
+  C.insert(entry(key(1), 100));
   // The unsafe part, faithfully: a different key still "hits".
-  CacheResult R = C.lookup(key(999));
-  EXPECT_TRUE(R.Hit);
-  EXPECT_EQ(R.Value, 100u);
+  EXPECT_EQ(pcOf(C.lookup(key(999))), 100u);
 }
 
 TEST(CodeCacheTest, CacheIndexedOverflowFallsBackToHash) {
   CodeCache C(ir::CachePolicy::CacheIndexed, 1);
-  C.insert(key(7, 3), 300);
+  C.insert(entry(key(7, 3), 300));
   // An index value at or past MaxIndexedKey cannot address the direct
   // array; it degrades to the checked double-hash path instead of dying.
   const int64_t Big = static_cast<int64_t>(CodeCache::MaxIndexedKey);
-  EXPECT_FALSE(C.lookup(key(7, Big)).Hit);
-  C.insert(key(7, Big), 700);
-  C.insert(key(7, Big + 12345), 800);
-  EXPECT_EQ(C.lookup(key(7, Big)).Value, 700u);
-  EXPECT_EQ(C.lookup(key(7, Big + 12345)).Value, 800u);
-  EXPECT_EQ(C.lookup(key(7, 3)).Value, 300u); // in-range entry unaffected
+  EXPECT_FALSE(C.lookup(key(7, Big)).Entry);
+  C.insert(entry(key(7, Big), 700));
+  C.insert(entry(key(7, Big + 12345), 800));
+  EXPECT_EQ(pcOf(C.lookup(key(7, Big))), 700u);
+  EXPECT_EQ(pcOf(C.lookup(key(7, Big + 12345))), 800u);
+  EXPECT_EQ(pcOf(C.lookup(key(7, 3))), 300u); // in-range entry unaffected
   // Unlike in-range probes, the fallback compares the whole key.
-  EXPECT_FALSE(C.lookup(key(8, Big)).Hit);
+  EXPECT_FALSE(C.lookup(key(8, Big)).Entry);
   EXPECT_EQ(C.entries(), 3u);
 }
 

@@ -1,12 +1,10 @@
 //===- tests/SupportTest.cpp - support library unit tests -------------------------===//
 
 #include "support/BitVector.h"
-#include "support/DoubleHashTable.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
 
 using namespace dyc;
 
@@ -102,46 +100,6 @@ TEST(BitVectorTest, SetAlgebra) {
   S.subtract(B);
   EXPECT_TRUE(S.test(1));
   EXPECT_FALSE(S.test(65));
-}
-
-TEST(DoubleHashTableTest, InsertLookup) {
-  DoubleHashTable T;
-  EXPECT_TRUE(T.empty());
-  std::vector<Word> K1 = {Word::fromInt(1), Word::fromInt(2)};
-  std::vector<Word> K2 = {Word::fromInt(2), Word::fromInt(1)};
-  EXPECT_EQ(T.lookup(K1), DoubleHashTable::NotFound);
-  T.insert(K1, 10);
-  T.insert(K2, 20);
-  EXPECT_EQ(T.lookup(K1), 10u);
-  EXPECT_EQ(T.lookup(K2), 20u);
-  T.insert(K1, 11); // replace
-  EXPECT_EQ(T.lookup(K1), 11u);
-  EXPECT_EQ(T.size(), 2u);
-}
-
-TEST(DoubleHashTableTest, GrowsAndKeepsEntries) {
-  DoubleHashTable T;
-  DeterministicRNG RNG(9);
-  std::map<uint64_t, uint32_t> Ref;
-  for (uint32_t I = 0; I != 5000; ++I) {
-    uint64_t K = RNG.next();
-    Ref[K] = I;
-    T.insert({Word{K}}, I);
-  }
-  for (const auto &[K, V] : Ref)
-    EXPECT_EQ(T.lookup({Word{K}}), V);
-  EXPECT_EQ(T.size(), Ref.size());
-}
-
-TEST(DoubleHashTableTest, ProbeCounting) {
-  DoubleHashTable T;
-  unsigned Probes = 0;
-  T.insert({Word::fromInt(5)}, 1);
-  T.lookup({Word::fromInt(5)}, &Probes);
-  EXPECT_GE(Probes, 1u);
-  uint64_t Before = T.totalLookups();
-  T.lookup({Word::fromInt(5)});
-  EXPECT_EQ(T.totalLookups(), Before + 1);
 }
 
 } // namespace
