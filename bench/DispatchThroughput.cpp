@@ -32,6 +32,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/DycContext.h"
 
 #include <algorithm>
@@ -86,22 +87,9 @@ void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
 }
 
 using namespace dyc;
+using namespace dyc::bench;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -222,47 +210,34 @@ struct Row {
 
 void writeJson(const char *Path, const std::vector<Row> &Rows, unsigned Reps,
                bool Check, bool CheckPassed) {
-  FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return;
+  JsonReport J;
+  J.str("bench", "dispatch_throughput")
+      .str("dispatch", vm::VM::dispatchMode())
+      .count("reps", Reps)
+      .array("policies");
+  for (const Row &R : Rows) {
+    J.object().str("name", R.Policy);
+    for (auto [Name, P] : {std::pair{"hit_ic_on", &R.HitICOn},
+                           {"hit_ic_off", &R.HitICOff}, {"miss", &R.Miss}})
+      J.object(Name)
+          .count("dispatches", P->Dispatches)
+          .real("dispatches_per_sec", P->PerSec(), 0)
+          .real("ns_per_dispatch", P->MinNs, 2)
+          .real("spread", P->spread(), 3)
+          .count("heap_allocs", P->Allocs)
+          .close();
+    J.count("inline_cache_hits", R.ICHits)
+        .real("ic_speedup", R.ICSpeedup(), 3)
+        .close();
   }
-  auto PathJson = [&](const char *Name, const PathRun &R, const char *Tail) {
-    std::fprintf(F,
-                 "     \"%s\": {\"dispatches\": %llu, "
-                 "\"dispatches_per_sec\": %.0f, \"ns_per_dispatch\": %.2f, "
-                 "\"spread\": %.3f, \"heap_allocs\": %llu}%s\n",
-                 Name, (unsigned long long)R.Dispatches, R.PerSec(),
-                 R.MinNs, R.spread(), (unsigned long long)R.Allocs, Tail);
-  };
-  std::fprintf(F, "{\n  \"bench\": \"dispatch_throughput\",\n");
-  std::fprintf(F, "  \"dispatch\": \"%s\",\n", vm::VM::dispatchMode());
-  std::fprintf(F, "  \"reps\": %u,\n", Reps);
-  std::fprintf(F, "  \"policies\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(F, "    {\"name\": \"%s\",\n", R.Policy.c_str());
-    PathJson("hit_ic_on", R.HitICOn, ",");
-    PathJson("hit_ic_off", R.HitICOff, ",");
-    PathJson("miss", R.Miss, ",");
-    std::fprintf(F, "     \"inline_cache_hits\": %llu,\n",
-                 (unsigned long long)R.ICHits);
-    std::fprintf(F, "     \"ic_speedup\": %.3f}%s\n", R.ICSpeedup(),
-                 I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n  \"check\": %s,\n  \"check_passed\": %s\n}\n",
-               Check ? "true" : "false", CheckPassed ? "true" : "false");
-  std::fclose(F);
+  J.close().boolean("check", Check).boolean("check_passed", CheckPassed);
+  J.save(Path);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
+  bool Quick = quickMode(Argc, Argv);
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 

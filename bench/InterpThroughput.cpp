@@ -21,36 +21,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace dyc;
+using namespace dyc::bench;
 using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -134,45 +120,33 @@ struct Row {
 
 void writeJson(const char *Path, const std::vector<Row> &Rows, unsigned Reps,
                bool Check, bool CheckPassed) {
-  FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return;
+  JsonReport J;
+  J.str("bench", "interp_throughput")
+      .str("dispatch", vm::VM::dispatchMode())
+      .count("reps", Reps)
+      .array("workloads");
+  for (const Row &R : Rows) {
+    J.object()
+        .str("name", R.Name)
+        .count("invocations", R.Invocations)
+        .count("sim_instrs", R.SimInstrs);
+    for (auto [Name, T] : {std::pair{"legacy", &R.Legacy},
+                           {"predecoded", &R.Predecoded}})
+      J.object(Name)
+          .real("host_instrs_per_sec", T->instrsPerSec(), 0)
+          .real("ns_per_instr", T->MinNs, 3)
+          .real("spread", T->spread(), 3)
+          .close();
+    J.real("speedup", R.Speedup, 3).close();
   }
-  std::fprintf(F, "{\n  \"bench\": \"interp_throughput\",\n");
-  std::fprintf(F, "  \"dispatch\": \"%s\",\n", vm::VM::dispatchMode());
-  std::fprintf(F, "  \"reps\": %u,\n", Reps);
-  std::fprintf(F, "  \"workloads\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"invocations\": %llu,\n"
-                 "     \"sim_instrs\": %llu,\n"
-                 "     \"legacy\": {\"host_instrs_per_sec\": %.0f, "
-                 "\"ns_per_instr\": %.3f, \"spread\": %.3f},\n"
-                 "     \"predecoded\": {\"host_instrs_per_sec\": %.0f, "
-                 "\"ns_per_instr\": %.3f, \"spread\": %.3f},\n"
-                 "     \"speedup\": %.3f}%s\n",
-                 R.Name.c_str(), (unsigned long long)R.Invocations,
-                 (unsigned long long)R.SimInstrs, R.Legacy.instrsPerSec(),
-                 R.Legacy.MinNs, R.Legacy.spread(),
-                 R.Predecoded.instrsPerSec(), R.Predecoded.MinNs,
-                 R.Predecoded.spread(), R.Speedup,
-                 I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n  \"check\": %s,\n  \"check_passed\": %s\n}\n",
-               Check ? "true" : "false", CheckPassed ? "true" : "false");
-  std::fclose(F);
+  J.close().boolean("check", Check).boolean("check_passed", CheckPassed);
+  J.save(Path);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
+  bool Quick = quickMode(Argc, Argv);
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 

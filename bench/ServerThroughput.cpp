@@ -19,33 +19,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 using namespace dyc;
+using namespace dyc::bench;
 
 namespace {
-
-bool quickMode(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--quick") == 0)
-      return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 struct ThreadRow {
   unsigned Threads = 0;
@@ -166,35 +151,26 @@ std::vector<CapacityRow> capacitySweep(uint64_t InvocationsPerThread) {
 void writeJson(const char *Path, bool Quick,
                const std::vector<ThreadRow> &Threads,
                const std::vector<CapacityRow> &Capacity) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    fatal("cannot open --json output file");
-  std::fprintf(F, "{\n  \"bench\": \"server_throughput\",\n");
-  std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
-  std::fprintf(F, "  \"thread_sweep\": [\n");
-  for (size_t I = 0; I != Threads.size(); ++I) {
-    const ThreadRow &R = Threads[I];
-    std::fprintf(F,
-                 "    {\"threads\": %u, \"invocations_per_sec\": %.1f, "
-                 "\"wall_seconds\": %.6f, \"outputs_match\": %s}%s\n",
-                 R.Threads, R.InvocationsPerSec, R.WallSeconds,
-                 R.OutputsMatch ? "true" : "false",
-                 I + 1 == Threads.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n  \"capacity_sweep\": [\n");
-  for (size_t I = 0; I != Capacity.size(); ++I) {
-    const CapacityRow &R = Capacity[I];
-    std::fprintf(F,
-                 "    {\"max_entries\": %zu, \"invocations_per_sec\": %.1f, "
-                 "\"spec_runs\": %llu, \"evictions\": %llu, "
-                 "\"resident\": %zu}%s\n",
-                 R.MaxEntries, R.InvocationsPerSec,
-                 static_cast<unsigned long long>(R.SpecRuns),
-                 static_cast<unsigned long long>(R.Evictions), R.Resident,
-                 I + 1 == Capacity.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
+  JsonReport J;
+  J.str("bench", "server_throughput").boolean("quick", Quick);
+  J.array("thread_sweep");
+  for (const ThreadRow &R : Threads)
+    J.object()
+        .count("threads", R.Threads)
+        .real("invocations_per_sec", R.InvocationsPerSec, 1)
+        .real("wall_seconds", R.WallSeconds, 6)
+        .boolean("outputs_match", R.OutputsMatch)
+        .close();
+  J.close().array("capacity_sweep");
+  for (const CapacityRow &R : Capacity)
+    J.object()
+        .count("max_entries", R.MaxEntries)
+        .real("invocations_per_sec", R.InvocationsPerSec, 1)
+        .count("spec_runs", R.SpecRuns)
+        .count("evictions", R.Evictions)
+        .count("resident", R.Resident)
+        .close();
+  J.save(Path);
   std::printf("\nwrote %s\n", Path);
 }
 

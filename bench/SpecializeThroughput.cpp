@@ -44,35 +44,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace dyc;
+using namespace dyc::bench;
 using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 struct ModeRun {
   uint64_t SpecRuns = 0;        ///< respecialization iterations per rep
@@ -219,56 +205,47 @@ constexpr double MaxColdRatio = 2.5;
 void writeJson(const char *Path, const std::vector<Row> &Rows,
                unsigned GatePassCount, bool ColdOk, bool Check,
                bool CheckPassed) {
-  FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"specialize_throughput\",\n");
-  std::fprintf(F, "  \"dispatch\": \"%s\",\n", vm::VM::dispatchMode());
-  std::fprintf(F, "  \"kernels\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(
-        F,
-        "    {\"name\": \"%s\", \"spec_runs\": %llu,\n"
-        "     \"instrs_generated\": %llu,\n"
-        "     \"parity\": %s,\n"
-        "     \"plan_on\": {\"ns_per_emitted_instr\": %.3f, "
-        "\"cold_us\": %.3f, \"plan_builds\": %llu, \"plan_hits\": %llu,\n"
-        "                 \"cold_plan_bytes\": %llu, \"plan_bytes\": %llu},\n"
-        "     \"plan_off\": {\"ns_per_emitted_instr\": %.3f, "
-        "\"cold_us\": %.3f},\n"
-        "     \"speedup\": %.3f, \"cold_ratio\": %.3f}%s\n",
-        R.Name.c_str(), (unsigned long long)R.On.SpecRuns,
-        (unsigned long long)R.On.InstrsGenerated,
-        R.Parity ? "true" : "false", R.On.NsPerEmittedInstr(),
-        R.On.ColdSeconds * 1e6, (unsigned long long)R.On.PlanBuilds,
-        (unsigned long long)R.On.PlanHits,
-        (unsigned long long)R.On.ColdPlanBytes,
-        (unsigned long long)R.On.PlanBytes, R.Off.NsPerEmittedInstr(),
-        R.Off.ColdSeconds * 1e6, R.Speedup, R.ColdRatio,
-        I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F,
-               "  \"gate\": {\"min_speedup\": 2.0, \"min_kernels\": 3, "
-               "\"kernels_passing\": %u, \"max_cold_ratio\": %.1f, "
-               "\"cold_passing\": %s},\n",
-               GatePassCount, MaxColdRatio, ColdOk ? "true" : "false");
-  std::fprintf(F, "  \"check\": %s,\n  \"check_passed\": %s\n}\n",
-               Check ? "true" : "false", CheckPassed ? "true" : "false");
-  std::fclose(F);
+  JsonReport J;
+  J.str("bench", "specialize_throughput")
+      .str("dispatch", vm::VM::dispatchMode())
+      .array("kernels");
+  for (const Row &R : Rows)
+    J.object()
+        .str("name", R.Name)
+        .count("spec_runs", R.On.SpecRuns)
+        .count("instrs_generated", R.On.InstrsGenerated)
+        .boolean("parity", R.Parity)
+        .object("plan_on")
+        .real("ns_per_emitted_instr", R.On.NsPerEmittedInstr(), 3)
+        .real("cold_us", R.On.ColdSeconds * 1e6, 3)
+        .count("plan_builds", R.On.PlanBuilds)
+        .count("plan_hits", R.On.PlanHits)
+        .count("cold_plan_bytes", R.On.ColdPlanBytes)
+        .count("plan_bytes", R.On.PlanBytes)
+        .close()
+        .object("plan_off")
+        .real("ns_per_emitted_instr", R.Off.NsPerEmittedInstr(), 3)
+        .real("cold_us", R.Off.ColdSeconds * 1e6, 3)
+        .close()
+        .real("speedup", R.Speedup, 3)
+        .real("cold_ratio", R.ColdRatio, 3)
+        .close();
+  J.close()
+      .object("gate")
+      .real("min_speedup", 2.0, 1)
+      .count("min_kernels", 3)
+      .count("kernels_passing", GatePassCount)
+      .real("max_cold_ratio", MaxColdRatio, 1)
+      .boolean("cold_passing", ColdOk)
+      .close();
+  J.boolean("check", Check).boolean("check_passed", CheckPassed);
+  J.save(Path);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
+  bool Quick = quickMode(Argc, Argv);
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 

@@ -19,35 +19,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 #include "speculate/SpeculativeRuntime.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace dyc;
+using namespace dyc::bench;
 using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -114,48 +100,33 @@ struct Row {
 
 void writeJson(const char *Path, const std::vector<Row> &Rows, int Reps,
                bool Check, bool CheckPassed) {
-  FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"speculation_throughput\",\n");
-  std::fprintf(F, "  \"reps\": %d,\n  \"workloads\": [\n", Reps);
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\",\n"
-                 "     \"static_cycles\": %llu, \"annotated_cycles\": %llu, "
-                 "\"speculative_cycles\": %llu,\n"
-                 "     \"savings_recovered\": %.4f, \"outputs_match\": %s,\n"
-                 "     \"promotions\": %llu, \"declined\": %llu, "
-                 "\"demotions\": %llu,\n"
-                 "     \"guard_hits\": %llu, \"guard_failures\": %llu,\n"
-                 "     \"host_seconds\": %.4f}%s\n",
-                 R.Name.c_str(), (unsigned long long)R.StaticCycles,
-                 (unsigned long long)R.AnnotCycles,
-                 (unsigned long long)R.SpecCycles, R.Recovered,
-                 R.OutputsMatch ? "true" : "false",
-                 (unsigned long long)R.Promotions,
-                 (unsigned long long)R.Declined,
-                 (unsigned long long)R.Demotions,
-                 (unsigned long long)R.GuardHits,
-                 (unsigned long long)R.GuardFailures, R.SpecSeconds,
-                 I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n  \"check\": %s,\n  \"check_passed\": %s\n}\n",
-               Check ? "true" : "false", CheckPassed ? "true" : "false");
-  std::fclose(F);
+  JsonReport J;
+  J.str("bench", "speculation_throughput")
+      .count("reps", static_cast<uint64_t>(Reps))
+      .array("workloads");
+  for (const Row &R : Rows)
+    J.object()
+        .str("name", R.Name)
+        .count("static_cycles", R.StaticCycles)
+        .count("annotated_cycles", R.AnnotCycles)
+        .count("speculative_cycles", R.SpecCycles)
+        .real("savings_recovered", R.Recovered, 4)
+        .boolean("outputs_match", R.OutputsMatch)
+        .count("promotions", R.Promotions)
+        .count("declined", R.Declined)
+        .count("demotions", R.Demotions)
+        .count("guard_hits", R.GuardHits)
+        .count("guard_failures", R.GuardFailures)
+        .real("host_seconds", R.SpecSeconds, 4)
+        .close();
+  J.close().boolean("check", Check).boolean("check_passed", CheckPassed);
+  J.save(Path);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
+  bool Quick = quickMode(Argc, Argv);
   bool Check = hasFlag(Argc, Argv, "--check");
   const char *Json = jsonPath(Argc, Argv);
 

@@ -29,6 +29,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
@@ -36,34 +37,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 using namespace dyc;
+using namespace dyc::bench;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-bool quickMode(int Argc, char **Argv) {
-  if (hasFlag(Argc, Argv, "--quick"))
-    return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 const char *SumSrc = "int f(int n) {\n"
                      "  int i;\n"
@@ -211,37 +190,30 @@ void writeJson(const char *Path, bool Quick, unsigned Tenants,
                uint64_t ClientSpace, uint64_t UniqueKeys,
                const PhaseResult &Dedup, const PhaseResult &Evict,
                bool DedupOk, bool ParityOk) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    fatal("cannot open --json output file");
-  std::fprintf(F, "{\n  \"bench\": \"tail_latency\",\n");
-  std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
-  std::fprintf(F, "  \"tenants\": %u,\n", Tenants);
-  std::fprintf(F, "  \"simulated_clients\": %llu,\n",
-               static_cast<unsigned long long>(ClientSpace));
-  std::fprintf(F, "  \"unique_keys\": %llu,\n",
-               static_cast<unsigned long long>(UniqueKeys));
-  std::fprintf(F, "  \"phases\": [\n");
-  const PhaseResult *Rows[] = {&Dedup, &Evict};
-  for (size_t I = 0; I != 2; ++I) {
-    const PhaseResult &R = *Rows[I];
-    std::fprintf(F,
-                 "    {\"phase\": \"%s\", \"requests\": %llu, \"p50_us\": "
-                 "%.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
-                 "\"spec_runs\": %llu, \"dedup_hits\": %llu, "
-                 "\"store_chains\": %llu, \"evictions\": %llu}%s\n",
-                 R.Phase, static_cast<unsigned long long>(R.Requests),
-                 R.P50Us, R.P99Us, R.P999Us,
-                 static_cast<unsigned long long>(R.SpecRuns),
-                 static_cast<unsigned long long>(R.DedupHits),
-                 static_cast<unsigned long long>(R.StoreChains),
-                 static_cast<unsigned long long>(R.Evictions),
-                 I == 0 ? "," : "");
-  }
-  std::fprintf(F, "  ],\n  \"check\": {\"dedup_ok\": %s, "
-                  "\"tenant_parity_ok\": %s}\n}\n",
-               DedupOk ? "true" : "false", ParityOk ? "true" : "false");
-  std::fclose(F);
+  JsonReport J;
+  J.str("bench", "tail_latency")
+      .boolean("quick", Quick)
+      .count("tenants", Tenants)
+      .count("simulated_clients", ClientSpace)
+      .count("unique_keys", UniqueKeys)
+      .array("phases");
+  for (const PhaseResult *R : {&Dedup, &Evict})
+    J.object()
+        .str("phase", R->Phase)
+        .count("requests", R->Requests)
+        .real("p50_us", R->P50Us, 2)
+        .real("p99_us", R->P99Us, 2)
+        .real("p999_us", R->P999Us, 2)
+        .count("spec_runs", R->SpecRuns)
+        .count("dedup_hits", R->DedupHits)
+        .count("store_chains", R->StoreChains)
+        .count("evictions", R->Evictions)
+        .close();
+  J.close()
+      .object("check")
+      .boolean("dedup_ok", DedupOk)
+      .boolean("tenant_parity_ok", ParityOk);
+  J.save(Path);
   std::printf("\nwrote %s\n", Path);
 }
 

@@ -22,41 +22,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 using namespace dyc;
+using namespace dyc::bench;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-bool quickMode(int Argc, char **Argv) {
-  if (hasFlag(Argc, Argv, "--quick"))
-    return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 // One specialization per distinct n; the unrolled body makes the
 // specializer cost per miss clearly visible next to a generic execution.
@@ -199,30 +178,24 @@ void printRow(const ModeResult &R) {
 void writeJson(const char *Path, bool Quick, const ModeResult &Block,
                const ModeResult &Tiered, bool P99Improved,
                bool SteadyThroughputOk) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    fatal("cannot open --json output file");
-  std::fprintf(F, "{\n  \"bench\": \"tier_latency\",\n");
-  std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
-  std::fprintf(F, "  \"modes\": [\n");
-  const ModeResult *Rows[] = {&Block, &Tiered};
-  for (size_t I = 0; I != 2; ++I) {
-    const ModeResult &R = *Rows[I];
-    std::fprintf(F,
-                 "    {\"mode\": \"%s\", \"p50_us\": %.2f, \"p99_us\": "
-                 "%.2f, \"p999_us\": %.2f, \"steady_state_seconds\": %.6f, "
-                 "\"steady_invocations_per_sec\": %.1f, \"invocations\": "
-                 "%llu, \"reached_steady_state\": %s}%s\n",
-                 R.Mode, R.P50Us, R.P99Us, R.P999Us, R.SteadySeconds,
-                 R.SteadyInvocsPerSec,
-                 static_cast<unsigned long long>(R.Invocations),
-                 R.ReachedSteady ? "true" : "false", I == 0 ? "," : "");
-  }
-  std::fprintf(F, "  ],\n  \"check\": {\"p99_improved\": %s, "
-                  "\"steady_throughput_ok\": %s}\n}\n",
-               P99Improved ? "true" : "false",
-               SteadyThroughputOk ? "true" : "false");
-  std::fclose(F);
+  JsonReport J;
+  J.str("bench", "tier_latency").boolean("quick", Quick).array("modes");
+  for (const ModeResult *R : {&Block, &Tiered})
+    J.object()
+        .str("mode", R->Mode)
+        .real("p50_us", R->P50Us, 2)
+        .real("p99_us", R->P99Us, 2)
+        .real("p999_us", R->P999Us, 2)
+        .real("steady_state_seconds", R->SteadySeconds, 6)
+        .real("steady_invocations_per_sec", R->SteadyInvocsPerSec, 1)
+        .count("invocations", R->Invocations)
+        .boolean("reached_steady_state", R->ReachedSteady)
+        .close();
+  J.close()
+      .object("check")
+      .boolean("p99_improved", P99Improved)
+      .boolean("steady_throughput_ok", SteadyThroughputOk);
+  J.save(Path);
   std::printf("\nwrote %s\n", Path);
 }
 

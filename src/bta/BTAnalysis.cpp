@@ -71,6 +71,38 @@ bool normalizeAnnotations(Function &F) {
   return Changed;
 }
 
+bool isStaticInstr(const Instruction &I, const BitVector &Set,
+                   const Module &M, const OptFlags &Flags) {
+  switch (I.Op) {
+  case Opcode::MakeStatic:
+  case Opcode::MakeDynamic:
+    return true; // annotations are consumed by the analysis, never emitted
+  case Opcode::ConstI:
+  case Opcode::ConstF:
+    return true;
+  case Opcode::Load:
+    return I.StaticLoad && Flags.StaticLoads && Set.test(I.Src1);
+  case Opcode::Call:
+  case Opcode::CallExt: {
+    if (!I.StaticCall || !Flags.StaticCalls ||
+        !(I.Op == Opcode::Call ? M.function(I.Callee).Pure
+                               : M.external(I.Callee).Pure))
+      return false;
+    for (Reg A : I.Args)
+      if (!Set.test(A))
+        return false;
+    return true;
+  }
+  default: {
+    if (!isEvaluableOp(I.Op))
+      return false;
+    bool AllStatic = true;
+    I.forEachUse([&](Reg U) { AllStatic = AllStatic && Set.test(U); });
+    return AllStatic;
+  }
+  }
+}
+
 namespace {
 
 class Analyzer {
@@ -211,50 +243,6 @@ private:
     Worklist.push_back(Id);
   }
 
-  /// Is \p I a static computation given the static set \p Set?
-  bool isStaticInstr(const Instruction &I, const BitVector &Set) const {
-    switch (I.Op) {
-    case Opcode::MakeStatic:
-    case Opcode::MakeDynamic:
-      return true; // annotations are consumed by the analysis, never emitted
-    case Opcode::ConstI:
-    case Opcode::ConstF:
-      return true;
-    case Opcode::Load:
-      return I.StaticLoad && Flags.StaticLoads && Set.test(I.Src1);
-    case Opcode::Call: {
-      if (!I.StaticCall || !Flags.StaticCalls ||
-          !M.function(I.Callee).Pure)
-        return false;
-      for (Reg A : I.Args)
-        if (!Set.test(A))
-          return false;
-      return true;
-    }
-    case Opcode::CallExt: {
-      if (!I.StaticCall || !Flags.StaticCalls ||
-          !M.external(I.Callee).Pure)
-        return false;
-      for (Reg A : I.Args)
-        if (!Set.test(A))
-          return false;
-      return true;
-    }
-    case Opcode::Store:
-    case Opcode::Br:
-    case Opcode::CondBr:
-    case Opcode::Ret:
-      return false;
-    default: {
-      if (!isEvaluableOp(I.Op))
-        return false;
-      bool AllStatic = true;
-      I.forEachUse([&](Reg U) { AllStatic = AllStatic && Set.test(U); });
-      return AllStatic;
-    }
-    }
-  }
-
   void processContext(uint32_t Id) {
     const BlockId B = R.Contexts[Id].Block;
     BitVector Set = R.Contexts[Id].StaticIn;
@@ -281,7 +269,7 @@ private:
         InstIsStatic.push_back(1);
         continue;
       }
-      bool S = isStaticInstr(I, Set);
+      bool S = isStaticInstr(I, Set, M, Flags);
       InstIsStatic.push_back(S ? 1 : 0);
       if (I.definesReg()) {
         if (S)
@@ -441,7 +429,7 @@ private:
           }
           if (I.Op == Opcode::MakeDynamic)
             continue; // optimistic
-          if (I.definesReg() && isStaticInstr(I, Set))
+          if (I.definesReg() && isStaticInstr(I, Set, M, Flags))
             Set.set(I.Dst);
         }
       }
@@ -549,6 +537,24 @@ RegionInfo analyzeFunction(const Function &F, const Module &M,
   Analyzer A(F, M, Flags);
   RegionInfo R = A.run();
   return R;
+}
+
+std::vector<RegionInfo> analyzeModule(const Module &M, const OptFlags &Flags) {
+  std::vector<RegionInfo> Out;
+  for (size_t I = 0; I != M.numFunctions(); ++I) {
+    Out.push_back(analyzeFunction(M.function(static_cast<int>(I)), M, Flags));
+    Out.back().FuncIdx = static_cast<int>(I);
+  }
+  return Out;
+}
+
+std::vector<int> regionOrdinals(const std::vector<RegionInfo> &Regions) {
+  std::vector<int> Ordinals(Regions.size(), -1);
+  int Next = 0;
+  for (size_t I = 0; I != Regions.size(); ++I)
+    if (!Regions[I].Contexts.empty())
+      Ordinals[I] = Next++;
+  return Ordinals;
 }
 
 std::string printRegionInfo(const RegionInfo &R, const Function &F) {

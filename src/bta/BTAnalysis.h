@@ -33,6 +33,19 @@ bool normalizeAnnotations(ir::Function &F);
 RegionInfo analyzeFunction(const ir::Function &F, const ir::Module &M,
                            const OptFlags &Flags);
 
+/// analyzeFunction on every function of \p M, in order, with FuncIdx set.
+std::vector<RegionInfo> analyzeModule(const ir::Module &M,
+                                      const OptFlags &Flags);
+
+/// Each function's region ordinal: those with contexts numbered 0, 1, ...
+/// in order; -1 for the others.
+std::vector<int> regionOrdinals(const std::vector<RegionInfo> &Regions);
+
+/// Is \p I a static computation (evaluated at specialize time) when the
+/// registers in \p Set are static? Annotations count as static.
+bool isStaticInstr(const ir::Instruction &I, const BitVector &Set,
+                   const ir::Module &M, const OptFlags &Flags);
+
 /// Renders a context dump (for tests and debugging).
 std::string printRegionInfo(const RegionInfo &R, const ir::Function &F);
 

@@ -35,13 +35,7 @@ bool DycContext::compile(const std::string &Source,
 
 std::vector<bta::RegionInfo>
 DycContext::analyze(const OptFlags &Flags) const {
-  std::vector<bta::RegionInfo> Out;
-  for (size_t I = 0; I != M.numFunctions(); ++I) {
-    Out.push_back(
-        bta::analyzeFunction(M.function(static_cast<int>(I)), M, Flags));
-    Out.back().FuncIdx = static_cast<int>(I);
-  }
-  return Out;
+  return bta::analyzeModule(M, Flags);
 }
 
 std::unique_ptr<server::SpecServer>
@@ -107,12 +101,8 @@ DycContext::buildDynamic(const OptFlags &Flags, const vm::CostModel &CM,
   auto E = std::make_unique<Executable>();
   cogen::bindExternals(M, E->Prog);
 
-  std::vector<bta::RegionInfo> Regions = analyze(Flags);
-  std::vector<int> Ordinals(M.numFunctions(), -1);
-  int Next = 0;
-  for (size_t I = 0; I != M.numFunctions(); ++I)
-    if (!Regions[I].Contexts.empty())
-      Ordinals[I] = Next++;
+  std::vector<bta::RegionInfo> Regions = bta::analyzeModule(M, Flags);
+  std::vector<int> Ordinals = bta::regionOrdinals(Regions);
 
   E->Lowered = cogen::lowerModule(M, E->Prog, /*WithRegions=*/true, Regions,
                                   Ordinals);

@@ -91,6 +91,8 @@ struct Expr {
   BinOp BOp = BinOp::Add;   // Binary
   bool StaticIndex = false; ///< `@[` — the static-load annotation
   MTy CastTo = MTy::Int;    // Cast (operand in L)
+  /// Subtree height, bounded by the parser (frontend/Parser.h).
+  uint16_t Depth = 1;
   unsigned Line = 0;
   Symbol Name = 0;          // Var, Call
 

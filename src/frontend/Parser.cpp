@@ -4,6 +4,7 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -132,7 +133,38 @@ private:
   }
 
   void error(const std::string &Msg) {
+    if (TooDeep)
+      return; // the nesting error is the last one reported
     Errors.push_back(formatString("line %u: %s", cur().Line, Msg.c_str()));
+  }
+
+  /// One level of the parser's descent, a statement or an operand, for
+  /// its scope; ok() says whether it fits MaxNestingDepth.
+  struct Nest {
+    Parser &P;
+    explicit Nest(Parser &P) : P(P) { ++P.Depth; }
+    ~Nest() { --P.Depth; }
+    bool ok() const { return P.fits(0); }
+  };
+
+  /// Whether an expression tree of height \p Height built at the current
+  /// descent fits MaxNestingDepth. If not, reports it (once) and skips to
+  /// the end of input, so the parse unwinds without descending further.
+  bool fits(unsigned Height) {
+    if (Depth + Height <= MaxNestingDepth)
+      return true;
+    error(formatString("nesting deeper than %u levels", MaxNestingDepth));
+    TooDeep = true;
+    Pos = Toks.size() - 1; // the end-of-file token
+    return false;
+  }
+
+  /// Sets \p E's height, one more than its deepest operand's
+  /// (\p OperandHeight), and checks it.
+  Expr *sized(Expr *E, unsigned OperandHeight) {
+    E->Depth = static_cast<uint16_t>(OperandHeight + 1);
+    fits(E->Depth);
+    return E;
   }
 
   /// The current token's text as a name (an identifier where the grammar
@@ -285,6 +317,7 @@ private:
       One->Line = S->Line;
       RHS->L = V;
       RHS->R = One;
+      RHS->Depth = 2;
       S->LHS = E;
       S->RHS = RHS;
       return S;
@@ -295,6 +328,9 @@ private:
   }
 
   Stmt *parseStmt() {
+    Nest N(*this);
+    if (!N.ok())
+      return nullptr;
     if (at(TokKind::LBrace))
       return parseBlock();
     if (accept(TokKind::Semi))
@@ -452,24 +488,28 @@ private:
       E->BOp = Op;
       E->L = L;
       E->R = parseExpr(Prec + 1); // left-associative
-      L = E;
+      L = sized(E, std::max(E->L->Depth, E->R->Depth));
     }
   }
 
+  /// Every operand, and so every nested sub-expression, starts here.
   Expr *parseUnary() {
+    Nest N(*this);
+    if (!N.ok())
+      return makeExpr(Expr::IntLit);
     if (at(TokKind::Minus)) {
       Expr *E = makeExpr(Expr::Unary);
       advance();
       E->UOp = UnOp::Neg;
       E->L = parseUnary();
-      return E;
+      return sized(E, E->L->Depth);
     }
     if (at(TokKind::Bang)) {
       Expr *E = makeExpr(Expr::Unary);
       advance();
       E->UOp = UnOp::Not;
       E->L = parseUnary();
-      return E;
+      return sized(E, E->L->Depth);
     }
     // Cast: '(' type ')' unary — lookahead for a type after '('.
     if (at(TokKind::LParen)) {
@@ -480,7 +520,7 @@ private:
         E->CastTo = parseType();
         expect(TokKind::RParen);
         E->L = parseUnary();
-        return E;
+        return sized(E, E->L->Depth);
       }
     }
     return parsePostfix();
@@ -496,7 +536,7 @@ private:
       Idx->L = E;
       Idx->R = parseExpr();
       expect(TokKind::RBracket);
-      E = Idx;
+      E = sized(Idx, std::max(Idx->L->Depth, Idx->R->Depth));
     }
     return E;
   }
@@ -521,12 +561,16 @@ private:
       if (accept(TokKind::LParen)) {
         E->K = Expr::Call;
         ListBuilder<Expr *> Args;
+        unsigned ArgHeight = 0;
         if (!at(TokKind::RParen)) {
           do {
-            Args.push(P.Arena, parseExpr());
+            Expr *A = parseExpr();
+            Args.push(P.Arena, A);
+            ArgHeight = std::max<unsigned>(ArgHeight, A->Depth);
           } while (accept(TokKind::Comma));
         }
         E->Args = Args.list();
+        sized(E, ArgHeight);
         expect(TokKind::RParen);
       }
       return E;
@@ -545,6 +589,8 @@ private:
   ProgramAST &P;
   std::vector<std::string> &Errors;
   size_t Pos = 0;
+  unsigned Depth = 0;   ///< statements and operands being parsed
+  bool TooDeep = false; ///< the nesting error was reported
 };
 
 } // namespace

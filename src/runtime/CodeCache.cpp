@@ -41,6 +41,16 @@ uint64_t secondaryHash(uint64_t H) {
 
 constexpr size_t NoSlot = ~size_t(0);
 
+/// What an erased slot points to, never read. The slot holds a non-owning
+/// pointer to it (the aliasing constructor over an empty owner), so a slot
+/// is one shared_ptr and copying a table copies tombstones without
+/// touching a reference count.
+SpecEntry TombstoneSentinel;
+
+bool isTombstone(const std::shared_ptr<SpecEntry> &S) {
+  return S.get() == &TombstoneSentinel;
+}
+
 } // namespace
 
 bool CodeCache::hashed(WordSpan Key) const {
@@ -64,12 +74,10 @@ size_t CodeCache::slotOf(WordSpan Key, unsigned &Probes) const {
   for (size_t I = 0; I != Cap; ++I, Idx = (Idx + Step) % Cap) {
     Probes = static_cast<unsigned>(I + 1);
     const Slot &S = Table[Idx];
-    if (!S.E) {
-      if (!S.Deleted)
-        return NoSlot;
-    } else if (S.E->Hash == H && WordSpan(S.E->Key) == Key) {
+    if (!S)
+      return NoSlot;
+    if (!isTombstone(S) && S->Hash == H && WordSpan(S->Key) == Key)
       return Idx;
-    }
   }
   return NoSlot;
 }
@@ -93,7 +101,7 @@ const std::shared_ptr<SpecEntry> *CodeCache::resident(WordSpan Key,
   }
   }
   size_t I = slotOf(Key, Probes);
-  return I == NoSlot ? nullptr : &Table[I].E;
+  return I == NoSlot ? nullptr : &Table[I];
 }
 
 CacheResult CodeCache::lookup(WordSpan Key) const {
@@ -141,8 +149,7 @@ void CodeCache::erase(WordSpan Key) {
     unsigned Probes = 0;
     size_t I = slotOf(Key, Probes);
     if (I != NoSlot) {
-      Table[I].E.reset();
-      Table[I].Deleted = true;
+      Table[I] = Slot(Slot(), &TombstoneSentinel);
       --Live;
       ++Tombstones;
     }
@@ -179,23 +186,21 @@ std::shared_ptr<SpecEntry> CodeCache::place(std::shared_ptr<SpecEntry> E) {
   Slot *Free = nullptr; // the first tombstone, reused if the key is absent
   for (size_t I = 0; I != Cap; ++I, Idx = (Idx + Step) % Cap) {
     Slot &S = Table[Idx];
-    if (S.E) {
-      if (S.E->Hash == H && S.E->Key == E->Key)
-        return std::exchange(S.E, std::move(E));
+    if (S && !isTombstone(S)) {
+      if (S->Hash == H && S->Key == E->Key)
+        return std::exchange(S, std::move(E));
       continue;
     }
     if (!Free)
       Free = &S;
-    if (!S.Deleted)
+    if (!S)
       break;
   }
   if (!Free)
     fatal("dispatch cache: table full despite its load bound");
-  if (Free->Deleted) {
-    Free->Deleted = false;
+  if (*Free)
     --Tombstones;
-  }
-  Free->E = std::move(E);
+  *Free = std::move(E);
   ++Live;
   return nullptr;
 }
@@ -204,8 +209,8 @@ void CodeCache::rehash(size_t Cap) {
   std::vector<Slot> Old = std::exchange(Table, std::vector<Slot>(Cap));
   Live = Tombstones = 0;
   for (Slot &S : Old)
-    if (S.E)
-      place(std::move(S.E));
+    if (S && !isTombstone(S))
+      place(std::move(S));
 }
 
 } // namespace runtime

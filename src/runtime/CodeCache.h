@@ -107,10 +107,9 @@ public:
   static constexpr size_t MaxIndexedKey = 65536;
 
 private:
-  struct Slot {
-    std::shared_ptr<SpecEntry> E; ///< null: never used, or a tombstone
-    bool Deleted = false; ///< tombstone: probe sequences continue through
-  };
+  /// A table slot: null if never used, a live entry, or the tombstone an
+  /// erase leaves, which probes continue through (CodeCache.cpp).
+  using Slot = std::shared_ptr<SpecEntry>;
 
   /// Whether \p Key lives in the hash table rather than a direct slot.
   bool hashed(WordSpan Key) const;

@@ -54,7 +54,7 @@ struct StoredChain {
   /// server's specialization mutex.
   uint32_t Refs = 0;
   /// True for chains deserialized from a warm-start file; their first
-  /// adoptions are the restart's payoff and are counted as WarmHits.
+  /// adoptions are the restart's payoff and are counted in `warm`.
   bool WarmLoaded = false;
 };
 

@@ -8,65 +8,56 @@ namespace dyc {
 namespace server {
 
 void ServerStats::addTo(ServerStatsSnapshot &S) const {
-  auto Add = [](uint64_t &To, const std::atomic<uint64_t> &From) {
-    To += From.load(std::memory_order_relaxed);
-  };
-  Add(S.Dispatches, Dispatches);
-  Add(S.CacheHits, CacheHits);
-  Add(S.CacheMisses, CacheMisses);
-  Add(S.Fallbacks, Fallbacks);
-  Add(S.FallbacksInFlight, FallbacksInFlight);
-  Add(S.FallbacksFailed, FallbacksFailed);
-  Add(S.FallbacksNotRequested, FallbacksNotRequested);
-  Add(S.JobsEnqueued, JobsEnqueued);
-  Add(S.JobsCoalesced, JobsCoalesced);
-  Add(S.InlineSpecs, InlineSpecs);
-  Add(S.SpecRuns, SpecRuns);
-  Add(S.Evictions, Evictions);
-  Add(S.ChainsCreated, ChainsCreated);
-  Add(S.SnapshotsFreed, SnapshotsFreed);
-  Add(S.DedupHits, DedupHits);
-  Add(S.QuotaRejections, QuotaRejections);
-  Add(S.WarmHits, WarmHits);
+#define DYC_LEDGER(Name, Group, Label)                                         \
+  S.Name += Name.load(std::memory_order_relaxed);
+#include "server/ServerCounters.def"
 }
 
+namespace {
+
+/// The parts of ServerStatsSnapshot::toString, in print order (the Group
+/// column of server/ServerCounters.def).
+enum class StatsGroup { Main, Snaps, Fallback, Tier, Tenancy };
+
+} // namespace
+
 std::string ServerStatsSnapshot::toString() const {
-  std::string S = formatString(
-      "disp=%llu hit=%llu miss=%llu fallback=%llu enq=%llu coalesced=%llu "
-      "inline=%llu runs=%llu evict=%llu chains=%llu collected=%llu "
-      "snaps=%llu/%llu",
-      (unsigned long long)Dispatches, (unsigned long long)CacheHits,
-      (unsigned long long)CacheMisses, (unsigned long long)Fallbacks,
-      (unsigned long long)JobsEnqueued, (unsigned long long)JobsCoalesced,
-      (unsigned long long)InlineSpecs, (unsigned long long)SpecRuns,
-      (unsigned long long)Evictions, (unsigned long long)ChainsCreated,
-      (unsigned long long)ChainsCollected,
-      (unsigned long long)SnapshotsFreed,
-      (unsigned long long)SnapshotsRetired);
-  if (FallbacksInFlight || FallbacksFailed || FallbacksNotRequested)
-    S += formatString(" fb-inflight=%llu fb-failed=%llu fb-skip=%llu",
-                      (unsigned long long)FallbacksInFlight,
-                      (unsigned long long)FallbacksFailed,
-                      (unsigned long long)FallbacksNotRequested);
-  if (TierEnabled)
-    S += formatString(
-        " tier[cold=%llu warm=%llu warm-promo=%llu hot-promo=%llu "
-        "hot-installs=%llu osr=%llu osr-polls=%llu qdepth=%llu]",
-        (unsigned long long)ColdExecs, (unsigned long long)WarmExecs,
-        (unsigned long long)WarmPromotions,
-        (unsigned long long)HotPromotions, (unsigned long long)HotInstalls,
-        (unsigned long long)OsrEntries, (unsigned long long)OsrPolls,
-        (unsigned long long)CompileQueueDepth);
-  S += formatString(" plan[builds=%llu hits=%llu bytes=%llu]",
-                    (unsigned long long)PlanBuilds,
-                    (unsigned long long)PlanHits,
-                    (unsigned long long)PlanBytes);
-  if (MultiTenant)
-    S += formatString(
-        " mt[tenants=%llu dedup=%llu quota-rej=%llu warm=%llu store=%llu]",
-        (unsigned long long)Tenants, (unsigned long long)DedupHits,
-        (unsigned long long)QuotaRejections, (unsigned long long)WarmHits,
-        (unsigned long long)StoreChains);
+  std::string S;
+  // Appends group G's words, in row order, or with Print false only says
+  // whether one of them is non-zero.
+  auto Words = [&](StatsGroup G, bool Print = true) {
+    bool Any = false;
+#define DYC_ROW(Name, Group, Label)                                            \
+  if (G == StatsGroup::Group) {                                                \
+    Any |= Name != 0;                                                          \
+    if (Print)                                                                 \
+      appendCounter(S, Label, Name);                                           \
+  }
+#define DYC_LEDGER(Name, Group, Label) DYC_ROW(Name, Group, Label)
+#define DYC_GAUGE(Name, Group, Label) DYC_ROW(Name, Group, Label)
+#define DYC_TIER_COUNTER(Name, Label, Advice) DYC_ROW(Name, Tier, Label)
+#include "server/ServerCounters.def"
+#undef DYC_ROW
+    return Any;
+  };
+  Words(StatsGroup::Main);
+  Words(StatsGroup::Snaps);
+  if (Words(StatsGroup::Fallback, false))
+    Words(StatsGroup::Fallback);
+  if (TierEnabled) {
+    S += " tier[";
+    Words(StatsGroup::Tier);
+    S += ']';
+  }
+  S += " plan[";
+#define DYC_PLAN_COUNTER(Name, Label) appendCounter(S, Label, Name);
+#include "runtime/RegionCounters.def"
+  S += ']';
+  if (MultiTenant) {
+    S += " mt[";
+    Words(StatsGroup::Tenancy);
+    S += ']';
+  }
   return S;
 }
 

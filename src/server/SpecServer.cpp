@@ -198,17 +198,8 @@ SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
       Core(M, Prog, Flags), Queue(this->Cfg.QueueCapacity) {
   cogen::bindExternals(M, Prog);
 
-  std::vector<bta::RegionInfo> Regions;
-  for (size_t I = 0; I != M.numFunctions(); ++I) {
-    Regions.push_back(
-        bta::analyzeFunction(M.function(static_cast<int>(I)), M, Flags));
-    Regions.back().FuncIdx = static_cast<int>(I);
-  }
-  AnnotatedOrdinal.assign(M.numFunctions(), -1);
-  int Next = 0;
-  for (size_t I = 0; I != M.numFunctions(); ++I)
-    if (!Regions[I].Contexts.empty())
-      AnnotatedOrdinal[I] = Next++;
+  std::vector<bta::RegionInfo> Regions = bta::analyzeModule(M, Flags);
+  AnnotatedOrdinal = bta::regionOrdinals(Regions);
 
   Lowered = cogen::lowerModule(M, Prog, /*WithRegions=*/true, Regions,
                                AnnotatedOrdinal);
@@ -566,7 +557,7 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
   OsrRecord &R = It->second;
   R.Polls++;
   if (Tier) {
-    Tier->noteOsrPoll(R.Ord);
+    Tier->region(R.Ord).OsrPolls.fetch_add(1, std::memory_order_relaxed);
     if (R.Polls < static_cast<uint64_t>(Tier->policy().OsrMinPolls))
       return {};
   }
@@ -585,15 +576,15 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
   }
   // A mid-loop transfer is a dispatch the frame did not have to take:
   // charge the probe exactly as the trap path would have, and enter the
-  // chain through enterChain's books. Not counted in Dispatches/CacheHits
-  // — those mean trap dispatches.
+  // chain through enterChain's books. Not counted in `disp` or `hit` —
+  // those mean trap dispatches.
   const bta::PromoPoint &P = Core.promo(R.Ord, R.PromoId);
   runtime::chargeDispatchCost(ClientVM, P.Policy, R.Key.size(), L.Probes);
   Rec.Use->RefBit.store(true, std::memory_order_release);
   if (Regs.size() < Rec.Chain->CO.NumRegs)
     Regs.resize(Rec.Chain->CO.NumRegs);
   if (Tier)
-    Tier->noteOsrEntry(R.Ord);
+    Tier->region(R.Ord).OsrEntries.fetch_add(1, std::memory_order_relaxed);
   Target T = enterChain(Rec, ClientVM);
   T.PC = EIt->second;
   OsrTable.erase(It);
@@ -679,7 +670,7 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublish(
     releaseStoreRef(Victim);
   });
   if (Tier)
-    Tier->noteInstall(Ord);
+    Tier->region(Ord).HotInstalls.fetch_add(1, std::memory_order_relaxed);
   return Rec;
 }
 
@@ -715,7 +706,7 @@ void SpecServer::releaseStoreRef(const CacheRecord &Rec) {
 ServerStatsSnapshot SpecServer::stats() const {
   ServerStatsSnapshot S;
   {
-    // SpecRuns, ChainsCreated and DedupHits change only under the
+    // The runs, chains and dedup counters change only under the
     // specialization lock, so the difference below reads consistently;
     // the plan counters live in the core's per-region stats, guarded by
     // the same lock.
@@ -732,9 +723,8 @@ ServerStatsSnapshot SpecServer::stats() const {
     S.ChainsCreated -= S.DedupHits;
     for (size_t I = 0; I != Core.numRegions(); ++I) {
       const runtime::RegionStats &RS = Core.stats(I);
-      S.PlanBuilds += RS.PlanBuilds;
-      S.PlanHits += RS.PlanHits;
-      S.PlanBytes += RS.PlanBytes;
+#define DYC_PLAN_COUNTER(Name, Label) S.Name += RS.Name;
+#include "runtime/RegionCounters.def"
     }
   }
   S.ChainsCollected = ChainsCollected.load(std::memory_order_relaxed);
@@ -742,14 +732,7 @@ ServerStatsSnapshot SpecServer::stats() const {
   S.CompileQueueDepth = Queue.pending();
   if (Tier) {
     S.TierEnabled = true;
-    tier::TierCounters T = Tier->totals();
-    S.ColdExecs = T.ColdExecs;
-    S.WarmExecs = T.WarmExecs;
-    S.WarmPromotions = T.WarmPromotions;
-    S.HotPromotions = T.HotPromotions;
-    S.HotInstalls = T.HotInstalls;
-    S.OsrEntries = T.OsrEntries;
-    S.OsrPolls = T.OsrPolls;
+    Tier->totals().copyTo(S);
   }
   return S;
 }
@@ -802,7 +785,7 @@ void SpecServer::drain() {
   DrainCV.wait(Lock, [&] { return Queue.pending() == 0; });
 }
 
-bool SpecServer::trimQuiescent(size_t *SnapshotsFreed, size_t *ChainsFreed) {
+bool SpecServer::trimQuiescent(size_t *SnapsFreed, size_t *ChainsFreed) {
   std::unique_lock<std::shared_mutex> Gate(DispatchGate, std::try_to_lock);
   if (!Gate.owns_lock())
     return false; // dispatches in flight; reclamation must wait
@@ -817,8 +800,8 @@ bool SpecServer::trimQuiescent(size_t *SnapshotsFreed, size_t *ChainsFreed) {
   }
   size_t Freed = Core.collectChains();
   ChainsCollected.fetch_add(Freed, std::memory_order_relaxed);
-  if (SnapshotsFreed)
-    *SnapshotsFreed = Snaps;
+  if (SnapsFreed)
+    *SnapsFreed = Snaps;
   if (ChainsFreed)
     *ChainsFreed = Freed;
   return true;
@@ -833,14 +816,7 @@ runtime::RegionStats SpecServer::regionStats(size_t Ordinal) const {
   runtime::RegionStats RS = Core.stats(Ordinal);
   if (Tier) {
     RS.TierEnabled = true;
-    tier::TierCounters T = Tier->counters(Ordinal);
-    RS.ColdExecs = T.ColdExecs;
-    RS.WarmExecs = T.WarmExecs;
-    RS.WarmPromotions = T.WarmPromotions;
-    RS.HotPromotions = T.HotPromotions;
-    RS.HotInstalls = T.HotInstalls;
-    RS.OsrEntries = T.OsrEntries;
-    RS.OsrPolls = T.OsrPolls;
+    Tier->counters(Ordinal).copyTo(RS);
   }
   return RS;
 }

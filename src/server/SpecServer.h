@@ -150,20 +150,20 @@ public:
   /// Reclaims retired cache snapshots and drained evicted chains. Refuses
   /// (returns false) if any dispatch is in flight — reclamation requires
   /// quiescence. Outputs are optional counts.
-  bool trimQuiescent(size_t *SnapshotsFreed = nullptr,
+  bool trimQuiescent(size_t *SnapsFreed = nullptr,
                      size_t *ChainsFreed = nullptr);
 
   /// Server-wide figures, derived from the tenant ledgers: sums, except
-  /// that SpecRuns and ChainsCreated leave out the adoptions (DedupHits),
-  /// so they count generating-extension runs; ChainsCollected and the
-  /// gauges are server-wide.
+  /// that `runs` and `chains` leave out the adoptions (`dedup`), so they
+  /// count generating-extension runs; `collected` and the gauges are
+  /// server-wide.
   ServerStatsSnapshot stats() const;
 
   /// One tenant's view of the server, from its own ledger: the counters a
   /// dedicated single-tenant server replaying the tenant's workload would
-  /// report. SpecRuns/ChainsCreated count adoptions too (the dedicated
-  /// server would have compiled); DedupHits/WarmHits record how many of
-  /// those were served from the store, and ChainsCollected stays global
+  /// report. `runs` and `chains` count adoptions too (the dedicated
+  /// server would have compiled); `dedup` and `warm` record how many of
+  /// those were served from the store, and `collected` stays global
   /// (a shared chain is only freed when every tenant has dropped it).
   /// Zeroes if the tenant was never registered.
   ServerStatsSnapshot tenantStats(uint32_t TenantId) const;
@@ -187,7 +187,7 @@ public:
   /// code every opcode, register operand, branch target, dispatch site
   /// and exit offset; rejects duplicate sites and chains. Returns false —
   /// loading nothing — on any failure. Loaded chains enter the store
-  /// unreferenced; tenants adopt them on first miss (counted as WarmHits).
+  /// unreferenced; tenants adopt them on first miss (counted in `warm`).
   bool loadCacheFrom(const std::string &Path);
 
   /// The tiering controller, or null when tiering is off.

@@ -23,10 +23,10 @@
 ///    server's, and as the inline runtime's cache fed the same keys.
 ///  * Each tenant owns a full ServerStats ledger counting its *view* of
 ///    events, and each event is counted once, there: an adoption from
-///    the chain store bumps the tenant's SpecRuns/ChainsCreated (a
-///    dedicated server would have compiled) and its DedupHits. The
+///    the chain store bumps the tenant's `runs` and `chains` (a
+///    dedicated server would have compiled) and its `dedup`. The
 ///    server-wide figures are sums over the ledgers, with the adoptions
-///    (DedupHits) taken back out of SpecRuns and ChainsCreated.
+///    (`dedup`) taken back out of `runs` and `chains`.
 ///  * Each tenant owns a runtime::ResidencyBook over
 ///    ServerConfig::Budget, swept by the core's one CLOCK algorithm
 ///    (RegionExecutionCore::admit), so eviction decisions — and every
@@ -55,7 +55,7 @@ namespace server {
 /// Per-tenant admission limits. Zero means unlimited.
 struct TenantQuota {
   /// Background/blocking compiles a tenant may have unfinished at once;
-  /// misses past the cap are refused (counted in QuotaRejections) and
+  /// misses past the cap are refused (counted in `quota-rej`) and
   /// served by the static fallback path.
   uint32_t MaxInFlightCompiles = 0;
 };

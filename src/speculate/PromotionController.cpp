@@ -9,56 +9,11 @@
 #include "bta/BTAnalysis.h"
 #include "cogen/CompilerGenerator.h"
 #include "cogen/Lowering.h"
-#include "ir/ConstEval.h"
 
 #include <algorithm>
 
 namespace dyc {
 namespace speculate {
-
-namespace {
-
-/// Mirror of the BTA's instruction classification (minus annotations,
-/// which a stripped function cannot contain): can \p I be evaluated at
-/// specialize time given the static set \p Set?
-bool staticEvaluable(const ir::Instruction &I, const BitVector &Set,
-                     const ir::Module &M, const OptFlags &Flags) {
-  switch (I.Op) {
-  case ir::Opcode::ConstI:
-  case ir::Opcode::ConstF:
-    return true;
-  case ir::Opcode::Load:
-    return I.StaticLoad && Flags.StaticLoads && Set.test(I.Src1);
-  case ir::Opcode::Call: {
-    if (!I.StaticCall || !Flags.StaticCalls || !M.function(I.Callee).Pure)
-      return false;
-    for (ir::Reg A : I.Args)
-      if (!Set.test(A))
-        return false;
-    return true;
-  }
-  case ir::Opcode::CallExt: {
-    if (!I.StaticCall || !Flags.StaticCalls || !M.external(I.Callee).Pure)
-      return false;
-    for (ir::Reg A : I.Args)
-      if (!Set.test(A))
-        return false;
-    return true;
-  }
-  default: {
-    if (!ir::isEvaluableOp(I.Op))
-      return false;
-    std::vector<ir::Reg> Uses;
-    I.appendUses(Uses);
-    for (ir::Reg U : Uses)
-      if (!Set.test(U))
-        return false;
-    return true;
-  }
-  }
-}
-
-} // namespace
 
 std::vector<ir::Reg> PromotionController::loopCarriedStatics(
     const ir::Function &F, const std::vector<uint32_t> &Params) const {
@@ -91,7 +46,7 @@ std::vector<ir::Reg> PromotionController::loopCarriedStatics(
     for (ir::BlockId B : G.rpo())
       for (const ir::Instruction &I : F.block(B).Instrs)
         if (I.definesReg() && Set.test(I.Dst) &&
-            !staticEvaluable(I, Set, SpecM, Flags)) {
+            !bta::isStaticInstr(I, Set, SpecM, Flags)) {
           Set.reset(I.Dst);
           Changed = true;
         }

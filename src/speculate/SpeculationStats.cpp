@@ -9,14 +9,13 @@ namespace speculate {
 
 std::string SpeculationStats::toString() const {
   return formatString(
-      "observed %llu calls; %llu promoted, %llu declined, %llu demoted; "
-      "guards: %llu checks, %llu hits, %llu failures; "
-      "%llu params blacklisted",
+      "speculation: %llu calls observed, %llu promoted, %llu declined, "
+      "%llu demoted\n"
+      "guards: %llu checks, %llu hits, %llu failures\n",
       (unsigned long long)CallsObserved, (unsigned long long)Promotions,
       (unsigned long long)PromotionsDeclined, (unsigned long long)Demotions,
       (unsigned long long)GuardChecks, (unsigned long long)GuardHits,
-      (unsigned long long)GuardFailures,
-      (unsigned long long)ParamsBlacklisted);
+      (unsigned long long)GuardFailures);
 }
 
 } // namespace speculate

@@ -31,6 +31,8 @@ struct SpeculationStats {
   uint64_t GuardFailures = 0;      ///< checks that deoptimized
   uint64_t ParamsBlacklisted = 0;  ///< parameters retired from speculation
 
+  /// The --stats text: a "speculation:" line (calls, promotions) and a
+  /// "guards:" line, each ending in a newline.
   std::string toString() const;
 };
 

@@ -29,6 +29,18 @@ std::string formatString(const char *Fmt, ...) {
   return Out;
 }
 
+void appendCounter(std::string &S, const char *Label, uint64_t V,
+                   const char *Prefix) {
+  std::string N = std::to_string(V);
+  if (*Label == '(')
+    S += std::string(Label) + ' ' + N + ')';
+  else if (*Label == '/')
+    S += Label + N;
+  else
+    S += (S.empty() || S.back() == '[' ? "" : " ") + std::string(Prefix) +
+         Label + '=' + N;
+}
+
 uint64_t hashWords(const Word *Data, size_t N, uint64_t Seed) {
   uint64_t H = Seed;
   for (size_t I = 0; I != N; ++I) {

@@ -2,6 +2,8 @@
 
 #include "tier/TierController.h"
 
+#include "support/Support.h"
+
 #include <cassert>
 
 namespace dyc {
@@ -62,47 +64,32 @@ TierLevel TierController::level(size_t RegionOrd) const {
   return levelOf(Heat.get(RegionOrd));
 }
 
-void TierController::noteInstall(size_t RegionOrd) {
-  assert(RegionOrd < C.size() && "region ordinal out of range");
-  C[RegionOrd].HotInstalls.fetch_add(1, std::memory_order_relaxed);
+std::string TierCounters::advice() const {
+  return formatString(""
+#define DYC_TIER_COUNTER(Name, Label, Advice) Advice
+#include "tier/TierCounters.def"
+#define DYC_TIER_COUNTER(Name, Label, Advice) , (unsigned long long)Name
+#include "tier/TierCounters.def"
+  );
 }
 
-void TierController::noteOsrEntry(size_t RegionOrd) {
-  assert(RegionOrd < C.size() && "region ordinal out of range");
-  C[RegionOrd].OsrEntries.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TierController::noteOsrPoll(size_t RegionOrd) {
-  assert(RegionOrd < C.size() && "region ordinal out of range");
-  C[RegionOrd].OsrPolls.fetch_add(1, std::memory_order_relaxed);
+void TierController::RegionCounters::addTo(TierCounters &T) const {
+#define DYC_TIER_COUNTER(Name, Label, Advice)                                  \
+  T.Name += Name.load(std::memory_order_relaxed);
+#include "tier/TierCounters.def"
 }
 
 TierCounters TierController::counters(size_t RegionOrd) const {
   assert(RegionOrd < C.size() && "region ordinal out of range");
-  const RegionCounters &RC = C[RegionOrd];
   TierCounters T;
-  T.ColdExecs = RC.ColdExecs.load(std::memory_order_relaxed);
-  T.WarmExecs = RC.WarmExecs.load(std::memory_order_relaxed);
-  T.WarmPromotions = RC.WarmPromotions.load(std::memory_order_relaxed);
-  T.HotPromotions = RC.HotPromotions.load(std::memory_order_relaxed);
-  T.HotInstalls = RC.HotInstalls.load(std::memory_order_relaxed);
-  T.OsrEntries = RC.OsrEntries.load(std::memory_order_relaxed);
-  T.OsrPolls = RC.OsrPolls.load(std::memory_order_relaxed);
+  C[RegionOrd].addTo(T);
   return T;
 }
 
 TierCounters TierController::totals() const {
   TierCounters T;
-  for (size_t I = 0; I != C.size(); ++I) {
-    TierCounters R = counters(I);
-    T.ColdExecs += R.ColdExecs;
-    T.WarmExecs += R.WarmExecs;
-    T.WarmPromotions += R.WarmPromotions;
-    T.HotPromotions += R.HotPromotions;
-    T.HotInstalls += R.HotInstalls;
-    T.OsrEntries += R.OsrEntries;
-    T.OsrPolls += R.OsrPolls;
-  }
+  for (const RegionCounters &RC : C)
+    RC.addTo(T);
   return T;
 }
 

@@ -24,9 +24,9 @@
 /// contract, and once all keys are installed a tiered run's per-round
 /// counters are bit-identical to the eager configuration's.
 ///
-/// Thread-safety: onMiss and the note* hooks are called by concurrent
-/// client threads (under the server's dispatch gate); all state is
-/// atomic. Counter snapshots are monotonic, relaxed reads.
+/// Thread-safety: onMiss and the server's counter bumps come from
+/// concurrent client threads (under the server's dispatch gate); all
+/// state is atomic. Counter snapshots are monotonic, relaxed reads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,9 @@
 #include "profile/Heat.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace dyc {
@@ -48,15 +50,21 @@ enum class TierLevel : uint8_t { Cold, Warm, Hot };
 const char *tierLevelName(TierLevel L);
 
 /// Monotonic per-region (and, summed, per-server) tier transition
-/// counters. Snapshot form — plain integers.
+/// counters (tier/TierCounters.def). Snapshot form — plain integers.
 struct TierCounters {
-  uint64_t ColdExecs = 0;      ///< misses answered with single-stepped code
-  uint64_t WarmExecs = 0;      ///< misses answered with predecoded code
-  uint64_t WarmPromotions = 0; ///< cold -> warm transitions
-  uint64_t HotPromotions = 0;  ///< warm -> hot transitions
-  uint64_t HotInstalls = 0;    ///< chains published while tiered
-  uint64_t OsrEntries = 0;     ///< mid-loop transfers into a chain
-  uint64_t OsrPolls = 0;       ///< back-edge polls answered (no charge)
+#define DYC_TIER_COUNTER(Name, Label, Advice) uint64_t Name = 0;
+#include "tier/TierCounters.def"
+
+  /// Copies every counter to the same-named field of \p To (a
+  /// runtime::RegionStats or a server::ServerStatsSnapshot).
+  template <class Stats> void copyTo(Stats &To) const {
+#define DYC_TIER_COUNTER(Name, Label, Advice) To.Name = Name;
+#include "tier/TierCounters.def"
+  }
+
+  /// The tier advisor's evidence: ", cold N, warm N (promotions N/N),
+  /// installs N, osr N (polls N)".
+  std::string advice() const;
 };
 
 /// What the dispatch path should do with one miss.
@@ -82,27 +90,25 @@ public:
   /// Current tier of \p RegionOrd (from its heat; never cools down).
   TierLevel level(size_t RegionOrd) const;
 
-  /// A chain for \p RegionOrd was published through the background path.
-  void noteInstall(size_t RegionOrd);
-  /// An OSR transfer into \p RegionOrd's chain happened at a back edge.
-  void noteOsrEntry(size_t RegionOrd);
-  /// An armed back-edge poll was answered (transfer or not).
-  void noteOsrPoll(size_t RegionOrd);
+  /// One region's live counters: onMiss bumps the executions and
+  /// promotions, the server the events it sees (installs through the
+  /// background path, OSR transfers, answered back-edge polls).
+  struct RegionCounters {
+#define DYC_TIER_COUNTER(Name, Label, Advice) std::atomic<uint64_t> Name{0};
+#include "tier/TierCounters.def"
+
+    void addTo(TierCounters &T) const;
+  };
+  RegionCounters &region(size_t RegionOrd) {
+    assert(RegionOrd < C.size() && "region ordinal out of range");
+    return C[RegionOrd];
+  }
 
   TierCounters counters(size_t RegionOrd) const;
   /// Sum over all regions.
   TierCounters totals() const;
 
 private:
-  struct RegionCounters {
-    std::atomic<uint64_t> ColdExecs{0};
-    std::atomic<uint64_t> WarmExecs{0};
-    std::atomic<uint64_t> WarmPromotions{0};
-    std::atomic<uint64_t> HotPromotions{0};
-    std::atomic<uint64_t> HotInstalls{0};
-    std::atomic<uint64_t> OsrEntries{0};
-    std::atomic<uint64_t> OsrPolls{0};
-  };
 
   TierLevel levelOf(uint64_t Heat) const;
 

@@ -362,6 +362,20 @@ struct BadProgram {
   std::vector<std::string> Errors;
 };
 
+/// \p S repeated \p N times.
+std::string repeated(const std::string &S, size_t N) {
+  std::string R;
+  R.reserve(S.size() * N);
+  for (size_t I = 0; I != N; ++I)
+    R += S;
+  return R;
+}
+
+/// A return value nested one level past MaxNestingDepth: the return
+/// statement, its operand and 999 parenthesized operands.
+const std::string NestedTooDeep = "int f() { return " + repeated("(", 999) +
+                                  "1" + repeated(")", 999) + "; }";
+
 const BadProgram BadPrograms[] = {
   {"int f() { return 1; }\n/* never closed\n\n",
    {"line 4: unterminated comment"}},
@@ -505,7 +519,36 @@ const BadProgram BadPrograms[] = {
    {"line 1: in 'f': use of undeclared variable 'a_very_long_variable_nam'"}},
   {"int f(int n) {\n  int s = 0;\n  while (n > 0) {\n    s = s + q;\n    n = n - 1;\n  }\n  return s;\n}",
    {"line 4: in 'f': use of undeclared variable 'q'"}},
+  {NestedTooDeep.c_str(), {"line 1: nesting deeper than 1000 levels"}},
 };
+
+/// Programs nested far past MaxNestingDepth, each of which overflowed the
+/// stack in the parser or in lowering before the bound: each now gets the
+/// one nesting error.
+TEST(Diagnostics, DeepProgramsGetOneError) {
+  const std::string Probes[] = {
+      "int f(int x) { return " + repeated("(", 50000) + "x" +
+          repeated(")", 50000) + "; }",
+      "int f(int x) { " + repeated("if (x) { ", 30000) +
+          repeated("} ", 30000) + "return x; }",
+      "int f(int x) { return x" + repeated(" + x", 19999) + "; }",
+      "int f(int x) { return " + repeated("- ", 50000) + "x; }",
+  };
+  for (const std::string &Src : Probes) {
+    ir::Module M;
+    std::vector<std::string> Errors;
+    EXPECT_FALSE(compileMiniC(Src, M, Errors)) << Src.substr(0, 40);
+    EXPECT_EQ(Errors, std::vector<std::string>{
+                          "line 1: nesting deeper than 1000 levels"})
+        << Src.substr(0, 40);
+  }
+  // Within the bound, the same shapes compile.
+  ir::Module M;
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(compileMiniC("int f(int x) { return x" +
+                               repeated(" + x", 900) + "; }",
+                           M, Errors));
+}
 
 TEST(Diagnostics, ExactErrorsForEveryMessage) {
   for (const BadProgram &B : BadPrograms) {

@@ -65,6 +65,54 @@ bool looksLikeNumber(const char *S) {
   return *S >= '0' && *S <= '9';
 }
 
+/// Calls function \p F (named \p Name) on \p M \p Iterations times and
+/// prints the last result, after \p Prefix, in the function's return type.
+void runAndPrint(vm::VM &M, int F, const ir::Function &Fn,
+                 const std::string &Name, const std::vector<Word> &Args,
+                 uint64_t Iterations, const std::string &Prefix = "") {
+  Word R;
+  for (uint64_t I = 0; I != Iterations; ++I)
+    R = M.run(static_cast<uint32_t>(F), Args);
+  if (Fn.RetTy == ir::Type::F64)
+    printf("%s%s => %.17g\n", Prefix.c_str(), Name.c_str(), R.asFloat());
+  else
+    printf("%s%s => %lld\n", Prefix.c_str(), Name.c_str(),
+           (long long)R.asInt());
+}
+
+/// The machine counters of \p M, one per line.
+void printMachine(vm::VM &M) {
+  printf("execution cycles:           %llu\n",
+         (unsigned long long)M.execCycles());
+  printf("dynamic-compilation cycles: %llu\n",
+         (unsigned long long)M.dynCompCycles());
+  printf("instructions executed:      %llu\n",
+         (unsigned long long)M.instrsExecuted());
+  printf("I-cache: %llu hits, %llu misses\n",
+         (unsigned long long)M.icache().hits(),
+         (unsigned long long)M.icache().misses());
+}
+
+/// One "region N: ..." line per region; \p StatsOf maps an ordinal to its
+/// RegionStats.
+template <class StatsOfFn> void printRegions(size_t N, StatsOfFn StatsOf) {
+  for (size_t Ord = 0; Ord != N; ++Ord)
+    printf("region %zu: %s\n", Ord, StatsOf(Ord).toString().c_str());
+}
+
+/// The emit-plan advisor: each region's plan amortization.
+template <class StatsOfFn> void printPlanAdvisor(size_t N, StatsOfFn StatsOf) {
+  if (N == 0)
+    return;
+  printf("emit-plan advisor (per-region plan amortization):\n");
+  for (size_t Ord = 0; Ord != N; ++Ord) {
+    runtime::RegionStats RS = StatsOf(Ord);
+    printf("  region %zu: %llu builds, %llu hits, %llu plan bytes\n", Ord,
+           (unsigned long long)RS.PlanBuilds, (unsigned long long)RS.PlanHits,
+           (unsigned long long)RS.PlanBytes);
+  }
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -195,6 +243,7 @@ int main(int argc, char **argv) {
     SCfg.IC = ICCfg;
     std::unique_ptr<server::SpecServer> Server =
         Ctx.buildMultiTenant(Flags, std::move(SCfg));
+    auto ServerRegion = [&](size_t Ord) { return Server->regionStats(Ord); };
     std::vector<std::unique_ptr<vm::VM>> Clients;
     for (unsigned T = 1; T <= Tenants; ++T)
       Clients.push_back(Server->makeClientVM(T));
@@ -204,18 +253,9 @@ int main(int argc, char **argv) {
         fprintf(stderr, "dycc: no function named '%s'\n", RunFunc.c_str());
         return 1;
       }
-      const ir::Function &Fn = Ctx.module().function(F);
-      for (unsigned T = 0; T != Tenants; ++T) {
-        Word R;
-        for (uint64_t I = 0; I != Iterations; ++I)
-          R = Clients[T]->run(static_cast<uint32_t>(F), RunArgs);
-        if (Fn.RetTy == ir::Type::F64)
-          printf("tenant %u: %s => %.17g\n", T + 1, RunFunc.c_str(),
-                 R.asFloat());
-        else
-          printf("tenant %u: %s => %lld\n", T + 1, RunFunc.c_str(),
-                 (long long)R.asInt());
-      }
+      for (unsigned T = 0; T != Tenants; ++T)
+        runAndPrint(*Clients[T], F, Ctx.module().function(F), RunFunc,
+                    RunArgs, Iterations, formatString("tenant %u: ", T + 1));
     }
     Server->drain();
     if (Stats) {
@@ -230,9 +270,7 @@ int main(int argc, char **argv) {
                Server->tenantStats(T + 1).toString().c_str());
       }
       printf("server: %s\n", Server->stats().toString().c_str());
-      for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
-        printf("region %zu: %s\n", Ord,
-               Server->regionStats(Ord).toString().c_str());
+      printRegions(Server->numRegions(), ServerRegion);
     }
     if (DumpResidual)
       for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
@@ -254,6 +292,7 @@ int main(int argc, char **argv) {
     SCfg.IC = ICCfg;
     std::unique_ptr<server::SpecServer> Server =
         Ctx.buildTiered(Flags, std::move(SCfg));
+    auto ServerRegion = [&](size_t Ord) { return Server->regionStats(Ord); };
     std::unique_ptr<vm::VM> Client = Server->makeClientVM();
     if (!RunFunc.empty()) {
       int F = Server->findFunction(RunFunc);
@@ -261,30 +300,14 @@ int main(int argc, char **argv) {
         fprintf(stderr, "dycc: no function named '%s'\n", RunFunc.c_str());
         return 1;
       }
-      Word R;
-      for (uint64_t I = 0; I != Iterations; ++I)
-        R = Client->run(static_cast<uint32_t>(F), RunArgs);
-      const ir::Function &Fn = Ctx.module().function(F);
-      if (Fn.RetTy == ir::Type::F64)
-        printf("%s => %.17g\n", RunFunc.c_str(), R.asFloat());
-      else
-        printf("%s => %lld\n", RunFunc.c_str(), (long long)R.asInt());
+      runAndPrint(*Client, F, Ctx.module().function(F), RunFunc, RunArgs,
+                  Iterations);
     }
     Server->drain();
     if (Stats) {
-      printf("execution cycles:           %llu\n",
-             (unsigned long long)Client->execCycles());
-      printf("dynamic-compilation cycles: %llu\n",
-             (unsigned long long)Client->dynCompCycles());
-      printf("instructions executed:      %llu\n",
-             (unsigned long long)Client->instrsExecuted());
-      printf("I-cache: %llu hits, %llu misses\n",
-             (unsigned long long)Client->icache().hits(),
-             (unsigned long long)Client->icache().misses());
+      printMachine(*Client);
       printf("server: %s\n", Server->stats().toString().c_str());
-      for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
-        printf("region %zu: %s\n", Ord,
-               Server->regionStats(Ord).toString().c_str());
+      printRegions(Server->numRegions(), ServerRegion);
     }
     if (DumpResidual)
       for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
@@ -292,30 +315,11 @@ int main(int argc, char **argv) {
     if (Advise) {
       const tier::TierController *TC = Server->tierController();
       printf("tier advisor (per-region transition evidence):\n");
-      for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord) {
-        tier::TierCounters T = TC->counters(Ord);
-        printf("  region %zu: level %s, cold %llu, warm %llu "
-               "(promotions %llu/%llu), installs %llu, osr %llu "
-               "(polls %llu)\n",
-               Ord, tier::tierLevelName(TC->level(Ord)),
-               (unsigned long long)T.ColdExecs,
-               (unsigned long long)T.WarmExecs,
-               (unsigned long long)T.WarmPromotions,
-               (unsigned long long)T.HotPromotions,
-               (unsigned long long)T.HotInstalls,
-               (unsigned long long)T.OsrEntries,
-               (unsigned long long)T.OsrPolls);
-      }
-      if (Server->numRegions()) {
-        printf("emit-plan advisor (per-region plan amortization):\n");
-        for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord) {
-          runtime::RegionStats RS = Server->regionStats(Ord);
-          printf("  region %zu: %llu builds, %llu hits, %llu plan bytes\n",
-                 Ord, (unsigned long long)RS.PlanBuilds,
-                 (unsigned long long)RS.PlanHits,
-                 (unsigned long long)RS.PlanBytes);
-        }
-      }
+      for (size_t Ord = 0; Ord != Server->numRegions(); ++Ord)
+        printf("  region %zu: level %s%s\n", Ord,
+               tier::tierLevelName(TC->level(Ord)),
+               TC->counters(Ord).advice().c_str());
+      printPlanAdvisor(Server->numRegions(), ServerRegion);
     }
     return 0;
   }
@@ -346,56 +350,28 @@ int main(int argc, char **argv) {
       fprintf(stderr, "dycc: no function named '%s'\n", RunFunc.c_str());
       return 1;
     }
-    Word R;
-    for (uint64_t I = 0; I != Iterations; ++I)
-      R = E->Machine->run(static_cast<uint32_t>(F), RunArgs);
-    const ir::Function &Fn = Ctx.module().function(F);
-    if (Fn.RetTy == ir::Type::F64)
-      printf("%s => %.17g\n", RunFunc.c_str(), R.asFloat());
-    else
-      printf("%s => %lld\n", RunFunc.c_str(), (long long)R.asInt());
+    runAndPrint(*E->Machine, F, Ctx.module().function(F), RunFunc, RunArgs,
+                Iterations);
   }
+
+  // The run-time whose regions --stats, --dump-residual and --advise show.
+  runtime::DycRuntime *RT =
+      E->RT ? E->RT.get() : E->Spec ? &E->Spec->runtime() : nullptr;
+  auto RTRegion = [&](size_t Ord) -> const runtime::RegionStats & {
+    return RT->stats(Ord);
+  };
 
   if (Stats) {
-    printf("execution cycles:           %llu\n",
-           (unsigned long long)E->Machine->execCycles());
-    printf("dynamic-compilation cycles: %llu\n",
-           (unsigned long long)E->Machine->dynCompCycles());
-    printf("instructions executed:      %llu\n",
-           (unsigned long long)E->Machine->instrsExecuted());
-    printf("I-cache: %llu hits, %llu misses\n",
-           (unsigned long long)E->Machine->icache().hits(),
-           (unsigned long long)E->Machine->icache().misses());
-    if (E->RT)
-      for (size_t Ord = 0; Ord != E->RT->numRegions(); ++Ord)
-        printf("region %zu: %s\n", Ord,
-               E->RT->stats(Ord).toString().c_str());
-    if (E->Spec) {
-      const speculate::SpeculationStats &S = E->Spec->stats();
-      printf("speculation: %llu calls observed, %llu promoted, "
-             "%llu declined, %llu demoted\n",
-             (unsigned long long)S.CallsObserved,
-             (unsigned long long)S.Promotions,
-             (unsigned long long)S.PromotionsDeclined,
-             (unsigned long long)S.Demotions);
-      printf("guards: %llu checks, %llu hits, %llu failures\n",
-             (unsigned long long)S.GuardChecks,
-             (unsigned long long)S.GuardHits,
-             (unsigned long long)S.GuardFailures);
-      runtime::DycRuntime &RT = E->Spec->runtime();
-      for (size_t Ord = 0; Ord != RT.numRegions(); ++Ord)
-        printf("region %zu: %s\n", Ord, RT.stats(Ord).toString().c_str());
-    }
+    printMachine(*E->Machine);
+    if (E->Spec)
+      printf("%s", E->Spec->stats().toString().c_str());
+    if (RT)
+      printRegions(RT->numRegions(), RTRegion);
   }
 
-  if (DumpResidual && E->RT)
-    for (size_t Ord = 0; Ord != E->RT->numRegions(); ++Ord)
-      printf("%s", E->RT->disassembleRegion(Ord).c_str());
-  if (DumpResidual && E->Spec) {
-    runtime::DycRuntime &RT = E->Spec->runtime();
-    for (size_t Ord = 0; Ord != RT.numRegions(); ++Ord)
-      printf("%s", RT.disassembleRegion(Ord).c_str());
-  }
+  if (DumpResidual && RT)
+    for (size_t Ord = 0; Ord != RT->numRegions(); ++Ord)
+      printf("%s", RT->disassembleRegion(Ord).c_str());
 
   if (Advise) {
     // The promotion controller's evidence, function by function: the
@@ -437,17 +413,7 @@ int main(int argc, char **argv) {
                PP.Blacklisted ? ", blacklisted" : "");
       }
     }
-    runtime::DycRuntime &SRT = Spec.runtime();
-    if (SRT.numRegions()) {
-      printf("emit-plan advisor (per-region plan amortization):\n");
-      for (size_t Ord = 0; Ord != SRT.numRegions(); ++Ord) {
-        const runtime::RegionStats &RS = SRT.stats(Ord);
-        printf("  region %zu: %llu builds, %llu hits, %llu plan bytes\n",
-               Ord, (unsigned long long)RS.PlanBuilds,
-               (unsigned long long)RS.PlanHits,
-               (unsigned long long)RS.PlanBytes);
-      }
-    }
+    printPlanAdvisor(RT->numRegions(), RTRegion);
   }
 
   if (Profile) {
