@@ -62,8 +62,8 @@
 /// first guard the first time it places that context, and each guard arm
 /// the first time a placement takes it. A plan depends only on the
 /// immutable GenExtFunction and the core's fixed OptFlags, so it survives
-/// chain eviction and CodeObject::Version churn; its storage is recycled
-/// through the region's RecyclingPool.
+/// chain eviction and CodeObject::Version churn and lives as long as its
+/// region.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,27 +24,6 @@ const char *cachePolicyName(CachePolicy P) {
   return "<bad-policy>";
 }
 
-bool Instruction::isSideEffectFree() const {
-  switch (Op) {
-  case Opcode::Store:
-  case Opcode::Br:
-  case Opcode::CondBr:
-  case Opcode::Ret:
-  case Opcode::MakeStatic:
-  case Opcode::MakeDynamic:
-    return false;
-  case Opcode::Load:
-    // A plain load has no side effects, but its *value* is only known at
-    // specialize time when annotated static; for DCE purposes it is pure.
-    return true;
-  case Opcode::Call:
-  case Opcode::CallExt:
-    return false; // purity handled separately via StaticCall
-  default:
-    return true;
-  }
-}
-
 std::string Instruction::toString() const {
   std::string S;
   auto R = [](Reg X) {

@@ -186,11 +186,6 @@ struct Instruction {
   /// True if the instruction writes Dst.
   bool definesReg() const { return Dst != NoReg; }
 
-  /// True for operations free of side effects (candidates for static
-  /// evaluation when every operand is static). Loads are only pure when
-  /// annotated static; calls when annotated static and the callee is pure.
-  bool isSideEffectFree() const;
-
   /// Calls \p F with every register this instruction reads, in operand
   /// order (a promotion reads its annotated variables).
   template <typename Fn> void forEachUse(Fn F) const {

@@ -105,7 +105,7 @@ public:
       if (!E.Pending)
         continue;
       E.Pending = false;
-      D.count(Stat::DeadAssign);
+      D.count(Stat::DeadAssignsEliminated);
     }
     T.Latest.clear();
   }
@@ -186,7 +186,7 @@ void DeferralEngineT<Dom>::materializeEntry(size_t Idx) {
   E.Pending = false;
   if (Link *L = latest(E.Dst); L && L->Idx == Idx)
     eraseLatest(L);
-  D.count(Stat::Materialized);
+  D.count(Stat::MaterializedDeferred);
   forceOperand(E.A);
   forceOperand(E.B);
   emitResolved(E.Op, E.Ty, E.Dst, E.A, E.B, E.Imm);
@@ -227,7 +227,7 @@ template <typename Dom> void DeferralEngineT<Dom>::writeEvent(uint32_t Dst) {
     Entry &E = T.Entries[L->Idx];
     if (E.Pending) {
       E.Pending = false;
-      D.count(Stat::DeadAssign);
+      D.count(Stat::DeadAssignsEliminated);
       D.charge(Charge::TableOp);
     }
     eraseLatest(L);

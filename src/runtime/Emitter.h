@@ -46,6 +46,8 @@
 #include "runtime/RuntimeStats.h"
 #include "vm/VM.h"
 
+#include <iterator>
+
 namespace dyc {
 namespace runtime {
 
@@ -125,24 +127,46 @@ inline uint64_t cyclesOf(const vm::CostModel &CM, Charge K) {
   return 0;
 }
 
-/// The RegionStats counters the emit semantics bump.
+/// The RegionStats counters the emit semantics bump: the
+/// DYC_DEFERRAL_COUNTER rows of runtime/RegionCounters.def, in row order.
 enum class Stat : uint8_t {
-  ZcpApplied,
-  StrengthReduced,
-  DeadAssign,
-  Materialized,
+#define DYC_DEFERRAL_COUNTER(Name, Label) Name,
+#include "runtime/RegionCounters.def"
 };
-constexpr size_t NumStats = 4;
+
+/// Each Stat's RegionStats field, by Stat.
+inline constexpr uint64_t RegionStats::*StatFields[] = {
+#define DYC_DEFERRAL_COUNTER(Name, Label) &RegionStats::Name,
+#include "runtime/RegionCounters.def"
+};
+constexpr size_t NumStats = std::size(StatFields);
 
 inline uint64_t &statOf(RegionStats &S, Stat K) {
-  switch (K) {
-  case Stat::ZcpApplied: return S.ZcpApplied;
-  case Stat::StrengthReduced: return S.StrengthReduced;
-  case Stat::DeadAssign: return S.DeadAssignsEliminated;
-  case Stat::Materialized: return S.MaterializedDeferred;
-  }
-  return S.MaterializedDeferred;
+  return S.*StatFields[size_t(K)];
 }
+
+/// The set-up code's static computations at specialize time, for both
+/// specialization paths (UnrollDriver::execSetup on the reference walk,
+/// PlanRunner::runEvals on a plan). The two faults static code can hit, a
+/// zero divisor and a load outside VM memory, are checked and reported
+/// here only; either stops the process.
+struct StaticEval {
+  /// The pure operation \p Op on \p A and \p B.
+  static Word op(ir::Opcode Op, Word A, Word B) {
+    Word Out;
+    if (!ir::evalPureOp(Op, A, B, Out))
+      fatal("static computation faulted at specialize time (division "
+            "by a zero-valued run-time constant)");
+    return Out;
+  }
+  /// The word of \p Mem at \p Base + \p Off.
+  static Word load(const vm::Memory &Mem, Word Base, int64_t Off) {
+    int64_t Addr = wrapAdd(Base.asInt(), Off);
+    if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
+      fatal("static load out of range at specialize time");
+    return Mem[static_cast<size_t>(Addr)];
+  }
+};
 
 /// The emit-time value domain: encodes into one code chain's buffer.
 class Concrete {

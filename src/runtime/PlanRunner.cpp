@@ -27,21 +27,13 @@ void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
       Vals[E.Dst] = Word{static_cast<uint64_t>(E.Imm)};
       break;
     case cogen::PlanEval::Pure: {
-      Word Out;
       Word BV = E.B == ir::NoReg ? Word() : Vals[E.B];
-      if (!ir::evalPureOp(E.Op, Vals[E.A], BV, Out))
-        fatal("static computation faulted at specialize time (division "
-              "by a zero-valued run-time constant)");
-      Vals[E.Dst] = Out;
+      Vals[E.Dst] = StaticEval::op(E.Op, Vals[E.A], BV);
       break;
     }
-    case cogen::PlanEval::Load: {
-      int64_t Addr = wrapAdd(Vals[E.A].asInt(), E.Imm);
-      if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
-        fatal("static load out of range at specialize time");
-      Vals[E.Dst] = Mem[static_cast<size_t>(Addr)];
+    case cogen::PlanEval::Load:
+      Vals[E.Dst] = StaticEval::load(Mem, Vals[E.A], E.Imm);
       break;
-    }
     }
   }
   replay(S);

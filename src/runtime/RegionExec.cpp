@@ -16,48 +16,39 @@ namespace runtime {
 //===----------------------------------------------------------------------===//
 
 void ChainRegistry::add(std::shared_ptr<CodeChain> Chain) {
-  std::unique_lock<std::shared_mutex> Lock(Mutex);
-  Map[&Chain->CO] = std::move(Chain);
-}
-
-void ChainRegistry::releaseExecutor(const vm::CodeObject *CO) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  auto It = Map.find(CO);
-  if (It != Map.end())
-    It->second->ActiveRefs.fetch_sub(1, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Chains.push_back(std::move(Chain));
 }
 
 size_t ChainRegistry::collect(vm::SharedTranslations &Shared) {
-  std::unique_lock<std::shared_mutex> Lock(Mutex);
-  size_t Freed = 0;
-  for (auto It = Map.begin(); It != Map.end();) {
-    CodeChain &C = *It->second;
-    if (C.Evicted.load(std::memory_order_acquire) &&
-        C.ActiveRefs.load(std::memory_order_acquire) == 0) {
-      // A VM still inside the chain when it was retired may have
-      // published its translation since; nothing can enter it now.
-      Shared.release(C.CO.BaseAddr);
-      It = Map.erase(It);
-      ++Freed;
-    } else {
-      ++It;
-    }
-  }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto Live = std::remove_if(
+      Chains.begin(), Chains.end(), [&](const std::shared_ptr<CodeChain> &C) {
+        if (!C->Evicted.load(std::memory_order_acquire) ||
+            C->ActiveRefs.load(std::memory_order_acquire) != 0)
+          return false;
+        // A VM still inside the chain when it was retired may have
+        // published its translation since; nothing can enter it now.
+        Shared.release(C->CO.BaseAddr);
+        return true;
+      });
+  size_t Freed = static_cast<size_t>(Chains.end() - Live);
+  Chains.erase(Live, Chains.end());
   return Freed;
 }
 
 size_t ChainRegistry::size() const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  return Map.size();
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Chains.size();
 }
 
 std::vector<std::shared_ptr<CodeChain>>
 ChainRegistry::chainsOfRegion(uint32_t Region) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
+  std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<std::shared_ptr<CodeChain>> Out;
-  for (const auto &KV : Map)
-    if (KV.second->Region == Region)
-      Out.push_back(KV.second);
+  for (const std::shared_ptr<CodeChain> &C : Chains)
+    if (C->Region == Region)
+      Out.push_back(C);
   std::sort(Out.begin(), Out.end(),
             [](const std::shared_ptr<CodeChain> &A,
                const std::shared_ptr<CodeChain> &B) {
@@ -98,11 +89,6 @@ uint32_t RegionExecutionCore::regionNumRegs(size_t Ordinal) const {
 int RegionExecutionCore::regionFuncIdx(size_t Ordinal) const {
   assert(Ordinal < Regions.size() && "bad region ordinal");
   return Regions[Ordinal]->GX.FuncIdx;
-}
-
-const bta::RegionInfo &RegionExecutionCore::regionInfo(size_t Ordinal) const {
-  assert(Ordinal < Regions.size() && "bad region ordinal");
-  return Regions[Ordinal]->GX.Region;
 }
 
 const RegionStats &RegionExecutionCore::stats(size_t Ordinal) const {
@@ -188,8 +174,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   // plan depends only on the immutable GX and the core's fixed flags, so
   // it is never invalidated by chain eviction or Version churn.
   if (!R.Plan) {
-    R.Plan = std::allocate_shared<cogen::EmitPlan>(
-        PoolAllocator<cogen::EmitPlan>(R.Pool));
+    R.Plan = std::make_shared<cogen::EmitPlan>();
     R.Stats.PlanBytes += cogen::createEmitPlan(R.GX, *R.Plan);
     ++R.Stats.PlanBuilds;
   } else {
@@ -211,7 +196,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());
   Chains.add(Chain);
 
-  auto E = std::allocate_shared<SpecEntry>(PoolAllocator<SpecEntry>(R.Pool));
+  auto E = std::make_shared<SpecEntry>();
   E->Key = std::move(KeyCopy);
   E->Hash = hashWords(E->Key.data(), E->Key.size());
   E->Point = PromoId; // front ends with their own numbering overwrite this
@@ -219,7 +204,6 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   E->PromoId = PromoId;
   E->EntryPC = Entry;
   E->Chain = std::move(Chain);
-  E->Use = std::allocate_shared<EntryStats>(PoolAllocator<EntryStats>(R.Pool));
   E->Ordinal = E->Chain->Ordinal;
 
   --SpecTimerDepth;
@@ -248,12 +232,12 @@ std::shared_ptr<CodeChain> RegionExecutionCore::restoreChain(
 std::shared_ptr<CodeChain> RegionExecutionCore::newChain(size_t Ordinal) {
   assert(Ordinal < Regions.size() && "bad region ordinal");
   RegionState &R = *Regions[Ordinal];
-  auto Chain =
-      std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
+  auto Chain = std::make_shared<CodeChain>();
   Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
   Chain->Region = static_cast<uint32_t>(Ordinal);
   Chain->CO.NumRegs = R.GX.NumRegs;
   Chain->CO.IsDynamicCode = true;
+  Chain->CO.Executors = &Chain->ActiveRefs;
   Chain->CO.BaseAddr =
       Prog.allocCodeAddr(static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
   if (R.ChainNamePrefix.empty())
@@ -294,8 +278,7 @@ void RegionExecutionCore::admit(ResidencyBook &Book,
       ++B.Hand;
       continue;
     }
-    if (Cand->Use && Cand->Use->RefBit.exchange(false,
-                                                std::memory_order_acq_rel)) {
+    if (Cand->RefBit.exchange(false, std::memory_order_acq_rel)) {
       ++B.Hand; // recently used: second chance
       continue;
     }

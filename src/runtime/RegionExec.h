@@ -16,11 +16,14 @@
 /// The core owns, per region: the generating extension and its metadata,
 /// the run-time statistics, the specialize-time static-call memo and the
 /// dispatch-site table. It owns globally: the chain registry that keeps
-/// evicted chains alive until their active-executor count — maintained
-/// from the VM's onDynamicCodeExit callback — drains to zero. It also
-/// writes the one CLOCK sweep (admit) over a residency book the caller
-/// passes in: the inline front end's book lives in the core, and every
-/// SpecServer tenant view holds its own.
+/// evicted chains alive until their executor count drains to zero. The
+/// count lives on the chain, and its code object points at it
+/// (vm::CodeObject::Executors): a front end counts a client in where it
+/// grants entry, and the VM counts the frame out where it leaves, so no
+/// exit path looks the chain up. It also writes the one CLOCK sweep
+/// (admit) over a residency book the caller passes in: the inline front
+/// end's book lives in the core, and every SpecServer tenant view holds
+/// its own.
 ///
 /// What the core does NOT own is the dispatch cache, though both front
 /// ends use the same one (runtime/CodeCache.h, one per promotion point):
@@ -34,8 +37,9 @@
 /// resident/disassembly accessors must be serialized by the caller (the
 /// server holds its specialization lock; the inline runtime is
 /// single-threaded). internSite / siteRef and the chain registry are
-/// internally thread-safe — clients resolve sites and release executors
-/// while workers specialize.
+/// internally thread-safe — clients resolve sites while workers
+/// specialize — and a chain's executor count and an entry's usage bits
+/// are atomics that clients write without a lock.
 ///
 /// Interaction with the VM's predecoded translation cache: translations
 /// are keyed by CodeObject::BaseAddr, and Program::allocCodeAddr never
@@ -72,8 +76,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace dyc {
@@ -99,7 +101,7 @@ struct CodeChain {
   /// loop head) has no single residual pc a generic frame could transfer
   /// to, so it is excluded. Immutable after the run, like the stub maps.
   std::map<ir::BlockId, uint32_t> OsrEntries;
-  /// Clients currently executing inside CO.
+  /// Frames currently executing inside CO; CO.Executors points here.
   std::atomic<uint32_t> ActiveRefs{0};
   /// Set (under the owner's serialization) when the chain's cache entry is
   /// removed — by capacity eviction or one-slot displacement.
@@ -109,17 +111,12 @@ struct CodeChain {
   uint32_t Instrs = 0;  ///< CO.Code.size() at publication
 };
 
-/// Maps a CodeObject back to its owning chain so onDynamicCodeExit — which
-/// only sees the CodeObject pointer — can drop the executor count.
-/// Readers (every dispatch and every exit callback) take the shared lock;
-/// chain registration and collection take it exclusively.
+/// Every live chain, kept alive until collect frees it. Neither dispatch
+/// nor exit touches the registry: only registration, collection and the
+/// reporting accessors take its lock.
 class ChainRegistry {
 public:
   void add(std::shared_ptr<CodeChain> Chain);
-
-  /// Convenience for the exit callback: decrement without copying the
-  /// shared_ptr. No-op for unknown CodeObjects.
-  void releaseExecutor(const vm::CodeObject *CO) const;
 
   /// Frees evicted chains whose executor count has drained, releasing
   /// their entries in \p Shared. Returns how many were collected. Safe to
@@ -135,20 +132,8 @@ public:
   std::vector<std::shared_ptr<CodeChain>> chainsOfRegion(uint32_t Region) const;
 
 private:
-  mutable std::shared_mutex Mutex;
-  std::unordered_map<const vm::CodeObject *, std::shared_ptr<CodeChain>> Map;
-};
-
-/// Per-entry usage state, set by concurrent readers.
-struct EntryStats {
-  std::atomic<bool> RefBit{false}; ///< CLOCK reference bit
-  /// Adoption marker: the entry was published over a chain from the
-  /// server's chain store instead of a fresh generating-extension run. The
-  /// first client to enter it invalidates the chain's range in its
-  /// I-cache, so an adopted chain the client executed in an earlier
-  /// residency models as cold code — exactly what the fresh compile a
-  /// dedicated server would have produced looks like.
-  std::atomic<bool> ColdEntryPending{false};
+  mutable std::mutex Mutex;
+  std::vector<std::shared_ptr<CodeChain>> Chains;
 };
 
 /// One published specialization: key -> (chain, entry PC). This is the
@@ -161,8 +146,19 @@ struct SpecEntry {
   uint32_t PromoId = 0; ///< promotion point within the region
   uint32_t EntryPC = 0; ///< entry offset within Chain->CO
   std::shared_ptr<CodeChain> Chain;
-  std::shared_ptr<EntryStats> Use;
   uint64_t Ordinal = 0; ///< == Chain->Ordinal
+  // The usage bits below are the entry's only state that changes after
+  // publication. Clients write them through the const entries the caches
+  // hand out, hence mutable.
+  /// CLOCK reference bit, set by the clients that enter the entry.
+  mutable std::atomic<bool> RefBit{false};
+  /// Adoption marker: the entry was published over a chain from the
+  /// server's chain store instead of a fresh generating-extension run. The
+  /// first client to enter it invalidates the chain's range in its
+  /// I-cache, so an adopted chain the client executed in an earlier
+  /// residency models as cold code — exactly what the fresh compile a
+  /// dedicated server would have produced looks like.
+  mutable std::atomic<bool> ColdEntryPending{false};
 };
 
 /// The CLOCK residency book of one cache view: per region, the entries
@@ -195,8 +191,7 @@ struct RegionState {
   /// one block program per context on that context's first placement,
   /// under the caller's specialization serialization. Depends only on the
   /// immutable GX and the core's fixed flags, so it survives chain
-  /// eviction and CodeObject::Version churn; storage is recycled through
-  /// Pool like the region's other shared objects.
+  /// eviction and CodeObject::Version churn.
   std::shared_ptr<cogen::EmitPlan> Plan;
   /// Memo for static calls executed at specialize time.
   std::map<std::vector<uint64_t>, Word> CallMemo;
@@ -205,13 +200,6 @@ struct RegionState {
   std::string ChainNamePrefix;
   /// Per-context placement counts (unrolling evidence).
   std::vector<uint32_t> CtxPlacements;
-  /// Pooled storage for the region's published SpecEntry / CodeChain /
-  /// EntryStats objects. Blocks return to the pool when an evicted chain's
-  /// last reference drops (the collection safe points), so steady-state
-  /// respecialization recycles rather than reallocates. shared_ptr: the
-  /// PoolAllocator keeps the pool alive past the core if an embedder holds
-  /// an entry longer.
-  std::shared_ptr<RecyclingPool> Pool = std::make_shared<RecyclingPool>();
   /// Per-run scratch for the unroll driver (worklist, memo nodes, patch
   /// records). A Scope around each run rolls it back; chunks reach their
   /// high-water mark once and are recycled by every later run. Only
@@ -272,7 +260,6 @@ public:
   size_t numPromos(size_t Ordinal) const;
   uint32_t regionNumRegs(size_t Ordinal) const;
   int regionFuncIdx(size_t Ordinal) const;
-  const bta::RegionInfo &regionInfo(size_t Ordinal) const;
 
   const RegionStats &stats(size_t Ordinal) const;
   RegionStats &statsMutable(size_t Ordinal);
@@ -350,9 +337,6 @@ public:
 
   // --- Chain lifecycle --------------------------------------------------------
 
-  void releaseExecutor(const vm::CodeObject *CO) const {
-    Chains.releaseExecutor(CO);
-  }
   /// Frees drained evicted chains; the caller must guarantee no client can
   /// be entering them (inline: between VM runs; server: dispatch gate).
   size_t collectChains() { return Chains.collect(*Shared); }
@@ -375,9 +359,9 @@ public:
 
 private:
   /// A fresh, not yet registered chain of region \p Ordinal with its code
-  /// buffer opened: marked dynamic code, then given its simulated address
-  /// range (the region code cap, so distinct chains' I-cache footprints
-  /// never alias).
+  /// buffer opened: marked dynamic code, pointed at the chain's executor
+  /// count, then given its simulated address range (the region code cap,
+  /// so distinct chains' I-cache footprints never alias).
   std::shared_ptr<CodeChain> newChain(size_t Ordinal);
 
   const ir::Module &M;

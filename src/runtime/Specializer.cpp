@@ -104,7 +104,7 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
       ++ICHits;
       const SpecEntry *E = Memo->Entry;
       assert(E->Chain && "inline cache memoized a retired entry");
-      E->Use->RefBit.store(true, std::memory_order_release);
+      E->RefBit.store(true, std::memory_order_release);
       // Single-writer executor count: this front end is single-client, so
       // load + store produces exactly fetch_add's value while staying
       // atomic for concurrent stats readers — and skips the locked RMW
@@ -139,7 +139,7 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
   if (const SpecEntry *E = CR.Entry) {
     ++St.CacheHits;
     assert(E->Chain && "cache hit on a retired entry");
-    E->Use->RefBit.store(true, std::memory_order_release);
+    E->RefBit.store(true, std::memory_order_release);
     E->Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
     // Memoize only real-lookup hits: a hit's probe count is reproducible
     // under an unchanged epoch, whereas the table state after the miss
@@ -189,13 +189,9 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
 
   // The client enters the fresh entry: referenced, as on a hit (and as a
   // server client blocked on the same miss marks it).
-  E->Use->RefBit.store(true, std::memory_order_release);
+  E->RefBit.store(true, std::memory_order_release);
   E->Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
   return {&E->Chain->CO, E->EntryPC};
-}
-
-void DycRuntime::onDynamicCodeExit(vm::VM &, const vm::CodeObject *CO) {
-  Core.releaseExecutor(CO);
 }
 
 double DycRuntime::avgCacheProbes(size_t Ordinal) const {

@@ -61,10 +61,6 @@ public:
   Target dispatch(vm::VM &M, int64_t PointId,
                   std::vector<Word> &Regs) override;
 
-  /// Keeps the core's executor counts accurate so evicted chains are
-  /// reclaimed only after the VM leaves them.
-  void onDynamicCodeExit(vm::VM &M, const vm::CodeObject *CO) override;
-
   /// Unpublishes every resident specialization of region \p Ordinal:
   /// cache entries are erased (bumping each cache's epoch, which kills
   /// any inline-cache memo of them), predecoded translations of their

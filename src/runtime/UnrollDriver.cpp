@@ -2,8 +2,6 @@
 
 #include "runtime/UnrollDriver.h"
 
-#include "ir/ConstEval.h"
-
 namespace dyc {
 namespace runtime {
 
@@ -103,26 +101,16 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
     charge(CM.SpecEvalOp);
     return;
   case SetupOp::Eval: {
-    Word Out;
-    Word AV = Vals[Op.A.R];
     Word BV = Op.B.R == ir::NoReg ? Word() : Vals[Op.B.R];
-    if (!ir::evalPureOp(Op.Op, AV, BV, Out))
-      fatal("static computation faulted at specialize time (division "
-            "by a zero-valued run-time constant)");
-    Vals[Op.Dst] = Out;
+    Vals[Op.Dst] = StaticEval::op(Op.Op, Vals[Op.A.R], BV);
     charge(CM.SpecEvalOp);
     return;
   }
-  case SetupOp::EvalLoad: {
-    int64_t Addr = wrapAdd(Vals[Op.A.R].asInt(), Op.Imm);
-    const vm::Memory &Mem = M.memory();
-    if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
-      fatal("static load out of range at specialize time");
-    Vals[Op.Dst] = Mem[static_cast<size_t>(Addr)];
+  case SetupOp::EvalLoad:
+    Vals[Op.Dst] = StaticEval::load(M.memory(), Vals[Op.A.R], Op.Imm);
     charge(CM.SpecStaticLoad);
     ++R.Stats.StaticLoadsExecuted;
     return;
-  }
   case SetupOp::EvalCall: {
     std::vector<Word> Args;
     std::vector<uint64_t> MemoKey;

@@ -46,8 +46,6 @@ namespace server {
 // directly — one representation of generated code everywhere. The server's
 // historical names are kept as aliases.
 using CodeChain = runtime::CodeChain;
-using ChainRegistry = runtime::ChainRegistry;
-using EntryStats = runtime::EntryStats;
 using CacheRecord = runtime::SpecEntry;
 using CapacityBudget = runtime::ChainBudget;
 

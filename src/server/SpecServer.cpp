@@ -326,14 +326,14 @@ vm::RuntimeHook::Target SpecServer::enterChain(const CacheRecord &Rec,
   // that takes it: if this client executed the same physical chain in an
   // earlier residency, stale I-cache lines would hit where a dedicated
   // server's fresh compile (at a never-used address) would miss.
-  if (Rec.Use->ColdEntryPending.load(std::memory_order_relaxed) &&
-      Rec.Use->ColdEntryPending.exchange(false, std::memory_order_acq_rel))
+  if (Rec.ColdEntryPending.load(std::memory_order_relaxed) &&
+      Rec.ColdEntryPending.exchange(false, std::memory_order_acq_rel))
     ClientVM.icache().invalidateRange(
         Rec.Chain->CO.BaseAddr,
         static_cast<uint64_t>(Rec.Chain->CO.Code.size()) * 4);
   // Count the executor in before handing out the chain: the capacity
   // manager may evict it at any time, and collection waits for this
-  // count — dropped again by onDynamicCodeExit — to drain.
+  // count — dropped again by the VM when the frame leaves — to drain.
   Rec.Chain->ActiveRefs.fetch_add(1, std::memory_order_acq_rel);
   return {&Rec.Chain->CO, Rec.EntryPC};
 }
@@ -402,7 +402,7 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
   if (L.Entry) {
     TS.St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    L.Entry->Use->RefBit.store(true, std::memory_order_release);
+    L.Entry->RefBit.store(true, std::memory_order_release);
     return enterChain(*L.Entry, ClientVM);
   }
   TS.St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
@@ -491,7 +491,7 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     ClientVM.chargeDynComp(ClientVM.costModel().SpecCacheInsert);
     std::shared_ptr<CacheRecord> Rec = Shared->Future.get();
     if (Rec) {
-      Rec->Use->RefBit.store(true, std::memory_order_release);
+      Rec->RefBit.store(true, std::memory_order_release);
       return enterChain(*Rec, ClientVM);
     }
     CompileDead = true; // job abandoned at shutdown
@@ -580,7 +580,7 @@ vm::RuntimeHook::Target SpecServer::onOsrPoll(vm::VM &ClientVM,
   // those mean trap dispatches.
   const bta::PromoPoint &P = Core.promo(R.Ord, R.PromoId);
   runtime::chargeDispatchCost(ClientVM, P.Policy, R.Key.size(), L.Probes);
-  Rec.Use->RefBit.store(true, std::memory_order_release);
+  Rec.RefBit.store(true, std::memory_order_release);
   if (Regs.size() < Rec.Chain->CO.NumRegs)
     Regs.resize(Rec.Chain->CO.NumRegs);
   if (Tier)
@@ -614,7 +614,7 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublish(
   if (SC) {
     // Adoption: another tenant (or the warm-start file) already produced
     // this chain. Publish a fresh record over the shared chain with fresh
-    // usage stats, so the view's CLOCK sees exactly what a dedicated
+    // usage bits, so the view's CLOCK sees exactly what a dedicated
     // server's would for a newly compiled chain.
     Rec = std::make_shared<CacheRecord>();
     Rec->Key = Key;
@@ -623,8 +623,7 @@ std::shared_ptr<CacheRecord> SpecServer::specializeAndPublish(
     Rec->PromoId = PromoId;
     Rec->EntryPC = SC->EntryPC;
     Rec->Chain = SC->Chain;
-    Rec->Use = std::make_shared<EntryStats>();
-    Rec->Use->ColdEntryPending.store(true, std::memory_order_release);
+    Rec->ColdEntryPending.store(true, std::memory_order_release);
     Rec->Ordinal = SC->Chain->Ordinal;
     TS.St.DedupHits.fetch_add(1, std::memory_order_relaxed);
     if (SC->WarmLoaded)
@@ -805,10 +804,6 @@ bool SpecServer::trimQuiescent(size_t *SnapsFreed, size_t *ChainsFreed) {
   if (ChainsFreed)
     *ChainsFreed = Freed;
   return true;
-}
-
-void SpecServer::onDynamicCodeExit(vm::VM &, const vm::CodeObject *CO) {
-  Core.releaseExecutor(CO);
 }
 
 runtime::RegionStats SpecServer::regionStats(size_t Ordinal) const {

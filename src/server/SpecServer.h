@@ -34,9 +34,9 @@
 ///    on a key another tenant (or a warm-start file) already compiled
 ///    adopts that chain instead of recompiling.
 ///  * Capacity: per-view, per-region entry/instruction budgets
-///    (ServerConfig::Budget) with the core's CLOCK sweep. Evicted chains
-///    drain via the VM's onDynamicCodeExit callback before they are
-///    freed.
+///    (ServerConfig::Budget) with the core's CLOCK sweep. An evicted
+///    chain is freed at the trimQuiescent safe point once its executor
+///    count, which clients leaving the chain decrement in the VM, drains.
 ///
 /// All specialization serializes on one recursive mutex: the generating
 /// extension may re-enter the server (static calls at specialize time can
@@ -134,7 +134,6 @@ public:
   // RuntimeHook:
   Target dispatch(vm::VM &M, int64_t PointId,
                   std::vector<Word> &Regs) override;
-  void onDynamicCodeExit(vm::VM &M, const vm::CodeObject *CO) override;
   /// Back-edge OSR poll from a client spinning in fallback code: if the
   /// watched key's chain has been published (with a residual pc for the
   /// watched loop head), transfers the frame into it mid-loop. Does not
@@ -242,7 +241,7 @@ private:
   /// Hands out a chain for execution, counting the executor in. The
   /// first entry of an adopted record invalidates the chain's I-cache
   /// range in \p ClientVM so deduplication stays invisible — see
-  /// EntryStats::ColdEntryPending.
+  /// SpecEntry::ColdEntryPending.
   Target enterChain(const CacheRecord &Rec, vm::VM &ClientVM);
   Target fallbackTarget(uint32_t Ord, const bta::PromoPoint &P,
                         std::vector<Word> &Regs,

@@ -31,8 +31,9 @@ struct SpeculationStats {
   uint64_t GuardFailures = 0;      ///< checks that deoptimized
   uint64_t ParamsBlacklisted = 0;  ///< parameters retired from speculation
 
-  /// The --stats text: a "speculation:" line (calls, promotions) and a
-  /// "guards:" line, each ending in a newline.
+  /// The --stats text: a "speculation:" line (calls, promotions,
+  /// demotions, blacklisted parameters) and a "guards:" line, each ending
+  /// in a newline.
   std::string toString() const;
 };
 

@@ -64,11 +64,6 @@ SpeculativeRuntime::dispatch(vm::VM &M, int64_t PointId,
   return T;
 }
 
-void SpeculativeRuntime::onDynamicCodeExit(vm::VM &M,
-                                           const vm::CodeObject *CO) {
-  Inner->onDynamicCodeExit(M, CO);
-}
-
 uint32_t SpeculativeRuntime::onGuardedCall(vm::VM &M, uint32_t Callee,
                                            const Word *Args,
                                            uint32_t NArgs) {

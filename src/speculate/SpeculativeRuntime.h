@@ -75,7 +75,6 @@ public:
   // --- RuntimeHook --------------------------------------------------------
   Target dispatch(vm::VM &M, int64_t PointId,
                   std::vector<Word> &Regs) override;
-  void onDynamicCodeExit(vm::VM &M, const vm::CodeObject *CO) override;
   uint32_t onGuardedCall(vm::VM &M, uint32_t Callee, const Word *Args,
                          uint32_t NArgs) override;
 

@@ -3,7 +3,6 @@
 #include "support/Arena.h"
 
 #include <cstddef>
-#include <new>
 
 namespace dyc {
 
@@ -17,7 +16,6 @@ void *BumpArena::allocate(size_t Bytes, size_t Align) {
   assert(Align != 0 && (Align & (Align - 1)) == 0 && "non-power-of-2 align");
   if (Bytes == 0)
     Bytes = 1;
-  ++NumAllocs;
   for (;;) {
     if (CurChunk < Chunks.size()) {
       Chunk &C = Chunks[CurChunk];
@@ -40,60 +38,6 @@ void *BumpArena::allocate(size_t Bytes, size_t Align) {
     CurChunk = Chunks.size() - 1;
     CurOffset = 0;
   }
-}
-
-RecyclingPool::~RecyclingPool() {
-  assert(OversizeLive == 0 && "oversize pool blocks leaked past the pool");
-}
-
-void *RecyclingPool::allocate(size_t Bytes, size_t Align) {
-  size_t Cls = classOf(Bytes);
-  if (Cls > NumClasses) {
-    assert(Align <= alignof(std::max_align_t) &&
-           "oversize pool block with extended alignment");
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++OversizeLive;
-    }
-    return ::operator new(Bytes);
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (FreeNode *N = Buckets[Cls]) {
-    Buckets[Cls] = N->Next;
-    ++Reuses;
-    return N;
-  }
-  ++Fresh;
-  // Every block of a class is the class's full size, so any freed block
-  // can serve any request of the class.
-  return Arena.allocate(Cls * ClassBytes, Align > ClassBytes ? Align
-                                                             : ClassBytes);
-}
-
-void RecyclingPool::deallocate(void *P, size_t Bytes) {
-  size_t Cls = classOf(Bytes);
-  if (Cls > NumClasses) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      --OversizeLive;
-    }
-    ::operator delete(P);
-    return;
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  FreeNode *N = static_cast<FreeNode *>(P);
-  N->Next = Buckets[Cls];
-  Buckets[Cls] = N;
-}
-
-uint64_t RecyclingPool::reuses() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Reuses;
-}
-
-uint64_t RecyclingPool::freshBlocks() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Fresh;
 }
 
 } // namespace dyc

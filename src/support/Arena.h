@@ -1,34 +1,25 @@
-//===- support/Arena.h - Bump and pooled allocation for the run-time -----===//
+//===- support/Arena.h - Bump allocation with scoped rollback ------------===//
 //
 // Part of the DyC reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Allocation substrates for the specializer's hot paths:
+/// BumpArena, a chunked bump allocator with stack-discipline Scope
+/// rollback, and ArenaAllocator, its STL adapter. The unroll driver's
+/// per-run scratch (worklist items, the memoization map's nodes, patch
+/// records) comes from a per-region BumpArena; a Scope opened around each
+/// specialization run rolls the bump pointer back when the run finishes,
+/// so the chunks reach a high-water mark once and every later run recycles
+/// them with zero allocator traffic. Scopes nest (a static call at
+/// specialize time can re-enter the specializer on the same thread), which
+/// plain reset() could not survive. The front end's AST and token text
+/// live in arenas too (frontend/AST.h). Not thread-safe: specialization is
+/// caller-serialized (see RegionExec.h's concurrency contract).
 ///
-///  * BumpArena — a chunked bump allocator with stack-discipline Scope
-///    rollback. The unroll driver's per-run scratch (worklist items, the
-///    memoization map's nodes, patch records) comes from a per-region
-///    BumpArena; a Scope opened around each specialization run rolls the
-///    bump pointer back when the run finishes, so the chunks reach a
-///    high-water mark once and every later run recycles them with zero
-///    allocator traffic. Scopes nest (a static call at specialize time can
-///    re-enter the specializer on the same thread), which plain reset()
-///    could not survive. Not thread-safe: specialization is
-///    caller-serialized (see RegionExec.h's concurrency contract).
-///
-///  * RecyclingPool — a thread-safe, size-bucketed block pool over a
-///    BumpArena. SpecEntry / CodeChain / EntryStats control blocks are
-///    allocate_shared'd from a per-region pool; when an evicted chain's
-///    last reference drops at a collection safe point, its blocks return
-///    to the pool's freelists and the next specialization reuses them.
-///    Deallocation can happen on any thread (the server's clients release
-///    entry references concurrently), hence the internal mutex.
-///
-/// Both expose raw allocate/deallocate plus STL allocator adapters
-/// (ArenaAllocator for BumpArena, PoolAllocator holding shared ownership
-/// of its RecyclingPool so pooled objects can never outlive their pool).
+/// Objects that outlive a run — published entries, code chains, emit
+/// plans — are plain make_shared allocations: they are freed one at a
+/// time, on any thread, when their last reference drops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +30,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace dyc {
@@ -66,14 +56,6 @@ public:
     CurChunk = 0;
     CurOffset = 0;
   }
-
-  size_t allocatedBytes() const {
-    size_t N = 0;
-    for (const Chunk &C : Chunks)
-      N += C.Size;
-    return N;
-  }
-  uint64_t allocations() const { return NumAllocs; }
 
   /// RAII high-water mark: destruction rolls the bump pointer back to
   /// where it was at construction. Scopes must nest (destroy in reverse
@@ -106,45 +88,6 @@ private:
   size_t CurChunk = 0;  ///< index of the chunk being bumped
   size_t CurOffset = 0; ///< next free byte within it
   size_t ChunkBytes;
-  uint64_t NumAllocs = 0;
-};
-
-/// Thread-safe size-bucketed block pool. Blocks are carved from an
-/// internal BumpArena on first use and recycled through per-size
-/// freelists; the arena is never rolled back while the pool lives, so a
-/// freed block is always safe to reuse.
-class RecyclingPool {
-public:
-  RecyclingPool() : Arena(1 << 16) {}
-  RecyclingPool(const RecyclingPool &) = delete;
-  RecyclingPool &operator=(const RecyclingPool &) = delete;
-  ~RecyclingPool();
-
-  void *allocate(size_t Bytes, size_t Align);
-  void deallocate(void *P, size_t Bytes);
-
-  uint64_t reuses() const;
-  uint64_t freshBlocks() const;
-
-private:
-  struct FreeNode {
-    FreeNode *Next;
-  };
-
-  /// Size classes in 16-byte steps up to 512 bytes; larger blocks (none of
-  /// the pooled run-time objects reach that) go straight to operator new.
-  static constexpr size_t ClassBytes = 16;
-  static constexpr size_t NumClasses = 32;
-  static size_t classOf(size_t Bytes) {
-    return (Bytes + ClassBytes - 1) / ClassBytes;
-  }
-
-  mutable std::mutex Mu;
-  BumpArena Arena;
-  FreeNode *Buckets[NumClasses + 1] = {};
-  uint64_t Reuses = 0;
-  uint64_t Fresh = 0;
-  uint64_t OversizeLive = 0;
 };
 
 /// STL allocator over a BumpArena (deallocate is a no-op; lifetime is the
@@ -173,37 +116,6 @@ public:
 
 private:
   BumpArena *A;
-};
-
-/// STL allocator over a shared RecyclingPool. Holds shared ownership so an
-/// allocate_shared'd object (and its control block) keeps its pool alive —
-/// a test or client that outlives the region core cannot free into a dead
-/// pool.
-template <class T> class PoolAllocator {
-public:
-  using value_type = T;
-
-  explicit PoolAllocator(std::shared_ptr<RecyclingPool> P)
-      : P(std::move(P)) {}
-  template <class U>
-  PoolAllocator(const PoolAllocator<U> &O) : P(O.pool()) {}
-
-  T *allocate(size_t N) {
-    return static_cast<T *>(P->allocate(N * sizeof(T), alignof(T)));
-  }
-  void deallocate(T *Ptr, size_t N) { P->deallocate(Ptr, N * sizeof(T)); }
-
-  const std::shared_ptr<RecyclingPool> &pool() const { return P; }
-
-  template <class U> bool operator==(const PoolAllocator<U> &O) const {
-    return P == O.pool();
-  }
-  template <class U> bool operator!=(const PoolAllocator<U> &O) const {
-    return P != O.pool();
-  }
-
-private:
-  std::shared_ptr<RecyclingPool> P;
 };
 
 } // namespace dyc

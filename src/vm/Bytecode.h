@@ -25,6 +25,7 @@
 #include "support/OpTable.h"
 #include "support/Support.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,7 +71,8 @@ struct Instr {
 bool registersInFrame(const Instr &I, uint32_t NumRegs);
 
 /// A compiled unit of bytecode. Static code objects hold a lowered function;
-/// the run-time appends generated code for a region to a growing code object.
+/// each specialization run emits into a code object of its own, the code of
+/// one run-time code chain (runtime/RegionExec.h).
 struct CodeObject {
   std::vector<Instr> Code;
   uint32_t NumRegs = 0;
@@ -80,6 +82,12 @@ struct CodeObject {
   /// True for run-time-generated code buffers (unscheduled code pays the
   /// cost model's surcharge).
   bool IsDynamicCode = false;
+  /// The owning chain's count of frames executing in this code, or null
+  /// for static code. The run-time counts a frame in when it hands out the
+  /// code; the VM counts it out whenever the frame durably leaves: at Ret,
+  /// at ExitRegion, and just before a Dispatch trap taken from here. A call
+  /// made from here does not count out, since the frame resumes here.
+  std::atomic<uint32_t> *Executors = nullptr;
   /// Bumped on every rewrite of already-emitted instructions (branch
   /// patching, hole filling). The VM's predecoded translation cache
   /// validates against (BaseAddr, Code.size(), Version), so a rewrite

@@ -114,8 +114,6 @@ public:
   uint64_t accesses() const { return Hits + Misses; }
   const ICacheConfig &config() const { return Cfg; }
 
-  void resetStats() { Hits = Misses = 0; }
-
 private:
   /// A line is resident iff Valid and its Epoch matches the cache's
   /// current Epoch; flush() bumps the epoch instead of sweeping every

@@ -84,8 +84,6 @@ void Memory::grow(size_t Words) {
 
 RuntimeHook::~RuntimeHook() = default;
 
-void RuntimeHook::onDynamicCodeExit(VM &, const CodeObject *) {}
-
 uint32_t RuntimeHook::onGuardedCall(VM &, uint32_t Callee, const Word *,
                                     uint32_t) {
   return Callee;
@@ -307,8 +305,7 @@ Word VM::runLegacy(size_t BaseDepth) {
   Word Res = ValReg == NoReg ? Word() : Fr.Regs[ValReg];
   FuncStats[Fr.FuncIdx].InclusiveCycles += ExecCycles - Fr.StartCycles;
   uint32_t RetReg = Fr.RetReg;
-  if (Hook && Fr.CurCode->IsDynamicCode)
-    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  countOut(Fr);
   Frames.pop_back();
   if (!OsrWatches.empty()) [[unlikely]]
     dropOsrWatches(Frames.size());
@@ -325,8 +322,7 @@ Word VM::runLegacy(size_t BaseDepth) {
   Frame &Fr = Frames.back();
   if (!Hook)
     machineError("region trap with no run-time attached", Fr);
-  if (Fr.CurCode->IsDynamicCode)
-    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  countOut(Fr);
   // A re-dispatch supersedes any OSR watch armed for this frame.
   if (!OsrWatches.empty()) [[unlikely]]
     dropOsrWatches(Frames.size() - 1);
@@ -343,8 +339,7 @@ Word VM::runLegacy(size_t BaseDepth) {
 
 [[gnu::always_inline]] inline void VM::exitRegion(uint32_t Resume) {
   Frame &Fr = Frames.back();
-  if (Hook && Fr.CurCode->IsDynamicCode)
-    Hook->onDynamicCodeExit(*this, Fr.CurCode);
+  countOut(Fr);
   if (!OsrWatches.empty()) [[unlikely]]
     dropOsrWatches(Frames.size() - 1);
   Frame &Fr2 = Frames.back();

@@ -14,7 +14,9 @@
 ///
 /// The DyC run-time attaches through the RuntimeHook interface: the
 /// EnterRegion and Dispatch instructions trap into it, and it returns the
-/// generated code to continue executing.
+/// generated code to continue executing. Leaving generated code needs no
+/// callback: the frame counts itself out of the code object's executor
+/// count (CodeObject::Executors), which the run-time counted it into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,7 +126,10 @@ private:
 class VM;
 
 /// Interface the DyC run-time implements; invoked when the machine executes
-/// EnterRegion or Dispatch.
+/// EnterRegion or Dispatch, calls a guarded function, or polls an OSR
+/// watch. A Target naming generated code must come counted in: the hook
+/// increments its Executors before returning it, and the VM decrements it
+/// when the frame leaves (see CodeObject::Executors).
 class RuntimeHook {
 public:
   virtual ~RuntimeHook();
@@ -147,15 +152,6 @@ public:
   /// it). Implementations charge dispatch cycles via VM::chargeExec and
   /// compilation cycles via VM::chargeDynComp.
   virtual Target dispatch(VM &M, int64_t PointId, std::vector<Word> &Regs) = 0;
-
-  /// Invoked whenever control durably leaves a dynamically generated code
-  /// object \p CO: at ExitRegion, at a Ret executed from generated code,
-  /// and immediately before a Dispatch trap taken from generated code.
-  /// Nested Calls made *from* generated code do not notify — the frame
-  /// resumes in \p CO afterwards. The SpecServer uses this to keep
-  /// active-executor reference counts on code chains so the capacity
-  /// manager can tell when evicted code has drained. Default: no-op.
-  virtual void onDynamicCodeExit(VM &M, const CodeObject *CO);
 
   /// Invoked for a call to a guarded function (see VM::setCallGuard)
   /// *before* the callee frame is built, with the live argument values.
@@ -368,6 +364,12 @@ private:
   inline void regionTrap(int64_t PointId);
   /// ExitRegion: resumes the function's static code at \p Resume.
   inline void exitRegion(uint32_t Resume);
+  /// The three above leave the frame's code object durably: each counts
+  /// the frame out of its executor count, if it has one.
+  static void countOut(const Frame &F) {
+    if (std::atomic<uint32_t> *N = F.CurCode->Executors)
+      N->fetch_sub(1, std::memory_order_acq_rel);
+  }
 
   /// Checks the armed watches against the innermost frame's current
   /// position; on a match asks Hook->onOsrPoll and, if it answers with a

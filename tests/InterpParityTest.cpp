@@ -8,7 +8,9 @@
 // inputs) under six I-cache geometries, and compare the complete
 // observable state, including an eviction + re-specialization sequence
 // that exercises translation-cache invalidation (Emitter Version bumps,
-// unpublish callbacks, BaseAddr keying).
+// unpublish callbacks, BaseAddr keying). Each workload run ends by
+// unpublishing every chain and checking that all of them are collected:
+// both engines count every frame out of the chain it leaves.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +74,15 @@ RunTrace traceWorkload(const Workload &W, vm::VM::EngineKind Engine,
     T.FuncInclusive.push_back(E->Machine->functionStats(F).InclusiveCycles);
   }
   T.MemHash = hashRange(*E->Machine, S.OutBase, S.OutLen);
+
+  // Every frame that entered a chain has left it, by Ret, ExitRegion or a
+  // Dispatch trap (each taken by some of the programs), so once every
+  // chain is unpublished, collection frees them all.
+  for (size_t Ord = 0; Ord != E->RT->numRegions(); ++Ord)
+    E->RT->releaseRegion(*E->Machine, Ord);
+  E->RT->core().collectChains();
+  EXPECT_EQ(E->RT->core().liveChains(), 0u)
+      << W.Name << ": a chain kept an executor after every frame left it";
   return T;
 }
 

@@ -183,6 +183,48 @@ TEST(SpecServer, EvictionRespecializesCorrectly) {
     EXPECT_EQ(Run(N), triangular(N));
 }
 
+// Two clients under a one-entry budget: nearly every miss evicts a chain
+// the other client has just run, or is still running. Every frame counts
+// itself out of the chain it leaves, so once both clients are idle,
+// reclamation frees every evicted chain and only the resident one stays.
+TEST(SpecServer, EvictedChainsAreCollectedOnceClientsLeave) {
+  auto Ctx = compile(SumSrc);
+  ServerConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Cfg.Budget.MaxEntries = 1;
+  auto Server = Ctx->buildServer(OptFlags(), std::move(Cfg));
+  int F = Server->findFunction("f");
+  ASSERT_GE(F, 0);
+
+  std::atomic<unsigned> Failures{0};
+  {
+    std::vector<std::unique_ptr<vm::VM>> Clients;
+    for (int I = 0; I != 2; ++I)
+      Clients.push_back(Server->makeClientVM());
+    std::vector<std::thread> Pool;
+    for (std::unique_ptr<vm::VM> &C : Clients)
+      Pool.emplace_back([&, V = C.get()] {
+        for (int Round = 0; Round != 3; ++Round)
+          for (int64_t N : {3, 5, 7, 9})
+            if (V->run(static_cast<uint32_t>(F), {Word::fromInt(N)})
+                    .asInt() != triangular(N))
+              Failures.fetch_add(1, std::memory_order_relaxed);
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+  }
+  EXPECT_EQ(Failures.load(), 0u);
+
+  Server->drain();
+  size_t ChainsFreed = 0;
+  ASSERT_TRUE(Server->trimQuiescent(nullptr, &ChainsFreed));
+  EXPECT_GT(Server->stats().Evictions, 0u);
+  EXPECT_GT(ChainsFreed, 0u);
+  EXPECT_EQ(Server->residentEntries(0), 1u);
+  EXPECT_EQ(Server->liveChains(), 1u)
+      << "an evicted chain kept an executor after every client left it";
+}
+
 // Eviction churn with several clients: the first client to enter a chain
 // publishes its translation and every other client adopts it, so each
 // chain is translated once for all four. Every client enters every chain

@@ -164,7 +164,7 @@ TEST(StatsText, OneFallbackCausePrintsTheGroup) {
 TEST(StatsText, SpeculationLines) {
   EXPECT_EQ(filledSpeculation().toString(),
             "speculation: 301 calls observed, 302 promoted, 303 declined, "
-            "304 demoted\n"
+            "304 demoted, 308 blacklisted\n"
             "guards: 305 checks, 306 hits, 307 failures\n");
 }
 

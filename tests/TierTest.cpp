@@ -309,7 +309,9 @@ TEST(Tier, CountersProgressDeterministically) {
 // The client enters a long dynamic-trip loop through the fallback path
 // while the only worker is held; once released, the compile lands and the
 // frame must pick the chain up at the loop back edge — within the same
-// call, not on a later one.
+// call, not on a later one. The frame counts itself out when it returns
+// from the chain it entered mid-loop, so once a second key evicts that
+// chain from the one-entry budget, reclamation frees it.
 TEST(Tier, OsrEntersMidLoop) {
   const int64_t N = 8000000, K = 7;
 
@@ -317,6 +319,7 @@ TEST(Tier, OsrEntersMidLoop) {
   OptFlags Fl = tieredFlags(0, 0, /*Sync=*/false); // born hot, async
   ServerConfig Cfg;
   Cfg.NumWorkers = 1;
+  Cfg.Budget.MaxEntries = 1;
   Cfg.HoldCompiles = std::make_shared<std::atomic<bool>>(true);
   auto Hold = Cfg.HoldCompiles;
   auto Server = Ctx->buildTiered(Fl, std::move(Cfg));
@@ -366,6 +369,19 @@ TEST(Tier, OsrEntersMidLoop) {
                 .asInt(),
             loopSum(100, K));
   EXPECT_EQ(Server->stats().CacheHits, 1u);
+
+  EXPECT_EQ(Client
+                ->run(static_cast<uint32_t>(F),
+                      {Word::fromInt(100), Word::fromInt(K + 1)})
+                .asInt(),
+            loopSum(100, K + 1));
+  Server->drain();
+  size_t ChainsFreed = 0;
+  ASSERT_TRUE(Server->trimQuiescent(nullptr, &ChainsFreed));
+  EXPECT_EQ(Server->stats().Evictions, 1u);
+  EXPECT_EQ(ChainsFreed, 1u);
+  EXPECT_EQ(Server->liveChains(), 1u)
+      << "the OSR-entered chain kept an executor after the frame left it";
 }
 
 // OSR transfer must produce the same values the fallback would have: run
