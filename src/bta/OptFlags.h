@@ -88,14 +88,6 @@ struct OptFlags {
   /// steady-state behavior is invariant.
   TieringPolicy Tier;
 
-  /// Test hook: specialization runs walk each block's SetupOps at
-  /// specialize time instead of running its staged emit program
-  /// (cogen/EmitPlan.h). Both run the one emit-semantics template
-  /// (runtime/Deferral.h), concretely or symbolically, so the walk is the
-  /// reference the plan-parity tests compare byte for byte. Like Tier, it
-  /// cannot change emitted chains, so fingerprint() excludes it.
-  bool ReferenceWalk = false;
-
   /// Named accessors for the ablation harness (Table 5 columns).
   static constexpr unsigned NumToggles = 9;
   static const char *toggleName(unsigned Idx);
@@ -103,11 +95,10 @@ struct OptFlags {
 
   /// Content fingerprint of everything that can change *what code a
   /// specialization run emits*: the nine optimization toggles and the
-  /// region code cap. Tier and ReferenceWalk are deliberately excluded —
-  /// both are contractually unable to change emitted chains. The server's
-  /// chain store folds this into its dedup key, and the warm-start file
-  /// records it so a cache serialized under one configuration is never
-  /// adopted under another.
+  /// region code cap. Tier is deliberately excluded — it is contractually
+  /// unable to change emitted chains. The server's chain store folds this
+  /// into its dedup key, and the warm-start file records it so a cache
+  /// serialized under one configuration is never adopted under another.
   uint64_t fingerprint() const {
     uint64_t F = 0;
     const bool Toggles[NumToggles] = {

@@ -82,6 +82,8 @@ GenExtFunction buildGenExt(const Function &F, const Module &M,
   for (const bta::Context &C : Region.Contexts) {
     GenBlock GB;
     GB.CtxId = C.Id;
+    C.StaticIn.forEachSetBit(
+        [&](size_t R) { GB.KeyRegs.push_back(static_cast<uint32_t>(R)); });
     const BasicBlock &BB = F.block(C.Block);
     const BitVector &LiveOut = LV.liveOut(C.Block);
 

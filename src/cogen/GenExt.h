@@ -83,6 +83,10 @@ struct GenBlock {
   uint32_t CtxId = 0;
   std::vector<SetupOp> Ops;
   GenTerm Term;
+  /// The context's StaticIn registers in ascending order: the values, after
+  /// the context id, that make up its memoization key — for its own
+  /// placements and for every edge that targets it.
+  std::vector<uint32_t> KeyRegs;
 };
 
 /// The generating extension for one annotated function.

@@ -1,18 +1,16 @@
-//===- runtime/Emitter.cpp - The concrete emit domain ------------------------------===//
+//===- runtime/Emitter.cpp - The chain encoder -------------------------------------===//
 
 #include "runtime/Emitter.h"
 
 namespace dyc {
 namespace runtime {
 
-namespace v = vm;
-
-void Concrete::emit(v::Instr I) {
+void Emitter::emit(vm::Instr I) {
   if (Buf.Code.size() >= MaxInstrs)
     ++Stats.CodeCapHits; // soft cap: count, don't truncate or abort
   Buf.Code.push_back(I);
   ++Stats.InstructionsGenerated;
-  charge(Charge::Emit);
+  charge(CM.SpecEmit);
 }
 
 } // namespace runtime

@@ -166,21 +166,6 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
 
   std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
 
-  // Staged emit plan: created once per region on first specialization,
-  // holding only the contexts' key lists; the driver builds each block
-  // program on the context's first placement. The caller serializes
-  // specializeInto, and nested re-entrant runs happen on this thread after
-  // the plan exists, so a nested run of the same region is a hit. The
-  // plan depends only on the immutable GX and the core's fixed flags, so
-  // it is never invalidated by chain eviction or Version churn.
-  if (!R.Plan) {
-    R.Plan = std::make_shared<cogen::EmitPlan>();
-    R.Stats.PlanBytes += cogen::createEmitPlan(R.GX, *R.Plan);
-    ++R.Stats.PlanBuilds;
-  } else {
-    ++R.Stats.PlanHits;
-  }
-
   uint32_t Entry;
   {
     // The driver's scratch comes from the region's bump arena; the scope
@@ -189,8 +174,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
     BumpArena::Scope ScratchScope(R.Scratch);
     UnrollDriver Driver(*this, R, static_cast<uint32_t>(Ordinal), VMRef,
                         Flags, Chain->CO, Chain->ExitStubs,
-                        Chain->DispatchStubs, Chain->OsrEntries, R.Scratch,
-                        *R.Plan);
+                        Chain->DispatchStubs, Chain->OsrEntries, R.Scratch);
     Entry = Driver.run(P.TargetCtx, std::move(Vals));
   }
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());

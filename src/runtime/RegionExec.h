@@ -55,7 +55,7 @@
 /// free; the VM additionally revalidates every translation against
 /// (Code.size(), Version) when it enters a code object, which is what
 /// makes the specializer's rewrites (branch patching through
-/// Concrete::at, which bumps Version) safe even without eager
+/// Emitter::at, which bumps Version) safe even without eager
 /// invalidation.
 ///
 //===----------------------------------------------------------------------===//
@@ -65,7 +65,6 @@
 
 #include "bta/OptFlags.h"
 #include "cogen/CompilerGenerator.h"
-#include "cogen/EmitPlan.h"
 #include "runtime/RuntimeStats.h"
 #include "support/Arena.h"
 #include "vm/VM.h"
@@ -186,13 +185,6 @@ struct ResidencyBook {
 struct RegionState {
   cogen::GenExtFunction GX;
   RegionStats Stats;
-  /// The region's staged emit plan (cogen/EmitPlan.h): created with every
-  /// context's key list on the region's first specialization, then grown
-  /// one block program per context on that context's first placement,
-  /// under the caller's specialization serialization. Depends only on the
-  /// immutable GX and the core's fixed flags, so it survives chain
-  /// eviction and CodeObject::Version churn.
-  std::shared_ptr<cogen::EmitPlan> Plan;
   /// Memo for static calls executed at specialize time.
   std::map<std::vector<uint64_t>, Word> CallMemo;
   /// "<function>.chain" — cached so per-chain naming is one append, not a

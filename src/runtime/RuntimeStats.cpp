@@ -15,8 +15,6 @@ std::string RegionStats::toString() const {
 #define DYC_TIER_COUNTER(Name, Label, Advice) appendCounter(S, Label, Name);
 #include "tier/TierCounters.def"
   }
-#define DYC_PLAN_COUNTER(Name, Label) appendCounter(S, Label, Name, "plan-");
-#include "runtime/RegionCounters.def"
   return S;
 }
 

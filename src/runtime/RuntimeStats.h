@@ -32,12 +32,12 @@ struct RegionStats {
 #define DYC_TIER_COUNTER(Name, Label, Advice) uint64_t Name = 0;
 #include "tier/TierCounters.def"
 
-  /// Staged emit plans (cogen/EmitPlan.h). Every specialization runs
-  /// through the region's plan, so PlanEnabled is always true; it remains
-  /// because the end-to-end benchmark (perfbench/) reads it.
-  bool PlanEnabled = true;
-#define DYC_PLAN_COUNTER(Name, Label) uint64_t Name = 0;
-#include "runtime/RegionCounters.def"
+  /// Read only by the end-to-end benchmark (perfbench/), which reports
+  /// them. The specializer runs its generating extension directly, with
+  /// no staged emit plan, so they stay false, 0 and 0.
+  bool PlanEnabled = false;
+  uint64_t PlanBuilds = 0;
+  uint64_t PlanBytes = 0;
 
   std::string toString() const;
 };

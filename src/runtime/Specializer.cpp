@@ -180,12 +180,18 @@ vm::RuntimeHook::Target DycRuntime::dispatch(vm::VM &VMRef, int64_t PointId,
   // unpublished from their dispatch cache before their chain is retired.
   // Dropping the VM's predecoded translation here (not just at the safe
   // point) keeps the translation cache from pinning memory for chains the
-  // registry is about to free.
-  Core.admit(Core.book(), E, [this, &VMRef](const SpecEntry &Victim) {
+  // registry is about to free. A budget bounds the live chains too: the
+  // victims are collected at once, except one a frame is still inside,
+  // which a later collection frees.
+  bool Evicted = false;
+  Core.admit(Core.book(), E, [&](const SpecEntry &Victim) {
     Fronts[Victim.Region].PromoCaches[Victim.PromoId].erase(Victim.Key);
     VMRef.invalidateDecoded(Victim.Chain->CO);
     Core.retireChain(*Victim.Chain);
+    Evicted = true;
   });
+  if (Evicted)
+    Core.collectChains();
 
   // The client enters the fresh entry: referenced, as on a hit (and as a
   // server client blocked on the same miss marks it).

@@ -57,17 +57,17 @@ uint32_t UnrollDriver::run(uint32_t Ctx0, std::vector<Word> Vals0) {
       OsrEntries.emplace(static_cast<ir::BlockId>(B),
                          static_cast<uint32_t>(OsrState[B]));
 
-  // Resolve pending branch patches: the plan path dereferences the stable
-  // memo slot recorded at patch time; the reference walk re-probes its map.
+  // Resolve pending branch patches through the stable memo slot recorded
+  // at patch time.
   for (const Patch &P : Patches) {
-    const int64_t *PC = Flags.ReferenceWalk ? memoFind(P.Key) : P.Val;
-    if (!PC || *PC < 0)
+    const int64_t PC = *P.Val;
+    if (PC < 0)
       fatal("specializer left an unresolved branch target");
     v::Instr &I = E.at(P.PC);
     if (P.FieldC)
-      I.C = static_cast<uint32_t>(*PC);
+      I.C = static_cast<uint32_t>(PC);
     else
-      I.B = static_cast<uint32_t>(*PC);
+      I.B = static_cast<uint32_t>(PC);
     charge(CM.SpecPatch);
   }
 
@@ -84,7 +84,7 @@ UnrollDriver::keyRef(uint32_t Ctx, const std::vector<Word> &Vals) {
   uint64_t H = 0xcbf29ce484222325ull;
   H ^= Ctx;
   H *= 1099511628211ull;
-  for (uint32_t Reg : Plan.Blocks[Ctx].KeyRegs) {
+  for (uint32_t Reg : GX.Blocks[Ctx].KeyRegs) {
     uint64_t W = Vals[Reg].Bits;
     KeyScratch.push_back(W);
     H ^= W;
@@ -184,7 +184,7 @@ UnrollDriver::continueEdge(const bta::Edge &Ed, Item &Cur) {
     if (*PC >= 0) {
       E.emit({v::Op::Br, 0, static_cast<uint32_t>(*PC)});
     } else {
-      addPatch(bufSize(), false, K, PC);
+      Patches.push_back({bufSize(), false, PC});
       E.emit({v::Op::Br, 0, 0});
       // Re-queue ownership of Vals: the queued item already has its own
       // copy (enqueued when first seen).
@@ -243,7 +243,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
         Other.MemoVal = PC;
         Queue.push_back(std::move(Other));
       }
-      addPatch(bufSize(), false, K, PC);
+      Patches.push_back({bufSize(), false, PC});
       E.emit({v::Op::Br, 0, 0});
       return L;
     }
@@ -290,7 +290,7 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
       L.PC = static_cast<uint32_t>(*PC);
       return L;
     }
-    addPatch(BranchPC, FieldC, K, PC);
+    Patches.push_back({BranchPC, FieldC, PC});
     L.Known = false;
     return L;
   }
@@ -299,13 +299,9 @@ UnrollDriver::EdgeLabel UnrollDriver::labelFor(const bta::Edge &Ed,
 }
 
 std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
-  // The plan path's placement pc goes straight through the item's stable
-  // memo handle — no key recomposition, no probe. The reference walk
-  // re-probes its ordered map.
-  if (Flags.ReferenceWalk)
-    memoAssign(keyRef(Cur.Ctx, Cur.Vals), static_cast<int64_t>(bufSize()));
-  else
-    *Cur.MemoVal = static_cast<int64_t>(bufSize());
+  // The placement pc goes straight through the item's stable memo handle:
+  // no key recomposition, no probe.
+  *Cur.MemoVal = static_cast<int64_t>(bufSize());
   // OSR entry bookkeeping: an IR block placed exactly once this run has a
   // unique residual pc a generic frame can transfer to at a back-edge
   // (its static state is fully determined by the dispatch key). A second
@@ -323,30 +319,12 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
 
   D.reset();
 
+  // The block's set-up code, with its emit directives, run as the
+  // generating extension states it. A static call may re-enter the
+  // specializer; GX is immutable, so GB stays valid.
   const GenBlock &GB = GX.Blocks[Cur.Ctx];
-  if (Flags.ReferenceWalk) {
-    // Test hook: walk the block's set-up ops in the concrete domain — the
-    // reference the plan path must match byte for byte.
-    for (const SetupOp &Op : GB.Ops)
-      execSetup(Op, Cur.Vals);
-  } else {
-    // The block's linear emit program, built on the context's first
-    // placement up to its first guard, each guard arm built when a
-    // placement first takes it. Generic steps run per op in the concrete
-    // domain. A Generic static call may re-enter the specializer and build
-    // other blocks of this plan, or arms of this block; Blocks never
-    // resizes, so BP stays valid.
-    cogen::BlockPlan &BP = Plan.Blocks[Cur.Ctx];
-    if (!BP.built())
-      R.Stats.PlanBytes += cogen::buildBlockPlan(GX, Flags, Cur.Ctx, BP);
-    PR.runBlock(
-        BP, Cur.Vals,
-        [&](uint32_t OpIdx) { execSetup(GB.Ops[OpIdx], Cur.Vals); },
-        [&](uint32_t Branch, bool Taken) {
-          R.Stats.PlanBytes +=
-              cogen::buildBranchArm(GX, Flags, Cur.Ctx, BP, Branch, Taken);
-        });
-  }
+  for (const SetupOp &Op : GB.Ops)
+    execSetup(Op, Cur.Vals);
 
   // Terminator.
   const cogen::GenTerm &T = GB.Term;
@@ -406,7 +384,7 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
         bool Fresh = false;
         int64_t *V = memoFindOrQueue(OK, Fresh);
         Other.MemoVal = V;
-        addPatch(BranchPC, true, OK, V);
+        Patches.push_back({BranchPC, true, V});
         Queue.push_back(std::move(Other));
       }
     } else if (FL.FreshCtx) {

@@ -32,7 +32,6 @@
 
 #include "runtime/Deferral.h"
 #include "runtime/Emitter.h"
-#include "runtime/PlanRunner.h"
 #include "runtime/RegionExec.h"
 
 #include <algorithm>
@@ -42,7 +41,7 @@
 namespace dyc {
 namespace runtime {
 
-/// The plan path's memoization table: open-addressed with linear probing,
+/// The driver's memoization table: open-addressed with linear probing,
 /// power-of-two sized, keys interned into a flat word pool, hashes stored
 /// per slot. One hash and one probe per operation, no per-node
 /// allocation, bulk-freed through the run's scratch arena. Host-only
@@ -53,9 +52,9 @@ namespace runtime {
 /// stay valid for the driver's lifetime even as the slot array rehashes.
 /// Work items and branch patches hold them as direct handles, which lets
 /// placement and patch resolution skip key recomposition entirely.
-class PlanMemo {
+class MemoTable {
 public:
-  explicit PlanMemo(BumpArena &A)
+  explicit MemoTable(BumpArena &A)
       : Slots(ArenaAllocator<Slot>(A)), Pool(ArenaAllocator<uint64_t>(A)),
         Values(ArenaAllocator<int64_t>(A)) {
     Slots.resize(64);
@@ -139,30 +138,21 @@ public:
   /// every run is a self-contained, immutable-after-publication chain.
   /// \p Scratch backs the run's worklist, memo table, and patch list; the
   /// caller opens a BumpArena::Scope around the driver's lifetime so the
-  /// memory is reclaimed in bulk when the run finishes.
-  /// \p Plan is the region's staged emit plan: memo keys compose through
-  /// its flattened key-register lists, and block set-up programs execute
-  /// through the PlanRunner (Generic steps in the concrete domain), a
-  /// context's block program built under \p Flags on its first placement.
-  /// Under the OptFlags::ReferenceWalk test hook, blocks instead walk
-  /// their SetupOps in the concrete domain, and placements go through the
-  /// walk's own ordered memo. \p Flags must outlive the driver.
+  /// memory is reclaimed in bulk when the run finishes. \p Flags must
+  /// outlive the driver.
   UnrollDriver(RegionExecutionCore &Core, RegionState &R, uint32_t Ordinal,
                vm::VM &M, const OptFlags &Flags, vm::CodeObject &Buf,
                std::map<ir::BlockId, uint32_t> &ExitStubs,
                std::map<uint32_t, uint32_t> &DispatchStubs,
                std::map<ir::BlockId, uint32_t> &OsrEntries,
-               BumpArena &Scratch, cogen::EmitPlan &Plan)
+               BumpArena &Scratch)
       : Core(Core), R(R), Ordinal(Ordinal), M(M), CM(M.costModel()),
-        Flags(Flags), GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
+        GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
         DispatchStubs(DispatchStubs), OsrEntries(OsrEntries),
         E(Buf, R.Stats, M, Flags.MaxRegionInstrs), D(E, Flags, R.GX),
-        MaxRegionInstrs(Flags.MaxRegionInstrs), Plan(Plan),
-        PR(M, R, Buf, Flags.MaxRegionInstrs, D),
-        Queue(ArenaAllocator<Item>(Scratch)),
-        Memo(std::less<std::vector<uint64_t>>(),
-             ArenaAllocator<MemoPair>(Scratch)),
-        PM(Scratch), Patches(ArenaAllocator<Patch>(Scratch)) {}
+        MaxRegionInstrs(Flags.MaxRegionInstrs),
+        Queue(ArenaAllocator<Item>(Scratch)), Memo(Scratch),
+        Patches(ArenaAllocator<Patch>(Scratch)) {}
 
   /// Runs the generating extension from \p Ctx0 with static values
   /// \p Vals0; returns the entry PC within the buffer.
@@ -174,17 +164,16 @@ private:
     std::vector<Word> Vals;
     /// The item's memo value slot (queued with -1 by the single-probe
     /// find-or-queue on the edge that produced it). Stable for the
-    /// driver's lifetime; the plan path's place() assigns the placement
-    /// pc through it without recomposing the key. Null only for CondBr
-    /// fall-throughs, which run() resolves before placing.
+    /// driver's lifetime; place() assigns the placement pc through it
+    /// without recomposing the key. Null only for CondBr fall-throughs,
+    /// which run() resolves before placing.
     int64_t *MemoVal = nullptr;
   };
 
   struct Patch {
     size_t PC = 0;
     bool FieldC = false;
-    std::vector<uint64_t> Key; ///< reference walk: re-probed at resolution
-    int64_t *Val = nullptr;    ///< plan path: target's stable memo slot
+    int64_t *Val = nullptr; ///< the target's stable memo slot
   };
 
   /// Branch-target resolution for an edge. Fresh Ctx edges yield no PC;
@@ -206,48 +195,22 @@ private:
   const std::vector<uint64_t> &keyRef(uint32_t Ctx,
                                       const std::vector<Word> &Vals);
 
-  /// Memo primitives over keys composed by keyRef, routed to the
-  /// open-addressed PlanMemo on the plan path (reusing the hash computed
-  /// during composition) and to the reference walk's ordered Memo under
-  /// the test hook. Key composition never charges the simulated cost
-  /// model, so the split is host-time only.
+  /// Memo primitives over keys composed by keyRef, reusing the hash
+  /// computed during composition. Key composition and lookup never charge
+  /// the simulated cost model.
   int64_t *memoFind(const std::vector<uint64_t> &K) {
-    if (Flags.ReferenceWalk) {
-      auto It = Memo.find(K);
-      return It == Memo.end() ? nullptr : &It->second;
-    }
     assert(&K == &KeyScratch && "memo keys come from keyRef");
-    return PM.find(K.data(), K.size(), KeyHashScratch);
+    return Memo.find(K.data(), K.size(), KeyHashScratch);
   }
-  /// Reference-walk placement: re-probe the ordered memo and assign. The
-  /// plan path assigns through the item's stable MemoVal handle instead.
-  void memoAssign(const std::vector<uint64_t> &K, int64_t V) { Memo[K] = V; }
   /// Fused find + queue-mark: one probe resolves the key, queuing it
   /// (value -1) when first seen. \p Fresh reports the first-seen case.
-  /// The returned slot pointer is stable for the driver's lifetime
-  /// (chunked store / node-based map).
+  /// The returned slot pointer is stable for the driver's lifetime.
   int64_t *memoFindOrQueue(const std::vector<uint64_t> &K, bool &Fresh) {
-    if (Flags.ReferenceWalk) {
-      auto [It, Inserted] = Memo.emplace(K, -1);
-      Fresh = Inserted;
-      return &It->second;
-    }
     assert(&K == &KeyScratch && "memo keys come from keyRef");
-    int64_t *V = PM.findOrInsert(K.data(), K.size(), KeyHashScratch, Fresh);
+    int64_t *V = Memo.findOrInsert(K.data(), K.size(), KeyHashScratch, Fresh);
     if (Fresh)
       *V = -1;
     return V;
-  }
-  /// Records a forward-branch patch against the target keyed \p K, whose
-  /// memo slot is \p V. The plan path resolves it by dereferencing the
-  /// stable handle when the run finishes; the reference walk stores a key
-  /// copy and re-probes.
-  void addPatch(size_t PC, bool FieldC, const std::vector<uint64_t> &K,
-                int64_t *V) {
-    if (Flags.ReferenceWalk)
-      Patches.push_back({PC, FieldC, K, nullptr});
-    else
-      Patches.push_back({PC, FieldC, {}, V});
   }
 
   void execSetup(const cogen::SetupOp &Op, std::vector<Word> &Vals);
@@ -273,7 +236,6 @@ private:
   uint32_t Ordinal;
   vm::VM &M;
   const vm::CostModel &CM;
-  const OptFlags &Flags;
   const cogen::GenExtFunction &GX;
   vm::CodeObject &Buf;
   std::map<ir::BlockId, uint32_t> &ExitStubs;
@@ -289,23 +251,12 @@ private:
   /// RegionState::CtxPlacements accumulates across runs.
   std::vector<int64_t> OsrState;
 
-  Concrete E;
+  Emitter E;
   DeferralEngine D;
   size_t MaxRegionInstrs; ///< Flags.MaxRegionInstrs (buffer reserve)
-  cogen::EmitPlan &Plan;
-  PlanRunner PR;
-
-  using MemoPair = std::pair<const std::vector<uint64_t>, int64_t>;
-  using MemoMap = std::map<std::vector<uint64_t>, int64_t,
-                           std::less<std::vector<uint64_t>>,
-                           ArenaAllocator<MemoPair>>;
 
   std::deque<Item, ArenaAllocator<Item>> Queue;
-  /// Reference walk only: its own ordered memo, the one the plan path's
-  /// specialize_throughput ratio gates are measured against. Same
-  /// contract as PM.
-  MemoMap Memo;
-  PlanMemo PM; ///< key -> -1 queued, else PC (plan path)
+  MemoTable Memo; ///< key -> -1 queued, else PC
   std::vector<uint64_t> KeyScratch; ///< keyRef's reused composition buffer
   uint64_t KeyHashScratch = 0;      ///< FNV-1a of KeyScratch
   std::vector<Patch, ArenaAllocator<Patch>> Patches;

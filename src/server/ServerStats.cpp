@@ -49,10 +49,6 @@ std::string ServerStatsSnapshot::toString() const {
     Words(StatsGroup::Tier);
     S += ']';
   }
-  S += " plan[";
-#define DYC_PLAN_COUNTER(Name, Label) appendCounter(S, Label, Name);
-#include "runtime/RegionCounters.def"
-  S += ']';
   if (MultiTenant) {
     S += " mt[";
     Words(StatsGroup::Tenancy);

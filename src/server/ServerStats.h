@@ -32,7 +32,6 @@ struct ServerStatsSnapshot {
 #define DYC_GAUGE(Name, Group, Label) uint64_t Name = 0;
 #define DYC_SERVER_FLAG(Name) bool Name = false;
 #define DYC_TIER_COUNTER(Name, Label, Advice) uint64_t Name = 0;
-#define DYC_PLAN_COUNTER(Name, Label) uint64_t Name = 0;
 #include "server/ServerCounters.def"
 
   std::string toString() const;

@@ -706,9 +706,7 @@ ServerStatsSnapshot SpecServer::stats() const {
   ServerStatsSnapshot S;
   {
     // The runs, chains and dedup counters change only under the
-    // specialization lock, so the difference below reads consistently;
-    // the plan counters live in the core's per-region stats, guarded by
-    // the same lock.
+    // specialization lock, so the difference below reads consistently.
     std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
     std::shared_lock<std::shared_mutex> L(TenantsMutex);
     for (const TenantState &TS : Tenants) {
@@ -720,11 +718,6 @@ ServerStatsSnapshot SpecServer::stats() const {
     // The two-ledger identity: tenant ledgers count adoptions as runs.
     S.SpecRuns -= S.DedupHits;
     S.ChainsCreated -= S.DedupHits;
-    for (size_t I = 0; I != Core.numRegions(); ++I) {
-      const runtime::RegionStats &RS = Core.stats(I);
-#define DYC_PLAN_COUNTER(Name, Label) S.Name += RS.Name;
-#include "runtime/RegionCounters.def"
-    }
   }
   S.ChainsCollected = ChainsCollected.load(std::memory_order_relaxed);
   S.StoreChains = Store.size();

@@ -17,9 +17,9 @@
 /// live in arenas too (frontend/AST.h). Not thread-safe: specialization is
 /// caller-serialized (see RegionExec.h's concurrency contract).
 ///
-/// Objects that outlive a run — published entries, code chains, emit
-/// plans — are plain make_shared allocations: they are freed one at a
-/// time, on any thread, when their last reference drops.
+/// Objects that outlive a run — published entries and code chains — are
+/// plain make_shared allocations: they are freed one at a time, on any
+/// thread, when their last reference drops.
 ///
 //===----------------------------------------------------------------------===//
 

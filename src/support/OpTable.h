@@ -58,14 +58,10 @@ enum class OpFault : uint8_t {
   ZeroB, ///< its second operand, register or immediate, is the integer 0
 };
 
-/// The second operand that makes a ZeroB operation fault. The plan
-/// builder tests a symbolic operand against it.
-inline Word zeroBWord() { return Word::fromInt(0); }
-
 /// Whether an operation with fault condition \p F faults on second
 /// operand \p B.
 inline bool opFaults(OpFault F, Word B) {
-  return F == OpFault::ZeroB && B == zeroBWord();
+  return F == OpFault::ZeroB && B == Word::fromInt(0);
 }
 
 /// The value of each pure operation of the table, one function per

@@ -29,16 +29,15 @@ std::string formatString(const char *Fmt, ...) {
   return Out;
 }
 
-void appendCounter(std::string &S, const char *Label, uint64_t V,
-                   const char *Prefix) {
+void appendCounter(std::string &S, const char *Label, uint64_t V) {
   std::string N = std::to_string(V);
   if (*Label == '(')
     S += std::string(Label) + ' ' + N + ')';
   else if (*Label == '/')
     S += Label + N;
   else
-    S += (S.empty() || S.back() == '[' ? "" : " ") + std::string(Prefix) +
-         Label + '=' + N;
+    S += (S.empty() || S.back() == '[' ? "" : " ") + std::string(Label) +
+         '=' + N;
 }
 
 uint64_t hashWords(const Word *Data, size_t N, uint64_t Seed) {

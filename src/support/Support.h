@@ -30,12 +30,11 @@ namespace dyc {
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Appends one counter to the --stats line \p S as the word
-/// "PrefixLabel=V", after a space unless \p S is empty or ends in '['. A
-/// label that starts with '(' or '/' continues the word before it: "(memo"
-/// appends "(memo V)" and "/" appends "/V".
-void appendCounter(std::string &S, const char *Label, uint64_t V,
-                   const char *Prefix = "");
+/// Appends one counter to the --stats line \p S as the word "Label=V",
+/// after a space unless \p S is empty or ends in '['. A label that starts
+/// with '(' or '/' continues the word before it: "(memo" appends "(memo V)"
+/// and "/" appends "/V".
+void appendCounter(std::string &S, const char *Label, uint64_t V);
 
 /// A 64-bit machine word. Registers, memory cells, and run-time-constant
 /// values are all Words; the instruction opcode determines whether the bits

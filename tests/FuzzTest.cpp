@@ -734,100 +734,4 @@ TEST_P(TenantFuzz, TenantsStayBitIdenticalToDedicatedServer) {
 
 INSTANTIATE_TEST_SUITE_P(Programs, TenantFuzz, ::testing::Range(0, 25));
 
-//===----------------------------------------------------------------------===//
-// Staged-emit-plan axis: random programs under a random optimization
-// matrix and engine, built twice: on the plan path and on the reference
-// walk (the OptFlags::ReferenceWalk test hook). The plan is contractually
-// a pure host-side acceleration, so results, memory, every simulated
-// counter, and the disassembly of every region must be bit-identical —
-// and only PlanBytes may differ (the walk builds no block programs).
-//===----------------------------------------------------------------------===//
-
-class EmitPlanFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(EmitPlanFuzz, PlanAndLegacyWalkStayBitIdentical) {
-  uint64_t Seed = 0xe217 + static_cast<uint64_t>(GetParam()) * 7877;
-  ProgramGen Gen(Seed);
-  std::string Src = Gen.generate();
-
-  core::DycContext Ctx;
-  std::vector<std::string> Errors;
-  ASSERT_TRUE(Ctx.compile(Src, Errors))
-      << Src << "\n" << (Errors.empty() ? "" : Errors[0]);
-
-  // One random configuration per seed; the test hook is the ONLY
-  // difference between the two builds (it is excluded from the flags
-  // fingerprint, so both describe the same specialization policy).
-  DeterministicRNG Cfg(Seed ^ 0x9a71);
-  OptFlags Fl;
-  for (unsigned T = 0; T != OptFlags::NumToggles; ++T)
-    Fl.toggle(T) = Cfg.nextBelow(3) != 0; // each toggle off w.p. 1/3
-  Cfg.nextBelow(2); // reserved draw: keeps every seed's engine choice
-  vm::VM::EngineKind Engine = Cfg.nextBelow(2)
-                                  ? vm::VM::EngineKind::Predecoded
-                                  : vm::VM::EngineKind::Legacy;
-  OptFlags OnFl = Fl, OffFl = Fl;
-  OffFl.ReferenceWalk = true;
-
-  auto EOn = Ctx.buildDynamic(OnFl);
-  auto EOff = Ctx.buildDynamic(OffFl);
-  EOn->Machine->Engine = Engine;
-  EOff->Machine->Engine = Engine;
-
-  DeterministicRNG In(Seed ^ 0xabcdef);
-  std::vector<int64_t> AVals, BVals;
-  for (int I = 0; I != 16; ++I) {
-    AVals.push_back(static_cast<int64_t>(In.nextBelow(10)));
-    BVals.push_back(static_cast<int64_t>(In.nextBelow(1000)) - 500);
-  }
-  int64_t X = static_cast<int64_t>(In.nextBelow(1000)) - 500;
-  int64_t Y = static_cast<int64_t>(In.nextBelow(1000)) - 500;
-
-  // Varying trip counts churn the cache; the identical sequential call
-  // order on both builds keeps even unchecked policies a fair target.
-  for (int Round = 0; Round != 2; ++Round)
-    for (int64_t N = 1; N <= 5; ++N) {
-      RunResult GotOn = runConfig(*EOn, N, X, Y, AVals, BVals);
-      RunResult GotOff = runConfig(*EOff, N, X, Y, AVals, BVals);
-      ASSERT_EQ(GotOn.Ret, GotOff.Ret)
-          << "n=" << N << " round=" << Round << " seed " << Seed << "\n"
-          << Src;
-      ASSERT_EQ(GotOn.BMem, GotOff.BMem)
-          << "n=" << N << " round=" << Round << " seed " << Seed << "\n"
-          << Src;
-    }
-
-  EXPECT_EQ(EOn->Machine->execCycles(), EOff->Machine->execCycles())
-      << "seed " << Seed << "\n" << Src;
-  EXPECT_EQ(EOn->Machine->dynCompCycles(), EOff->Machine->dynCompCycles())
-      << "seed " << Seed << "\n" << Src;
-  EXPECT_EQ(EOn->Machine->instrsExecuted(), EOff->Machine->instrsExecuted())
-      << "seed " << Seed;
-  EXPECT_EQ(EOn->Machine->icache().hits(), EOff->Machine->icache().hits())
-      << "seed " << Seed;
-  EXPECT_EQ(EOn->Machine->icache().misses(),
-            EOff->Machine->icache().misses())
-      << "seed " << Seed;
-
-  ASSERT_EQ(EOn->RT->numRegions(), EOff->RT->numRegions());
-  for (size_t Ord = 0; Ord != EOn->RT->numRegions(); ++Ord) {
-    EXPECT_EQ(EOn->RT->disassembleRegion(Ord),
-              EOff->RT->disassembleRegion(Ord))
-        << "region " << Ord << " seed " << Seed << "\n" << Src;
-    runtime::RegionStats On = EOn->RT->stats(Ord);
-    runtime::RegionStats Off = EOff->RT->stats(Ord);
-    if (On.SpecializationRuns > 0) {
-      EXPECT_EQ(On.PlanBuilds, 1u) << "region " << Ord << " seed " << Seed;
-      EXPECT_EQ(On.PlanBuilds + On.PlanHits, On.SpecializationRuns)
-          << "region " << Ord << " seed " << Seed;
-    }
-    // Everything except PlanBytes must render identically.
-    On.PlanBytes = Off.PlanBytes = 0;
-    EXPECT_EQ(On.toString(), Off.toString())
-        << "region " << Ord << " seed " << Seed << "\n" << Src;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Programs, EmitPlanFuzz, ::testing::Range(0, 40));
-
 } // namespace

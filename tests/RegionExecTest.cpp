@@ -6,10 +6,11 @@
 // specialization counts, and bit-identical region disassembly through both.
 // Also covers the chain model the core introduced inline: golden disassembly
 // of single-way and multi-way unrolled loops, CLOCK eviction through
-// buildDynamic, and the soft per-region code cap; and the core's shared
+// buildDynamic, and the soft per-region code cap; the core's shared
 // translation table: VMs that adopt translations observe exactly what VMs
 // translating for themselves observe, and the table never outlives the
-// resident chains.
+// resident chains; and the specializer's re-entrant runs (static calls
+// that specialize again mid-run) and its emit-time division folds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -314,6 +315,16 @@ TEST(RegionExecCore, InlineEvictionBoundsResidency) {
   EXPECT_GE(E->RT->stats(0).SpecializationRuns, 6u);
   EXPECT_LE(E->RT->core().residentEntries(0), 2u);
 
+  // The budget bounds the live chains too: no frame is inside a victim
+  // when it is evicted, so each one is freed at once. Negative keys run
+  // the loop zero times, which keeps their chains small.
+  int Wrong = 0;
+  for (int64_t N = -1; N >= -1000; --N)
+    Wrong += E->Machine->run(F, {Word::fromInt(N)}).asInt() != 0;
+  EXPECT_EQ(Wrong, 0);
+  EXPECT_LE(E->RT->core().residentEntries(0), 2u);
+  EXPECT_LE(E->RT->core().liveChains(), 2u);
+
   // No client is inside dynamic code, so every evicted chain is
   // reclaimable and only the resident ones survive collection.
   E->RT->core().collectChains();
@@ -533,6 +544,123 @@ TEST(SharedTranslations, SpeculativePromotionPathIdentical) {
     expectSameObservables(traceSpeculative(SpecOn, true),
                           traceSpeculative(SpecOn, false),
                           SpecOn ? "speculation on" : "speculation off");
+}
+
+//===----------------------------------------------------------------------===//
+// Specializer re-entrancy and emit-time folds
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Func of \p E once per argument list and returns the results.
+std::vector<uint64_t> runEach(core::Executable &E, const char *Func,
+                              const std::vector<std::vector<int64_t>> &Calls) {
+  int FI = E.findFunction(Func);
+  EXPECT_GE(FI, 0);
+  std::vector<uint64_t> Results;
+  for (const std::vector<int64_t> &C : Calls) {
+    std::vector<Word> Args;
+    for (int64_t V : C)
+      Args.push_back(Word::fromInt(V));
+    Results.push_back(E.Machine->run(static_cast<uint32_t>(FI), Args).Bits);
+  }
+  return Results;
+}
+
+// Specializing f executes the static call g(...) at specialize time; g
+// carries its own make_static, so the nested run re-enters specializeInto
+// for g's region while f's run is in the middle of a block.
+TEST(SpecializerReentrancy, NestedStaticCallSpecializesAnotherRegion) {
+  auto Ctx = compile("pure int g(int m) {\n"
+                     "  int j;\n"
+                     "  make_static(m, j : cache_all);\n"
+                     "  int t = 0;\n"
+                     "  for (j = 0; j < m; j = j + 1) { t = t + j * m; }\n"
+                     "  return t;\n"
+                     "}\n"
+                     "int f(int n) {\n"
+                     "  make_static(n);\n"
+                     "  return g(n) + g(n + 1);\n"
+                     "}");
+  auto E = Ctx->buildDynamic();
+  EXPECT_EQ(runEach(*E, "f", {{4}, {7}, {4}}),
+            (std::vector<uint64_t>{74, 371, 74}));
+  ASSERT_EQ(E->RT->numRegions(), 2u);
+  EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 4u) << "g: keys 4, 5, 7, 8";
+  EXPECT_EQ(E->RT->stats(1).SpecializationRuns, 2u) << "f: keys 4, 7";
+  EXPECT_EQ(E->Machine->dynCompCycles(), 8408u);
+}
+
+// Same-region re-entrancy: specializing h(n) executes the static call
+// h(n - 1), which dispatches on a new key of the same region and
+// specializes it while the outer run is still inside the block that holds
+// the call. The innermost run (n == 0) is the first to place the
+// `return 1` context.
+TEST(SpecializerReentrancy, SameRegionNestedRunsSpecializeEachKey) {
+  auto Ctx = compile("pure int h(int n) {\n"
+                     "  make_static(n : cache_all);\n"
+                     "  if (n <= 0) return 1;\n"
+                     "  return n * h(n - 1);\n"
+                     "}");
+  auto E = Ctx->buildDynamic();
+  EXPECT_EQ(runEach(*E, "h", {{5}, {7}, {5}, {0}}),
+            (std::vector<uint64_t>{120, 5040, 120, 1}));
+  ASSERT_EQ(E->RT->numRegions(), 1u);
+  EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 8u)
+      << "keys 5..0, then 7 and 6";
+  EXPECT_EQ(E->Machine->dynCompCycles(), 7931u);
+}
+
+// Same-region re-entrancy inside one block: the context after the static
+// `if` makes the static call h(n - 1, n), then multiplies the dynamic x by
+// its result r. The outermost run (key 3) enters the call before it
+// reaches the multiply, and each nested run places the same context.
+TEST(SpecializerReentrancy, NestedRunsPlaceTheRunningBlock) {
+  auto Ctx = compile("pure int h(int n, int x) {\n"
+                     "  make_static(n : cache_all);\n"
+                     "  if (n <= 0) return x;\n"
+                     "  return x * h(n - 1, n);\n"
+                     "}");
+  auto E = Ctx->buildDynamic();
+  EXPECT_EQ(runEach(*E, "h", {{3, 5}, {4, 5}, {3, 5}, {1, 5}}),
+            (std::vector<uint64_t>{30, 120, 30, 5}));
+  ASSERT_EQ(E->RT->numRegions(), 1u);
+  EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 5u) << "keys 3..0, then 4";
+  EXPECT_EQ(E->Machine->dynCompCycles(), 4907u);
+}
+
+// With z == 0, zero/copy propagation turns `a` into the constant 0, so
+// `a / k` and `a % k` have two constant operands. A zero divisor cannot
+// fold: the chain holds the faithful div and rem, which fault only if
+// that code ever runs, as the static build's would. Keys with k == 0
+// never run it (d < 0).
+TEST(SpecializerFolds, DivRemByZeroEmittedOnlyForZeroKey) {
+  const char *Src = "int g(int z, int k, int c, int d) {\n"
+                    "  make_static(z, k, c : cache_all);\n"
+                    "  int r = c;\n"
+                    "  if (d > 0) { int a = d * z; r = a / k + a % k + c; }\n"
+                    "  return r;\n"
+                    "}";
+  const std::vector<std::vector<int64_t>> Calls = {
+      {0, 0, 1, -1}, {0, 3, 2, 2}, {0, 0, 3, -1}, {0, 5, 4, 2}};
+  auto Ctx = compile(Src);
+  auto Static = Ctx->buildStatic();
+  std::vector<uint64_t> Want = runEach(*Static, "g", Calls);
+  EXPECT_EQ(Want, (std::vector<uint64_t>{1, 2, 3, 4}));
+
+  auto E = Ctx->buildDynamic();
+  std::string Before;
+  for (size_t I = 0; I != Calls.size(); ++I) {
+    const std::vector<int64_t> &C = Calls[I];
+    EXPECT_EQ(runEach(*E, "g", {C}), std::vector<uint64_t>{Want[I]});
+    std::string After = E->RT->disassembleRegion(0);
+    std::string Chain = After.substr(Before.size());
+    bool ZeroKey = C[1] == 0;
+    EXPECT_EQ(Chain.find(" div r") != std::string::npos, ZeroKey)
+        << "k=" << C[1] << "\n" << Chain;
+    EXPECT_EQ(Chain.find(" rem r") != std::string::npos, ZeroKey)
+        << "k=" << C[1] << "\n" << Chain;
+    Before = std::move(After);
+  }
+  EXPECT_EQ(E->RT->stats(0).SpecializationRuns, Calls.size());
 }
 
 } // namespace

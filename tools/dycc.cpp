@@ -100,19 +100,6 @@ template <class StatsOfFn> void printRegions(size_t N, StatsOfFn StatsOf) {
     printf("region %zu: %s\n", Ord, StatsOf(Ord).toString().c_str());
 }
 
-/// The emit-plan advisor: each region's plan amortization.
-template <class StatsOfFn> void printPlanAdvisor(size_t N, StatsOfFn StatsOf) {
-  if (N == 0)
-    return;
-  printf("emit-plan advisor (per-region plan amortization):\n");
-  for (size_t Ord = 0; Ord != N; ++Ord) {
-    runtime::RegionStats RS = StatsOf(Ord);
-    printf("  region %zu: %llu builds, %llu hits, %llu plan bytes\n", Ord,
-           (unsigned long long)RS.PlanBuilds, (unsigned long long)RS.PlanHits,
-           (unsigned long long)RS.PlanBytes);
-  }
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -319,7 +306,6 @@ int main(int argc, char **argv) {
         printf("  region %zu: level %s%s\n", Ord,
                tier::tierLevelName(TC->level(Ord)),
                TC->counters(Ord).advice().c_str());
-      printPlanAdvisor(Server->numRegions(), ServerRegion);
     }
     return 0;
   }
@@ -413,7 +399,6 @@ int main(int argc, char **argv) {
                PP.Blacklisted ? ", blacklisted" : "");
       }
     }
-    printPlanAdvisor(RT->numRegions(), RTRegion);
   }
 
   if (Profile) {
